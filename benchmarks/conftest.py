@@ -43,16 +43,18 @@ def campaign_runner():
     ``REPRO_BENCH_JOBS`` sets the worker-process count (default: one per
     CPU, capped at 4); serial and parallel execution produce bit-identical
     figures.  ``REPRO_BENCH_CACHE=1`` additionally persists per-run results
-    under ``benchmarks/out/.cache`` so re-generating an unchanged figure
-    skips its simulations.
+    in a result store under ``benchmarks/out/.cache`` so re-generating an
+    unchanged figure skips its simulations.
     """
-    from repro.campaign import ParallelRunner, ResultCache
+    from repro.campaign import ParallelRunner, ResultStore
 
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", min(4, os.cpu_count() or 1)))
-    cache = None
+    store = None
     if os.environ.get("REPRO_BENCH_CACHE", "0") == "1":
-        cache = ResultCache(OUTPUT_DIR / ".cache")
-    return ParallelRunner(jobs=max(1, jobs), cache=cache)
+        store = ResultStore(OUTPUT_DIR / ".cache")
+    yield ParallelRunner(jobs=max(1, jobs), cache=store)
+    if store is not None:
+        store.close()
 
 
 @pytest.fixture(scope="session")

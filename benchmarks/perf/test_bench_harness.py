@@ -65,12 +65,14 @@ class TestHarness:
         assert entry["cycles"] > 0
         assert entry["engines"]["stepped"]["cycles"] == entry["engines"]["event"]["cycles"]
         assert entry["engines"]["stepped"]["cycles"] == entry["engines"]["codegen"]["cycles"]
-        assert entry["speedup"] > 0
-        assert entry["speedups"]["event"] == entry["speedup"]
+        assert "speedup" not in entry  # the event-engine mirror is gone
+        assert entry["speedups"]["event"] > 0
         assert entry["speedups"]["codegen"] > 0
         assert entry["speedups"]["replay"] > 0
-        assert payload["summary"]["min_speedup"] == entry["speedup"]
-        assert set(payload["summary"]["engines"]) == {"event", "codegen", "replay"}
+        summary = payload["summary"]
+        assert summary["engines"]["event"]["min_speedup"] == entry["speedups"]["event"]
+        assert set(summary["engines"]) == {"event", "codegen", "replay"}
+        assert "min_speedup" not in summary
 
     def test_payload_is_json_serialisable(self, payload):
         rebuilt = json.loads(json.dumps(payload))
@@ -160,7 +162,7 @@ class TestCompareGate:
 
     def test_regression_fails(self, payload):
         slower = copy.deepcopy(payload)
-        slower["workloads"][0]["speedup"] *= 0.5
+        slower["workloads"][0]["speedups"]["event"] *= 0.5
         result = compare_payloads(payload, slower, max_regression=0.15)
         assert not result.ok
         assert result.regressions == [TINY.name]
@@ -168,13 +170,13 @@ class TestCompareGate:
 
     def test_within_tolerance_passes(self, payload):
         slightly = copy.deepcopy(payload)
-        slightly["workloads"][0]["speedup"] *= 0.9
+        slightly["workloads"][0]["speedups"]["event"] *= 0.9
         assert compare_payloads(payload, slightly, max_regression=0.15).ok
 
     def test_codegen_speedup_metric_gates_the_generated_loop(self, payload):
         """The codegen leg of the perf job gates entry["speedups"]["codegen"]
         — a regression of the generated loop must fail even when the event
-        engine's legacy speedup scalar is untouched."""
+        engine's speedup is untouched."""
         slower = copy.deepcopy(payload)
         slower["workloads"][0]["speedups"]["codegen"] *= 0.5
         assert compare_payloads(payload, slower, metric="codegen_speedup").ok is False

@@ -8,7 +8,7 @@ example shows the full round trip:
 
 1. declare a small campaign grid with :class:`~repro.campaign.CampaignSpec`;
 2. execute it with :class:`~repro.campaign.ParallelRunner` through a
-   content-addressed result cache and write the artifacts;
+   content-addressed result store and write the artifacts;
 3. *forget everything* and reload the artifacts from disk;
 4. re-render the report and recompute the summary from the raw records,
    without a single new simulation.
@@ -18,7 +18,7 @@ Run it with::
     python examples/campaign_artifacts.py [output-dir]
 
 Run it twice: the second invocation's campaign is served entirely from the
-cache (``0 simulated``).
+store (``0 simulated``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 from repro.campaign import (
     CampaignSpec,
     ParallelRunner,
-    ResultCache,
+    ResultStore,
     load_campaign,
     summarize_records,
     write_campaign_artifacts,
@@ -53,9 +53,9 @@ def main() -> None:
     print(f"Campaign grid: {len(descriptors)} runs "
           f"({spec.num_workloads} workloads + rsk reference, per arbiter)")
 
-    # 2. Execute through a cache and persist the artifacts.
-    runner = ParallelRunner(jobs=2, cache=ResultCache(out_dir / "cache"))
-    outcome = runner.run(descriptors)
+    # 2. Execute through a result store and persist the artifacts.
+    with ResultStore(out_dir / "store") as store:
+        outcome = ParallelRunner(jobs=2, cache=store).run(descriptors)
     stats = outcome.stats
     print(f"Executed: {stats['simulated']} simulated, "
           f"{stats['cached']} from cache, jobs={stats['jobs']}")

@@ -85,7 +85,7 @@ def _metric_of(entry: Dict[str, object], metric: str) -> float:
     older-schema baseline); callers turn that into a warning, not a crash.
     """
     if metric == "speedup":
-        return float(entry["speedup"])
+        return float(entry["speedups"]["event"])
     if metric == "codegen_speedup":
         return float(entry["speedups"]["codegen"])
     if metric == "replay_speedup":

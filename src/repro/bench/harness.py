@@ -48,7 +48,10 @@ from ..sim.system import System
 #: campaign entries may carry a ``replay`` phase (codegen-engine campaign
 #: vs trace-warm replay-engine campaign, ``campaign_replay_speedup``) and
 #: the summary a ``campaign_replay_speedup`` geomean.
-BENCH_SCHEMA_VERSION = 5
+#: v6: the event-engine mirrors are gone — the per-workload ``speedup``
+#: (now only ``speedups["event"]``) and the summary's top-level
+#: ``geomean/min/max/default_speedup`` (now only under ``engines``).
+BENCH_SCHEMA_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -318,9 +321,6 @@ def run_benchmarks(
                 "iterations": workload.quick_iterations if quick else workload.iterations,
                 "cycles": engines["event"]["cycles"],
                 "engines": engines,
-                # Legacy scalar kept for continuity of the default gate
-                # (event vs stepped); per-engine ratios live in "speedups".
-                "speedup": speedups["event"],
                 "speedups": speedups,
             }
         )
@@ -364,7 +364,6 @@ def _summarize(
             "max_speedup": max(values) if values else 0.0,
             "default_speedup": default["speedups"][engine] if default else None,
         }
-    event = per_engine.get("event", {})
     warm_speedups = [
         entry["warm_speedup"] for entry in campaign_entries if entry["warm_speedup"] > 0
     ]
@@ -379,13 +378,7 @@ def _summarize(
         if entry["multi_client_warm_speedup"] > 0
     ]
     return {
-        # Legacy top-level keys mirror the event engine (the original
-        # schema-v1 meaning); per-engine numbers live under "engines".
-        "geomean_speedup": event.get("geomean_speedup", 1.0),
-        "min_speedup": event.get("min_speedup", 0.0),
-        "max_speedup": event.get("max_speedup", 0.0),
         "default_workload": DEFAULT_WORKLOAD,
-        "default_speedup": event.get("default_speedup"),
         "engines": per_engine,
         "campaign_geomean_warm_speedup": (
             _geomean(warm_speedups) if warm_speedups else None

@@ -7,13 +7,13 @@ and cached:
 
 * :class:`CampaignSpec` / :class:`RunDescriptor` — declare the grid of runs
   (:mod:`repro.campaign.spec`);
-* :class:`ParallelRunner` / :func:`execute_shard` — execute descriptors as
-  shards over a process pool with deterministic, order-independent results
-  (:mod:`repro.campaign.runner`);
-* :class:`ResultCache` / :class:`ResultStore` — content-addressed result
-  backends so re-runs only simulate what changed; the store adds a durable
-  SQLite index with cross-campaign dedup (:mod:`repro.campaign.cache`,
-  :mod:`repro.campaign.store`);
+* :class:`ParallelRunner` / :func:`execute_shard` — the one campaign
+  pipeline: execute descriptors as shards in-process, over a process pool
+  or through a caller-supplied executor, with deterministic,
+  order-independent results (:mod:`repro.campaign.runner`);
+* :class:`ResultStore` — the content-addressed result store (JSON
+  artifacts behind a durable SQLite index) so re-runs only simulate what
+  changed, deduplicated across campaigns (:mod:`repro.campaign.store`);
 * :func:`write_campaign_artifacts` / :class:`CampaignStreamWriter` /
   :func:`load_campaign` — the ``results.jsonl`` / ``summary.json`` /
   ``campaign.json`` artifact layer (:mod:`repro.campaign.artifacts`).
@@ -36,11 +36,9 @@ from .artifacts import (
     write_campaign_artifacts,
     write_manifest,
 )
-from .cache import ResultCache
 from .runner import (
     CampaignOutcome,
     ParallelRunner,
-    RecordEmitter,
     ShardRun,
     ShardTask,
     compact_shard,
@@ -62,7 +60,6 @@ from .spec import (
 )
 from .store import (
     CLAIM_TTL_SECONDS,
-    LEGACY_CAMPAIGN_ID,
     STORE_SCHEMA_VERSION,
     GcOutcome,
     ResultStore,
@@ -79,12 +76,9 @@ __all__ = [
     "GcOutcome",
     "KIND_RSK",
     "KIND_SYNTHETIC",
-    "LEGACY_CAMPAIGN_ID",
     "MANIFEST_NAME",
     "ParallelRunner",
     "RESULTS_NAME",
-    "RecordEmitter",
-    "ResultCache",
     "ResultStore",
     "RunDescriptor",
     "SCHEMA_VERSION",

@@ -1,13 +1,16 @@
-"""Parallel campaign execution with deterministic results.
+"""The campaign pipeline: descriptors in, ordered records and stats out.
 
 :func:`execute_run` turns one :class:`~repro.campaign.spec.RunDescriptor`
-into a plain-JSON result record; :class:`ParallelRunner` partitions the
-miss-frontier into *shards* and fans those out over a
-``concurrent.futures.ProcessPoolExecutor`` (or runs them in-process for
-``jobs=1``), reassembling the records in descriptor order.  Because every
-record is a pure function of its descriptor and the assembly order is
-fixed, a parallel campaign's artifacts are bit-identical to a serial
-campaign's — the only difference is wall-clock time.
+into a plain-JSON result record.  :class:`ParallelRunner` is the only code
+that turns a descriptor sequence into records: it probes the result store
+for the miss-frontier, partitions the misses into *shards*, hands the
+shards to a *shard executor* and absorbs their results in shard order.
+Three executors exist: in-process (:func:`execute_inline`, ``jobs=1``), a
+``concurrent.futures.ProcessPoolExecutor`` (:func:`pool_executor`) and the
+serve daemon's :class:`~repro.service.daemon.ShardBoard`.  Because every
+record is a pure function of its descriptor and the absorb order is
+fixed, a parallel or served campaign's artifacts are bit-identical to a
+serial campaign's — the only difference is wall-clock time.
 
 Sharding is the IPC amortisation: a 10k-run grid crosses the executor
 boundary ~``4 * jobs`` times instead of 10k times, and each
@@ -16,14 +19,13 @@ descriptors inside the shard reference it by index, so identical platform
 payloads are never re-pickled per run.  Inside a worker, contender rsk
 programs are memoised per (config, kind) across the shard's runs.
 
-A result cache/store can be attached so repeated campaigns only simulate
-misses: lookups and insertions go through the batched
-``get_many``/``put_many`` interface shared by the flat
-:class:`~repro.campaign.cache.ResultCache` and the SQLite-indexed
-:class:`~repro.campaign.store.ResultStore` (whose index answers a whole
-grid in a handful of queries, and whose hits dedupe across *all*
-historical campaigns).  :class:`CampaignOutcome.stats` reports how many
-runs were simulated versus served from the cache.
+A :class:`~repro.campaign.store.ResultStore` can be attached so repeated
+campaigns only simulate misses: one batched ``get_many`` resolves the
+whole grid (hits dedupe across *all* historical campaigns) and each
+absorbed shard is one ``put_many``.  The store also backs the replay
+engine's trace cache, in this process and in every pool worker, so core
+captures persist in its ``traces/`` section.  :class:`CampaignOutcome.stats`
+reports how many runs were simulated versus served from the store.
 
 Streaming: pass a :class:`~repro.campaign.artifacts.CampaignStreamWriter`
 to :meth:`ParallelRunner.run` and records are appended to
@@ -33,11 +35,12 @@ runs, in exactly the order a one-shot write would produce.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..analysis.contention import (
     DECOMPOSITION_STAGES,
@@ -54,17 +57,10 @@ from ..methodology.workloads import WorkloadRun, run_single_workload
 from ..sim.isa import Program
 from ..sim.trace import global_trace_cache
 from .spec import KIND_RSK, KIND_SYNTHETIC, SCHEMA_VERSION, RunDescriptor, campaign_digest
+from .store import ResultStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
     from .artifacts import CampaignStreamWriter
-
-
-class ResultBackend(Protocol):
-    """What the runner needs from a cache/store: batched digest I/O."""
-
-    def get_many(self, digests: Sequence[str]) -> Dict[str, Dict[str, object]]: ...
-
-    def put_many(self, items: Sequence[Tuple[str, Dict[str, object]]]) -> None: ...
 
 
 def execute_run(
@@ -301,8 +297,6 @@ def _attach_worker_trace_store(directory: str) -> None:
     handle is WAL-safe alongside the parent's; only the trace section is
     touched through it (run records still travel back over IPC).
     """
-    from .store import ResultStore
-
     try:
         store = ResultStore(directory, campaign_id="trace-worker")
     except Exception:  # pragma: no cover - a worker without traces still works
@@ -310,16 +304,25 @@ def _attach_worker_trace_store(directory: str) -> None:
     global_trace_cache().attach_store(store)
 
 
-def execute_shard(shard: ShardTask) -> Tuple[int, List[Tuple[str, Dict[str, object]]]]:
+#: ``(digest, record)`` pairs of one executed shard, in run order.
+ShardResults = List[Tuple[str, Dict[str, object]]]
+
+#: Runs a campaign's shards and yields each shard's results in shard
+#: order.  Executors are generators so the runner can close one it
+#: abandons mid-campaign (an absorb failure stops the dispatch).
+ShardExecutor = Callable[[Sequence[ShardTask]], Generator[ShardResults, None, None]]
+
+
+def execute_shard(shard: ShardTask) -> Tuple[int, ShardResults]:
     """Execute a shard's runs in order; the worker entry point.
 
-    Returns ``(shard.index, [(digest, record), ...])`` so the parent can
-    reassemble shards in submission order regardless of completion order.
-    One process-level setup (the contender-program memo) is amortised
-    across every run of the shard.
+    Returns ``(shard.index, [(digest, record), ...])`` so executors that
+    complete shards out of order can tell them apart.  One process-level
+    setup (the contender-program memo) is amortised across every run of
+    the shard.
     """
     memo: _ContenderMemo = {}
-    results: List[Tuple[str, Dict[str, object]]] = []
+    results: ShardResults = []
     for run in shard.runs:
         descriptor = RunDescriptor(
             run_id=run.run_id,
@@ -337,6 +340,44 @@ def execute_shard(shard: ShardTask) -> Tuple[int, List[Tuple[str, Dict[str, obje
         )
         results.append((run.digest, record))
     return shard.index, results
+
+
+def execute_inline(shards: Sequence[ShardTask]) -> Generator[ShardResults, None, None]:
+    """In-process executor: the reference behaviour every other executor
+    must reproduce bit-for-bit (no pool, no pickling)."""
+    for shard in shards:
+        yield execute_shard(shard)[1]
+
+
+def worker_pool(jobs: int, store: Optional[ResultStore]) -> ProcessPoolExecutor:
+    """A process pool of ``jobs`` workers whose trace caches are backed by
+    ``store``'s ``traces/`` section.
+
+    A replay-engine campaign therefore captures each kernel once
+    *globally*: the first worker to capture persists the trace and every
+    other process replays it from disk.  The runner and the serve daemon
+    both build their pools here.
+    """
+    if store is None:
+        return ProcessPoolExecutor(max_workers=jobs)
+    return ProcessPoolExecutor(
+        max_workers=jobs,
+        initializer=_attach_worker_trace_store,
+        initargs=(str(store.directory),),
+    )
+
+
+def pool_executor(pool: ProcessPoolExecutor) -> ShardExecutor:
+    """Executor over ``pool``: every shard is submitted up front and the
+    results are yielded by waiting on the futures in submission order, so
+    store writes and the stream see the exact serial sequence."""
+
+    def execute(shards: Sequence[ShardTask]) -> Generator[ShardResults, None, None]:
+        futures = [pool.submit(execute_shard, shard) for shard in shards]
+        for future in futures:
+            yield future.result()[1]
+
+    return execute
 
 
 @dataclass(frozen=True)
@@ -360,45 +401,6 @@ class CampaignOutcome:
         return summary
 
 
-class RecordEmitter:
-    """Assembles final records in descriptor order as digests resolve.
-
-    Keeps an emit pointer over the descriptor sequence and advances it
-    whenever the next descriptor's digest has a record — which happens
-    strictly in shard order, so the stream of emitted records is identical
-    to what a serial one-shot run would produce.
-    """
-
-    def __init__(
-        self,
-        descriptors: Sequence[RunDescriptor],
-        digests: Sequence[str],
-        by_digest: Dict[str, Dict[str, object]],
-        stream: Optional["CampaignStreamWriter"],
-    ) -> None:
-        self._descriptors = descriptors
-        self._digests = digests
-        self._by_digest = by_digest
-        self._stream = stream
-        self.records: List[Dict[str, object]] = []
-        self._next = 0
-
-    def drain(self) -> None:
-        """Emit every descriptor whose digest is resolved, in order."""
-        fresh: List[Dict[str, object]] = []
-        while self._next < len(self._digests):
-            base = self._by_digest.get(self._digests[self._next])
-            if base is None:
-                break
-            record = dict(base)
-            record["run_id"] = self._descriptors[self._next].run_id
-            self.records.append(record)
-            fresh.append(record)
-            self._next += 1
-        if fresh and self._stream is not None:
-            self._stream.append(fresh)
-
-
 def default_shard_size(pending: int, jobs: int) -> int:
     """Shard size targeting ~4 shards per worker: small enough that a slow
     shard cannot straggle the whole campaign, large enough that executor
@@ -410,85 +412,102 @@ def default_shard_size(pending: int, jobs: int) -> int:
 
 
 class ParallelRunner:
-    """Executes run descriptors, optionally in parallel and through a cache.
+    """Executes run descriptors, optionally in parallel and through a store.
 
     Args:
-        jobs: worker processes; ``1`` executes in-process (no pool, no
-            pickling) and is the reference behaviour the parallel path must
-            reproduce bit-for-bit.
-        cache: optional content-addressed result backend (flat
-            :class:`~repro.campaign.cache.ResultCache` or SQLite-indexed
-            :class:`~repro.campaign.store.ResultStore`) shared across
-            campaigns; hits skip simulation entirely.
-        shard_size: runs per dispatched shard; ``None`` picks
-            :func:`default_shard_size` from the miss count and job count.
+        jobs: parallel execution slots.  Shards are sized to ~4 per slot
+            (:func:`default_shard_size`); without an explicit executor,
+            ``1`` executes in-process and ``N > 1`` runs the shards on a
+            pool of ``N`` worker processes.
+        cache: optional :class:`~repro.campaign.store.ResultStore` shared
+            across campaigns; hits skip simulation entirely.
     """
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        cache: Optional[ResultBackend] = None,
-        shard_size: Optional[int] = None,
-    ) -> None:
+    def __init__(self, jobs: int = 1, cache: Optional[ResultStore] = None) -> None:
         if jobs < 1:
             raise MethodologyError(f"jobs must be >= 1, got {jobs}")
-        if shard_size is not None and shard_size < 1:
-            raise MethodologyError(f"shard_size must be >= 1, got {shard_size}")
         self.jobs = jobs
         self.cache = cache
-        self.shard_size = shard_size
 
     def run(
         self,
         descriptors: Sequence[RunDescriptor],
         stream: Optional["CampaignStreamWriter"] = None,
+        executor: Optional[ShardExecutor] = None,
     ) -> CampaignOutcome:
         """Execute ``descriptors`` and return their records in input order.
 
         With ``stream``, records are additionally appended to the stream
         writer as they resolve (cached prefix immediately, then shard by
         shard); the caller still finalises the stream with the summary.
+        ``executor`` overrides how shards run (the serve daemon passes its
+        :class:`~repro.service.daemon.ShardBoard` dispatch); by default
+        :meth:`run` picks the in-process or the pool executor from
+        ``jobs``.
         """
         started = time.perf_counter()
-        # Back the process-global trace cache with the result store so
-        # replay-engine campaigns dedup core captures across campaigns and
-        # processes (the ``traces/`` section).  Duck-typed: the flat
-        # ResultCache has no trace section and leaves the cache in-process.
-        if hasattr(self.cache, "get_trace"):
-            global_trace_cache().attach_store(self.cache)
+        store = self.cache
+        if store is not None:
+            # Replay-engine campaigns dedup core captures across campaigns
+            # and processes through the store's ``traces/`` section.
+            global_trace_cache().attach_store(store)
         digests = [descriptor.digest() for descriptor in descriptors]
         # First occurrence of each digest, in descriptor order: duplicate
         # descriptors simulate once and share the record.
         frontier: Dict[str, RunDescriptor] = {}
         for digest, descriptor in zip(digests, descriptors):
-            if digest not in frontier:
-                frontier[digest] = descriptor
+            frontier.setdefault(digest, descriptor)
         by_digest: Dict[str, Dict[str, object]] = {}
-        if self.cache is not None:
-            for digest, record in self.cache.get_many(list(frontier)).items():
+        if store is not None:
+            for digest, record in store.get_many(list(frontier)).items():
                 if record.get("schema") == SCHEMA_VERSION:
                     by_digest[digest] = record
         cached_hits = len(by_digest)
-        pending: List[Tuple[str, RunDescriptor]] = [
+        pending = [
             (digest, descriptor)
             for digest, descriptor in frontier.items()
             if digest not in by_digest
         ]
-        simulated = len(pending)
-        shard_size = self.shard_size or default_shard_size(len(pending), self.jobs)
+        shard_size = default_shard_size(len(pending), self.jobs)
         shards = [
             compact_shard(index, pending[start : start + shard_size])
             for index, start in enumerate(range(0, len(pending), shard_size))
         ]
 
+        records: List[Dict[str, object]] = []
+
+        def emit() -> None:
+            """Emit every descriptor whose digest has resolved, in order."""
+            batch: List[Dict[str, object]] = []
+            while len(records) < len(digests):
+                base = by_digest.get(digests[len(records)])
+                if base is None:
+                    break
+                record = dict(base)
+                record["run_id"] = descriptors[len(records)].run_id
+                records.append(record)
+                batch.append(record)
+            if batch and stream is not None:
+                stream.append(batch)
+
         if stream is not None:
             stream.begin(campaign_digest(digests), len(descriptors))
-        emitter = RecordEmitter(descriptors, digests, by_digest, stream)
         try:
             # The cached prefix (the whole campaign, on a warm re-run)
             # streams before any shard is dispatched.
-            emitter.drain()
-            self._execute_shards(shards, by_digest, emitter, stream)
+            emit()
+            with contextlib.ExitStack() as stack:
+                if executor is None:
+                    executor = execute_inline
+                    if self.jobs > 1 and len(shards) > 1:
+                        pool = worker_pool(min(self.jobs, len(shards)), store)
+                        executor = pool_executor(stack.enter_context(pool))
+                results = stack.enter_context(contextlib.closing(executor(shards)))
+                for fresh in results:
+                    by_digest.update(fresh)
+                    if store is not None:
+                        store.put_many(fresh)
+                    emit()
         except BaseException:
             if stream is not None:
                 stream.abandon()
@@ -497,71 +516,21 @@ class ParallelRunner:
         stats: Dict[str, object] = {
             "runs": len(descriptors),
             "unique_runs": len(frontier),
-            "simulated": simulated,
+            "simulated": len(pending),
             "cached": cached_hits,
             "jobs": self.jobs,
             "shards": len(shards),
             "shard_size": shard_size,
             "elapsed_seconds": time.perf_counter() - started,
         }
-        counters = getattr(self.cache, "counters", None)
-        if counters is not None:
-            stats["store"] = counters.as_dict()
+        if store is not None:
+            stats["store"] = store.counters.as_dict()
         trace_stats = global_trace_cache().stats()
         if any(trace_stats.values()):
             # Only meaningful when the replay engine ran in this process
             # (worker processes keep their own per-process trace caches).
             stats["trace_cache"] = trace_stats
-        return CampaignOutcome(records=tuple(emitter.records), stats=stats)
-
-    def _execute_shards(
-        self,
-        shards: Sequence[ShardTask],
-        by_digest: Dict[str, Dict[str, object]],
-        emitter: RecordEmitter,
-        stream: Optional["CampaignStreamWriter"],
-    ) -> None:
-        """Run the shards and absorb their results in shard order."""
-
-        def absorb(fresh: List[Tuple[str, Dict[str, object]]]) -> None:
-            by_digest.update(fresh)
-            if self.cache is not None:
-                self.cache.put_many(fresh)
-            emitter.drain()
-
-        if self.jobs > 1 and len(shards) > 1:
-            # Shard workers get their own handle on the store's trace
-            # section (per-process global trace cache + WAL-safe files),
-            # so a replay-engine campaign captures each kernel once
-            # *globally*: the first worker to capture persists the trace
-            # and every other process replays it from disk.
-            store_directory = getattr(self.cache, "directory", None)
-            initializer = (
-                _attach_worker_trace_store
-                if hasattr(self.cache, "get_trace") and store_directory is not None
-                else None
-            )
-            initargs = (str(store_directory),) if initializer is not None else ()
-            with ProcessPoolExecutor(
-                max_workers=min(self.jobs, len(shards)),
-                initializer=initializer,
-                initargs=initargs,
-            ) as pool:
-                futures = [pool.submit(execute_shard, shard) for shard in shards]
-                # Absorb out-of-order completions in shard order so cache
-                # writes and the stream see the exact serial sequence.
-                buffered: Dict[int, List[Tuple[str, Dict[str, object]]]] = {}
-                next_shard = 0
-                for future in as_completed(futures):
-                    index, fresh = future.result()
-                    buffered[index] = fresh
-                    while next_shard in buffered:
-                        absorb(buffered.pop(next_shard))
-                        next_shard += 1
-        else:
-            for shard in shards:
-                _, fresh = execute_shard(shard)
-                absorb(fresh)
+        return CampaignOutcome(records=tuple(records), stats=stats)
 
 
 def summarize_records(records: Sequence[Dict[str, object]]) -> Dict[str, object]:

@@ -1,12 +1,10 @@
 """Durable, SQLite-indexed result store for campaign runs.
 
-:class:`ResultStore` is the scale successor of the flat per-file
-:class:`~repro.campaign.cache.ResultCache`.  It keeps the cache's
-content-addressed JSON artifacts — one ``<digest>.json`` per run, written
-atomically, human-inspectable, the durable source of truth — but adds a
-SQLite index (``index.sqlite``, WAL mode) so a campaign resolves its whole
-grid with a handful of batched queries instead of one filesystem probe per
-run:
+:class:`ResultStore` keeps content-addressed JSON artifacts — one
+``<digest>.json`` per run, written atomically, human-inspectable, the
+durable source of truth — behind a SQLite index (``index.sqlite``, WAL
+mode), so a campaign resolves its whole grid with a handful of batched
+queries instead of one filesystem probe per run:
 
 * ``runs(digest PRIMARY KEY, campaign_id, seed, created_at, path, record)``
   — one row per stored run.  ``record`` carries a write-through copy of the
@@ -27,7 +25,9 @@ Durability and concurrency contract:
   the content digest makes double-writes idempotent (both writers store the
   same bytes for the same digest, by construction of the digest).
 * A corrupt or deleted index is an inconvenience, not data loss: the store
-  drops it and re-indexes every readable ``*.json`` artifact.
+  drops it and re-indexes every readable ``*.json`` artifact.  The same
+  adoption makes any directory of bare ``<digest>.json`` artifacts (copied
+  from another store, or rsynced in) a store: opening it builds the index.
 * Lookups ignore ``campaign_id`` — any historical campaign's hit
   short-circuits simulation, which is what makes overlapping sweeps only
   simulate their frontier.
@@ -54,7 +54,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..errors import ConfigurationError
 
@@ -83,9 +83,6 @@ INDEX_NAME = "index.sqlite"
 #: Subdirectory holding the replay engine's captured core traces
 #: (``traces/<trace_key>.json``); see the "Trace section" methods.
 TRACES_DIR_NAME = "traces"
-
-#: ``campaign_id`` recorded for rows imported from a legacy flat cache.
-LEGACY_CAMPAIGN_ID = "legacy-migration"
 
 #: SQLite bind-variable budget per batched query (the engine's historical
 #: default limit is 999; stay comfortably below it).
@@ -158,8 +155,7 @@ class StoreCounters:
 
     ``index_queries`` counts SQL statements that hit the index,
     ``artifact_reads``/``artifact_writes`` count JSON files opened.  A warm
-    grid lookup must cost O(grid / batch) queries and zero artifact reads;
-    the legacy per-file cache costs one filesystem probe per run.
+    grid lookup must cost O(grid / batch) queries and zero artifact reads.
     """
 
     index_queries: int = 0
@@ -306,7 +302,8 @@ class ResultStore:
             raise ConfigurationError(
                 f"{self.index_path} uses store schema {version}, newer than "
                 f"this tool's schema {STORE_SCHEMA_VERSION}; upgrade the "
-                "tool or re-index the artifacts with `repro-bounds cache migrate`"
+                "tool, or copy the *.json artifacts into a fresh directory "
+                "and use that as the store (opening it adopts them)"
             )
         if version < STORE_SCHEMA_VERSION:
             self._recover_index()
@@ -369,8 +366,7 @@ class ResultStore:
 
         Returns a mapping of the *hits*; absent keys are misses.  One query
         resolves up to ``_BATCH`` digests, so a whole campaign grid costs
-        ``ceil(grid / _BATCH)`` queries and zero artifact reads — versus one
-        filesystem probe per run for the flat per-file cache.  A row whose
+        ``ceil(grid / _BATCH)`` queries and zero artifact reads.  A row whose
         inline record is unreadable falls back to its artifact; if that too
         is unreadable the digest is a miss (the run is simply re-simulated).
         """
@@ -410,7 +406,7 @@ class ResultStore:
     def _read_artifact(self, digest: str, path: Path) -> Optional[Dict[str, object]]:
         # Index rows store bare artifact names; anchor those under the
         # store root.  Paths that already carry a directory (``glob``
-        # results during rebuild/migration) are used as-is.
+        # results during a rebuild) are used as-is.
         if not path.is_absolute() and path.parent == Path("."):
             path = self.directory / path
         self.counters.artifact_reads += 1
@@ -562,7 +558,7 @@ class ResultStore:
         return {"entries": entries, "bytes": total}
 
     # ------------------------------------------------------------------ #
-    # Maintenance: rebuild, migration, stats, gc.
+    # Maintenance: rebuild, stats, gc.
     # ------------------------------------------------------------------ #
 
     def rebuild_index(self) -> int:
@@ -594,45 +590,6 @@ class ResultStore:
                 batch = []
         self.put_many(batch)
         return added
-
-    def migrate_legacy(self, legacy_dir: "os.PathLike[str] | str") -> int:
-        """One-shot import of a legacy flat :class:`ResultCache` directory.
-
-        Copies every readable ``<digest>.json`` whose embedded digest
-        matches its file name into the store (artifact + index row, stamped
-        ``legacy-migration``), skipping digests already present.  The source
-        directory is left untouched.  Returns the number of imported runs.
-        """
-        source = Path(legacy_dir)
-        if not source.is_dir():
-            raise ConfigurationError(f"legacy cache directory {source} does not exist")
-        if source.resolve() == self.directory.resolve():
-            # In-place adoption: the flat cache layout is already the
-            # store's artifact layout; only the index is missing.
-            return self.rebuild_index()
-        campaign_id = self.campaign_id
-        self.campaign_id = LEGACY_CAMPAIGN_ID
-        try:
-            imported = 0
-            batch: List[Tuple[str, Dict[str, object]]] = []
-            candidates = sorted(source.glob("*.json"))
-            known = self.get_many([path.stem for path in candidates])
-            for path in candidates:
-                digest = path.stem
-                if digest in known:
-                    continue
-                record = self._read_artifact(digest, path)
-                if record is None:
-                    continue
-                batch.append((digest, record))
-                imported += 1
-                if len(batch) >= _BATCH:
-                    self.put_many(batch)
-                    batch = []
-            self.put_many(batch)
-        finally:
-            self.campaign_id = campaign_id
-        return imported
 
     # ------------------------------------------------------------------ #
     # Claims: in-use markers for long-lived (daemon) campaign execution.
@@ -832,9 +789,3 @@ def is_store_directory(directory: "os.PathLike[str] | str") -> bool:
     """True when ``directory`` holds (or held) a SQLite-indexed store."""
     return (Path(directory) / INDEX_NAME).exists()
 
-
-def iter_legacy_entries(directory: "os.PathLike[str] | str") -> Iterable[Tuple[str, Path]]:
-    """Yield ``(digest, path)`` for every flat-cache artifact in ``directory``."""
-    root = Path(directory)
-    for path in sorted(root.glob("*.json")):
-        yield path.stem, path

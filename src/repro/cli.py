@@ -15,10 +15,9 @@ Python:
   emit a machine-readable ``flags.json`` plus a self-contained
   ``report.html``, exiting with the worst verdict (0 pass / 1 warn /
   2 fail) so CI can gate on it;
-* ``repro-bounds cache`` — inspect and maintain a durable result store
-  (``stats``), migrate a legacy flat cache directory into one (``migrate``)
-  or expire old entries (``gc --keep-days N``).  Exit codes: 0 on success,
-  2 on configuration errors (missing store/legacy directory, corrupt
+* ``repro-bounds cache`` — inspect (``stats``) and expire old entries of
+  (``gc --keep-days N``) a durable result store.  Exit codes: 0 on
+  success, 2 on configuration errors (missing store directory, corrupt
   arguments) — the same convention every subcommand follows;
 * ``repro-bounds list`` — print the registered presets, arbitration
   policies, simulation engines and topologies.  The listing is read straight
@@ -40,7 +39,6 @@ Examples::
     repro-bounds campaign --jobs 4 --out out/campaign --store out/store
     repro-bounds campaign --topology bus_only --topology bus_bank_queues
     repro-bounds cache stats --store out/store --json
-    repro-bounds cache migrate --store out/store --legacy out/cache
     repro-bounds cache gc --store out/store --keep-days 30
     repro-bounds audit small --topology split_bus --out out/audit
     repro-bounds audit out/campaign
@@ -67,7 +65,6 @@ from .campaign import (
     CampaignSpec,
     CampaignStreamWriter,
     ParallelRunner,
-    ResultCache,
     ResultStore,
     campaign_digest,
     is_store_directory,
@@ -187,24 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
         "manifest into DIR, streaming them while the campaign runs",
     )
     campaign.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="flat content-addressed result cache (one file per digest); "
-        "re-runs only simulate misses",
-    )
-    campaign.add_argument(
         "--store",
         metavar="DIR",
-        help="durable SQLite-indexed result store; like --cache-dir but "
-        "lookups are batched index queries and hits dedupe across all "
-        "historical campaigns (see 'repro-bounds cache')",
-    )
-    campaign.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="runs per dispatched shard (default: auto, ~4 shards per job)",
+        help="durable SQLite-indexed result store: re-runs only simulate "
+        "misses and hits dedupe across all historical campaigns; a "
+        "directory of bare <digest>.json artifacts is adopted as a store "
+        "(see 'repro-bounds cache')",
     )
     campaign.add_argument(
         "--arbiter",
@@ -290,23 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     cache_stats.add_argument(
         "--store", metavar="DIR", required=True, help="result store directory"
     )
-    cache_migrate = cache_sub.add_parser(
-        "migrate",
-        help="import a legacy flat cache directory (one JSON file per "
-        "digest) into a store; already-present digests are skipped, the "
-        "source is left untouched",
-    )
-    cache_migrate.add_argument(
-        "--store", metavar="DIR", required=True, help="result store directory "
-        "(created if missing)"
-    )
-    cache_migrate.add_argument(
-        "--legacy",
-        metavar="DIR",
-        required=True,
-        help="legacy --cache-dir directory to import; pass the store "
-        "directory itself to index artifacts already in place",
-    )
     cache_gc = cache_sub.add_parser(
         "gc", help="delete entries older than --keep-days (index and artifacts)"
     )
@@ -362,13 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="local worker processes (default: CPU count); 0 disables "
         "local execution so shards only flow to remote workers",
-    )
-    serve.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="runs per dispatched shard (default: auto per job)",
     )
     serve.add_argument(
         "--shard-timeout",
@@ -654,18 +615,13 @@ def _run_campaign(args: argparse.Namespace) -> int:
         rsk_iterations=args.iterations * 5,
         engine=args.engine,
     )
-    if args.cache_dir and args.store:
-        raise ConfigurationError("--cache-dir and --store are mutually exclusive")
     descriptors = spec.expand()
-    cache = None
     store = None
     if args.store:
         campaign_id = campaign_digest([descriptor.digest() for descriptor in descriptors])
-        store = cache = ResultStore(args.store, campaign_id=campaign_id)
-    elif args.cache_dir:
-        cache = ResultCache(args.cache_dir)
+        store = ResultStore(args.store, campaign_id=campaign_id)
     try:
-        runner = ParallelRunner(jobs=args.jobs, cache=cache, shard_size=args.shard_size)
+        runner = ParallelRunner(jobs=args.jobs, cache=store)
         if args.out:
             stream = CampaignStreamWriter(args.out)
             outcome = runner.run(descriptors, stream=stream)
@@ -689,15 +645,15 @@ def _run_campaign(args: argparse.Namespace) -> int:
 def _run_cache(args: argparse.Namespace) -> int:
     """The ``cache`` subcommand: durable-store maintenance.
 
-    Exit codes: 0 on success; 2 when the store or legacy directory is
-    missing/invalid (raised as :class:`ConfigurationError` and mapped by
+    Exit codes: 0 on success; 2 when the store directory is missing or
+    invalid (raised as :class:`ConfigurationError` and mapped by
     :func:`main`).
     """
-    if args.cache_command in ("stats", "gc") and not is_store_directory(args.store):
+    if not is_store_directory(args.store):
         raise ConfigurationError(
             f"{args.store} is not a result store (no index); "
-            "create one with 'repro-bounds campaign --store' or "
-            "'repro-bounds cache migrate'"
+            "'repro-bounds campaign --store DIR' creates one, adopting any "
+            "<digest>.json artifacts already in DIR"
         )
     with ResultStore(args.store) as store:
         if args.cache_command == "stats":
@@ -735,11 +691,6 @@ def _run_cache(args: argparse.Namespace) -> int:
                         f"  {campaign_id}: pid {claim['pid']}, "
                         f"heartbeat {claim['age_seconds']:.0f}s ago"
                     )
-            return 0
-        if args.cache_command == "migrate":
-            added = store.migrate_legacy(args.legacy)
-            print(f"Migrated {added} record(s) from {args.legacy} into {store.directory}")
-            print(f"Store now holds {len(store)} entries")
             return 0
         if args.cache_command == "gc":
             if args.keep_days < 0:
@@ -839,7 +790,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         store_dir=args.store,
         data_dir=args.data_dir,
         jobs=jobs,
-        shard_size=args.shard_size,
         shard_timeout=args.shard_timeout,
         log=log_handle,
     )

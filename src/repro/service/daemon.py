@@ -11,12 +11,13 @@ Architecture (the full protocol is in DESIGN.md §11):
   :class:`~repro.campaign.store.ResultStore`, so B's frontier query sees
   A's rows and two overlapping campaigns together simulate exactly the
   union of their miss-frontiers — never a row twice.
-* Per job, the scheduler builds the same miss-frontier / shard plan as
-  :class:`~repro.campaign.runner.ParallelRunner` and posts the shards on
-  a :class:`ShardBoard`.  Local pool threads and connected remote
-  workers race to pull shards; the scheduler absorbs completed shards
-  in shard-index order, which keeps the streamed artifacts byte-identical
-  to a one-shot ``repro-bounds campaign`` run of the same spec.
+* Per job, the scheduler runs
+  :class:`~repro.campaign.runner.ParallelRunner` with a :class:`ShardBoard`
+  executor: the runner plans the miss-frontier and shards, the board
+  lets local pool threads and connected remote workers race to pull
+  them, and the runner absorbs completed shards in shard-index order —
+  the same pipeline as a one-shot ``repro-bounds campaign`` run, which is
+  what keeps the streamed artifacts byte-identical to it.
 * Remote shards carry a **lease**: a deadline extended by worker
   heartbeats.  A worker that disconnects or goes silent past its lease
   gets its shards silently requeued — a dead worker degrades throughput,
@@ -42,18 +43,17 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from queue import Queue
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, TextIO, Tuple
 
 from ..campaign.artifacts import CampaignStreamWriter
 from ..campaign.runner import (
-    RecordEmitter,
+    ParallelRunner,
+    ShardResults,
     ShardTask,
-    compact_shard,
-    default_shard_size,
     execute_shard,
-    summarize_records,
+    worker_pool,
 )
-from ..campaign.spec import SCHEMA_VERSION, CampaignSpec, RunDescriptor, campaign_digest
+from ..campaign.spec import CampaignSpec, campaign_digest
 from ..campaign.store import ResultStore
 from ..errors import ReproError, ServiceError
 from .jobs import Job
@@ -71,9 +71,6 @@ DEFAULT_SHARD_TIMEOUT = 120.0
 
 #: How long an idle worker should wait before polling again.
 IDLE_RETRY_SECONDS = 0.2
-
-_FreshResults = List[Tuple[str, Dict[str, object]]]
-
 
 class ShardBoard:
     """Shard dispatch for one running job: leases, requeue, ordered absorb.
@@ -94,7 +91,7 @@ class ShardBoard:
         self._shards = {shard.index: shard for shard in shards}
         self._pending = deque(sorted(self._shards))
         self._leases: Dict[int, Tuple[str, Optional[float]]] = {}
-        self._results: Dict[int, _FreshResults] = {}
+        self._results: Dict[int, ShardResults] = {}
         self._error: Optional[str] = None
         self._cond = threading.Condition()
 
@@ -149,7 +146,7 @@ class ShardBoard:
             if lease is not None and lease[0] == owner:
                 self._leases[index] = (owner, time.monotonic() + self.lease_seconds)
 
-    def complete(self, index: int, results: _FreshResults) -> bool:
+    def complete(self, index: int, results: ShardResults) -> bool:
         """Record a finished shard; ``False`` for late duplicates."""
         with self._cond:
             if index not in self._shards or index in self._results:
@@ -190,7 +187,7 @@ class ShardBoard:
                 self._cond.notify_all()
             return victims
 
-    def wait_result(self, index: int, timeout: float) -> Optional[_FreshResults]:
+    def wait_result(self, index: int, timeout: float) -> Optional[ShardResults]:
         """Wait up to ``timeout`` for shard ``index``'s results."""
         with self._cond:
             if index not in self._results and self._error is None:
@@ -210,7 +207,6 @@ class CampaignDaemon:
             ``0`` runs no local execution — shards only flow to remote
             workers (multi-host mode, and what the failure-injection
             tests use to force remote execution).
-        shard_size: runs per shard; ``None`` auto-sizes per job.
         shard_timeout: remote lease seconds without a heartbeat before a
             shard is requeued.
         log: where operational lines go (default ``stderr``).
@@ -221,7 +217,6 @@ class CampaignDaemon:
         store_dir: "os.PathLike[str] | str",
         data_dir: "os.PathLike[str] | str",
         jobs: int = 1,
-        shard_size: Optional[int] = None,
         shard_timeout: float = DEFAULT_SHARD_TIMEOUT,
         log: Optional[TextIO] = None,
     ) -> None:
@@ -230,7 +225,6 @@ class CampaignDaemon:
         if shard_timeout <= 0:
             raise ServiceError(f"shard_timeout must be positive, got {shard_timeout}")
         self.jobs = jobs
-        self.shard_size = shard_size
         self.shard_timeout = shard_timeout
         self.data_dir = Path(data_dir)
         self.jobs_dir = self.data_dir / "jobs"
@@ -263,7 +257,7 @@ class CampaignDaemon:
         self._address = address
         self._listener = address.create_listener()
         if self.jobs > 0:
-            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool = worker_pool(self.jobs, self._store)
         self._log(
             f"serving on {address} (store={self._store.directory}, "
             f"jobs={self.jobs}, shard_timeout={self.shard_timeout:g}s)"
@@ -397,114 +391,74 @@ class CampaignDaemon:
             self._listener.close()
 
     def _execute_job(self, job: Job) -> None:
-        """Run one job with the ParallelRunner recipe over the shared store.
-
-        Mirrors :meth:`ParallelRunner.run` stage by stage (frontier,
-        store probe, shard plan, ordered absorb) — the artifact bytes
-        must match a one-shot run exactly — but dispatches shards through
-        the :class:`ShardBoard` so local pool threads and remote workers
-        can serve the same campaign.
-        """
+        """Run one job through :class:`ParallelRunner` over the shared
+        store, dispatching its shards on a :class:`ShardBoard`."""
         job.mark_running()
-        started = time.perf_counter()
         store = self._store
         store.campaign_id = job.job_id
         store.claim(job.job_id)
-        stream: Optional[CampaignStreamWriter] = None
-        board: Optional[ShardBoard] = None
         try:
-            descriptors: Sequence[RunDescriptor] = job.spec.expand()
-            digests = [descriptor.digest() for descriptor in descriptors]
-            frontier: Dict[str, RunDescriptor] = {}
-            for digest, descriptor in zip(digests, descriptors):
-                if digest not in frontier:
-                    frontier[digest] = descriptor
-            by_digest: Dict[str, Dict[str, object]] = {}
-            for digest, record in store.get_many(list(frontier)).items():
-                if record.get("schema") == SCHEMA_VERSION:
-                    by_digest[digest] = record
-            cached_hits = len(by_digest)
-            pending = [
-                (digest, descriptor)
-                for digest, descriptor in frontier.items()
-                if digest not in by_digest
-            ]
-            slots = max(1, self.jobs + len(self._workers))
-            shard_size = self.shard_size or default_shard_size(len(pending), slots)
-            shards = [
-                compact_shard(index, pending[start : start + shard_size])
-                for index, start in enumerate(range(0, len(pending), shard_size))
-            ]
-            self._log(
-                f"running {job.job_id}: {len(pending)} to simulate "
-                f"({cached_hits} cached), {len(shards)} shards"
-            )
             stream = CampaignStreamWriter(job.out_dir, owner=f"serve:{os.getpid()}")
-            stream.begin(campaign_digest(digests), len(descriptors))
-            emitter = RecordEmitter(descriptors, digests, by_digest, stream)
-            emitter.drain()
-
-            board = ShardBoard(job.job_id, shards, self.shard_timeout)
-            with self._board_lock:
-                self._board = board
-            pullers = [
-                threading.Thread(
-                    target=self._local_puller, args=(board,), daemon=True
-                )
-                for _ in range(min(self.jobs, len(shards)))
-            ]
-            for puller in pullers:
-                puller.start()
-            next_shard = 0
-            while next_shard < len(shards):
-                fresh = board.wait_result(next_shard, timeout=0.5)
-                if fresh is None:
-                    error = board.error
-                    if error is not None:
-                        raise ServiceError(error)
-                    expired = board.expire_stale()
-                    for index in expired:
-                        self._log(
-                            f"{job.job_id}: shard {index} lease expired, requeued"
-                        )
-                    continue
-                by_digest.update(fresh)
-                store.put_many(fresh)
-                emitter.drain()
-                next_shard += 1
-            for puller in pullers:
-                puller.join()
-
-            stats: Dict[str, object] = {
-                "runs": len(descriptors),
-                "unique_runs": len(frontier),
-                "simulated": len(pending),
-                "cached": cached_hits,
-                "jobs": self.jobs,
-                "shards": len(shards),
-                "shard_size": shard_size,
-                "elapsed_seconds": time.perf_counter() - started,
-            }
-            stats["store"] = store.counters.as_dict()
-            summary = summarize_records(emitter.records)
-            summary["timing"] = dict(stats)
-            stream.finalize(summary)
+            # Shards are sized for every slot that can pull them: local
+            # pool processes plus the remote workers connected right now.
+            runner = ParallelRunner(jobs=max(1, self.jobs + len(self._workers)), cache=store)
+            outcome = runner.run(
+                job.spec.expand(),
+                stream=stream,
+                executor=lambda shards: self._run_on_board(job.job_id, shards),
+            )
+            stream.finalize(outcome.summary())
+            stats = outcome.stats
             job.mark_completed(stats)
             self._log(
                 f"finished {job.job_id}: {stats['simulated']} simulated, "
                 f"{stats['cached']} cached, {stats['elapsed_seconds']:.2f}s"
             )
         except Exception as exc:
-            if board is not None:
-                board.fail(str(exc))
-            if stream is not None:
-                stream.abandon()
             job.mark_failed(str(exc))
             self._log(f"{job.job_id} failed: {exc}")
         finally:
+            store.release_claim(job.job_id)
+
+    def _run_on_board(
+        self, job_id: str, shards: Sequence[ShardTask]
+    ) -> Generator[ShardResults, None, None]:
+        """The daemon's shard executor: post ``shards`` on a board, let
+        local pool threads and remote workers pull them, and yield each
+        shard's results in shard order (requeueing expired leases while
+        waiting)."""
+        runs = sum(len(shard.runs) for shard in shards)
+        self._log(f"running {job_id}: {runs} to simulate, {len(shards)} shards")
+        board = ShardBoard(job_id, shards, self.shard_timeout)
+        with self._board_lock:
+            self._board = board
+        pullers = [
+            threading.Thread(target=self._local_puller, args=(board,), daemon=True)
+            for _ in range(min(self.jobs, len(shards)))
+        ]
+        for puller in pullers:
+            puller.start()
+        try:
+            for index in range(len(shards)):
+                fresh = board.wait_result(index, timeout=0.5)
+                while fresh is None:
+                    error = board.error
+                    if error is not None:
+                        raise ServiceError(error)
+                    for expired in board.expire_stale():
+                        self._log(f"{job_id}: shard {expired} lease expired, requeued")
+                    fresh = board.wait_result(index, timeout=0.5)
+                yield fresh
+            for puller in pullers:
+                puller.join()
+        except BaseException:
+            # Also reached when the runner abandons the campaign (it closes
+            # this generator): stop every puller from taking more shards.
+            board.fail(f"{job_id} aborted")
+            raise
+        finally:
             with self._board_lock:
                 self._board = None
-            store.release_claim(job.job_id)
 
     def _local_puller(self, board: ShardBoard) -> None:
         """One local slot: pull shards, run them on the shared pool."""
@@ -664,7 +618,7 @@ class CampaignDaemon:
         try:
             shard_index = int(frame["shard_index"])  # type: ignore[arg-type]
             raw = frame["results"]
-            fresh: _FreshResults = [
+            fresh: ShardResults = [
                 (str(digest), dict(record))
                 for digest, record in raw  # type: ignore[union-attr]
             ]

@@ -373,9 +373,6 @@ class Bus(EventPort):
                 horizon = grant
         return horizon
 
-    #: Backwards-compatible alias for the pre-scheduler skip-ahead API.
-    next_activity = next_event_cycle
-
     def reset(self) -> None:
         """Drop all queued requests and clear the in-flight transaction."""
         for queue in self._queues:

@@ -221,9 +221,6 @@ class MemoryController(EventPort):
             return NO_EVENT
         return self._in_flight[0][0]
 
-    #: Backwards-compatible alias for the pre-scheduler skip-ahead API.
-    next_activity = next_event_cycle
-
     @property
     def outstanding_reads(self) -> int:
         """Number of reads still waiting for DRAM data."""
@@ -462,8 +459,6 @@ class BankQueuedMemoryController(MemoryController):
         horizon = MemoryController.next_event_cycle(self, cycle)
         grant = self.grant_horizon(cycle)
         return grant if grant < horizon else horizon
-
-    next_activity = next_event_cycle
 
     @property
     def queued_accesses(self) -> int:

@@ -303,7 +303,6 @@ class System:
         self,
         observed_cores: Optional[Sequence[int]] = None,
         max_cycles: int = DEFAULT_MAX_CYCLES,
-        skip_ahead: Optional[bool] = None,
         engine: Optional[str] = None,
     ) -> SystemResult:
         """Simulate until every observed core finished its program.
@@ -314,9 +313,6 @@ class System:
                 running infinite kernels keep executing until then.
             max_cycles: safety bound; the run stops (with ``timed_out=True``)
                 if it is reached.
-            skip_ahead: legacy engine switch kept for backwards
-                compatibility — ``True`` selects the event engine, ``False``
-                the stepped oracle.  Prefer ``engine``.
             engine: ``"stepped"``, ``"event"``, ``"codegen"`` or
                 ``"replay"``; ``None`` uses ``config.engine``.  Every
                 engine is cycle-exact (see :mod:`repro.sim.scheduler`,
@@ -343,12 +339,7 @@ class System:
             raise ConfigurationError("no observed cores: the run would never terminate")
 
         if engine is None:
-            if skip_ahead is None:
-                engine = self.config.engine
-            else:
-                engine = "event" if skip_ahead else "stepped"
-        elif skip_ahead is not None:
-            raise ConfigurationError("pass either engine= or the legacy skip_ahead=, not both")
+            engine = self.config.engine
         cycle, timed_out = make_engine(engine, self).run(observed, max_cycles)
         return SystemResult(
             cycles=cycle + 1,

@@ -793,8 +793,6 @@ class ReplayCore:
             return max(self._busy_until, cycle + 1)
         return NO_EVENT
 
-    next_activity = next_event_cycle
-
     def needs_tick(self, cycle: int) -> bool:
         """True only at the end of a compute segment (no store buffer, no
         READY state: a replayed core acts exactly once per request)."""

@@ -201,27 +201,27 @@ class TestTraceAndPmcIntegration:
 
 
 class TestNextActivityAndReset:
-    def test_next_activity_while_busy(self):
+    def test_next_event_cycle_while_busy(self):
         bus = make_bus(service=6)
         bus.post(make_request(0, ready=0))
         bus.arbitrate(0)
-        assert bus.next_activity(1) == 6
+        assert bus.next_event_cycle(1) == 6
 
-    def test_next_activity_with_future_request(self):
+    def test_next_event_cycle_with_future_request(self):
         bus = make_bus()
         bus.post(make_request(0, ready=9))
-        assert bus.next_activity(2) == 9
+        assert bus.next_event_cycle(2) == 9
 
-    def test_next_activity_idle(self):
+    def test_next_event_cycle_idle(self):
         # Horizon contract (DESIGN.md 5.1): integer cycles only; "no event"
         # is the NO_EVENT sentinel, never float('inf').
-        assert make_bus().next_activity(0) == NO_EVENT
+        assert make_bus().next_event_cycle(0) == NO_EVENT
 
-    def test_next_activity_respects_tdma_schedule(self):
+    def test_next_event_cycle_respects_tdma_schedule(self):
         arbiter = TdmaArbiter(2, slot_cycles=4)
         bus = make_bus(num_ports=2, arbiter=arbiter)
         bus.post(make_request(1, ready=1))
-        assert bus.next_activity(1) == 4
+        assert bus.next_event_cycle(1) == 4
 
     def test_fifo_bus_grants_by_readiness(self):
         bus = make_bus(num_ports=3, arbiter=FifoArbiter(3))

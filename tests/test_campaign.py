@@ -1,4 +1,4 @@
-"""Tests for the parallel campaign engine (spec, runner, cache, artifacts)."""
+"""Tests for the parallel campaign engine (spec, runner, store, artifacts)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from repro.campaign import (
     CampaignSpec,
     CampaignStreamWriter,
     ParallelRunner,
-    ResultCache,
+    ResultStore,
     RunDescriptor,
     campaign_digest,
     compact_shard,
@@ -25,6 +25,7 @@ from repro.campaign import (
     workload_run_from_record,
     write_campaign_artifacts,
 )
+from repro.campaign.runner import execute_inline, pool_executor, worker_pool
 from repro.config import config_from_dict, get_preset, small_config
 from repro.errors import AnalysisError, ConfigurationError, MethodologyError
 from repro.methodology.workloads import run_workload_campaign
@@ -251,33 +252,42 @@ class TestParallelRunner:
 
     def test_warm_cache_performs_zero_simulations(self, tmp_path):
         descriptors = TINY_SPEC.expand()
-        cache = ResultCache(tmp_path / "cache")
-        cold = ParallelRunner(jobs=1, cache=cache).run(descriptors)
-        assert cold.stats["simulated"] == len(descriptors)
-        warm = ParallelRunner(jobs=2, cache=cache).run(descriptors)
+        with ResultStore(tmp_path / "store") as store:
+            cold = ParallelRunner(jobs=1, cache=store).run(descriptors)
+            assert cold.stats["simulated"] == len(descriptors)
+            warm = ParallelRunner(jobs=2, cache=store).run(descriptors)
         assert warm.stats["simulated"] == 0
         assert warm.stats["cached"] == len(descriptors)
         assert warm.records == cold.records
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
         descriptors = TINY_SPEC.expand()[:1]
-        cache = ResultCache(tmp_path / "cache")
-        ParallelRunner(jobs=1, cache=cache).run(descriptors)
-        for path in cache.directory.glob("*.json"):
-            path.write_text("{ not json", encoding="utf-8")
-        rerun = ParallelRunner(jobs=1, cache=cache).run(descriptors)
+        with ResultStore(tmp_path / "store") as store:
+            ParallelRunner(jobs=1, cache=store).run(descriptors)
+            # Both copies unreadable: the inline index record and the artifact.
+            store._db.execute("UPDATE runs SET record = '{ not json'")
+            store._db.commit()
+            for path in store.directory.glob("*.json"):
+                path.write_text("{ not json", encoding="utf-8")
+            rerun = ParallelRunner(jobs=1, cache=store).run(descriptors)
         assert rerun.stats["simulated"] == 1
+        assert rerun.records[0]["digest"] == descriptors[0].digest()
 
     def test_cache_entry_under_wrong_name_is_a_miss(self, tmp_path):
         descriptors = TINY_SPEC.expand()[:2]
-        cache = ResultCache(tmp_path / "cache")
-        ParallelRunner(jobs=1, cache=cache).run(descriptors)
+        with ResultStore(tmp_path / "store") as store:
+            ParallelRunner(jobs=1, cache=store).run(descriptors)
         first, second = (d.digest() for d in descriptors)
-        # Simulate a mis-synced cache: the second record under the first name.
-        (cache.directory / f"{first}.json").write_bytes(
-            (cache.directory / f"{second}.json").read_bytes()
-        )
-        rerun = ParallelRunner(jobs=1, cache=cache).run(descriptors)
+        # A mis-synced copy of the artifacts: the second record under the
+        # first name.  Opening the copy adopts only the well-named record.
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for digest in (first, second):
+            (copy / f"{digest}.json").write_bytes(
+                (tmp_path / "store" / f"{second}.json").read_bytes()
+            )
+        with ResultStore(copy) as store:
+            rerun = ParallelRunner(jobs=1, cache=store).run(descriptors)
         assert rerun.stats["simulated"] == 1
         assert rerun.records[0]["digest"] == first
 
@@ -502,12 +512,10 @@ class TestPerResourceArtifacts:
 
 
 class TestStreaming:
-    def _stream(self, tmp_path, jobs, shard_size=None):
+    def _stream(self, tmp_path, jobs):
         descriptors = TINY_SPEC.expand()
         stream = CampaignStreamWriter(tmp_path / f"stream-{jobs}", checkpoint_interval=0.0)
-        outcome = ParallelRunner(jobs=jobs, shard_size=shard_size).run(
-            descriptors, stream=stream
-        )
+        outcome = ParallelRunner(jobs=jobs).run(descriptors, stream=stream)
         return stream.finalize(outcome.summary()), outcome
 
     def test_streamed_artifacts_match_one_shot_bytes(self, tmp_path):
@@ -518,7 +526,7 @@ class TestStreaming:
             ParallelRunner(jobs=1).run(TINY_SPEC.expand()), tmp_path / "one-shot"
         )
         for jobs in (1, 2):
-            streamed, _ = self._stream(tmp_path, jobs, shard_size=1)
+            streamed, _ = self._stream(tmp_path, jobs)
             assert streamed.results_path.read_bytes() == one_shot.results_path.read_bytes()
             assert streamed.manifest_path.read_bytes() == one_shot.manifest_path.read_bytes()
 
@@ -555,15 +563,13 @@ class TestStreaming:
         stream = CampaignStreamWriter(tmp_path / "crashed", checkpoint_interval=0.0)
         boom = RuntimeError("simulated crash")
 
-        class ExplodingCache:
-            def get_many(self, digests):
-                return {}
+        def explode(items):
+            raise boom
 
-            def put_many(self, items):
-                raise boom
-
-        with pytest.raises(RuntimeError, match="simulated crash"):
-            ParallelRunner(jobs=1, cache=ExplodingCache()).run(descriptors, stream=stream)
+        with ResultStore(tmp_path / "store") as store:
+            store.put_many = explode
+            with pytest.raises(RuntimeError, match="simulated crash"):
+                ParallelRunner(jobs=1, cache=store).run(descriptors, stream=stream)
         assert load_manifest(stream.directory)["completed"] is False
         assert stream._handle is None  # stream closed, not leaked
 
@@ -615,13 +621,69 @@ class TestSharding:
         # Enough shards for load balance: at least ~4 per worker.
         assert default_shard_size(100, 4) <= 100 // (4 * 4) + 1
 
-    def test_explicit_shard_size_is_respected(self, tmp_path):
+    def test_automatic_shard_size_gives_small_grids_one_run_per_shard(self):
         descriptors = TINY_SPEC.expand()
-        outcome = ParallelRunner(jobs=2, shard_size=1).run(descriptors)
+        outcome = ParallelRunner(jobs=2).run(descriptors)
         assert outcome.stats["shards"] == len(descriptors)
         assert outcome.stats["shard_size"] == 1
         assert outcome.records == ParallelRunner(jobs=1).run(descriptors).records
 
-    def test_shard_size_must_be_positive(self):
-        with pytest.raises(MethodologyError):
-            ParallelRunner(jobs=1, shard_size=0)
+
+# --------------------------------------------------------------------------- #
+# Shard executors: how the one pipeline dispatches its shards.
+# --------------------------------------------------------------------------- #
+
+
+class TestShardExecutors:
+    def test_explicit_executor_receives_the_shard_plan(self):
+        descriptors = TINY_SPEC.expand()
+        seen = []
+
+        def recording(shards):
+            seen.extend(shard.index for shard in shards)
+            yield from execute_inline(shards)
+
+        outcome = ParallelRunner(jobs=2).run(descriptors, executor=recording)
+        assert seen == list(range(outcome.stats["shards"]))
+        assert outcome.records == ParallelRunner(jobs=1).run(descriptors).records
+
+    def test_pool_executor_yields_in_submission_order(self):
+        descriptors = TINY_SPEC.expand()
+        shards = [compact_shard(i, [(d.digest(), d)]) for i, d in enumerate(descriptors)]
+        with worker_pool(2, None) as pool:
+            results = list(pool_executor(pool)(shards))
+        assert [fresh[0][0] for fresh in results] == [d.digest() for d in descriptors]
+        assert results == list(execute_inline(shards))
+
+    def test_absorb_failure_closes_the_executor(self, tmp_path):
+        """A failing absorb stops the dispatch: the runner closes the
+        executor before re-raising, which is how the serve daemon's
+        board learns to stop handing out shards."""
+        closed = []
+
+        def executor(shards):
+            try:
+                yield from execute_inline(shards)
+            finally:
+                closed.append(True)
+
+        def explode(items):
+            raise RuntimeError("disk full")
+
+        with ResultStore(tmp_path / "store") as store:
+            store.put_many = explode
+            with pytest.raises(RuntimeError, match="disk full"):
+                ParallelRunner(jobs=1, cache=store).run(TINY_SPEC.expand(), executor=executor)
+        assert closed == [True]
+
+    def test_warm_run_dispatches_no_shards(self, tmp_path):
+        descriptors = TINY_SPEC.expand()
+
+        def refusing(shards):
+            assert not shards, "a warm campaign must not dispatch work"
+            yield from ()
+
+        with ResultStore(tmp_path / "store") as store:
+            ParallelRunner(jobs=1, cache=store).run(descriptors)
+            warm = ParallelRunner(jobs=2, cache=store).run(descriptors, executor=refusing)
+        assert warm.stats["simulated"] == 0 and warm.stats["shards"] == 0

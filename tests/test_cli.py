@@ -34,7 +34,7 @@ class TestParser:
         assert args.seed == 9
         assert args.jobs == 1
         assert args.out is None
-        assert args.cache_dir is None
+        assert args.store is None
 
     def test_campaign_engine_options(self):
         args = build_parser().parse_args(
@@ -44,8 +44,8 @@ class TestParser:
                 "4",
                 "--out",
                 "out/campaign",
-                "--cache-dir",
-                "out/cache",
+                "--store",
+                "out/store",
                 "--arbiter",
                 "round_robin",
                 "--arbiter",
@@ -58,7 +58,7 @@ class TestParser:
         )
         assert args.jobs == 4
         assert args.out == "out/campaign"
-        assert args.cache_dir == "out/cache"
+        assert args.store == "out/store"
         assert args.arbiter == ["round_robin", "tdma"]
         assert args.contenders == [1, 2]
 
@@ -214,8 +214,8 @@ class TestCommands:
             "2",
             "--out",
             str(tmp_path / "campaign"),
-            "--cache-dir",
-            str(tmp_path / "cache"),
+            "--store",
+            str(tmp_path / "store"),
         ]
         assert main(argv) == 0
         cold = capsys.readouterr().out
@@ -390,30 +390,16 @@ class TestStoreCli:
         return argv
 
     def test_campaign_store_options_parse(self):
-        args = build_parser().parse_args(
-            ["campaign", "--store", "out/store", "--shard-size", "8"]
-        )
+        args = build_parser().parse_args(["campaign", "--store", "out/store"])
         assert args.store == "out/store"
-        assert args.shard_size == 8
-        assert args.cache_dir is None
 
     def test_cache_subcommands_parse(self):
         stats = build_parser().parse_args(["cache", "stats", "--store", "s"])
         assert stats.command == "cache" and stats.cache_command == "stats"
-        migrate = build_parser().parse_args(
-            ["cache", "migrate", "--store", "s", "--legacy", "l"]
-        )
-        assert migrate.legacy == "l"
         gc = build_parser().parse_args(["cache", "gc", "--store", "s", "--keep-days", "30"])
         assert gc.keep_days == 30.0
         with pytest.raises(SystemExit):  # --store is required
             build_parser().parse_args(["cache", "stats"])
-
-    def test_store_and_cache_dir_are_mutually_exclusive(self, tmp_path, capsys):
-        argv = self._campaign_argv(tmp_path / "store")
-        argv += ["--cache-dir", str(tmp_path / "cache")]
-        assert main(argv) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
 
     def test_store_backed_campaign_warm_rerun_simulates_nothing(self, tmp_path, capsys):
         from repro.campaign import load_campaign, load_manifest
@@ -459,54 +445,22 @@ class TestStoreCli:
         assert "not a result store" in err
         assert "Traceback" not in err
 
-    def test_cache_migrate_adopts_a_flat_cache(self, tmp_path, capsys):
-        flat_argv = [
-            "--preset",
-            "small",
-            "campaign",
-            "--workloads",
-            "2",
-            "--iterations",
-            "5",
-            "--cache-dir",
-            str(tmp_path / "flat"),
-        ]
-        assert main(flat_argv) == 0
-        capsys.readouterr()
-        code = main(
-            [
-                "cache",
-                "migrate",
-                "--store",
-                str(tmp_path / "store"),
-                "--legacy",
-                str(tmp_path / "flat"),
-            ]
-        )
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "Migrated 3 record(s)" in output
-        # The migrated store now feeds a fully warm campaign.
-        assert main(self._campaign_argv(tmp_path / "store", out_dir=tmp_path / "c")) == 0
-        capsys.readouterr()
-        from repro.campaign import load_campaign
+    def test_campaign_store_adopts_copied_artifacts(self, tmp_path, capsys):
+        import shutil
 
-        _, summary = load_campaign(tmp_path / "c")
-        assert summary["timing"]["simulated"] == 0
-
-    def test_cache_migrate_missing_legacy_is_a_clean_error(self, tmp_path, capsys):
-        code = main(
-            [
-                "cache",
-                "migrate",
-                "--store",
-                str(tmp_path / "store"),
-                "--legacy",
-                str(tmp_path / "nope"),
-            ]
-        )
-        assert code == 2
-        assert "does not exist" in capsys.readouterr().err
+        assert main(self._campaign_argv(tmp_path / "store")) == 0
+        capsys.readouterr()
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        for path in (tmp_path / "store").glob("*.json"):
+            shutil.copy(path, fresh / path.name)
+        # A directory of bare artifacts is not a store until one opens it.
+        assert main(["cache", "stats", "--store", str(fresh)]) == 2
+        assert "adopting" in capsys.readouterr().err
+        assert main(self._campaign_argv(fresh)) == 0
+        assert ": 0 simulated" in capsys.readouterr().out
+        assert main(["cache", "stats", "--store", str(fresh)]) == 0
+        assert "Entries: 3" in capsys.readouterr().out
 
     def test_cache_gc_removes_nothing_on_a_fresh_store(self, tmp_path, capsys):
         assert main(self._campaign_argv(tmp_path / "store")) == 0

@@ -70,11 +70,11 @@ class TestWrites:
 
 
 class TestBookkeeping:
-    def test_next_activity_is_earliest_completion(self):
+    def test_next_event_cycle_is_earliest_completion(self):
         controller = MemoryController(DramConfig(), read_callback=lambda p, c: None)
-        assert controller.next_activity(0) == NO_EVENT
+        assert controller.next_event_cycle(0) == NO_EVENT
         pending = controller.enqueue_read(0, 0x100, cycle=0)
-        assert controller.next_activity(0) == pending.complete_cycle
+        assert controller.next_event_cycle(0) == pending.complete_cycle
 
     def test_average_read_latency(self):
         controller = MemoryController(DramConfig(), read_callback=lambda p, c: None)
@@ -91,4 +91,4 @@ class TestBookkeeping:
         controller.enqueue_read(0, 0x100, cycle=0)
         controller.reset()
         assert controller.outstanding_reads == 0
-        assert controller.next_activity(0) == NO_EVENT
+        assert controller.next_event_cycle(0) == NO_EVENT

@@ -124,12 +124,12 @@ program_strategy = st.builds(
 class TestSystemProperties:
     @given(program=program_strategy)
     @settings(max_examples=40, deadline=None)
-    def test_skip_ahead_never_changes_execution_time(self, program):
+    def test_event_engine_never_changes_execution_time(self, program):
         config = micro_config(num_cores=1)
         times = []
-        for skip in (True, False):
+        for engine in ("event", "stepped"):
             system = System(config, [program], preload_il1=True, preload_l2=True)
-            times.append(system.run(skip_ahead=skip).execution_time(0))
+            times.append(system.run(engine=engine).execution_time(0))
         assert times[0] == times[1]
 
     @given(program=program_strategy)

@@ -44,6 +44,7 @@ from repro.service import (
     shard_to_payload,
 )
 from repro.service.protocol import make_frame, recv_frame, request, send_frame
+from repro.sim.trace import clear_trace_cache
 
 #: Small enough for unit tests, covers both run kinds (workload + rsk).
 TINY_SPEC = CampaignSpec(
@@ -51,6 +52,17 @@ TINY_SPEC = CampaignSpec(
     num_workloads=2,
     iterations=4,
     rsk_iterations=20,
+)
+
+#: The replay engine on an arbiter sweep: both arbiters share each run's
+#: core side, so the store's ``traces/`` section fills on the first pass.
+REPLAY_SPEC = CampaignSpec(
+    presets=("small",),
+    arbiters=("round_robin", "fifo"),
+    num_workloads=2,
+    iterations=4,
+    rsk_iterations=20,
+    engine="replay",
 )
 
 #: Strict superset of TINY_SPEC's grid: one extra seed.  Its miss-frontier
@@ -313,6 +325,58 @@ class TestShardBoard:
         assert board.take_remote("worker:b") is None  # not handed out again
 
 
+class TestBoardExecutor:
+    """The daemon's shard executor, driven the way ParallelRunner drives it."""
+
+    def _daemon(self, tmp_path):
+        return CampaignDaemon(
+            store_dir=tmp_path / "store", data_dir=tmp_path / "data", jobs=0, log=io.StringIO()
+        )
+
+    def _remote_completer(self, daemon, order):
+        """Play a remote worker: complete the posted board's shards in ``order``."""
+
+        def run():
+            deadline = time.monotonic() + 30
+            while daemon._current_board() is None:
+                assert time.monotonic() < deadline, "no board posted"
+                time.sleep(0.01)
+            board = daemon._current_board()
+            for index in order:
+                board.complete(index, [(f"d{index}", {"r": index})])
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread
+
+    def test_yields_in_shard_order_whatever_the_completion_order(self, tmp_path):
+        daemon = self._daemon(tmp_path)
+        completer = self._remote_completer(daemon, [2, 0, 1])
+        results = list(daemon._run_on_board("job-x", _shards(3)))
+        completer.join(timeout=30)
+        assert not completer.is_alive()
+        assert results == [[(f"d{i}", {"r": i})] for i in range(3)]
+        assert daemon._current_board() is None
+        daemon._store.close()
+
+    def test_closing_the_executor_fails_its_board(self, tmp_path):
+        """The runner closes the executor when it abandons a campaign;
+        the board must then stop handing shards to every puller."""
+        daemon = self._daemon(tmp_path)
+        completer = self._remote_completer(daemon, [0])
+        results = daemon._run_on_board("job-x", _shards(2))
+        assert next(results) == [("d0", {"r": 0})]
+        completer.join(timeout=30)
+        assert not completer.is_alive()
+        board = daemon._current_board()
+        results.close()
+        assert board.error is not None
+        assert board.take_local() is None
+        assert board.take_remote("worker:late") is None
+        assert daemon._current_board() is None
+        daemon._store.close()
+
+
 # --------------------------------------------------------------------------- #
 # End to end: daemon + clients (+ workers) over real sockets.
 # --------------------------------------------------------------------------- #
@@ -347,6 +411,26 @@ class TestServiceEndToEnd:
         # The finalized manifest carries no owner stamp (that would break
         # byte-identity with one-shot runs; the owner only marks in-flight).
         assert "owner" not in load_manifest(served)
+
+    def test_replay_traces_match_a_one_shot_run(self, tmp_path):
+        """The daemon's pool workers back their trace caches with the
+        shared store, like the runner's: a replay-engine job persists the
+        same ``traces/`` entries a one-shot ``ParallelRunner`` does."""
+
+        def traces(store_dir):
+            return sorted(path.name for path in (store_dir / "traces").glob("*.json"))
+
+        clear_trace_cache()
+        try:
+            with ResultStore(tmp_path / "oneshot-store") as store:
+                ParallelRunner(jobs=2, cache=store).run(REPLAY_SPEC.expand())
+            clear_trace_cache()
+            with serving(tmp_path, jobs=2) as (_, client, __):
+                assert _submit_and_wait(client, REPLAY_SPEC)["state"] == "completed"
+        finally:
+            clear_trace_cache()
+        assert traces(tmp_path / "oneshot-store")
+        assert traces(tmp_path / "store") == traces(tmp_path / "oneshot-store")
 
     def test_overlapping_specs_simulate_exactly_the_union(self, tmp_path):
         with serving(tmp_path) as (_, client, __):

@@ -6,7 +6,8 @@ index with an inline record copy, so a warm campaign answers from a
 handful of batched queries instead of one filesystem probe per run.
 These tests pin the contracts the runner and CLI rely on: concurrent
 writers never lose rows, dedup works across campaigns, a corrupt index
-is recovered from the artifacts, and a legacy flat cache migrates in.
+is recovered from the artifacts, and a directory of bare artifacts is
+adopted as a store in place.
 """
 
 from __future__ import annotations
@@ -14,17 +15,16 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import shutil
 import sqlite3
 
 import pytest
 
 import repro.campaign.store as store_module
 from repro.campaign import (
-    LEGACY_CAMPAIGN_ID,
     STORE_SCHEMA_VERSION,
     CampaignSpec,
     ParallelRunner,
-    ResultCache,
     ResultStore,
     is_store_directory,
 )
@@ -107,7 +107,7 @@ class TestStoreBasics:
 
     def test_record_under_wrong_digest_is_a_miss(self, tmp_path):
         """A mis-synced row (index digest != embedded digest) must be a
-        miss, not a silently wrong payload — same rule as the flat cache."""
+        miss, not a silently wrong payload."""
         with ResultStore(tmp_path / "store") as store:
             store.put(_digest(4), _record(_digest(4)))
             swapped = json.dumps(_record(_digest(9)), sort_keys=True)
@@ -244,50 +244,24 @@ class TestRecovery:
             ResultStore(blocker / "store")
 
 
-class TestLegacyMigration:
-    def test_flat_cache_migrates_and_round_trips(self, tmp_path):
+class TestAdoption:
+    def test_copied_artifacts_are_adopted_in_place(self, tmp_path):
+        """A directory of bare ``<digest>.json`` artifacts (here a copy of
+        a store without its index) becomes a store when opened: the index
+        is built from the artifacts and a warm campaign simulates nothing."""
         descriptors = SPEC_B.expand()
-        legacy = ResultCache(tmp_path / "flat")
-        ParallelRunner(jobs=1, cache=legacy).run(descriptors)
         with ResultStore(tmp_path / "store") as store:
-            assert store.migrate_legacy(tmp_path / "flat") == len(descriptors)
-            assert store.stats()["campaigns"] == {LEGACY_CAMPAIGN_ID: len(descriptors)}
-            # Migrating again finds nothing new.
-            assert store.migrate_legacy(tmp_path / "flat") == 0
-        with ResultStore(tmp_path / "store", campaign_id="post-migration") as store:
+            cold = ParallelRunner(jobs=1, cache=store).run(descriptors)
+        copy = tmp_path / "copy"
+        copy.mkdir()
+        for path in (tmp_path / "store").glob("*.json"):
+            shutil.copy(path, copy / path.name)
+        assert not is_store_directory(copy)
+        with ResultStore(copy, campaign_id="adopted") as store:
+            assert len(store) == len(descriptors)
             warm = ParallelRunner(jobs=1, cache=store).run(descriptors)
         assert warm.stats["simulated"] == 0
-        assert warm.records == ParallelRunner(jobs=1).run(descriptors).records
-
-    def test_in_place_migration_adopts_the_flat_layout(self, tmp_path):
-        """Pointing the store at the flat cache directory itself only has
-        to build the index — the artifact layout is already the store's,
-        and opening a fresh index adopts the artifacts automatically."""
-        legacy = ResultCache(tmp_path / "flat")
-        ParallelRunner(jobs=1, cache=legacy).run(SPEC_A.expand())
-        with ResultStore(tmp_path / "flat") as store:
-            assert len(store) == 2  # adopted on open
-            assert store.migrate_legacy(tmp_path / "flat") == 0  # nothing left
-            assert store.get(SPEC_A.expand()[0].digest()) is not None
-
-    def test_unreadable_legacy_entries_are_skipped(self, tmp_path):
-        flat = tmp_path / "flat"
-        flat.mkdir()
-        (flat / f"{_digest(1)}.json").write_text(
-            json.dumps(_record(_digest(1))), encoding="utf-8"
-        )
-        (flat / f"{_digest(2)}.json").write_text("{ torn", encoding="utf-8")
-        (flat / f"{_digest(3)}.json").write_text(  # digest != file name
-            json.dumps(_record(_digest(4))), encoding="utf-8"
-        )
-        with ResultStore(tmp_path / "store") as store:
-            assert store.migrate_legacy(flat) == 1
-            assert store.get(_digest(1)) == _record(_digest(1))
-
-    def test_missing_legacy_directory_is_a_configuration_error(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            with pytest.raises(ConfigurationError, match="does not exist"):
-                store.migrate_legacy(tmp_path / "nope")
+        assert warm.records == cold.records
 
 
 class TestStatsAndGc:
