@@ -16,10 +16,10 @@ the DRAM, and waits again for the response transfer.
 stages — per-resource Figure 6(b)-style histograms plus totals that
 cross-check against the :class:`repro.sim.memctrl.MemCtrlStats` queue
 counters — using the stage timestamps the simulator stamps into each
-:class:`repro.sim.trace.RequestRecord`.
+:class:`repro.sim.request_trace.RequestRecord`.
 
 All analyses are produced from the request trace collected by
-:class:`repro.sim.trace.TraceRecorder`.
+:class:`repro.sim.request_trace.TraceRecorder`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import AnalysisError
 from ..sim.memctrl import MemCtrlStats
-from ..sim.trace import TraceRecorder
+from ..sim.request_trace import TraceRecorder
 
 
 @dataclass(frozen=True)

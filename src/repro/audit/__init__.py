@@ -2,11 +2,12 @@
 
 ``repro-bounds audit <preset|config.json|campaign-dir>`` evaluates every
 registered audit dimension — the measured-bound sandwich, the Section 4.3
-confidence criteria, the write-burst gate, the three-way engine
-cross-check, the synchrony histogram, and (for campaign directories) the
-artifact-consistency checks — and emits a versioned machine-readable
-``flags.json`` plus a self-contained ``report.html``, exiting with the
-worst verdict (0 pass / 1 warn / 2 fail) so CI can gate on it.
+confidence criteria, the write-burst gate, the cross-check of every engine
+against the stepped oracle, the synchrony histogram, and (for campaign
+directories) the artifact-consistency checks — and emits a versioned
+machine-readable ``flags.json`` plus a self-contained ``report.html``,
+exiting with the worst verdict (0 pass / 1 warn / 2 fail) so CI can gate
+on it.
 
 See ``DESIGN.md`` ("Audit dimensions") for the dimension contract and how
 to register new dimensions.

@@ -20,6 +20,7 @@ signature) instead of a hard artifact corruption.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..campaign.runner import summarize_records
@@ -165,8 +166,8 @@ def _artifact_schema(context: CampaignAuditContext) -> DimensionResult:
             },
         )
     )
-    run_ids = [record.get("run_id") for record in context.records]
-    duplicates = sorted({str(run_id) for run_id in run_ids if run_ids.count(run_id) > 1})
+    run_ids = Counter(record.get("run_id") for record in context.records)
+    duplicates = sorted({str(run_id) for run_id, count in run_ids.items() if count > 1})
     findings.append(
         Finding(
             check="run_id_unique",

@@ -27,7 +27,7 @@ The dimension contract (see ``DESIGN.md``, "Audit dimensions"):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from ..analysis.confidence import assess_write_burst
 from ..analysis.contention import ContentionHistogram, contention_histogram
@@ -43,6 +43,7 @@ from ..methodology.ubd import (
 )
 from ..registry import Registry
 from ..sim.isa import Program
+from ..sim.scheduler import registered_engines
 from ..sim.system import System, SystemResult
 from .core import (
     VERDICT_FAIL,
@@ -480,7 +481,7 @@ def _write_burst(context: ConfigAuditContext) -> DimensionResult:
 
 
 # --------------------------------------------------------------------------- #
-# Dimension: three-way engine equivalence.
+# Dimension: engine equivalence.
 # --------------------------------------------------------------------------- #
 def _trace_tuples(result: SystemResult) -> Optional[List[Tuple[object, ...]]]:
     if result.trace is None:
@@ -520,57 +521,66 @@ def _observable_state(result: SystemResult) -> Dict[str, object]:
     }
 
 
-def _equivalence_run(context: ConfigAuditContext, engine: str) -> SystemResult:
-    config = context.config
+def _equivalence_run(context: ConfigAuditContext, engine: str) -> Tuple[SystemResult, Any]:
+    """One contended rsk run on ``engine``: the result and the engine that ran."""
+    config = context.config.with_overrides(engine=engine)
     programs: List[Optional[Program]] = [None] * config.num_cores
     programs[0] = build_rsk(config, 0, iterations=context.options.equivalence_iterations)
     for core in range(1, config.num_cores):
         programs[core] = build_rsk(config, core, iterations=None)
     system = System(config, programs, trace=True)
-    return system.run(observed_cores=[0], engine=engine)
+    return system.run(observed_cores=[0]), system.engine
+
+
+_EQUIVALENCE_TITLE = "Engine cross-check (every engine vs the stepped oracle)"
 
 
 @register_dimension(
     "engine_equivalence",
-    "Engine cross-check (stepped / event / codegen)",
+    _EQUIVALENCE_TITLE,
     "Replays one contended rsk run on every registered engine and compares "
     "the full observable state (times, PMCs, every trace stamp) against the "
-    "stepped oracle.",
+    "stepped oracle; an engine that memoises across runs (replay) runs twice "
+    "and both runs must match.",
 )
 def _engine_equivalence(context: ConfigAuditContext) -> DimensionResult:
-    from ..sim.codegen import specialisation_mismatch
-    from ..sim.scheduler import registered_engines
-
     engines = registered_engines()
     if "stepped" not in engines:  # pragma: no cover - built-in engine
         return _unavailable(
             "engine_equivalence",
-            "Engine cross-check (stepped / event / codegen)",
+            _EQUIVALENCE_TITLE,
             "oracle",
             "the stepped oracle engine is not registered",
         )
-    oracle = _equivalence_run(context, "stepped")
+    oracle, _ = _equivalence_run(context, "stepped")
     oracle_state = _observable_state(oracle)
     findings: List[Finding] = []
     for engine in engines:
         if engine == "stepped":
             continue
-        result = _equivalence_run(context, engine)
-        state = _observable_state(result)
-        matches = state == oracle_state
+        result, ran = _equivalence_run(context, engine)
+        states = [_observable_state(result)]
         evidence: Dict[str, object] = {
             "engine": engine,
             "cycles": result.cycles,
             "oracle_cycles": oracle.cycles,
             "traced_requests": (len(result.trace.records) if result.trace is not None else 0),
         }
-        if engine == "codegen":
-            config = context.config
-            programs: List[Optional[Program]] = [None] * config.num_cores
-            programs[0] = build_rsk(config, 0, iterations=1)
-            evidence["fallback_reason"] = specialisation_mismatch(System(config, programs))
+        if hasattr(ran, "fallback_reason"):
+            evidence["fallback_reason"] = ran.fallback_reason
+        if hasattr(ran, "captured_cores"):
+            # The engine memoises across runs: the first run may only have
+            # captured, so a second run is what exercises the replay path.
+            warm_result, warm = _equivalence_run(context, engine)
+            states.append(_observable_state(warm_result))
+            evidence["replayed_cores"] = list(warm.replayed_cores)
+        matches = all(state == oracle_state for state in states)
         if not matches:
-            diverged = [key for key in oracle_state if state.get(key) != oracle_state[key]]
+            diverged = [
+                key
+                for key in oracle_state
+                if any(state.get(key) != oracle_state[key] for state in states)
+            ]
             evidence["diverged_fields"] = diverged
         findings.append(
             Finding(
@@ -587,7 +597,7 @@ def _engine_equivalence(context: ConfigAuditContext) -> DimensionResult:
         )
     return DimensionResult(
         name="engine_equivalence",
-        title="Engine cross-check (stepped / event / codegen)",
+        title=_EQUIVALENCE_TITLE,
         findings=tuple(findings),
     )
 

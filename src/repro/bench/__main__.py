@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    run      time the workload grid on both engines, write BENCH_<rev>.json
+    run      time the workload grid on every engine, write BENCH_<rev>.json
     compare  gate a new payload against a baseline payload
 
 See :mod:`repro.bench` for the artifact schema and gating semantics.

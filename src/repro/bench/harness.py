@@ -179,8 +179,10 @@ def _effective_topology(workload: BenchWorkload) -> str:
     return get_preset(workload.preset).topology.name
 
 
-def _build_system(workload: BenchWorkload, quick: bool) -> Tuple[System, int]:
-    config = get_preset(workload.preset)
+def _build_system(
+    workload: BenchWorkload, quick: bool, engine: str = "event"
+) -> Tuple[System, int]:
+    config = get_preset(workload.preset, engine=engine)
     config = config.with_overrides(bus=replace(config.bus, arbitration=workload.arbiter))
     if workload.topology is not None:
         config = config.with_topology_name(workload.topology)
@@ -218,13 +220,13 @@ def _time_engine(
         from ..sim.trace import clear_trace_cache, global_trace_cache
 
         clear_trace_cache()
-        system, _ = _build_system(workload, quick)
-        system.run(observed_cores=[0], engine="replay")
+        system, _ = _build_system(workload, quick, "replay")
+        system.run(observed_cores=[0])
         captures_after_priming = global_trace_cache().counters["captures"]
     for _ in range(max(1, repeats)):
-        system, _ = _build_system(workload, quick)
+        system, _ = _build_system(workload, quick, engine)
         started = time.perf_counter()
-        result = system.run(observed_cores=[0], engine=engine)
+        result = system.run(observed_cores=[0])
         elapsed = time.perf_counter() - started
         if cycles is None:
             cycles = result.cycles
@@ -505,12 +507,12 @@ def profile_workload(
     for engine in engines:
         if engine == "replay":
             clear_trace_cache()
-            system, _ = _build_system(workload, quick)
-            system.run(observed_cores=[0], engine="replay")
-        system, _ = _build_system(workload, quick)
+            system, _ = _build_system(workload, quick, "replay")
+            system.run(observed_cores=[0])
+        system, _ = _build_system(workload, quick, engine)
         profiler = cProfile.Profile()
         profiler.enable()
-        system.run(observed_cores=[0], engine=engine)
+        system.run(observed_cores=[0])
         profiler.disable()
         buffer = io.StringIO()
         stats = pstats.Stats(profiler, stream=buffer)

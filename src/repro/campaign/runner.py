@@ -76,7 +76,7 @@ def execute_run(
     returned record intentionally contains no wall-clock or host metadata —
     it is the cacheable, machine-independent part of a campaign result.  The
     simulation engine is stripped from the embedded configuration for the
-    same reason it is excluded from the digest: both engines are cycle-exact,
+    same reason it is excluded from the digest: every engine is cycle-exact,
     so artifacts must be byte-identical whichever one produced them.
     """
     config_dict = descriptor.config.to_dict()

@@ -111,8 +111,8 @@ class RunDescriptor:
         ``run_id``, ``preset`` and the configuration's ``name`` are labels,
         not simulation inputs, so they do not participate; everything that
         can change a single simulated cycle does.  The simulation ``engine``
-        is excluded too: both engines are cycle-exact (property-tested), so
-        campaigns run with either engine share cache entries.
+        is excluded too: every engine is cycle-exact (property-tested), so
+        campaigns run with any engine share cache entries.
         """
         config_dict = self.config.to_dict()
         del config_dict["name"]
@@ -153,9 +153,10 @@ class CampaignSpec:
             point (the light bars of Figure 6(a)).
         rsk_iterations: loop iterations of the observed rsk.
         kernel_pool: synthetic kernel names to draw from (default full suite).
-        engine: simulation engine for every run (``"event"`` — the fast
-            path — or ``"stepped"``, the cycle-by-cycle oracle).  Both are
-            cycle-exact, so this never changes results or cache keys.
+        engine: simulation engine for every run, any registered name
+            (``"event"`` by default; ``"stepped"``, ``"codegen"`` or
+            ``"replay"``).  Every engine is cycle-exact, so this never
+            changes results or cache keys.
     """
 
     presets: Tuple[str, ...] = ("ref",)

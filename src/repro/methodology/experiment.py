@@ -23,7 +23,7 @@ from ..errors import MethodologyError
 from ..kernels.rsk import build_rsk
 from ..sim.isa import Program
 from ..sim.system import System, SystemResult
-from ..sim.trace import TraceRecorder
+from ..sim.request_trace import TraceRecorder
 
 
 @dataclass(frozen=True)

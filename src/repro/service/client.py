@@ -10,7 +10,7 @@ status`` from another always agree.  ``error`` frames surface as
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..campaign.spec import CampaignSpec
 from ..errors import ServiceError
@@ -100,14 +100,3 @@ class ServiceClient:
             if deadline is not None and time.monotonic() > deadline:
                 raise ServiceError(f"timed out waiting for job {job_id} (state {state})")
             time.sleep(interval)
-
-    def wait_all(
-        self, job_ids: List[str], timeout: Optional[float] = None
-    ) -> List[Dict[str, object]]:
-        """Wait for several jobs; returns their final payloads in order."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        payloads = []
-        for job_id in job_ids:
-            remaining = None if deadline is None else max(0.1, deadline - time.monotonic())
-            payloads.append(self.wait(job_id, timeout=remaining))
-        return payloads

@@ -124,8 +124,12 @@ class ServiceAddress:
         try:
             if self.kind == "unix":
                 conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                conn.settimeout(timeout)
-                conn.connect(self.path)
+                try:
+                    conn.settimeout(timeout)
+                    conn.connect(self.path)
+                except OSError:
+                    conn.close()
+                    raise
             else:
                 conn = socket.create_connection((self.host, self.port), timeout=timeout)
         except OSError as exc:

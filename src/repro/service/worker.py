@@ -92,6 +92,18 @@ class RemoteWorker:
             raise ServiceError(f"daemon error: {response.get('message', '(no message)')}")
         return response
 
+    def _exchange(
+        self, conn: socket.socket, reader: IO[bytes], frame: Dict[str, object], when: str
+    ) -> Optional[Dict[str, object]]:
+        """:meth:`_request`, or ``None`` if the daemon went away: for a
+        worker that is a normal end of service (drained or died), and any
+        shard it still held has been requeued on disconnect."""
+        try:
+            return self._request(conn, reader, frame)
+        except ConnectionLost:
+            self._log(f"daemon went away {when}; exiting")
+            return None
+
     def run(self) -> int:
         """Serve the daemon until it drains (or ``max_shards`` is hit).
 
@@ -101,16 +113,13 @@ class RemoteWorker:
         reader = conn.makefile("rb")
         completed = 0
         try:
-            self._request(conn, reader, make_frame("worker-hello", worker_id=self.worker_id))
-            self._log(f"connected to {self.address}")
-            while self.max_shards is None or completed < self.max_shards:
-                try:
-                    response = self._request(conn, reader, make_frame("task-request"))
-                except ConnectionLost:
-                    # The daemon exited (drained or died) between polls;
-                    # for a worker that is a normal end of service, and any
-                    # shard it still held has been requeued on disconnect.
-                    self._log("daemon went away; exiting")
+            hello = make_frame("worker-hello", worker_id=self.worker_id)
+            connected = self._exchange(conn, reader, hello, "during the hello") is not None
+            if connected:
+                self._log(f"connected to {self.address}")
+            while connected and (self.max_shards is None or completed < self.max_shards):
+                response = self._exchange(conn, reader, make_frame("task-request"), "between polls")
+                if response is None:
                     break
                 response_type = response.get("type")
                 if response_type == "drain":
@@ -136,19 +145,13 @@ class RemoteWorker:
                 finally:
                     stop.set()
                     heartbeats.join()
-                try:
-                    self._request(
-                        conn,
-                        reader,
-                        make_frame(
-                            "task-result",
-                            job_id=job_id,
-                            shard_index=index,
-                            results=[[digest, record] for digest, record in results],
-                        ),
-                    )
-                except ConnectionLost:
-                    self._log("daemon went away before accepting the result; exiting")
+                result = make_frame(
+                    "task-result",
+                    job_id=job_id,
+                    shard_index=index,
+                    results=[[digest, record] for digest, record in results],
+                )
+                if self._exchange(conn, reader, result, "before accepting the result") is None:
                     break
                 completed += 1
         finally:

@@ -3,9 +3,10 @@
 This subpackage implements the platform the paper experiments on: in-order
 cores with private L1 caches, a shared arbitrated bus, a way-partitioned L2,
 a memory controller with a banked DRAM model, per-core store buffers,
-performance monitoring counters and a request-level trace.  Contention
-points implement the :class:`repro.sim.resource.SharedResource` protocol —
-including its event-port surface (cached ``horizon``, ``invalidate_horizon``,
+performance monitoring counters and a request-level trace
+(:mod:`repro.sim.request_trace`).  Contention points subclass
+:class:`repro.sim.resource.SharedResource` — which also carries the
+event-port surface (cached ``horizon``, ``invalidate_horizon``,
 ``wake_targets``) — and compose into topologies (:mod:`repro.sim.topology`):
 the paper's single bus, the bus chained into per-DRAM-bank arbitrated memory
 queues, or the NGMP-style split request/response bus pair.
@@ -13,15 +14,17 @@ queues, or the NGMP-style split request/response bus pair.
 Arbitration policies, simulation engines and topologies are all
 registry-backed (``register_arbiter`` / ``register_engine`` /
 ``register_topology``), so new ones plug in without editing the simulator
-core.  Four engines ship built in: the stepped cycle-by-cycle oracle, the
-generic event-driven fast path (:mod:`repro.sim.scheduler`), the
-``codegen`` engine (:mod:`repro.sim.codegen`), which compiles a run loop
-specialised to the configured topology chain and arbiter set and falls
-back to the event engine for anything it cannot specialise, and the
-``replay`` engine (:mod:`repro.sim.trace`), which captures each core's
-demand-request trace once per kernel and streams it through the live
-interconnect on every later run, falling back per core on trace-unsafe
-programs.
+core; each built-in engine registers beside its own class, and
+``ArchConfig.engine`` alone selects one.  Four engines ship built in: the
+stepped cycle-by-cycle oracle, the generic event-driven fast path
+(:mod:`repro.sim.scheduler`), the ``codegen`` engine
+(:mod:`repro.sim.codegen`), which compiles a run loop specialised to the
+configured topology chain and arbiter set and falls back to the event
+engine for anything it cannot specialise, and the ``replay`` engine
+(:mod:`repro.sim.trace`), which captures each core's demand-request trace
+once per kernel and streams it through the live interconnect on every
+later run (binding its loop through ``codegen``), falling back per core on
+trace-unsafe programs.
 
 The top-level entry point is :class:`repro.sim.system.System`.
 """
@@ -56,7 +59,8 @@ from .dram import Dram
 from .l2 import PartitionedL2
 from .memctrl import BankQueuedMemoryController, MemoryController
 from .pmc import PerformanceCounters
-from .resource import NO_EVENT, EventPort, SharedResource, min_horizon
+from .request_trace import RequestRecord, TraceRecorder, merge_traces
+from .resource import NO_EVENT, SharedResource
 from .scheduler import (
     ENGINE_REGISTRY,
     EventScheduler,
@@ -80,9 +84,7 @@ from .trace import (
     CoreTrace,
     ReplayCore,
     ReplayEngine,
-    RequestRecord,
     TraceCache,
-    TraceRecorder,
     TraceStep,
     TraceUnsafe,
     clear_trace_cache,
@@ -108,7 +110,6 @@ __all__ = [
     "CoreTrace",
     "Dram",
     "ENGINE_REGISTRY",
-    "EventPort",
     "EventScheduler",
     "FifoArbiter",
     "FixedPriorityArbiter",
@@ -152,7 +153,7 @@ __all__ = [
     "trace_key",
     "make_arbiter",
     "make_engine",
-    "min_horizon",
+    "merge_traces",
     "register_arbiter",
     "register_engine",
     "register_topology",

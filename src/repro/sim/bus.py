@@ -29,8 +29,8 @@ from typing import Callable, Deque, List, Optional
 from ..errors import SimulationError
 from .arbiter import Arbiter
 from .pmc import PerformanceCounters, ResourceCounters
-from .resource import NO_EVENT, EventPort
-from .trace import RequestRecord, TraceRecorder
+from .request_trace import RequestRecord, TraceRecorder
+from .resource import NO_EVENT, SharedResource
 
 #: Signature of the grant-time callback: (request, cycle) -> bus occupancy.
 ServiceCallback = Callable[["BusRequest", int], int]
@@ -107,12 +107,12 @@ class BusRequest:
         return self.grant_cycle >= 0
 
 
-class Bus(EventPort):
+class Bus(SharedResource):
     """A shared bus channel: per-port queues, one transaction in flight.
 
     The bus is the first :class:`repro.sim.resource.SharedResource` of every
-    topology: it implements the deliver/arbitrate lifecycle, the event-port
-    surface (cached horizon, invalidation, wake targets), and the PMC
+    topology: it implements the deliver/arbitrate lifecycle, the horizon
+    computation and wake targets of the event-port surface, and the PMC
     surface (a per-channel section of the attached counter block).  A
     topology may instantiate it more than once — the ``split_bus`` topology
     composes a request channel and a response channel, distinguished by
@@ -128,6 +128,7 @@ class Bus(EventPort):
         pmc: Optional[PerformanceCounters] = None,
         resource_name: str = "bus",
     ) -> None:
+        super().__init__()
         if num_ports < 1:
             raise SimulationError("bus needs at least one port")
         if arbiter.num_ports != num_ports:
@@ -135,7 +136,6 @@ class Bus(EventPort):
                 f"arbiter built for {arbiter.num_ports} ports attached to a "
                 f"{num_ports}-port bus"
             )
-        #: SharedResource protocol surface (see :mod:`repro.sim.resource`).
         self.resource_name = resource_name
         self.num_ports = num_ports
         self.arbiter = arbiter
@@ -157,7 +157,6 @@ class Bus(EventPort):
         self._pmc_channel: Optional[ResourceCounters] = None
         self._is_demand_channel = resource_name == "bus"
         self.granted_count = 0
-        self._init_event_port()
 
     # ------------------------------------------------------------------ #
     # Posting requests.
@@ -209,10 +208,6 @@ class Bus(EventPort):
         # delivery itself re-invalidates, and the recompute sees the queue).
         if self._current is None:
             self._horizon_dirty = True
-
-    def pending_count(self, port: int) -> int:
-        """Number of queued (not yet granted) requests on ``port``."""
-        return len(self._queues[port])
 
     def has_pending(self) -> bool:
         """True if any port has a queued request."""
@@ -382,4 +377,4 @@ class Bus(EventPort):
         self._queued_total = 0
         self.granted_count = 0
         self.arbiter.reset()
-        self._init_event_port()
+        super().reset()

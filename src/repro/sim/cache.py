@@ -113,23 +113,18 @@ class SetAssociativeCache:
         block = addr >> self._line_shift
         return (block >> self._index_bits) in self._sets[block & self._index_mask]
 
-    def lookup(
-        self, addr: int, is_write: bool = False, ways: Optional[Sequence[int]] = None
-    ) -> bool:
+    def lookup(self, addr: int, is_write: bool = False) -> bool:
         """Perform one access and return whether it hit.
 
         Args:
             addr: byte address of the access.
             is_write: True for stores (affects only statistics and dirty bits).
-            ways: optional way restriction; unused by the base class but part
-                of the signature so the partitioned L2 can share call sites.
 
         A hit updates the replacement state (LRU recency); a miss does not
         allocate — callers decide whether and when to call :meth:`fill`,
         because allocation happens only after the line has been fetched over
         the bus.
         """
-        del ways  # the flat cache ignores way restrictions
         block = addr >> self._line_shift
         line_set = self._sets[block & self._index_mask]
         line = line_set.get(block >> self._index_bits)

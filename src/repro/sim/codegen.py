@@ -19,7 +19,7 @@ Grant *side effects* (occupancy timing, trace/PMC stamps, DRAM issue) stay
 in the resource classes — the generated code selects a winner and delegates
 to :meth:`repro.sim.bus.Bus._grant_port` or
 :meth:`repro.sim.memctrl.BankQueuedMemoryController._grant` — so the
-specialisation is confined to the pure decision logic that the three-way
+specialisation is confined to the pure decision logic that the four-way
 engine-equivalence suite can exhaustively compare.
 
 Compilation is cached the way campaign results are: content-addressed by the
@@ -33,15 +33,17 @@ third-party topology or arbitration policy, an externally constructed
 arbiter of an unknown class, a resource subclass — makes
 :class:`CodegenEngine` silently delegate to the generic ``EventScheduler``
 (see :func:`specialisation_mismatch`).  Unknown registry entries therefore
-keep working, only without the specialised speedup.
+keep working, only without the specialised speedup.  The ``replay`` engine
+binds its loop through :class:`CodegenEngine` too (with a ``replay_mask``),
+so both engines report the same ``fallback_reason``.
 
 Validation harness: :func:`compile_loop` with ``diagnostics=True`` emits a
 self-checking variant that cross-checks every inlined winner selection and
 horizon fold against the generic resource methods and raises
 :class:`CodegenMismatch` pinpointing the first divergent cycle.  The
 equivalence suite uses it for its regenerate-with-diagnostics pass: on a
-three-way mismatch it recompiles with diagnostics, re-runs, and fails with
-the offending generated source attached.
+mismatch it recompiles with diagnostics, re-runs, and fails with the
+offending generated source attached.
 """
 
 from __future__ import annotations
@@ -70,9 +72,9 @@ from .arbiter import (
 from .bus import Bus
 from .memctrl import BankQueuedMemoryController, MemoryController
 from .resource import NO_EVENT
+from .scheduler import EventScheduler, register_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .scheduler import EventScheduler
     from .system import System
 
 
@@ -843,18 +845,16 @@ def compile_loop(
     return loop
 
 
-def regenerate(
-    config: ArchConfig, diagnostics: bool = False, replay_mask: int = 0
-) -> CompiledLoop:
+def regenerate(config: ArchConfig, diagnostics: bool = False) -> CompiledLoop:
     """Drop any cached loop for ``config`` and compile a fresh one.
 
-    The equivalence harness's second chance: after a three-way mismatch it
+    The equivalence harness's second chance: after a four-way mismatch it
     regenerates (usually with ``diagnostics=True``) so a stale or corrupted
     cache entry cannot mask — or cause — the divergence being reported.
     """
     key = loop_cache_key(config)
-    _COMPILE_CACHE.pop((key, diagnostics, replay_mask), None)
-    return compile_loop(config, diagnostics=diagnostics, replay_mask=replay_mask)
+    _COMPILE_CACHE.pop((key, diagnostics, 0), None)
+    return compile_loop(config, diagnostics=diagnostics)
 
 
 def clear_compile_cache() -> None:
@@ -943,6 +943,11 @@ def specialisation_mismatch(system: "System") -> Optional[str]:
     return None
 
 
+@register_engine(
+    "codegen",
+    "generated loop specialised to the topology chain + arbiter set "
+    "(falls back to 'event' on unknown registry entries)",
+)
 class CodegenEngine:
     """The ``codegen`` engine: run the chain-specialised generated loop.
 
@@ -955,18 +960,21 @@ class CodegenEngine:
 
     Args:
         system: the :class:`repro.sim.system.System` to drive.
+        replay_mask: bitmask of the cores the replay engine has swapped
+            for :class:`repro.sim.trace.ReplayCore` instances (see
+            :func:`generate_loop_source`); ``0`` binds the plain loop.
     """
 
     name = "codegen"
 
-    def __init__(self, system: "System") -> None:
-        from .scheduler import EventScheduler
-
+    def __init__(self, system: "System", replay_mask: int = 0) -> None:
         self.system = system
         self.fallback_reason = specialisation_mismatch(system)
         if self.fallback_reason is None:
-            self.compiled: Optional[CompiledLoop] = compile_loop(system.config)
-            self._fallback: Optional["EventScheduler"] = None
+            self.compiled: Optional[CompiledLoop] = compile_loop(
+                system.config, replay_mask=replay_mask
+            )
+            self._fallback: Optional[EventScheduler] = None
         else:
             self.compiled = None
             self._fallback = EventScheduler(system)

@@ -7,8 +7,7 @@ response on the bus); writes are fire-and-forget from the core's point of
 view but still occupy the target DRAM bank, so heavy write traffic delays
 subsequent reads, as on the real platform.
 
-Two controllers implement the :class:`repro.sim.resource.SharedResource`
-protocol:
+Two controllers subclass :class:`repro.sim.resource.SharedResource`:
 
 * :class:`MemoryController` — the paper's platform (topology ``bus_only``):
   an access is scheduled on its DRAM bank the moment it arrives, so the only
@@ -33,8 +32,8 @@ from ..config import DramConfig
 from ..errors import ConfigurationError, SimulationError
 from .arbiter import create_arbiter
 from .dram import Dram
-from .resource import NO_EVENT, EventPort
-from .trace import RequestRecord
+from .request_trace import RequestRecord
+from .resource import NO_EVENT, SharedResource
 
 #: Completion callback signature: (pending_read, cycle) -> None.
 ReadCallback = Callable[["PendingRead", int], None]
@@ -101,7 +100,7 @@ class MemCtrlStats:
         }
 
 
-class MemoryController(EventPort):
+class MemoryController(SharedResource):
     """FIFO memory controller with bank-aware DRAM timing.
 
     Args:
@@ -110,19 +109,18 @@ class MemoryController(EventPort):
             uses it to post the response transfer on the bus.
     """
 
-    #: SharedResource protocol surface (see :mod:`repro.sim.resource`).
     resource_name = "memctrl"
 
     def __init__(
         self, dram_config: DramConfig, read_callback: Optional[ReadCallback] = None
     ) -> None:
+        super().__init__()
         self.dram = Dram(dram_config)
         self.read_callback = read_callback
         self.stats = MemCtrlStats()
         # Min-heap of (complete_cycle, sequence, PendingRead) awaiting delivery.
         self._in_flight: List[Tuple[int, int, PendingRead]] = []
         self._sequence = 0
-        self._init_event_port()
 
     # ------------------------------------------------------------------ #
     # Request entry points (called by the memory subsystem).
@@ -180,7 +178,7 @@ class MemoryController(EventPort):
         return access.complete_cycle
 
     # ------------------------------------------------------------------ #
-    # Per-cycle phases (SharedResource protocol).
+    # Per-cycle phases.
     # ------------------------------------------------------------------ #
     def deliver(self, cycle: int) -> None:
         """Deliver every read whose DRAM access has completed by ``cycle``.
@@ -197,10 +195,6 @@ class MemoryController(EventPort):
                     "memory controller completed a read but no callback is attached"
                 )
             self.read_callback(pending, cycle)
-
-    #: Historical name of the delivery phase, kept as the primary spelling
-    #: in older call sites and tests.
-    tick = deliver
 
     def arbitrate(self, cycle: int) -> None:
         """Grant queued accesses to free banks; a no-op without bank queues."""
@@ -230,7 +224,7 @@ class MemoryController(EventPort):
         """Drop in-flight requests and reset the DRAM row state."""
         self._in_flight.clear()
         self.dram.reset()
-        self._init_event_port()
+        super().reset()
 
 
 class _QueuedAccess:
@@ -371,7 +365,7 @@ class BankQueuedMemoryController(MemoryController):
         return -1
 
     # ------------------------------------------------------------------ #
-    # Arbitration phase (SharedResource protocol).
+    # Arbitration phase.
     # ------------------------------------------------------------------ #
     def arbitrate(self, cycle: int) -> None:
         """Grant at most one queued access per *free* bank at ``cycle``."""
@@ -480,4 +474,3 @@ class BankQueuedMemoryController(MemoryController):
         self._queued_reads = 0
         for arbiter in self.bank_arbiters:
             arbiter.reset()
-        self._init_event_port()

@@ -1,18 +1,15 @@
-"""The ``SharedResource`` protocol: what it means to be a contention point.
+"""The ``SharedResource`` base class: what it means to be a contention point.
 
 The paper models a single arbitrated resource — the processor-to-L2 bus.
 Real platforms stack several: the bus feeds a memory controller whose
 per-bank queues are themselves arbitrated, the DRAM banks serialise
 accesses independently, and a split-transaction bus returns data on its own
-response channel.  This module declares the protocol that lets such
+response channel.  This module declares the one base class that lets such
 contention points *compose* into a topology (see :mod:`repro.sim.topology`)
 instead of being hardwired into :class:`repro.sim.system.System` — and,
-crucially, into the *simulation engines*: both engines drive
+crucially, into the *simulation engines*: every engine drives
 ``System.resources`` purely through this surface, so a new topology is a
 registry addition, never an engine edit.
-
-A shared resource owns a request/grant lifecycle and exposes two groups of
-surfaces.
 
 Phase surface (the Section 5 cycle structure):
 
@@ -27,42 +24,34 @@ Phase surface (the Section 5 cycle structure):
   the bus channels, :class:`repro.sim.memctrl.MemCtrlStats` for the memory
   queues).
 
-Event-port surface (what the event-driven engine needs):
+Event-port surface (the base class implements all but
+``next_event_cycle``):
 
-* ``horizon(cycle)`` — the *cached* event horizon: the earliest future cycle
-  at which this resource can change state on its own.  The cache is
-  recomputed from :meth:`~SharedResource.next_event_cycle` only when the
-  resource was mutated since the last read (``invalidate_horizon``), so the
-  engine's per-cycle horizon scan costs one attribute check per quiescent
-  resource instead of a queue walk.
-* ``invalidate_horizon()`` — mark the cached horizon stale.  Every mutation
-  of resource state (posting work, a delivery, a grant, a reset) must call
-  it; the invalidation rules are spelled out in DESIGN.md Section 5.
+* ``next_event_cycle(cycle)`` — the earliest future cycle at which the
+  resource can change state on its own.  The contract is *conservative*:
+  reporting too early only costs speed, reporting too late changes timing.
+  Every horizon is an ``int``; :data:`NO_EVENT` means "inert until someone
+  posts new work".
+* ``horizon(cycle)`` — the same, cached in ``_horizon_cache`` and
+  recomputed only while ``_horizon_dirty`` is set, so the per-cycle horizon
+  scan costs one attribute check per quiescent resource instead of a queue
+  walk.  The event, codegen and replay loops read and refresh these two
+  fields directly, which is why the base class initialises them.
+* ``invalidate_horizon()`` — mark the cache stale.  Every mutation of
+  resource state (posting work, a delivery, a grant, a reset) must do so;
+  the invalidation rules are spelled out in DESIGN.md Section 5.  The cache
+  is sound because between events a resource's state is a pure function of
+  the clock (engine invariant 1): only a mutation can create an earlier
+  event.
 * ``wake_targets`` — core ids that the most recent ``deliver`` call may have
   woken (data returned, store drained).  The engine ticks exactly these
   cores plus the self-driven ones, instead of interpreting resource-specific
   delivery payloads.
-* ``next_event_cycle(cycle)`` — the uncached horizon computation.  The
-  contract is *conservative*: reporting too early only costs speed,
-  reporting too late changes timing.  ``NO_EVENT`` means "inert until
-  someone posts new work".
-
-Horizon type contract (DESIGN.md Section 5.1): every horizon — components
-*and* arbiters — is an ``int``.  Cycles are integers throughout the
-simulator; the former mixture of ``int`` and ``float('inf')`` returns is
-replaced by the :data:`NO_EVENT` sentinel, which compares greater than any
-reachable cycle.
-
-Cache validity argument: between events every resource's state is a pure
-function of the clock (engine invariant 1), so a horizon computed at cycle
-``c0`` from unmutated state is still the true horizon at any later cycle —
-a valid cache can never under- *or* over-shoot.  Only a mutation can create
-an earlier event, and every mutation invalidates.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Protocol, runtime_checkable
+from typing import List, Optional
 
 #: Horizon sentinel: "this resource has no self-driven future event".
 #: An ``int`` (not ``float('inf')``) so the horizon arithmetic of
@@ -71,73 +60,41 @@ from typing import Iterable, List, Optional, Protocol, runtime_checkable
 NO_EVENT: int = 1 << 62
 
 
-@runtime_checkable
-class SharedResource(Protocol):
-    """Structural protocol every composable contention point satisfies.
+class SharedResource:
+    """Base class of every composable contention point.
 
     :class:`repro.sim.bus.Bus` and the memory controllers in
-    :mod:`repro.sim.memctrl` implement it; topologies
-    (:mod:`repro.sim.topology`) chain instances into
-    ``System.resources``, and both simulation engines drive that chain
-    generically — deliver all resources, tick the cores, arbitrate all
-    resources, with the event horizon taken as the minimum over the chain.
+    :mod:`repro.sim.memctrl` subclass it.  A subclass implements
+    ``deliver``, ``arbitrate``, ``next_event_cycle`` and ``reset``
+    (extending the base ``reset``), calls ``super().__init__()`` and marks
+    every state mutation with :meth:`invalidate_horizon` (or
+    ``self._horizon_dirty = True`` on hot paths).
     """
 
     #: Short name used in reports, traces and per-resource decompositions.
     resource_name: str
 
-    #: Core ids the most recent ``deliver`` call may have woken; reset at
-    #: the start of every ``deliver``.
-    wake_targets: List[int]
-
-    def deliver(self, cycle: int) -> Optional[object]:
-        """Finish work whose occupancy ends at ``cycle``; return it, if any."""
-        ...
-
-    def arbitrate(self, cycle: int) -> Optional[object]:
-        """Grant pending work if the resource is free; return the grant."""
-        ...
-
-    def horizon(self, cycle: int) -> int:
-        """Cached earliest future cycle this resource acts on its own."""
-        ...
-
-    def invalidate_horizon(self) -> None:
-        """Mark the cached horizon stale after an external state mutation."""
-        ...
-
-    def next_event_cycle(self, cycle: int) -> int:
-        """Earliest future cycle this resource changes state on its own."""
-        ...
-
-    def reset(self) -> None:
-        """Restore the initial (empty, idle) state."""
-        ...
-
-
-class EventPort:
-    """Mixin implementing the cached-horizon event-port surface.
-
-    Concrete resources inherit this next to their own base class, call
-    :meth:`_init_event_port` during construction, and mark every state
-    mutation with ``self._horizon_dirty = True`` (the in-place spelling of
-    :meth:`invalidate_horizon`, used on hot paths).  ``horizon`` then
-    recomputes through the resource's ``next_event_cycle`` only when needed.
-    """
-
-    #: Set by :meth:`_init_event_port`; annotated here so the attribute is
-    #: part of the mixin's public surface.
-    wake_targets: List[int]
-    _horizon_cache: int
-    _horizon_dirty: bool
-
-    def _init_event_port(self) -> None:
-        self.wake_targets = []
+    def __init__(self) -> None:
+        #: Core ids the most recent ``deliver`` call may have woken.
+        self.wake_targets: List[int] = []
+        #: The cached horizon and whether it is stale (read by the engines).
         self._horizon_cache = 0
         self._horizon_dirty = True
 
+    def deliver(self, cycle: int) -> Optional[object]:
+        """Finish work whose occupancy ends at ``cycle``; return it, if any."""
+        raise NotImplementedError
+
+    def arbitrate(self, cycle: int) -> Optional[object]:
+        """Grant pending work if the resource is free; return the grant."""
+        raise NotImplementedError
+
+    def next_event_cycle(self, cycle: int) -> int:
+        """Earliest future cycle this resource changes state on its own."""
+        raise NotImplementedError
+
     def horizon(self, cycle: int) -> int:
-        """Cached event horizon (see :class:`SharedResource`)."""
+        """Cached :meth:`next_event_cycle`, recomputed only when stale."""
         if self._horizon_dirty:
             self._horizon_cache = self.next_event_cycle(cycle)
             self._horizon_dirty = False
@@ -147,16 +104,8 @@ class EventPort:
         """Mark the cached horizon stale; the next read recomputes it."""
         self._horizon_dirty = True
 
-    def next_event_cycle(self, cycle: int) -> int:
-        """Uncached horizon; concrete resources must implement it."""
-        raise NotImplementedError
-
-
-def min_horizon(resources: Iterable[SharedResource], cycle: int) -> int:
-    """Minimum event horizon over ``resources`` (``NO_EVENT`` if all inert)."""
-    horizon = NO_EVENT
-    for resource in resources:
-        candidate = resource.horizon(cycle)
-        if candidate < horizon:
-            horizon = candidate
-    return horizon
+    def reset(self) -> None:
+        """Restore the initial (empty, idle) state of the event-port fields."""
+        self.wake_targets.clear()
+        self._horizon_cache = 0
+        self._horizon_dirty = True

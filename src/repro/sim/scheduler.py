@@ -1,33 +1,41 @@
-"""Simulation engines: the stepped oracle loop and the event-driven fast path.
+"""Simulation engines: the registry, the stepped oracle and the event loop.
 
-The simulator supports two interchangeable engines, selected through
-``ArchConfig.engine`` (or per run via ``System.run(engine=...)``):
+Four interchangeable, cycle-exact engines ship built in; ``ArchConfig.engine``
+is the only thing that selects one:
 
 * :class:`SteppedEngine` — the reference loop.  It advances the clock one
   cycle at a time and runs the full Section 5 cycle structure (deliver all
   resources, tick the cores, arbitrate all resources) on every cycle.  It is
-  deliberately unoptimised: it is the oracle the fast path is validated
+  deliberately unoptimised: it is the oracle the fast paths are validated
   against.
-* :class:`EventScheduler` — the fast path.  After processing a cycle it
-  takes the *event horizon* — the minimum over every resource's and core's
-  next self-driven event — and jumps the clock directly to it.
+* :class:`EventScheduler` — the generic fast path.  After processing a
+  cycle it takes the *event horizon* — the minimum over every resource's
+  and core's next self-driven event — and jumps the clock directly to it.
   Saturated-bus experiments (the paper's hot path) spend most of their
   cycles with every core stalled on a 9-cycle bus occupancy, so the fast
   path visits a small fraction of the cycles while producing bit-identical
   results.
+* ``codegen`` (:class:`repro.sim.codegen.CodegenEngine`) — the same loop
+  generated for the concrete topology chain and arbiter set, falling back
+  to :class:`EventScheduler` for anything it cannot specialise.
+* ``replay`` (:class:`repro.sim.trace.ReplayEngine`) — captures each core's
+  demand-request trace once per kernel, streams it through the live
+  interconnect on later runs, and binds its loop through ``codegen``.
 
-Both engines drive ``System.resources`` **generically** through the
-event-port surface of :class:`repro.sim.resource.SharedResource` —
-``deliver`` / ``arbitrate`` / ``horizon`` / ``wake_targets``.  Neither
-engine names a concrete resource type, so a topology registered via
+Every engine drives ``System.resources`` **generically** through the
+:class:`repro.sim.resource.SharedResource` surface — ``deliver`` /
+``arbitrate`` / the cached horizon / ``wake_targets``.  No engine names a
+concrete resource type, so a topology registered via
 :func:`repro.sim.topology.register_topology` (one bus, a bank-queued
-memory stage, a split request/response bus pair, ...) runs on both engines
+memory stage, a split request/response bus pair, ...) runs on every engine
 without engine edits.
 
-Engines are registered, not hardwired: the :func:`register_engine` decorator
-adds a class to :data:`ENGINE_REGISTRY` (a
-:class:`repro.registry.Registry`), and :func:`make_engine`, the CLI's
-``list`` subcommand and ``ArchConfig`` validation all read the registry.
+Engines are registered, not hardwired: the :func:`register_engine`
+decorator, applied beside each engine class in its own module, adds the
+class to :data:`ENGINE_REGISTRY` (a :class:`repro.registry.Registry`), and
+:func:`make_engine`, the CLI's ``list`` subcommand and ``ArchConfig``
+validation all read the registry.  Import order fixes the registration
+order: ``codegen`` imports this module and ``trace`` imports ``codegen``.
 
 Horizon contract
 ----------------
@@ -75,9 +83,66 @@ from dataclasses import dataclass
 from typing import List, Tuple, Type
 
 from ..registry import Registry
+from .core import CoreState
 from .resource import NO_EVENT
 
 
+# --------------------------------------------------------------------------- #
+# The engine registry.
+# --------------------------------------------------------------------------- #
+
+
+@dataclass(frozen=True)
+class EngineEntry:
+    """One registered simulation engine."""
+
+    name: str
+    cls: Type
+    description: str = ""
+
+
+#: Engine name -> registered entry, in registration order, on the shared
+#: :class:`repro.registry.Registry` utility.  ``repro.config`` keeps the
+#: built-in tuple :data:`repro.config.ENGINES` for documentation and CLI
+#: choices; a tier-1 test pins the two in sync.
+ENGINE_REGISTRY: Registry[EngineEntry] = Registry("simulation engine")
+
+
+def register_engine(name: str, description: str = ""):
+    """Class decorator registering a simulation engine under ``name``.
+
+    The class must accept a :class:`repro.sim.system.System` and expose
+    ``run(observed, max_cycles) -> (cycle, timed_out)``.
+    """
+
+    def decorator(cls: Type) -> Type:
+        ENGINE_REGISTRY.register(name, EngineEntry(name=name, cls=cls, description=description))
+        return cls
+
+    return decorator
+
+
+def registered_engines() -> Tuple[str, ...]:
+    """Names of every registered engine, in registration order."""
+    return ENGINE_REGISTRY.names()
+
+
+def make_engine(name: str, system):
+    """Instantiate the engine called ``name`` for ``system``.
+
+    Accepts any registered engine name (the built-ins mirror
+    :data:`repro.config.ENGINES`); anything else raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    return ENGINE_REGISTRY.require(name).cls(system)
+
+
+# --------------------------------------------------------------------------- #
+# The built-in generic engines.
+# --------------------------------------------------------------------------- #
+
+
+@register_engine("stepped", "cycle-by-cycle oracle loop (reference semantics)")
 class SteppedEngine:
     """The cycle-by-cycle oracle loop (Section 5 cycle structure).
 
@@ -122,6 +187,7 @@ class SteppedEngine:
         return cycle, timed_out
 
 
+@register_engine("event", "event-driven fast path: jump the clock to the min component horizon")
 class EventScheduler:
     """The event-driven fast path: jump the clock to the earliest horizon.
 
@@ -145,8 +211,6 @@ class EventScheduler:
         ``system.resources`` purely through the event-port surface — it
         holds no knowledge of which resources the topology built.
         """
-        from .core import CoreState
-
         system = self.system
         resources = system.resources
         cores = system.cores
@@ -258,80 +322,3 @@ class EventScheduler:
         pmc.cycles = cycle + 1
         system.current_cycle = cycle
         return cycle, timed_out
-
-
-# --------------------------------------------------------------------------- #
-# Registry-backed factory.
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class EngineEntry:
-    """One registered simulation engine."""
-
-    name: str
-    cls: Type
-    description: str = ""
-
-
-#: Engine name -> registered entry, in registration order, on the shared
-#: :class:`repro.registry.Registry` utility.  ``repro.config`` keeps the
-#: built-in tuple :data:`repro.config.ENGINES` for documentation and CLI
-#: choices; a tier-1 test pins the two in sync.
-ENGINE_REGISTRY: Registry[EngineEntry] = Registry("simulation engine")
-
-
-def register_engine(name: str, description: str = ""):
-    """Class decorator registering a simulation engine under ``name``.
-
-    The class must accept a :class:`repro.sim.system.System` and expose
-    ``run(observed, max_cycles) -> (cycle, timed_out)``.
-    """
-
-    def decorator(cls: Type) -> Type:
-        ENGINE_REGISTRY.register(name, EngineEntry(name=name, cls=cls, description=description))
-        return cls
-
-    return decorator
-
-
-def registered_engines() -> Tuple[str, ...]:
-    """Names of every registered engine, in registration order."""
-    return ENGINE_REGISTRY.names()
-
-
-def make_engine(name: str, system):
-    """Instantiate the engine called ``name`` for ``system``.
-
-    Accepts any registered engine name (the built-ins mirror
-    :data:`repro.config.ENGINES`); anything else raises
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    return ENGINE_REGISTRY.require(name).cls(system)
-
-
-register_engine("stepped", "cycle-by-cycle oracle loop (reference semantics)")(SteppedEngine)
-register_engine(
-    "event", "event-driven fast path: jump the clock to the min component horizon"
-)(EventScheduler)
-
-# The codegen and replay engines are registered here rather than in their
-# own modules: codegen.py and trace.py both sit below this module in the
-# import graph (trace.py is imported by bus.py, and codegen.py would need
-# a circular import through bus.py to reach the registry), so registering
-# from this tail is what keeps the built-in registration order (stepped,
-# event, codegen, replay) deterministic for every consumer of the
-# registry, mirroring repro.config.ENGINES.
-from . import codegen as _codegen  # noqa: E402
-from . import trace as _trace  # noqa: E402
-
-register_engine(
-    "codegen",
-    "generated loop specialised to the topology chain + arbiter set "
-    "(falls back to 'event' on unknown registry entries)",
-)(_codegen.CodegenEngine)
-register_engine(
-    "replay",
-    "trace replay: capture the core side once per kernel, stream it through "
-    "any interconnect (falls back per core on trace-unsafe programs)",
-)(_trace.ReplayEngine)

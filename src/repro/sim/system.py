@@ -18,32 +18,33 @@ back, tick the cores, arbitrate every resource front to back:
 5. on multi-resource topologies, each free DRAM bank's queue arbitrates and
    starts one pending access (a no-op on the paper's ``bus_only`` platform).
 
-The loop itself lives in :mod:`repro.sim.scheduler` and comes in two
-cycle-exact flavours selected by ``config.engine``: the ``stepped`` oracle
-that visits every cycle, and the ``event`` fast path that jumps the clock to
-the earliest component horizon (bus delivery, DRAM completion, execute-stage
-end).  Saturated-bus experiments speed up by roughly the bus occupancy
-without changing any observable timing; a property test cross-checks the two
-engines instruction for instruction.
+The loop is one of the four cycle-exact engines registered in
+:mod:`repro.sim.scheduler`, and ``config.engine`` alone selects it: the
+``stepped`` oracle that visits every cycle, the ``event`` fast path that
+jumps the clock to the earliest component horizon (bus delivery, DRAM
+completion, execute-stage end), the ``codegen`` loop generated for the
+concrete chain, and ``replay``, which streams captured core-side traces.
+The engines change speed, never observable timing; a property test
+cross-checks all four against the oracle instruction for instruction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..config import ArchConfig
 from ..errors import ConfigurationError, SimulationError
 from .arbiter import Arbiter
 from .bus import BusRequest
-from .core import Core, CoreState
+from .core import Core
 from .isa import Program
 from .l2 import PartitionedL2
 from .memctrl import MemCtrlStats, PendingRead
 from .pmc import PerformanceCounters
+from .request_trace import RequestRecord, TraceRecorder
 from .scheduler import make_engine
 from .topology import TopologyHooks, build_topology
-from .trace import RequestRecord, TraceRecorder
 
 #: Default safety bound on simulated cycles; long experiments may raise it.
 DEFAULT_MAX_CYCLES = 200_000_000
@@ -162,7 +163,7 @@ class System:
         #: response-channel port instead).
         self.response_port = config.num_cores
         #: The platform's shared-resource chain, in phase order (see
-        #: :mod:`repro.sim.resource`): both engines deliver these front to
+        #: :mod:`repro.sim.resource`): every engine delivers these front to
         #: back, tick the cores, then arbitrate front to back, and the event
         #: horizon is the minimum over the chain.  Which resources exist is
         #: decided by ``config.topology`` (:mod:`repro.sim.topology`).
@@ -188,6 +189,9 @@ class System:
         self.preload_il1 = preload_il1
         self.preload_dl1 = preload_dl1
         self.current_cycle = 0
+        #: The engine instance of the latest :meth:`run` (``None`` before
+        #: the first): which engine ran, and its fallback/replay surface.
+        self.engine: Any = None
 
     # ------------------------------------------------------------------ #
     # Cache preloading (warm-up substitute).
@@ -303,7 +307,6 @@ class System:
         self,
         observed_cores: Optional[Sequence[int]] = None,
         max_cycles: int = DEFAULT_MAX_CYCLES,
-        engine: Optional[str] = None,
     ) -> SystemResult:
         """Simulate until every observed core finished its program.
 
@@ -313,11 +316,9 @@ class System:
                 running infinite kernels keep executing until then.
             max_cycles: safety bound; the run stops (with ``timed_out=True``)
                 if it is reached.
-            engine: ``"stepped"``, ``"event"``, ``"codegen"`` or
-                ``"replay"``; ``None`` uses ``config.engine``.  Every
-                engine is cycle-exact (see :mod:`repro.sim.scheduler`,
-                :mod:`repro.sim.codegen` and :mod:`repro.sim.trace`), so
-                this only changes speed.
+
+        The engine named by ``config.engine`` runs the loop and is kept as
+        :attr:`engine`.
         """
         if observed_cores is None:
             observed_cores = [
@@ -338,9 +339,8 @@ class System:
         if not observed:
             raise ConfigurationError("no observed cores: the run would never terminate")
 
-        if engine is None:
-            engine = self.config.engine
-        cycle, timed_out = make_engine(engine, self).run(observed, max_cycles)
+        self.engine = make_engine(self.config.engine, self)
+        cycle, timed_out = self.engine.run(observed, max_cycles)
         return SystemResult(
             cycles=cycle + 1,
             done_cycles=[core.done_cycle for core in self.cores],
@@ -354,10 +354,6 @@ class System:
     # ------------------------------------------------------------------ #
     # Introspection helpers used by the methodology layer.
     # ------------------------------------------------------------------ #
-    def core_state(self, core_id: int) -> CoreState:
-        """Current execution state of ``core_id``."""
-        return self.cores[core_id].state
-
     def describe(self) -> Dict[str, object]:
         """Short description of the platform and the mapped programs."""
         return {

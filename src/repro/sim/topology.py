@@ -14,8 +14,8 @@ the bank queues and a separate arbitrated *response channel* returning the
 data, so an L2 miss contends three times.
 
 A topology builder returns the whole platform-side picture as a
-:class:`ResourceChain`: the resources in phase order (both engines deliver
-them front to back, tick the cores, arbitrate them front to back — see
+:class:`ResourceChain`: the resources in phase order (every engine delivers
+them front to back, ticks the cores, arbitrates them front to back — see
 :mod:`repro.sim.scheduler`) plus the wiring the system needs (where demand
 requests are posted, where responses return, which controller owns the
 DRAM).  :class:`repro.sim.system.System` supplies its callbacks through
@@ -45,8 +45,8 @@ from .arbiter import Arbiter, create_arbiter, make_arbiter
 from .bus import Bus, ServiceCallback
 from .memctrl import BankQueuedMemoryController, MemoryController, ReadCallback
 from .pmc import PerformanceCounters
+from .request_trace import TraceRecorder
 from .resource import SharedResource
-from .trace import TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,8 @@ class ResourceChain:
     """A built topology: the resources plus the system-facing wiring.
 
     Attributes:
-        resources: the shared-resource chain in phase order; both engines
-            drive exactly this tuple through the event-port surface.
+        resources: the shared-resource chain in phase order; every engine
+            drives exactly this tuple through the event-port surface.
         request_bus: the channel cores post demand requests on.
         memctrl: the controller owning DRAM reads/writes and the
             :class:`~repro.sim.memctrl.MemCtrlStats` PMC surface.

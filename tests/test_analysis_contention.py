@@ -15,7 +15,7 @@ from repro.analysis.contention import (
     latency_decomposition,
 )
 from repro.errors import AnalysisError
-from repro.sim.trace import RequestRecord, TraceRecorder
+from repro.sim.request_trace import RequestRecord, TraceRecorder
 
 
 def make_trace(records) -> TraceRecorder:

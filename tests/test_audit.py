@@ -36,8 +36,10 @@ from repro.audit import (
 )
 from repro.campaign import CampaignSpec, ParallelRunner, write_campaign_artifacts
 from repro.campaign.runner import summarize_records
+from repro.audit.dimensions import ConfigAuditContext
 from repro.config import get_preset
 from repro.errors import AuditError
+from repro.sim.trace import clear_trace_cache
 
 #: Reduced measurement knobs shared by every end-to-end audit in this file
 #: (mirrors the CI audit job).
@@ -284,6 +286,19 @@ class TestConfigAudit:
         # The built-in chain is specialised: no fallback reason.
         assert codegen.evidence["fallback_reason"] is None
 
+    def test_replay_cross_check_runs_a_warm_replay(self):
+        """In a fresh process the replay engine's first run only captures;
+        the dimension runs it a second time so a replayed run is compared
+        against the oracle too, and reports which cores it replayed."""
+        clear_trace_cache()
+        context = ConfigAuditContext(get_preset("ref"), FAST)
+        dimension = CONFIG_DIMENSIONS.require("engine_equivalence").run(context)
+        assert len(dimension.findings) == 3
+        replay = next(f for f in dimension.findings if f.check == "replay_vs_stepped")
+        assert replay.verdict == "pass"
+        assert replay.evidence["replayed_cores"]
+        assert replay.evidence["fallback_reason"] is None
+
     def test_synchrony_dimension_histograms_the_plateau(self, bus_only_audit):
         dimension = bus_only_audit.dimension("synchrony")
         assert dimension.verdict == "pass"
@@ -415,6 +430,24 @@ class TestCampaignAudit:
         by_check = {f.check: f for f in schema_dim.findings}
         assert by_check["record_schema"].verdict == "fail"
         assert by_check["run_id_unique"].verdict == "pass"
+
+    def test_duplicate_run_id_fails_artifact_schema(self, campaign_dir, tmp_path):
+        from repro.campaign import load_campaign
+
+        records, summary = load_campaign(campaign_dir)
+        tampered = json.loads(json.dumps(records))
+        duplicate = tampered[0]["run_id"]
+        tampered[1]["run_id"] = duplicate
+        duplicated = tmp_path / "duplicated"
+        duplicated.mkdir()
+        _rewrite_campaign(duplicated, tampered, summary=summary)
+
+        report = audit_campaign_dir(duplicated)
+        by_check = {f.check: f for f in report.dimension("artifact_schema").findings}
+        finding = by_check["run_id_unique"]
+        assert finding.verdict == "fail"
+        assert duplicate in finding.detail
+        assert finding.evidence["duplicates"] == [duplicate]
 
     def test_summary_drift_fails_consistency(self, campaign_dir, tmp_path):
         from repro.campaign import load_campaign

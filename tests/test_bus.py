@@ -11,7 +11,7 @@ from repro.sim.arbiter import FifoArbiter, RoundRobinArbiter, TdmaArbiter
 from repro.sim.bus import Bus, BusRequest
 from repro.sim.pmc import PerformanceCounters
 from repro.sim.resource import NO_EVENT
-from repro.sim.trace import TraceRecorder
+from repro.sim.request_trace import TraceRecorder
 
 
 def make_bus(num_ports: int = 3, service: int = 5, arbiter=None, trace=None, pmc=None) -> Bus:

@@ -1,6 +1,6 @@
 """Codegen engine unit tests: compile cache, fallbacks, diagnostics, goldens.
 
-The cycle-exactness of the generated loops is covered by the three-way
+The cycle-exactness of the generated loops is covered by the four-way
 differential in ``test_engine_equivalence.py``; this module tests the
 machinery around them:
 
@@ -222,12 +222,12 @@ class TestFallback:
             assert engine.fallback_reason is not None
             assert name in engine.fallback_reason
             assert isinstance(engine._fallback, EventScheduler)
-            fallback_cycles = System(config, _rsk_programs(config)).run(
-                observed_cores=[0], engine="codegen"
-            )
-            oracle_cycles = System(config, _rsk_programs(config)).run(
-                observed_cores=[0], engine="stepped"
-            )
+            fallback_cycles = System(
+                config.with_overrides(engine="codegen"), _rsk_programs(config)
+            ).run(observed_cores=[0])
+            oracle_cycles = System(
+                config.with_overrides(engine="stepped"), _rsk_programs(config)
+            ).run(observed_cores=[0])
             assert fallback_cycles.cycles == oracle_cycles.cycles
         finally:
             TOPOLOGY_REGISTRY.pop(name)
@@ -253,11 +253,11 @@ class TestFallback:
             assert engine.fallback_reason is not None
             assert name in engine.fallback_reason
             fallback = System(
-                config, _rsk_programs(config), preload_l2=True
-            ).run(observed_cores=[0], engine="codegen")
-            oracle = System(config, _rsk_programs(config), preload_l2=True).run(
-                observed_cores=[0], engine="stepped"
-            )
+                config.with_overrides(engine="codegen"), _rsk_programs(config), preload_l2=True
+            ).run(observed_cores=[0])
+            oracle = System(
+                config.with_overrides(engine="stepped"), _rsk_programs(config), preload_l2=True
+            ).run(observed_cores=[0])
             assert fallback.cycles == oracle.cycles
         finally:
             ARBITER_REGISTRY.pop(name)
@@ -273,9 +273,9 @@ class TestFallback:
         config = small_config()
         ports = config.num_cores + 1  # bus_only: demand ports + response port
 
-        def build() -> System:
+        def build(engine: str = "event") -> System:
             return System(
-                config,
+                config.with_overrides(engine=engine),
                 _rsk_programs(config),
                 preload_l2=True,
                 arbiter=PoliteRoundRobin(ports),
@@ -284,8 +284,8 @@ class TestFallback:
         engine = make_engine("codegen", build())
         assert engine.fallback_reason is not None
         assert "PoliteRoundRobin" in engine.fallback_reason
-        fallback = build().run(observed_cores=[0], engine="codegen")
-        oracle = build().run(observed_cores=[0], engine="stepped")
+        fallback = build("codegen").run(observed_cores=[0])
+        oracle = build("stepped").run(observed_cores=[0])
         assert fallback.cycles == oracle.cycles
 
 
@@ -301,7 +301,9 @@ class TestDiagnosticsLoop:
         horizon against the generic resource methods; on a correct build it
         must finish silently, on the oracle's exact cycle."""
         config = _topology_config(topology)
-        oracle = System(config, _rsk_programs(config)).run(observed_cores=[0], engine="stepped")
+        oracle = System(config.with_overrides(engine="stepped"), _rsk_programs(config)).run(
+            observed_cores=[0]
+        )
         loop = compile_loop(config, diagnostics=True)
         cycle, timed_out = loop.run(System(config, _rsk_programs(config)), [0], 2_000_000)
         assert not timed_out

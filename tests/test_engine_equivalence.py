@@ -26,6 +26,8 @@ offending generated source attached — see :func:`_check_codegen`.
 
 from __future__ import annotations
 
+from collections import deque
+from dataclasses import replace as dataclass_replace
 from typing import Dict, List, Optional
 
 import pytest
@@ -48,7 +50,9 @@ from repro.methodology.experiment import build_contender_set
 from repro.sim import codegen as codegen_mod
 from repro.sim.codegen import CodegenMismatch
 from repro.sim.isa import Alu, Load, Nop, Program, Store
+from repro.sim.resource import NO_EVENT, SharedResource
 from repro.sim.system import System
+from repro.sim.topology import TOPOLOGY_REGISTRY, register_topology
 from repro.sim.trace import clear_trace_cache
 
 #: Every engine under the oracle contract, oracle first.
@@ -103,12 +107,12 @@ def _check_codegen(config, build_system, observed, max_cycles, oracle_state):
     generated source attached either way.
     """
     codegen_mod.regenerate(config)
-    retry = build_system().run(observed_cores=observed, max_cycles=max_cycles, engine="codegen")
+    retry = build_system("codegen").run(observed_cores=observed, max_cycles=max_cycles)
     retry_matches = _observable_state(retry) == oracle_state
     diag_loop = codegen_mod.regenerate(config, diagnostics=True)
     diag_note = "diagnostics re-run found no divergent inline decision"
     try:
-        diag_loop.run(build_system(), list(observed), max_cycles)
+        diag_loop.run(build_system("codegen"), list(observed), max_cycles)
     except CodegenMismatch as exc:
         diag_note = f"diagnostics: {exc}"
     pytest.fail(
@@ -132,16 +136,14 @@ def _run_both(config, programs, observed, trace=True, max_cycles=2_000_000, **kw
     must match the oracle.
     """
 
-    def build_system():
-        return System(config, list(programs), trace=trace, **kwargs)
+    def build_system(engine):
+        return System(config.with_overrides(engine=engine), list(programs), trace=trace, **kwargs)
 
     outcomes = {}
     for engine in ENGINES_UNDER_TEST:
         if engine == "replay":
             clear_trace_cache()
-        outcomes[engine] = build_system().run(
-            observed_cores=observed, max_cycles=max_cycles, engine=engine
-        )
+        outcomes[engine] = build_system(engine).run(observed_cores=observed, max_cycles=max_cycles)
     oracle_state = _observable_state(outcomes["stepped"])
     assert _observable_state(outcomes["event"]) == oracle_state
     if _observable_state(outcomes["codegen"]) != oracle_state:
@@ -149,7 +151,7 @@ def _run_both(config, programs, observed, trace=True, max_cycles=2_000_000, **kw
     assert _observable_state(outcomes["replay"]) == oracle_state, (
         "replay engine (cold capture run) diverged from the stepped oracle"
     )
-    warm = build_system().run(observed_cores=observed, max_cycles=max_cycles, engine="replay")
+    warm = build_system("replay").run(observed_cores=observed, max_cycles=max_cycles)
     assert _observable_state(warm) == oracle_state, (
         "replay engine (warm trace-replay run) diverged from the stepped oracle"
     )
@@ -326,6 +328,71 @@ class TestSplitBusEquivalent:
         for outcome in outcomes.values():
             assert outcome.timed_out
         assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
+
+
+class _ResponseLink(SharedResource):
+    """A fixed-latency link between the memory controller and the response
+    channel.  Beyond taking work it implements only what a subclass must:
+    ``deliver``, ``arbitrate``, ``next_event_cycle`` and ``reset``; the
+    event-port fields every engine reads come from the base class."""
+
+    resource_name = "response_link"
+
+    def __init__(self, latency, forward):
+        super().__init__()
+        self.latency = latency
+        self.forward = forward
+        self._in_flight = deque()
+
+    def accept(self, pending, cycle):
+        self._in_flight.append((cycle + self.latency, pending))
+        self.invalidate_horizon()
+
+    def deliver(self, cycle):
+        while self._in_flight and self._in_flight[0][0] <= cycle:
+            _, pending = self._in_flight.popleft()
+            self.invalidate_horizon()
+            self.forward(pending, cycle)
+
+    def arbitrate(self, cycle):
+        return None
+
+    def next_event_cycle(self, cycle):
+        return self._in_flight[0][0] if self._in_flight else NO_EVENT
+
+    def reset(self):
+        self._in_flight.clear()
+        super().reset()
+
+
+def _build_linked_bus(config, hooks):
+    link = _ResponseLink(latency=7, forward=hooks.read_callback)
+    builder = TOPOLOGY_REGISTRY.require("bus_only").builder
+    chain = builder(config, dataclass_replace(hooks, read_callback=link.accept))
+    return dataclass_replace(chain, resources=chain.resources + (link,))
+
+
+class TestCustomStageEquivalent:
+    def test_shared_resource_subclass_runs_on_every_engine(self):
+        """A third-party stage that subclasses SharedResource runs inside a
+        registered topology on all four engines (codegen and replay fall
+        back to the event loop) and matches the stepped oracle."""
+        name = "test_linked_bus"
+        register_topology(name, "test-only bus_only with a response link")(_build_linked_bus)
+        try:
+            config = small_config(topology=TopologyConfig(name=name))
+            scua = build_rsk(config, 0, iterations=40)
+            programs: List[Optional[Program]] = [None] * config.num_cores
+            programs[0] = scua
+            for core, program in build_contender_set(config, 0).items():
+                programs[core] = program
+            outcomes = _run_both(config, programs, observed=[0])
+        finally:
+            TOPOLOGY_REGISTRY.pop(name)
+        plain = System(small_config(), list(programs), trace=True).run(observed_cores=[0])
+        # The link really sits on the DRAM response path.
+        assert outcomes["stepped"].pmc.dram_accesses > 0
+        assert outcomes["stepped"].cycles > plain.cycles
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """The event-port surface: cached horizons, invalidation rules, wake targets.
 
-The event engine drives every resource through ``horizon`` /
-``invalidate_horizon`` / ``wake_targets`` (see :mod:`repro.sim.resource`),
+The event engines drive every resource through the horizon cache and
+``wake_targets`` that :class:`repro.sim.resource.SharedResource` declares,
 so the cache discipline — every mutation invalidates, a clean cache answers
 without recomputation, a valid cache can never change the reported horizon —
 is itself load-bearing simulator semantics and is pinned here at the unit
@@ -16,7 +16,7 @@ from repro.config import DramConfig
 from repro.sim.arbiter import RoundRobinArbiter
 from repro.sim.bus import Bus, BusRequest
 from repro.sim.memctrl import BankQueuedMemoryController, MemoryController
-from repro.sim.resource import NO_EVENT, EventPort
+from repro.sim.resource import NO_EVENT, SharedResource
 
 
 def make_bus(num_ports=3, occupancy=5):
@@ -33,13 +33,13 @@ def post(bus, port=0, ready=0, addr=0x100):
     return request
 
 
-class TestEventPortMixin:
+class TestSharedResourceBase:
     def test_horizon_caches_until_invalidated(self):
-        class Counting(EventPort):
+        class Counting(SharedResource):
             resource_name = "counting"
 
             def __init__(self):
-                self._init_event_port()
+                super().__init__()
                 self.computes = 0
 
             def next_event_cycle(self, cycle):
@@ -56,13 +56,26 @@ class TestEventPortMixin:
         assert port.computes == 2
 
     def test_next_event_cycle_is_abstract(self):
-        port = EventPort()
-        port._init_event_port()
+        port = SharedResource()
         with pytest.raises(NotImplementedError):
             port.horizon(0)
 
+    def test_base_initialises_every_field_the_engines_read(self):
+        """The event/codegen/replay loops read ``_horizon_dirty``,
+        ``_horizon_cache`` and ``wake_targets`` directly, so a subclass
+        must get them from the base class alone."""
+        port = SharedResource()
+        assert port._horizon_dirty is True
+        assert port._horizon_cache == 0
+        assert port.wake_targets == []
+        port.wake_targets.append(3)
+        port._horizon_dirty = False
+        port.reset()
+        assert port.wake_targets == []
+        assert port._horizon_dirty is True
 
-class TestBusEventPort:
+
+class TestBusHorizonCache:
     def test_idle_bus_reports_no_event(self):
         bus = make_bus()
         assert bus.horizon(0) == NO_EVENT
@@ -127,7 +140,7 @@ class TestBusEventPort:
         assert bus.horizon(0) == NO_EVENT
 
 
-class TestMemoryControllerEventPort:
+class TestMemoryControllerHorizonCache:
     def test_enqueue_and_deliver_invalidate(self):
         controller = MemoryController(DramConfig(), read_callback=lambda pending, cycle: None)
         assert controller.horizon(0) == NO_EVENT

@@ -19,7 +19,7 @@ class TestReads:
         )
         pending = controller.enqueue_read(core_id=0, addr=0x100, cycle=0)
         assert controller.outstanding_reads == 1
-        controller.tick(pending.complete_cycle)
+        controller.deliver(pending.complete_cycle)
         assert completions == [(0x100, pending.complete_cycle)]
         assert controller.outstanding_reads == 0
 
@@ -29,7 +29,7 @@ class TestReads:
             DramConfig(), read_callback=lambda pending, cycle: completions.append(cycle)
         )
         pending = controller.enqueue_read(core_id=0, addr=0x100, cycle=0)
-        controller.tick(pending.complete_cycle - 1)
+        controller.deliver(pending.complete_cycle - 1)
         assert completions == []
 
     def test_reads_complete_in_time_order(self):
@@ -39,14 +39,14 @@ class TestReads:
         )
         first = controller.enqueue_read(0, 0x000, cycle=0)
         second = controller.enqueue_read(0, 0x040, cycle=0)
-        controller.tick(max(first.complete_cycle, second.complete_cycle))
+        controller.deliver(max(first.complete_cycle, second.complete_cycle))
         assert order == [0x000, 0x040]
 
     def test_missing_callback_raises_on_completion(self):
         controller = MemoryController(DramConfig())
         pending = controller.enqueue_read(0, 0x100, cycle=0)
         with pytest.raises(SimulationError):
-            controller.tick(pending.complete_cycle)
+            controller.deliver(pending.complete_cycle)
 
     def test_pending_read_kind_is_preserved(self):
         controller = MemoryController(DramConfig(), read_callback=lambda p, c: None)

@@ -128,8 +128,10 @@ class TestSystemProperties:
         config = micro_config(num_cores=1)
         times = []
         for engine in ("event", "stepped"):
-            system = System(config, [program], preload_il1=True, preload_l2=True)
-            times.append(system.run(engine=engine).execution_time(0))
+            system = System(
+                config.with_overrides(engine=engine), [program], preload_il1=True, preload_l2=True
+            )
+            times.append(system.run().execution_time(0))
         assert times[0] == times[1]
 
     @given(program=program_strategy)

@@ -9,6 +9,7 @@ code paths ``repro-bounds serve/submit/worker`` drive.
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import shutil
@@ -16,6 +17,7 @@ import socket
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -158,6 +160,21 @@ class TestParseAddress:
         with serving(tmp_path) as (_, __, address):
             with pytest.raises(ServiceError, match="live daemon"):
                 address.create_listener()
+
+    def test_failed_connect_closes_its_socket(self):
+        # wait_for_daemon retries connect until the daemon is up; each
+        # failed attempt must release its socket instead of leaking it.
+        sock_dir = tempfile.mkdtemp(prefix="rs-")
+        try:
+            address = ServiceAddress(kind="unix", path=f"{sock_dir}/absent.sock")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                with pytest.raises(ServiceError, match="cannot connect"):
+                    address.connect(timeout=1.0)
+                gc.collect()
+            assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        finally:
+            shutil.rmtree(sock_dir, ignore_errors=True)
 
 
 # --------------------------------------------------------------------------- #
@@ -646,6 +663,30 @@ class TestRemoteWorkers:
             client.shutdown()
             runner.join(timeout=60)
             assert not runner.is_alive()
+
+    def test_worker_exits_cleanly_when_the_hello_is_dropped(self):
+        """A daemon that drops the connection during worker-hello ends the
+        worker's service just like a drop between polls: no shards, no
+        exception."""
+        sock_dir = tempfile.mkdtemp(prefix="rs-")
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            path = f"{sock_dir}/drop.sock"
+            listener.bind(path)
+            listener.listen(1)
+
+            def accept_and_close() -> None:
+                conn, _ = listener.accept()
+                conn.close()
+
+            dropper = threading.Thread(target=accept_and_close)
+            dropper.start()
+            worker = RemoteWorker(ServiceAddress(kind="unix", path=path), worker_id="dropped")
+            assert worker.run() == 0
+            dropper.join(timeout=10)
+        finally:
+            listener.close()
+            shutil.rmtree(sock_dir, ignore_errors=True)
 
     def test_worker_survives_daemon_exit(self, tmp_path):
         """A worker polling a daemon that drains away exits cleanly (rc 0

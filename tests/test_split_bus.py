@@ -95,6 +95,7 @@ class TestIdleResponseMatchesBusOnly:
             config = small_config(
                 bus=BusConfig(arbitration=arbiter, transfer_latency=1),
                 topology=TopologyConfig(name=topology),
+                engine=engine,
             )
             system = System(
                 config,
@@ -103,7 +104,7 @@ class TestIdleResponseMatchesBusOnly:
                 preload_l2=True,
                 preload_il1=True,
             )
-            results[topology] = _observable(system.run(observed_cores=[0], engine=engine))
+            results[topology] = _observable(system.run(observed_cores=[0]))
         assert results["bus_only"] == results["split_bus"]
 
     def test_store_traffic_identical(self):
@@ -260,11 +261,11 @@ class TestRuntimeTopologyRegistration:
             TOPOLOGY_REGISTRY.require("split_bus").builder
         )
         try:
-            config = small_config(topology=TopologyConfig(name=name))
             outcomes = {}
             for engine in ("stepped", "event"):
+                config = small_config(topology=TopologyConfig(name=name), engine=engine)
                 system = System(config, _bank_programs(config), trace=True)
-                outcomes[engine] = _observable(system.run(observed_cores=[0], engine=engine))
+                outcomes[engine] = _observable(system.run(observed_cores=[0]))
             assert outcomes["stepped"] == outcomes["event"]
         finally:
             TOPOLOGY_REGISTRY.pop(name)

@@ -110,8 +110,13 @@ class TestEventEngineMatchesStepped:
         contender = build_rsk(config, 1, iterations=None)
 
         def run(engine: str) -> int:
-            system = System(config, [scua, contender], preload_il1=True, preload_l2=True)
-            return system.run(observed_cores=[0], engine=engine).execution_time(0)
+            system = System(
+                config.with_overrides(engine=engine),
+                [scua, contender],
+                preload_il1=True,
+                preload_l2=True,
+            )
+            return system.run(observed_cores=[0]).execution_time(0)
 
         assert run("event") == run("stepped")
 
@@ -122,8 +127,13 @@ class TestEventEngineMatchesStepped:
         contender = build_rsk(config, 1, iterations=None)
 
         def run(engine: str) -> int:
-            system = System(config, [scua, contender], preload_il1=True, preload_l2=True)
-            return system.run(observed_cores=[0], engine=engine).execution_time(0)
+            system = System(
+                config.with_overrides(engine=engine),
+                [scua, contender],
+                preload_il1=True,
+                preload_l2=True,
+            )
+            return system.run(observed_cores=[0]).execution_time(0)
 
         assert run("event") == run("stepped")
 
@@ -133,8 +143,8 @@ class TestEventEngineMatchesStepped:
         program = Program(name="cold", body=(Load(0x2000),), iterations=3)
 
         def run(engine: str) -> int:
-            system = System(config, [program], preload_il1=True)
-            return system.run(engine=engine).execution_time(0)
+            system = System(config.with_overrides(engine=engine), [program], preload_il1=True)
+            return system.run().execution_time(0)
 
         assert run("event") == run("stepped")
 

@@ -52,7 +52,7 @@ from repro.sim.arbiter import (
 from repro.sim.bus import Bus
 from repro.sim.dram import Dram
 from repro.sim.memctrl import BankQueuedMemoryController, MemoryController
-from repro.sim.resource import NO_EVENT, EventPort, SharedResource, min_horizon
+from repro.sim.resource import NO_EVENT, SharedResource
 from repro.sim.scheduler import registered_engines
 from repro.sim.system import System
 from repro.sim.topology import (
@@ -179,7 +179,7 @@ class TestRegistries:
         assert [chain.response_port_of(core) for core in range(3)] == [0, 1, 2]
         assert chain.response_bus.arbiter.policy_name == "fifo"
 
-    def test_resources_satisfy_shared_resource_protocol(self):
+    def test_resources_are_shared_resources(self):
         system = System(_queued_config(), _rsk_programs(_queued_config(), 2))
         assert len(system.resources) == 2
         for resource in system.resources:
@@ -194,32 +194,9 @@ class TestRegistries:
         for resource in split.resources:
             assert isinstance(resource, SharedResource)
 
-    def test_min_horizon_returns_earliest_resource_event(self):
-        class _Stub(EventPort):
-            resource_name = "stub"
-
-            def __init__(self, horizon):
-                self._horizon = horizon
-                self._init_event_port()
-
-            def deliver(self, cycle):
-                return None
-
-            def arbitrate(self, cycle):
-                return None
-
-            def next_event_cycle(self, cycle):
-                return self._horizon
-
-            def reset(self):
-                pass
-
-        assert min_horizon([], 0) == NO_EVENT
-        assert min_horizon([_Stub(NO_EVENT)], 0) == NO_EVENT
-        assert min_horizon([_Stub(40), _Stub(7), _Stub(NO_EVENT)], 0) == 7
-        # And on a real system: an idle platform reports no self-driven event.
+    def test_idle_chain_reports_no_self_driven_event(self):
         system = System(_queued_config(), [None] * 3)
-        assert min_horizon(system.resources, 0) == NO_EVENT
+        assert [resource.horizon(0) for resource in system.resources] == [NO_EVENT, NO_EVENT]
 
 
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.trace import RequestRecord, TraceRecorder, merge_traces
+from repro.sim.request_trace import RequestRecord, TraceRecorder, merge_traces
 
 
 def record(port=0, kind="load", ready=0, grant=2, complete=7, addr=0x100, contenders=0):

@@ -36,6 +36,7 @@ from repro.errors import SimulationError
 from repro.kernels.rsk import build_rsk
 from repro.bench.campaign_bench import CAMPAIGN_WORKLOADS
 from repro.bench.compare import compare_payloads
+from repro.sim.arbiter import RoundRobinArbiter
 from repro.sim.core import Core
 from repro.sim.isa import Program
 from repro.sim.system import System
@@ -73,9 +74,9 @@ def _programs_for(config, kind="load", iterations=30):
 
 def _capture_one_trace(config=None) -> CoreTrace:
     """Run the replay engine cold once and return the captured trace."""
-    config = config or small_config()
+    config = (config or small_config()).with_overrides(engine="replay")
     system = System(config, _programs_for(config))
-    system.run(observed_cores=[0], engine="replay")
+    system.run(observed_cores=[0])
     cache = global_trace_cache()
     assert cache.counters["captures"] == 1
     (entry,) = list(cache._entries.values())
@@ -285,8 +286,8 @@ class TestTraceCache:
 
 class TestReplayEngine:
     def test_second_run_replays_without_capturing(self):
-        config = small_config()
-        cold = System(config, _programs_for(config)).run(observed_cores=[0], engine="replay")
+        config = small_config(engine="replay")
+        cold = System(config, _programs_for(config)).run(observed_cores=[0])
         cache = global_trace_cache()
         assert cache.counters["captures"] == 1
 
@@ -311,7 +312,7 @@ class TestReplayEngine:
     def test_store_kernel_falls_back_with_a_reason(self):
         config = small_config()
         programs = _programs_for(config, kind="store")
-        oracle = System(config, programs).run(observed_cores=[0], engine="stepped")
+        oracle = System(config.with_overrides(engine="stepped"), programs).run(observed_cores=[0])
 
         system = System(config, _programs_for(config, kind="store"))
         engine = ReplayEngine(system)
@@ -327,6 +328,29 @@ class TestReplayEngine:
         engine2.run([0], max_cycles=10_000_000)
         assert engine2.captured_cores == []
         assert 0 in engine2.fallback_reasons
+
+    def test_unspecialisable_chain_reports_the_codegen_fallback_reason(self):
+        """Replay binds its loop through codegen, so on a chain codegen
+        cannot specialise (an external arbiter subclass) it reports the same
+        reason instead of falling back silently."""
+
+        class PoliteRoundRobin(RoundRobinArbiter):
+            pass
+
+        def engine_after_run(engine: str):
+            config = small_config(engine=engine)
+            system = System(
+                config, _programs_for(config), arbiter=PoliteRoundRobin(config.num_cores + 1)
+            )
+            system.run(observed_cores=[0])
+            return system.engine
+
+        codegen = engine_after_run("codegen")
+        replay = engine_after_run("replay")
+        assert codegen.fallback_reason is not None
+        assert "PoliteRoundRobin" in codegen.fallback_reason
+        assert replay.name == "replay"
+        assert replay.fallback_reason == codegen.fallback_reason
 
 
 # --------------------------------------------------------------------------- #
