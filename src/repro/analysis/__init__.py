@@ -12,8 +12,6 @@
   multi-resource topologies.
 * :mod:`repro.analysis.confidence` — the methodology's confidence checks
   (bus utilisation, saturation, delta_nop validity).
-* :mod:`repro.analysis.statistics` — small statistics helpers shared by the
-  above (summaries, envelopes over repeated runs).
 """
 
 from .model import (
@@ -37,7 +35,6 @@ from .contention import (
     latency_decomposition,
 )
 from .confidence import ConfidenceReport, assess_confidence
-from .statistics import SeriesSummary, summarize
 
 __all__ = [
     "ConfidenceReport",
@@ -49,7 +46,6 @@ __all__ = [
     "LatencyDecomposition",
     "PeriodEstimate",
     "SawtoothAnalyzer",
-    "SeriesSummary",
     "assess_confidence",
     "contender_histogram",
     "contention_histogram",
@@ -59,7 +55,6 @@ __all__ = [
     "latency_decomposition",
     "predicted_slowdown_per_request",
     "sawtooth_curve",
-    "summarize",
     "synchrony_timeline",
     "ubd_analytical",
 ]

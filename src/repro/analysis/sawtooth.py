@@ -18,16 +18,30 @@ module implements several estimators and a consensus wrapper:
   peak of the autocorrelation of the detrended series;
 * :meth:`SawtoothAnalyzer.period_fft` — inverse of the dominant non-DC
   frequency of the detrended series.
+
+A sweep holds at most a few hundred points, so the estimators work on plain
+Python numbers with :mod:`math`, :mod:`cmath` and :mod:`statistics`: the
+autocorrelation is a direct sum per lag and the spectrum a direct DFT over
+the non-DC bins.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import statistics
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from operator import mul
+from typing import Dict, List, Optional, Sequence, TypeVar
 
 from ..errors import AnalysisError
+
+#: Spectrum magnitudes within this relative distance of the largest one tie
+#: and the lowest tied frequency is dominant, so a flat spectrum (a single
+#: impulse in the sweep) resolves to the full span, not to rounding noise.
+_FFT_TIE_TOLERANCE = 1e-9
+
+_Number = TypeVar("_Number", int, float)
 
 
 @dataclass(frozen=True)
@@ -83,15 +97,14 @@ class SawtoothAnalyzer:
             )
         if len(ks) < 4:
             raise AnalysisError("need at least four sweep points to detect a period")
-        k_array = np.asarray(ks, dtype=np.int64)
-        spacing = np.diff(k_array)
-        if np.any(spacing <= 0):
+        self.ks = [int(k) for k in ks]
+        spacing = _diff(self.ks)
+        if min(spacing) <= 0:
             raise AnalysisError("ks must be strictly increasing")
-        if np.any(spacing != spacing[0]):
+        if max(spacing) != spacing[0]:
             raise AnalysisError("ks must be uniformly spaced")
-        self.ks = k_array
-        self.spacing = int(spacing[0])
-        self.values = np.asarray(values, dtype=np.float64)
+        self.spacing = spacing[0]
+        self.values = [float(value) for value in values]
         self.relative_tolerance = relative_tolerance
 
     # ------------------------------------------------------------------ #
@@ -99,73 +112,82 @@ class SawtoothAnalyzer:
     # ------------------------------------------------------------------ #
     def period_exact(self) -> Optional[int]:
         """Equation 3: smallest shift that leaves the series unchanged."""
-        n = len(self.values)
-        scale = max(1.0, float(np.max(np.abs(self.values))))
-        tolerance = self.relative_tolerance * scale
-        span = float(np.max(self.values) - np.min(self.values))
-        if span <= tolerance:
+        values = self.values
+        tolerance = self.relative_tolerance * max(1.0, max(map(abs, values)))
+        if max(values) - min(values) <= tolerance:
             # A (nearly) constant series carries no saw-tooth information: the
             # sweep did not modulate the contention at all.
             return None
-        for lag in range(1, n // 2 + 1):
-            left = self.values[: n - lag]
-            right = self.values[lag:]
-            if np.all(np.abs(left - right) <= tolerance):
+        for lag in range(1, len(values) // 2 + 1):
+            if all(abs(left - right) <= tolerance for left, right in zip(values, values[lag:])):
                 return lag * self.spacing
         return None
 
     def period_rising_edges(self) -> Optional[int]:
         """Median spacing between the saw-tooth's upward re-arming jumps."""
-        diffs = np.diff(self.values)
-        if len(diffs) == 0:
-            return None
-        span = float(np.max(self.values) - np.min(self.values))
+        span = max(self.values) - min(self.values)
         if span <= 0:
             return None
         threshold = 0.5 * span
-        edges = np.nonzero(diffs > threshold)[0]
+        edges = [index for index, step in enumerate(_diff(self.values)) if step > threshold]
         if len(edges) < 2:
             return None
-        spacings = np.diff(edges)
-        return int(round(float(np.median(spacings)))) * self.spacing
+        return int(round(statistics.median(_diff(edges)))) * self.spacing
 
     def period_autocorrelation(self) -> Optional[int]:
         """Lag of the first dominant autocorrelation peak of the detrended series."""
-        series = self.values - np.mean(self.values)
-        if np.allclose(series, 0.0):
+        series = self._detrended()
+        if series is None:
             return None
-        n = len(series)
-        correlation = np.correlate(series, series, mode="full")[n - 1 :]
-        if correlation[0] <= 0:
+        # fsum rounds each lag's sum once, so neighbouring lags compare the
+        # same on every interpreter.
+        energy = math.fsum(map(mul, series, series))
+        if energy <= 0:
             return None
-        correlation = correlation / correlation[0]
-        best_lag: Optional[int] = None
-        best_value = 0.35  # minimum correlation considered a real repetition
-        for lag in range(2, n // 2 + 1):
-            value = correlation[lag]
-            is_peak = (
-                correlation[lag - 1] < value
-                and (lag + 1 >= len(correlation) or value >= correlation[lag + 1])
-            )
-            if is_peak and value > best_value:
-                best_lag = lag
-                best_value = value
-                break
-        if best_lag is None:
-            return None
-        return best_lag * self.spacing
+
+        def correlation(lag: int) -> float:
+            return math.fsum(map(mul, series, series[lag:])) / energy
+
+        previous, value = correlation(1), correlation(2)
+        for lag in range(2, len(series) // 2 + 1):
+            following = correlation(lag + 1)
+            # 0.35 is the minimum correlation considered a real repetition.
+            if previous < value >= following and value > 0.35:
+                return lag * self.spacing
+            previous, value = value, following
+        return None
 
     def period_fft(self) -> Optional[int]:
         """Period derived from the dominant non-DC Fourier component."""
-        series = self.values - np.mean(self.values)
-        if np.allclose(series, 0.0):
+        series = self._detrended()
+        if series is None:
             return None
-        spectrum = np.abs(np.fft.rfft(series))
-        if len(spectrum) < 3:
+        n = len(series)
+        # Bin f sums series[t] * w**(f * t) with w = exp(-2 pi i / n), so
+        # multiplying the previous bin's terms by w**t steps to the next bin.
+        twiddles = [cmath.exp(-2j * math.pi * t / n) for t in range(n)]
+        terms: Sequence[complex] = series
+        magnitudes = []
+        for _ in range(n // 2):
+            terms = list(map(mul, terms, twiddles))
+            magnitudes.append(abs(sum(terms)))
+        # Rounding (summation order, the twiddle walk) moves a magnitude by
+        # far less than the tie band, which resolves to the lowest frequency.
+        floor = max(magnitudes) * (1.0 - _FFT_TIE_TOLERANCE)
+        dominant = next(
+            frequency
+            for frequency, magnitude in enumerate(magnitudes, start=1)
+            if magnitude >= floor
+        )
+        return int(round(n / dominant)) * self.spacing
+
+    def _detrended(self) -> Optional[List[float]]:
+        """The series minus its mean; ``None`` when it is (nearly) constant."""
+        mean = statistics.fmean(self.values)
+        series = [value - mean for value in self.values]
+        if all(abs(value) <= 1e-8 for value in series):
             return None
-        dominant = int(np.argmax(spectrum[1:])) + 1
-        period_samples = len(series) / dominant
-        return int(round(period_samples)) * self.spacing
+        return series
 
     # ------------------------------------------------------------------ #
     # Consensus.
@@ -192,10 +214,8 @@ class SawtoothAnalyzer:
                 "no estimator could find a saw-tooth period; the k sweep probably "
                 "does not cover a full period — extend the sweep range"
             )
-        if per_method["exact"] is not None:
-            consensus = per_method["exact"]
-        else:
-            consensus = int(np.median(np.asarray(successful)))
+        exact = per_method["exact"]
+        consensus = exact if exact is not None else int(statistics.median(successful))
         agreeing = sum(1 for value in successful if abs(value - consensus) <= self.spacing)
         agreement = agreeing / len(successful)
         return PeriodEstimate(
@@ -205,3 +225,8 @@ class SawtoothAnalyzer:
             agreement=agreement,
             delta_nop=delta_nop,
         )
+
+
+def _diff(values: Sequence[_Number]) -> List[_Number]:
+    """Differences of consecutive elements."""
+    return [right - left for left, right in zip(values, values[1:])]

@@ -524,6 +524,8 @@ def _run_per_resource_derive(args: argparse.Namespace, config) -> int:
 
 
 def _run_derive_ubd(args: argparse.Namespace) -> int:
+    if args.k_max < 1:
+        raise ConfigurationError(f"--k-max must be >= 1, got {args.k_max}")
     config = _preset_config(args)
     if args.per_resource:
         return _run_per_resource_derive(args, config)
@@ -723,6 +725,8 @@ def _run_audit(args: argparse.Namespace) -> int:
     """The ``audit`` subcommand: dimensions -> verdict -> artifacts."""
     from .audit import AuditOptions, run_audit
 
+    if args.k_max < 1:
+        raise ConfigurationError(f"--k-max must be >= 1, got {args.k_max}")
     options = AuditOptions(
         k_max=args.k_max,
         iterations=args.iterations,

@@ -63,14 +63,11 @@ class NaiveUbdEstimator:
         config: ArchConfig,
         scua_core: int = 0,
         contender_kind: str = "load",
-        preload_caches: bool = True,
     ) -> None:
         self.config = config
         self.scua_core = scua_core
         self.contender_kind = contender_kind
-        self.runner = ExperimentRunner(
-            config, preload_l2=preload_caches, preload_il1=preload_caches
-        )
+        self.runner = ExperimentRunner(config)
 
     def estimate(self, scua: Program) -> NaiveEstimate:
         """Apply ``det / nr`` to ``scua`` run against ``Nc - 1`` rsk contenders."""

@@ -83,6 +83,9 @@ from ..kernels.rsk import (
 from .composition import ComposedEtbReport, compose_etb
 from .experiment import ContendedMeasurement, ExperimentRunner
 
+#: Largest ``k`` the saw-tooth sweep's auto-extension reaches.
+MAX_K_LIMIT = 400
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -151,8 +154,7 @@ class UbdEstimator:
             sharpen the saw-tooth at the cost of simulation time).
         scua_core: core hosting the kernel under analysis.
         auto_extend: extend the sweep (doubling ``k_max``) when no period is
-            found, up to ``max_k_limit``.
-        max_k_limit: hard cap for the auto-extension.
+            found, up to :data:`MAX_K_LIMIT`.
     """
 
     def __init__(
@@ -164,8 +166,6 @@ class UbdEstimator:
         iterations: int = 80,
         scua_core: int = 0,
         auto_extend: bool = True,
-        max_k_limit: int = 400,
-        preload_caches: bool = True,
     ) -> None:
         if instruction_type not in ("load", "store"):
             raise MethodologyError(
@@ -173,6 +173,8 @@ class UbdEstimator:
             )
         if k_values is not None and len(k_values) < 4:
             raise MethodologyError("an explicit k sweep needs at least four points")
+        if k_max < 1:
+            raise MethodologyError(f"k_max must be >= 1, got {k_max}")
         if iterations < 1:
             raise MethodologyError("iterations must be >= 1")
         self.config = config
@@ -182,10 +184,7 @@ class UbdEstimator:
         self.iterations = iterations
         self.scua_core = scua_core
         self.auto_extend = auto_extend
-        self.max_k_limit = max_k_limit
-        self.runner = ExperimentRunner(
-            config, preload_l2=preload_caches, preload_il1=preload_caches
-        )
+        self.runner = ExperimentRunner(config)
 
     # ------------------------------------------------------------------ #
     # Measurement of one sweep point.
@@ -237,22 +236,20 @@ class UbdEstimator:
                     "widen the k sweep"
                 )
             next_start = k_values[-1] + 1
-            next_end = min(self.max_k_limit, k_values[-1] * 2)
+            next_end = min(MAX_K_LIMIT, k_values[-1] * 2)
             if next_start > next_end:
                 if period is not None:
                     break
                 raise AnalysisError(
                     f"no saw-tooth period detected for k up to {k_values[-1]}; "
-                    f"the platform's ubd exceeds the search limit of {self.max_k_limit}"
+                    f"the platform's ubd exceeds the search limit of {MAX_K_LIMIT}"
                 )
             extension = list(range(next_start, next_end + 1))
             points.extend(self.sweep(extension))
             k_values.extend(extension)
             period = self._detect_period(points, delta_nop)
         if period is None:
-            raise AnalysisError(
-                "no saw-tooth period detected; widen the k sweep or raise max_k_limit"
-            )
+            raise AnalysisError("no saw-tooth period detected; widen the k sweep")
 
         ubdm = period.period_cycles
         mean_utilisation = sum(point.bus_utilisation for point in points) / len(points)
@@ -284,7 +281,7 @@ class UbdEstimator:
         if period is None:
             return True
         span = k_values[-1] - k_values[0] + 1
-        return span < 2 * period.period_k and k_values[-1] < self.max_k_limit
+        return span < 2 * period.period_k and k_values[-1] < MAX_K_LIMIT
 
     @staticmethod
     def _detect_period(
@@ -517,8 +514,8 @@ class MeasuredBoundPipeline:
             store traffic drains asynchronously through the store buffer, so
             its per-request stage waits are not observable the same way; the
             write-burst gate covers the store-side soundness question).
-        k_values / k_max / iterations / auto_extend / max_k_limit /
-            preload_caches: forwarded to the saw-tooth :class:`UbdEstimator`.
+        k_values / k_max / iterations / auto_extend: forwarded to the
+            saw-tooth :class:`UbdEstimator`.
         scua_core: core hosting the unit-of-analysis kernels.
         stress_iterations: loop iterations of each finite stressing scua.
     """
@@ -532,8 +529,6 @@ class MeasuredBoundPipeline:
         iterations: int = 80,
         scua_core: int = 0,
         auto_extend: bool = True,
-        max_k_limit: int = 400,
-        preload_caches: bool = True,
         stress_iterations: int = 40,
     ) -> None:
         if instruction_type != "load":
@@ -557,8 +552,6 @@ class MeasuredBoundPipeline:
             iterations=iterations,
             scua_core=scua_core,
             auto_extend=auto_extend,
-            max_k_limit=max_k_limit,
-            preload_caches=preload_caches,
         )
         #: Stress runs must reach the memory stage, so the L2 stays cold.
         self.stress_runner = ExperimentRunner(config, preload_l2=False, preload_il1=True)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+from typing import Dict, List, Optional, Sequence
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.analysis.model import gamma_of_delta
+from repro.analysis.model import ContentionModel, gamma_of_delta
 from repro.analysis.sawtooth import PeriodEstimate, SawtoothAnalyzer
 from repro.errors import AnalysisError
 
@@ -38,6 +43,22 @@ class TestConstruction:
     def test_non_uniform_spacing_rejected(self):
         with pytest.raises(AnalysisError):
             SawtoothAnalyzer([1, 2, 4, 5], [1.0, 2.0, 3.0, 4.0])
+
+    def test_every_estimator_scales_by_the_k_spacing(self):
+        """Periods are reported in k units: a sweep every third k triples them."""
+        values = synthetic_dbus(list(range(1, 40)), ubd=9)
+        unit = SawtoothAnalyzer(list(range(1, 40)), values)
+        spaced = SawtoothAnalyzer(list(range(3, 120, 3)), values)
+        assert spaced.spacing == 3
+        assert per_method(spaced) == {name: 3 * period for name, period in per_method(unit).items()}
+
+    def test_integer_values_analysed_like_floats(self):
+        """Simulated dbus values are integer cycle counts."""
+        ks = list(range(1, 60))
+        floats = synthetic_dbus(ks, ubd=27)
+        integers = [int(value) for value in floats]
+        assert integers == floats
+        assert per_method(SawtoothAnalyzer(ks, integers)) == per_method(SawtoothAnalyzer(ks, floats))
 
 
 class TestExactDetector:
@@ -100,6 +121,30 @@ class TestRobustDetectors:
         analyzer = SawtoothAnalyzer(ks, values)
         assert analyzer.period_rising_edges() == 27
 
+    def test_pure_tone_period_recovered_exactly(self):
+        ks = list(range(1, 61))
+        tone = [math.cos(2 * math.pi * t / 10) for t in range(60)]
+        analyzer = SawtoothAnalyzer(ks, tone)
+        assert analyzer.period_autocorrelation() == 10
+        assert analyzer.period_fft() == 10
+
+    def test_single_step_has_no_repetition(self):
+        """One upward jump is not a saw-tooth: no re-arming edge to pair it with."""
+        ks = list(range(1, 21))
+        analyzer = SawtoothAnalyzer(ks, [0] * 10 + [5] * 10)
+        assert analyzer.period_exact() is None
+        assert analyzer.period_rising_edges() is None
+        assert analyzer.period_autocorrelation() is None
+
+    def test_monotone_ramp_has_no_repetition(self):
+        ks = list(range(1, 31))
+        analyzer = SawtoothAnalyzer(ks, list(range(30)))
+        assert analyzer.period_exact() is None
+        assert analyzer.period_rising_edges() is None
+        assert analyzer.period_autocorrelation() is None
+        # The spectrum always has a dominant bin; for a ramp it is the lowest.
+        assert analyzer.period_fft() == 30
+
 
 class TestConsensus:
     def test_estimate_prefers_exact_detector(self):
@@ -138,3 +183,238 @@ class TestConsensus:
         ks = list(range(1, 13))
         estimate = SawtoothAnalyzer(ks, synthetic_dbus(ks, ubd=3)).estimate()
         assert estimate.period_k == 3
+
+    def test_estimate_falls_back_to_robust_median_without_exact(self):
+        ks = list(range(1, 110))
+        values = synthetic_dbus(ks, ubd=27)
+        values[4] += 0.05 * max(values)  # one outlier breaks every Equation 3 shift
+        estimate = SawtoothAnalyzer(ks, values).estimate()
+        assert estimate.per_method["exact"] is None
+        assert estimate.period_k == 27
+        assert estimate.agreement == 1.0
+
+    def test_exact_detector_wins_against_dissent(self):
+        """Equation 3 is the paper's definition; dissent only lowers agreement."""
+        ks = list(range(1, 110))
+        values = synthetic_dbus(ks, ubd=27)
+        # A step beyond the tolerance that alternates every 27 k: the series
+        # repeats exactly only every 54 k, the saw-tooth still every 27.
+        bump = 0.05 * max(values)
+        values = [value + (bump if (k - 1) % 54 < 27 else 0.0) for k, value in zip(ks, values)]
+        estimate = SawtoothAnalyzer(ks, values).estimate()
+        assert estimate.per_method == {
+            "exact": 54,
+            "rising_edges": 27,
+            "autocorrelation": 27,
+            "fft": 27,
+        }
+        assert estimate.period_k == 54
+        assert estimate.agreement == 0.25
+
+
+# --------------------------------------------------------------------------- #
+# Differential check against the numpy estimators the module replaced.
+# --------------------------------------------------------------------------- #
+
+
+class NumpySawtoothAnalyzer:
+    """The numpy implementation of the four estimators (reference oracle)."""
+
+    def __init__(
+        self,
+        ks: Sequence[int],
+        values: Sequence[float],
+        relative_tolerance: float = 0.02,
+    ) -> None:
+        if len(ks) != len(values):
+            raise AnalysisError(
+                f"ks and values have different lengths ({len(ks)} vs {len(values)})"
+            )
+        if len(ks) < 4:
+            raise AnalysisError("need at least four sweep points to detect a period")
+        k_array = np.asarray(ks, dtype=np.int64)
+        spacing = np.diff(k_array)
+        if np.any(spacing <= 0):
+            raise AnalysisError("ks must be strictly increasing")
+        if np.any(spacing != spacing[0]):
+            raise AnalysisError("ks must be uniformly spaced")
+        self.ks = k_array
+        self.spacing = int(spacing[0])
+        self.values = np.asarray(values, dtype=np.float64)
+        self.relative_tolerance = relative_tolerance
+
+    def period_exact(self) -> Optional[int]:
+        """Equation 3: smallest shift that leaves the series unchanged."""
+        n = len(self.values)
+        scale = max(1.0, float(np.max(np.abs(self.values))))
+        tolerance = self.relative_tolerance * scale
+        span = float(np.max(self.values) - np.min(self.values))
+        if span <= tolerance:
+            # A (nearly) constant series carries no saw-tooth information: the
+            # sweep did not modulate the contention at all.
+            return None
+        for lag in range(1, n // 2 + 1):
+            left = self.values[: n - lag]
+            right = self.values[lag:]
+            if np.all(np.abs(left - right) <= tolerance):
+                return lag * self.spacing
+        return None
+
+    def period_rising_edges(self) -> Optional[int]:
+        """Median spacing between the saw-tooth's upward re-arming jumps."""
+        diffs = np.diff(self.values)
+        if len(diffs) == 0:
+            return None
+        span = float(np.max(self.values) - np.min(self.values))
+        if span <= 0:
+            return None
+        threshold = 0.5 * span
+        edges = np.nonzero(diffs > threshold)[0]
+        if len(edges) < 2:
+            return None
+        spacings = np.diff(edges)
+        return int(round(float(np.median(spacings)))) * self.spacing
+
+    def period_autocorrelation(self) -> Optional[int]:
+        """Lag of the first dominant autocorrelation peak of the detrended series."""
+        series = self.values - np.mean(self.values)
+        if np.allclose(series, 0.0):
+            return None
+        n = len(series)
+        correlation = np.correlate(series, series, mode="full")[n - 1 :]
+        if correlation[0] <= 0:
+            return None
+        correlation = correlation / correlation[0]
+        best_lag: Optional[int] = None
+        best_value = 0.35  # minimum correlation considered a real repetition
+        for lag in range(2, n // 2 + 1):
+            value = correlation[lag]
+            is_peak = (
+                correlation[lag - 1] < value
+                and (lag + 1 >= len(correlation) or value >= correlation[lag + 1])
+            )
+            if is_peak and value > best_value:
+                best_lag = lag
+                best_value = value
+                break
+        if best_lag is None:
+            return None
+        return best_lag * self.spacing
+
+    def period_fft(self) -> Optional[int]:
+        """Period derived from the dominant non-DC Fourier component."""
+        series = self.values - np.mean(self.values)
+        if np.allclose(series, 0.0):
+            return None
+        spectrum = np.abs(np.fft.rfft(series))
+        if len(spectrum) < 3:
+            return None
+        dominant = int(np.argmax(spectrum[1:])) + 1
+        period_samples = len(series) / dominant
+        return int(round(period_samples)) * self.spacing
+
+
+def per_method(analyzer) -> Dict[str, Optional[int]]:
+    return {
+        "exact": analyzer.period_exact(),
+        "rising_edges": analyzer.period_rising_edges(),
+        "autocorrelation": analyzer.period_autocorrelation(),
+        "fft": analyzer.period_fft(),
+    }
+
+
+def reference_periods(values: Sequence[float]) -> Dict[str, Optional[int]]:
+    """The numpy reference's periods, where numpy's answer is not rounding noise.
+
+    Two of numpy's decisions can rest on values that are equal before
+    rounding, and then follow the rounding of pocketfft/BLAS rather than the
+    data.  On a flat spectrum (several bins tied for the maximum, e.g. a
+    single impulse) the stdlib estimator documents the lowest tied frequency,
+    so that is the expected answer.  When a peak test the autocorrelation
+    estimator evaluates compares equal quantities (neighbouring lags, or a
+    lag and the 0.35 threshold) either answer is a valid reading, so that
+    method is left out.
+    """
+    reference = NumpySawtoothAnalyzer(list(range(1, len(values) + 1)), values)
+    periods = per_method(reference)
+    series = reference.values - np.mean(reference.values)
+    if np.allclose(series, 0.0):
+        return periods
+    spectrum = np.abs(np.fft.rfft(series))[1:]
+    tied = np.nonzero(spectrum >= spectrum.max() * (1.0 - 1e-9))[0]
+    if len(tied) > 1:
+        periods["fft"] = int(round(len(series) / (tied[0] + 1)))
+    correlation = np.correlate(series, series, mode="full")[len(series) - 1 :]
+    correlation = correlation / correlation[0]
+    lags = np.arange(2, (periods["autocorrelation"] or len(series) // 2) + 1)
+    margins = np.abs(
+        np.concatenate(
+            [
+                correlation[lags] - 0.35,
+                correlation[lags] - correlation[lags - 1],
+                correlation[lags] - correlation[lags + 1],
+            ]
+        )
+    )
+    if margins.min() < 1e-12:
+        del periods["autocorrelation"]
+    return periods
+
+
+def assert_matches_reference(values: Sequence[float]) -> None:
+    expected = reference_periods(values)
+    actual = per_method(SawtoothAnalyzer(list(range(1, len(values) + 1)), values))
+    assert {name: actual[name] for name in expected} == expected
+
+
+def model_sweeps() -> List[List[int]]:
+    """Load and store dbus(k) sweeps of the analytical model.
+
+    The platforms take turns at the sweep lengths the CLI analyses (the
+    CI audit's 14 points, then 60 doubling up to the 400-point cap).  Store
+    sweeps of the smallest platforms are a single impulse: a flat spectrum.
+    """
+    lengths = itertools.cycle((14, 60, 120, 240, 400))
+    sweeps = []
+    for num_cores in range(2, 9):
+        for lbus in range(2, 12):
+            for delta_rsk in range(0, 5):
+                model = ContentionModel(num_cores, lbus, delta_rsk=delta_rsk)
+                ks = list(range(1, next(lengths) + 1))
+                sweeps.append(model.dbus_curve(ks, requests=40))
+                sweeps.append(model.store_dbus_curve(ks, requests=1 + delta_rsk))
+    return sweeps
+
+
+class TestNumpyReference:
+    def test_contention_model_sweeps(self):
+        for values in model_sweeps():
+            assert_matches_reference(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(-(10**6), 10**6), min_size=4, max_size=400))
+    def test_integer_series(self, values):
+        assert_matches_reference(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # Bounded like measured cycle counts; the estimators do not promise
+        # numpy's inf/nan results on overflowing sums.
+        values=st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=4, max_size=400)
+    )
+    def test_float_series(self, values):
+        assert_matches_reference(values)
+
+    def test_flat_spectrum_resolves_to_the_full_span(self):
+        ks = list(range(1, 15))
+        analyzer = SawtoothAnalyzer(ks, [1] + [0] * 13)
+        assert analyzer.period_fft() == 14
+
+    @pytest.mark.parametrize("length", [14, 60, 120, 240, 400])
+    def test_flat_spectrum_tie_holds_at_cli_sweep_lengths(self, length):
+        """The DFT's rounding grows with the length but stays inside the tie band."""
+        ks = list(range(1, length + 1))
+        for position in (0, length // 3, length - 1):
+            impulse = [0] * length
+            impulse[position] = 1
+            assert SawtoothAnalyzer(ks, impulse).period_fft() == length

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -192,6 +197,34 @@ class TestCommands:
         assert exit_code == 0
         assert "gamma=" in output
 
+    def test_derive_ubd_rejects_k_max_below_one(self, capsys):
+        exit_code = main(["--preset", "small", "derive-ubd", "--k-max", "0"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "--k-max must be >= 1" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_runs_without_numpy(self):
+        """The library needs only the standard library."""
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None  # every numpy import now fails\n"
+            "from repro.cli import main\n"
+            "derive = ['--preset', 'small', 'derive-ubd', '--iterations', '2', '--k-max', '12']\n"
+            "sys.exit(main(['list']) or main(derive))\n"
+        )
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "ubdm = 6 cycles" in result.stdout
+
     def test_library_errors_become_clean_cli_errors(self, capsys):
         exit_code = main(["--preset", "small", "campaign", "--workloads", "1", "--jobs", "0"])
         captured = capsys.readouterr()
@@ -275,6 +308,24 @@ class TestPerResourceCli:
         assert exit_code == 0
         assert "rsk-nop saw-tooth" in output
         assert "memory" not in output.split("End-to-end")[0]
+
+    def test_per_resource_rejects_k_max_below_one(self, capsys):
+        exit_code = main(
+            [
+                "--preset",
+                "small",
+                "derive-ubd",
+                "--topology",
+                "split_bus",
+                "--per-resource",
+                "--k-max",
+                "0",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "--k-max must be >= 1" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_per_resource_refuses_store_traffic(self, capsys):
         exit_code = main(
@@ -363,6 +414,14 @@ class TestAuditCli:
         assert "artifact_schema" in output
         assert "campaign_bounds" in output
         assert (tmp_path / "audit" / "flags.json").exists()
+
+    def test_audit_rejects_k_max_below_one(self, tmp_path, capsys):
+        exit_code = main(["audit", "small", "--k-max", "0", "--out", str(tmp_path / "audit")])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert "--k-max must be >= 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "audit").exists()
 
     def test_audit_unresolvable_target_is_a_clean_error(self, capsys):
         exit_code = main(["audit", "nonsense"])

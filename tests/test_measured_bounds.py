@@ -270,6 +270,10 @@ class TestPipelineValidation:
         with pytest.raises(MethodologyError):
             MeasuredBoundPipeline(tiny_config, stress_iterations=0)
 
+    def test_k_max_below_one_rejected(self, tiny_config):
+        with pytest.raises(MethodologyError, match="k_max must be >= 1"):
+            MeasuredBoundPipeline(tiny_config, k_max=0)
+
     @pytest.mark.parametrize(
         "overrides",
         [

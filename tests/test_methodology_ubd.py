@@ -6,7 +6,7 @@ import pytest
 
 from repro.analysis.sawtooth import PeriodEstimate
 from repro.config import small_config
-from repro.errors import MethodologyError
+from repro.errors import AnalysisError, MethodologyError
 from repro.methodology.ubd import SweepPoint, UbdEstimator, UbdMethodologyResult
 
 
@@ -30,6 +30,10 @@ class TestValidation:
     def test_zero_iterations_rejected(self, tiny_config):
         with pytest.raises(MethodologyError):
             UbdEstimator(tiny_config, iterations=0)
+
+    def test_k_max_below_one_rejected(self, tiny_config):
+        with pytest.raises(MethodologyError, match="k_max must be >= 1"):
+            UbdEstimator(tiny_config, k_max=0)
 
 
 class TestSweepPoints:
@@ -92,6 +96,19 @@ class TestAutoExtension:
         result = estimator.run()
         assert result.ubdm == config.ubd
         assert result.ks[-1] >= 2 * config.ubd - 1
+
+    def test_one_point_sweep_extends_to_the_period(self):
+        """``k_max = 1`` is the smallest accepted sweep; doubling grows it."""
+        config = small_config()
+        result = UbdEstimator(config, k_max=1, iterations=15).run()
+        assert result.ubdm == config.ubd
+        assert result.ks[0] == 1
+
+    def test_search_limit_stops_the_extension(self, tiny_config, monkeypatch):
+        monkeypatch.setattr("repro.methodology.ubd.MAX_K_LIMIT", 2)
+        estimator = UbdEstimator(tiny_config, k_max=1, iterations=10)
+        with pytest.raises(AnalysisError, match="search limit of 2"):
+            estimator.run()
 
     def test_methodology_works_with_more_cores(self):
         """ubd scales with the number of contenders (Equation 1)."""
