@@ -60,6 +60,10 @@ class CacheStats:
 _STAMP = 0
 _DIRTY = 1
 
+#: Every set that was never filled shares this empty dict; only fills replace
+#: it (with a set of its own), so it is never mutated.
+_NO_LINES: Dict[int, List] = {}
+
 
 class SetAssociativeCache:
     """A set-associative cache tracking tags and replacement state.
@@ -73,9 +77,10 @@ class SetAssociativeCache:
         self.config = config
         self.name = name
         self.stats = CacheStats()
-        # {} literal, not dict(): this allocation runs per System build and
-        # large geometries make the constructor-call variant measurable.
-        self._sets: List[Dict[int, List]] = [{} for _ in range(config.num_sets)]
+        # A set gets a dict of its own on its first fill: most sets of a large
+        # cache stay empty for a whole run, and building them all up front
+        # dominated the cost of building a System.
+        self._sets: List[Dict[int, List]] = [_NO_LINES] * config.num_sets
         self._stamp = 0
         self._line_shift = config.line_size.bit_length() - 1
         self._index_mask = config.num_sets - 1
@@ -144,6 +149,46 @@ class SetAssociativeCache:
             self.stats.read_misses += 1
         return False
 
+    def _next_line(self, start: int, index: int, step: int) -> int:
+        """First ``k > index`` whose address ``start + k * step`` lies past
+        the line holding ``start + index * step``."""
+        line_end = (((start + index * step) >> self._line_shift) + 1) << self._line_shift
+        return (line_end - start + step - 1) // step
+
+    def count_resident(self, start: int, count: int, step: int) -> int:
+        """How many of the ``count`` addresses ``start, start + step, ...``
+        are resident before the first that is not (no side effects).
+
+        Checks once per line, not once per address: the core sizes a
+        straight-line segment with this.
+        """
+        index = 0
+        while index < count:
+            if not self.contains(start + index * step):
+                return index
+            index = self._next_line(start, index, step)
+        return count
+
+    def record_hits(self, start: int, count: int, step: int) -> None:
+        """Account read lookups of the ``count`` addresses ``start, start +
+        step, ...``, every one of them resident.
+
+        Leaves exactly the state ``count`` :meth:`lookup` calls in that
+        order would: ``count`` more read hits and, under LRU, each line
+        stamped as its last lookup would have stamped it.
+        """
+        self.stats.read_hits += count
+        if not self._lru:
+            return
+        base = self._stamp
+        index = 0
+        while index < count:
+            block = (start + index * step) >> self._line_shift
+            index = self._next_line(start, index, step)
+            line = self._sets[block & self._index_mask][block >> self._index_bits]
+            line[_STAMP] = base + min(index, count)
+        self._stamp = base + count
+
     def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
         """Install the line containing ``addr`` and return the evicted line address.
 
@@ -153,6 +198,8 @@ class SetAssociativeCache:
         block = addr >> self._line_shift
         index = block & self._index_mask
         line_set = self._sets[index]
+        if line_set is _NO_LINES:
+            line_set = self._sets[index] = {}
         tag = block >> self._index_bits
         line = line_set.get(tag)
         if line is not None:
@@ -243,8 +290,9 @@ class WayPartitionedCache(SetAssociativeCache):
                         f"partition way {way} out of range for {config.ways}-way cache"
                     )
             self._partitions[owner] = ways_tuple
-        # Track which way each resident line occupies: set index -> tag -> way.
-        self._line_way: List[Dict[int, int]] = [{} for _ in range(config.num_sets)]
+        # Track which way each resident line occupies: set index -> tag -> way,
+        # created with the set itself.
+        self._line_way: Dict[int, Dict[int, int]] = {}
 
     def partition_of(self, owner: int) -> Tuple[int, ...]:
         """Return the ways assigned to ``owner``."""
@@ -259,6 +307,9 @@ class WayPartitionedCache(SetAssociativeCache):
         index = self.set_index(addr)
         tag = self.tag(addr)
         line_set = self._sets[index]
+        if line_set is _NO_LINES:
+            line_set = self._sets[index] = {}
+            self._line_way[index] = {}
         way_map = self._line_way[index]
         line = line_set.get(tag)
         if line is not None:

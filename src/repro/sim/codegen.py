@@ -966,6 +966,7 @@ class CodegenEngine:
     """
 
     name = "codegen"
+    fast_forward = True
 
     def __init__(self, system: "System", replay_mask: int = 0) -> None:
         self.system = system

@@ -18,17 +18,35 @@ minimal model that captures the timing effects the paper relies on:
 The core never talks to the bus directly: it calls the ``issue_request``
 callback installed by :class:`repro.sim.system.System`, which owns the L2 /
 memory-controller side of every transaction.
+
+Straight-line fast-forward: the paper's ``rsk-nop`` kernels are mostly
+nops, so on every engine whose class sets ``fast_forward`` (all but the
+``stepped`` oracle, which is the reference the others are checked against)
+the core executes a run of body ``nop``/``alu`` instructions as one
+execute-stage occupancy, a *segment*.  A segment starts at a body
+``nop``/``alu`` whose fetch hit the IL1 and ends before the next load or
+store, at the end of the body, or before the first IL1 line that is not
+resident.  The IL1 is private and fills only when this core's own ifetch
+completes, so residency cannot change inside a segment and one check at its
+start is exact.  The closing tick retires the whole run with batched PMC
+counts and applies the IL1 lookups the run would have made one by one
+(same hit count, same LRU stamps).  Store-buffer drains are unaffected: a
+drain only becomes possible on a delivery, and deliveries wake the core in
+that very cycle.  A run that ends inside a segment is settled by
+:meth:`Core.finalize`, which :meth:`repro.sim.system.System.run` calls on
+every core.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterator, Optional, Tuple
+from bisect import bisect_right
+from typing import Callable, List, Optional, Tuple
 
 from ..config import ArchConfig
 from ..errors import SimulationError
 from .cache import SetAssociativeCache
-from .isa import Alu, Instruction, Load, Nop, Program, Store
+from .isa import INSTRUCTION_BYTES, Alu, Instruction, Load, Nop, Program, Store
 from .pmc import PerformanceCounters
 from .resource import NO_EVENT
 from .store_buffer import StoreBuffer
@@ -55,6 +73,64 @@ class _Phase(enum.Enum):
     SIMPLE = "simple"
     DL1_LOAD = "dl1_load"
     DL1_STORE = "dl1_store"
+    SEGMENT = "segment"
+
+
+class CompiledProgram:
+    """A program as one core walks it, compiled once per core.
+
+    The core's cursor counts the instructions it started: the prologue,
+    then the body ``iterations`` times, ``total`` in all (``None`` if the
+    program is infinite, 0 for an idle core).  Body instruction ``i`` sits
+    at ``body_pc + i * INSTRUCTION_BYTES``, and the prologue right before
+    it, at negative ``i``.
+
+    The straight-line segments are indexed by body position, so a segment
+    may start anywhere inside a ``nop``/``alu`` run (an IL1 miss can split
+    a run):
+
+    * ``run_stop[i]`` — end (exclusive) of the maximal ``nop``/``alu`` run
+      holding body instruction ``i``; ``i`` itself for any other
+      instruction, which never joins a segment;
+    * ``latency[i]`` — summed execute latency of body instructions
+      ``[0, i)``, so the segment ``[j, e)`` occupies the core for
+      ``latency[e] - latency[j]`` cycles and instruction ``i`` retires
+      ``latency[e] - latency[i + 1]`` cycles before the segment ends;
+    * ``nops[i]`` — number of ``nop`` among body instructions ``[0, i)``
+      (the rest of a segment are ``alu``, which only count as
+      instructions in the PMCs).
+
+    Only exact :class:`~repro.sim.isa.Nop` and :class:`~repro.sim.isa.Alu`
+    instances form runs; subclasses execute one at a time.
+    """
+
+    __slots__ = ("prologue", "body", "body_pc", "total", "run_stop", "latency", "nops")
+
+    def __init__(self, program: Optional[Program], nop_latency: int) -> None:
+        self.prologue: Tuple[Instruction, ...] = ()
+        self.body: Tuple[Instruction, ...] = ()
+        self.body_pc = 0
+        self.total: Optional[int] = 0
+        if program is not None:
+            self.prologue = program.prologue
+            self.body = program.body
+            self.body_pc = program.base_pc + len(program.prologue) * INSTRUCTION_BYTES
+            self.total = program.total_instructions
+        size = len(self.body)
+        self.run_stop: List[int] = list(range(size))
+        self.latency: List[int] = [0] * (size + 1)
+        self.nops: List[int] = [0] * (size + 1)
+        stop = size
+        for index in range(size - 1, -1, -1):
+            if type(self.body[index]) in (Nop, Alu):
+                self.run_stop[index] = stop
+            else:
+                stop = index
+        # Costs outside a run are never read: only runs form segments.
+        for index, instr in enumerate(self.body):
+            cost = instr.latency if isinstance(instr, Alu) else nop_latency
+            self.latency[index + 1] = self.latency[index] + cost
+            self.nops[index + 1] = self.nops[index] + isinstance(instr, Nop)
 
 
 class Core:
@@ -67,6 +143,11 @@ class Core:
         issue_request: callback installed by the system to start bus
             transactions on behalf of this core.
         pmc: shared performance counter block.
+
+    ``fast_forward`` selects straight-line segments (see the module
+    docstring).  It is off on a bare core; :meth:`repro.sim.system.System.run`
+    sets it from the engine class, and a run with it on must end with
+    :meth:`finalize`.
     """
 
     def __init__(
@@ -85,19 +166,26 @@ class Core:
         self.il1 = SetAssociativeCache(config.il1, name=f"il1[{core_id}]")
         self.dl1 = SetAssociativeCache(config.dl1, name=f"dl1[{core_id}]")
         self.store_buffer = StoreBuffer(config.store_buffer, core_id=core_id)
+        self.fast_forward = False
+        # Few instance attributes on purpose: from 30 on, CPython stops
+        # sharing the instance dict's keys and every attribute read in the
+        # engine loops gets slower.
+        self._code = CompiledProgram(program, config.nop_latency)
+        #: Program cursor: instructions started so far (see CompiledProgram).
+        self._next = 0
 
-        self._stream: Optional[Iterator[Tuple[int, Instruction]]] = (
-            program.instruction_stream() if program is not None else None
-        )
         self.state = CoreState.DONE if program is None else CoreState.READY
         self._phase = _Phase.SIMPLE
         self._busy_until = 0
-        self._current_pc = 0
         self._current_instr: Optional[Instruction] = None
         #: set when an IL1 miss returns and the instruction must start executing
         self._fetched_pending = False
         self._stall_store_addr = 0
         self._stall_entry_cycle = 0
+        # The open segment ends at body position _seg_stop (and at cycle
+        # _busy_until); the positions before _seg_retired are retired.
+        self._seg_stop = 0
+        self._seg_retired = 0
 
         self.instructions_retired = 0
         self.done_cycle: Optional[int] = None
@@ -121,11 +209,12 @@ class Core:
 
         This is the core's horizon contribution to the event-driven scheduler
         (see :mod:`repro.sim.scheduler`): an executing core's next event is
-        the end of its occupancy; a ready core acts on the very next visited
-        cycle.  Cores stalled on the bus or on the store buffer are woken by
-        bus completions, which the scheduler already includes through the bus
-        and memory-controller horizons, so they report "no self-driven
-        activity" (:data:`~repro.sim.resource.NO_EVENT`).
+        the end of its occupancy (a whole segment, when fast-forwarding); a
+        ready core acts on the very next visited cycle.  Cores stalled on the
+        bus or on the store buffer are woken by bus completions, which the
+        scheduler already includes through the bus and memory-controller
+        horizons, so they report "no self-driven activity"
+        (:data:`~repro.sim.resource.NO_EVENT`).
         """
         if self.state is CoreState.EXECUTING:
             return max(self._busy_until, cycle + 1)
@@ -187,6 +276,24 @@ class Core:
 
         self._drain_store_buffer(cycle)
 
+    def finalize(self, end_cycle: int) -> None:
+        """Settle the segment a run ended inside.
+
+        A segment normally retires at its closing tick; when the run stops
+        first (an observed core finished, or ``max_cycles``), this retires
+        exactly the instructions whose offset is ``<= end_cycle -
+        segment_start``, with their PMC counts and IL1 lookups, so the core
+        reads as it would after a one-instruction-at-a-time run.  Idempotent,
+        and a no-op outside a segment.
+        """
+        if self.state is not CoreState.EXECUTING or self._phase is not _Phase.SEGMENT:
+            return
+        latency = self._code.latency
+        # Instruction i retired iff latency[i + 1] <= cutoff.
+        cutoff = latency[self._seg_stop] - (self._busy_until - end_cycle)
+        stop = bisect_right(latency, cutoff, self._seg_retired + 1, self._seg_stop + 1) - 1
+        self._retire_segment(stop)
+
     # ------------------------------------------------------------------ #
     # Bus-response entry points (phase 1 callbacks, via the system).
     # ------------------------------------------------------------------ #
@@ -223,21 +330,46 @@ class Core:
             self._fetched_pending = False
             self._begin_execute(cycle, self._current_instr)
             return
-        assert self._stream is not None
-        try:
-            pc, instr = next(self._stream)
-        except StopIteration:
+        index = self._next
+        code = self._code
+        if index == code.total:
             self.state = CoreState.DONE
             self.done_cycle = cycle
             return
-        self._current_pc = pc
-        self._current_instr = instr
-        if self.il1.lookup(pc):
-            self._begin_execute(cycle, instr)
+        self._next = index + 1
+        position = index - len(code.prologue)
+        if position < 0:
+            instr = code.prologue[position]
         else:
+            position %= len(code.body)
+            instr = code.body[position]
+        pc = code.body_pc + position * INSTRUCTION_BYTES
+        self._current_instr = instr
+        if not self.il1.lookup(pc):
             line = self.il1.line_address(pc)
             self.state = CoreState.WAIT_IFETCH
             self.issue_request(self.core_id, "ifetch", line, cycle)
+            return
+        if self.fast_forward and position >= 0 and code.run_stop[position] != position:
+            self._open_segment(cycle, position, pc)
+            return
+        self._begin_execute(cycle, instr)
+
+    def _open_segment(self, cycle: int, position: int, pc: int) -> None:
+        """Start the segment at body ``position``, a ``nop``/``alu`` whose
+        fetch at ``pc`` just hit."""
+        code = self._code
+        # The segment covers the rest of the run as far as its IL1 lines
+        # are resident.
+        step = INSTRUCTION_BYTES
+        run = 1 + self.il1.count_resident(pc + step, code.run_stop[position] - position - 1, step)
+        stop = position + run
+        self._next += run - 1
+        self._seg_retired = position
+        self._seg_stop = stop
+        self._phase = _Phase.SEGMENT
+        self._busy_until = cycle + code.latency[stop] - code.latency[position]
+        self.state = CoreState.EXECUTING
 
     def _begin_execute(self, cycle: int, instr: Optional[Instruction]) -> None:
         if instr is None:
@@ -260,10 +392,11 @@ class Core:
 
     def _finish_execute_phase(self, cycle: int) -> None:
         instr = self._current_instr
-        if self._phase is _Phase.SIMPLE:
+        phase = self._phase
+        if phase is _Phase.SIMPLE:
             self._retire(cycle)
             return
-        if self._phase is _Phase.DL1_LOAD:
+        if phase is _Phase.DL1_LOAD:
             assert isinstance(instr, Load)
             forwarded = self.store_buffer.forwards(instr.addr, self.config.line_size)
             hit = self.dl1.lookup(instr.addr)
@@ -274,7 +407,7 @@ class Core:
             self.state = CoreState.WAIT_LOAD
             self.issue_request(self.core_id, "load", line, cycle)
             return
-        if self._phase is _Phase.DL1_STORE:
+        if phase is _Phase.DL1_STORE:
             assert isinstance(instr, Store)
             # Write-through, no write-allocate: update the line if present.
             self.dl1.lookup(instr.addr, is_write=True)
@@ -286,7 +419,11 @@ class Core:
                 self._stall_store_addr = line
                 self._stall_entry_cycle = cycle
             return
-        raise SimulationError(f"core {self.core_id}: unknown phase {self._phase}")
+        if phase is _Phase.SEGMENT:
+            self._retire_segment(self._seg_stop)
+            self.state = CoreState.READY
+            return
+        raise SimulationError(f"core {self.core_id}: unknown phase {phase}")
 
     def _retire(self, cycle: int) -> None:
         instr = self._current_instr
@@ -298,6 +435,39 @@ class Core:
         self._current_instr = None
         self.state = CoreState.READY
         del cycle
+
+    def _retire_segment(self, stop: int) -> None:
+        """Retire the open segment's body positions up to ``stop``.
+
+        Also applies the IL1 lookups made by then: the segment's first
+        fetch ran when it opened, and each retirement starts the next
+        instruction of the run, whose fetch is one more hit.
+        """
+        first = self._seg_retired
+        count = stop - first
+        if count <= 0:
+            return
+        self._seg_retired = stop
+        self.instructions_retired += count
+        if self.pmc is not None:
+            counters = self.pmc.core[self.core_id]
+            counters.instructions += count
+            nops = self._code.nops
+            counters.nops += nops[stop] - nops[first]
+        fetched = min(stop + 1, self._seg_stop) - (first + 1)
+        if fetched:
+            start = self._code.body_pc + (first + 1) * INSTRUCTION_BYTES
+            self.il1.record_hits(start, fetched, INSTRUCTION_BYTES)
+
+    def _segment_retirements(self, stop: int) -> List[Tuple[int, str]]:
+        """``(cycle, mnemonic)`` of each instruction :meth:`_retire_segment`
+        would retire for ``stop``, in program order."""
+        code = self._code
+        origin = self._busy_until - code.latency[self._seg_stop]
+        return [
+            (origin + code.latency[position + 1], code.body[position].mnemonic)
+            for position in range(self._seg_retired, stop)
+        ]
 
     def _drain_store_buffer(self, cycle: int) -> None:
         """Post the store buffer's head entry on the bus if it is eligible."""

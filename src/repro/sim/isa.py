@@ -192,7 +192,9 @@ class Program:
         loop body so its lines land in the instruction cache naturally.  The
         loop body reuses the same program counters on every iteration, which
         lets the instruction cache model capture the fact that small kernels
-        only take cold misses.
+        only take cold misses.  :class:`repro.sim.core.Core` walks the same
+        order with an index cursor; this generator is the reference the
+        tests check that cursor against.
         """
         prologue_pc = self.base_pc
         for index, instr in enumerate(self.prologue):

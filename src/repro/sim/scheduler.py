@@ -22,6 +22,16 @@ is the only thing that selects one:
   demand-request trace once per kernel, streams it through the live
   interconnect on later runs, and binds its loop through ``codegen``.
 
+Every engine class also declares ``fast_forward``: whether its cores run
+straight-line ``nop``/``alu`` code as one execute-stage occupancy per run
+(see :mod:`repro.sim.core`).  ``event``, ``codegen`` and ``replay`` do, which
+turns the hundreds of nops ``rsk-nop`` puts between two memory operations
+into a single core event.  The ``stepped`` oracle does not: it keeps retiring
+one instruction per occupancy, the reference the batched engines are checked
+against.  :meth:`repro.sim.system.System.run` applies the flag and then
+finalizes every core, so a run that stops inside a segment still counts
+exactly the instructions retired by then.
+
 Every engine drives ``System.resources`` **generically** through the
 :class:`repro.sim.resource.SharedResource` surface — ``deliver`` /
 ``arbitrate`` / the cached horizon / ``wake_targets``.  No engine names a
@@ -111,8 +121,10 @@ ENGINE_REGISTRY: Registry[EngineEntry] = Registry("simulation engine")
 def register_engine(name: str, description: str = ""):
     """Class decorator registering a simulation engine under ``name``.
 
-    The class must accept a :class:`repro.sim.system.System` and expose
-    ``run(observed, max_cycles) -> (cycle, timed_out)``.
+    The class must accept a :class:`repro.sim.system.System`, expose
+    ``run(observed, max_cycles) -> (cycle, timed_out)`` and declare the
+    class attribute ``fast_forward`` (whether cores batch straight-line
+    code under it; see the module docstring).
     """
 
     def decorator(cls: Type) -> Type:
@@ -151,6 +163,9 @@ class SteppedEngine:
     """
 
     name = "stepped"
+    #: The oracle retires one instruction per occupancy: it is what the
+    #: batched segments of the other engines are validated against.
+    fast_forward = False
 
     def __init__(self, system) -> None:
         self.system = system
@@ -196,6 +211,7 @@ class EventScheduler:
     """
 
     name = "event"
+    fast_forward = True
 
     def __init__(self, system) -> None:
         self.system = system

@@ -12,8 +12,9 @@ back, tick the cores, arbitrate every resource front to back:
 1. the bus delivers a transaction whose occupancy ends in this cycle;
 2. the memory controller delivers DRAM reads that completed, posting their
    split-transaction responses on the dedicated response port;
-3. every core ticks: it may retire instructions, post demand requests that
-   are ready in this very cycle, and drain its store buffer;
+3. every core ticks: it may retire instructions (a whole straight-line
+   segment at once, except under the ``stepped`` oracle), post demand
+   requests that are ready in this very cycle, and drain its store buffer;
 4. the bus arbitrates and, if free, grants one pending request;
 5. on multi-resource topologies, each free DRAM bank's queue arbitrates and
    starts one pending access (a no-op on the paper's ``bus_only`` platform).
@@ -318,7 +319,11 @@ class System:
                 if it is reached.
 
         The engine named by ``config.engine`` runs the loop and is kept as
-        :attr:`engine`.
+        :attr:`engine`.  Its class decides whether the cores fast-forward
+        straight-line code (every engine but the ``stepped`` oracle); after
+        it returns, every core is finalized at the last processed cycle, so
+        a run that ends inside a segment counts exactly the instructions
+        retired by then.
         """
         if observed_cores is None:
             observed_cores = [
@@ -340,7 +345,13 @@ class System:
             raise ConfigurationError("no observed cores: the run would never terminate")
 
         self.engine = make_engine(self.config.engine, self)
+        for core in self.cores:
+            # (An earlier replay run may have left trace-streaming cores.)
+            if isinstance(core, Core):
+                core.fast_forward = self.engine.fast_forward
         cycle, timed_out = self.engine.run(observed, max_cycles)
+        for core in self.cores:
+            core.finalize(cycle)
         return SystemResult(
             cycles=cycle + 1,
             done_cycles=[core.done_cycle for core in self.cores],

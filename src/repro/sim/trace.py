@@ -327,12 +327,15 @@ class CaptureProbe:
     """Instance-attribute instrumentation of one execution-driven core.
 
     The probe shadows ``issue_request``, ``on_data_line``,
-    ``on_instruction_line`` and ``_retire`` with recording wrappers on the
-    *instance* (Python's attribute lookup prefers the instance dict, so
-    internal ``self._retire(...)`` calls hit the wrapper too).  The core
-    keeps simulating with full fidelity — the capture run doubles as the
-    result run — and :meth:`harvest` rebuilds the :class:`CoreTrace` from
-    the recorded event log.
+    ``on_instruction_line``, ``_retire`` and ``_retire_segment`` with
+    recording wrappers on the *instance* (Python's attribute lookup prefers
+    the instance dict, so internal ``self._retire(...)`` calls hit the
+    wrapper too).  The core keeps simulating with full fidelity — the
+    capture run doubles as the result run — and :meth:`harvest` rebuilds
+    the :class:`CoreTrace` from the recorded event log.  A straight-line
+    segment the core retires in one batch is logged as one retire event
+    per instruction at its own cycle, so the log — and the trace — is the
+    same whether or not the core fast-forwards.
     """
 
     def __init__(self, core: Core, key: str, program: Program) -> None:
@@ -362,17 +365,23 @@ class CaptureProbe:
             events.append((_EV_RETIRE, cycle, mnemonic, 0))
             Core._retire(core, cycle)
 
+        def retire_segment(stop: int) -> None:
+            for cycle, mnemonic in core._segment_retirements(stop):
+                events.append((_EV_RETIRE, cycle, mnemonic, 0))
+            Core._retire_segment(core, stop)
+
         self._original_issue = original_issue
         core.issue_request = issue
         core.on_data_line = on_data  # type: ignore[method-assign]
         core.on_instruction_line = on_instr  # type: ignore[method-assign]
         core._retire = retire  # type: ignore[method-assign]
+        core._retire_segment = retire_segment  # type: ignore[method-assign]
 
     def uninstall(self) -> None:
         """Remove the wrappers, restoring the core's original behaviour."""
         core = self.core
         core.issue_request = self._original_issue
-        for name in ("on_data_line", "on_instruction_line", "_retire"):
+        for name in ("on_data_line", "on_instruction_line", "_retire", "_retire_segment"):
             core.__dict__.pop(name, None)
 
     def harvest(
@@ -660,8 +669,10 @@ class ReplayCore:
         timeout) would miss the retirements already past.  Applying every
         ``(offset, mnemonic)`` with ``segment_start + offset <= end_cycle``
         makes ``instructions_retired`` and the PMC instruction counters
-        exact at any end cycle — the replay engine calls this once after
-        the inner loop returns.
+        exact at any end cycle — the same contract as
+        :meth:`repro.sim.core.Core.finalize`, and
+        :meth:`repro.sim.system.System.run` calls it on every core once the
+        engine returns.
         """
         if self.state is not CoreState.EXECUTING:
             return
@@ -869,6 +880,9 @@ class ReplayEngine:
     """
 
     name = "replay"
+    #: Fallback cores and capture runs execute on real, fast-forwarding
+    #: cores; the capture probe still logs every retirement at its cycle.
+    fast_forward = True
 
     def __init__(self, system: "System") -> None:
         self.system = system
@@ -884,14 +898,12 @@ class ReplayEngine:
         config = system.config
         cache = global_trace_cache()
         probes: List[CaptureProbe] = []
-        replay_cores: List[ReplayCore] = []
         replay_mask = 0
         for core_id, program in enumerate(system.programs):
             if program is None:
                 continue
             core = system.cores[core_id]
             if isinstance(core, ReplayCore):
-                replay_cores.append(core)
                 replay_mask |= 1 << core_id
                 continue
             if type(core) is not Core:
@@ -914,7 +926,6 @@ class ReplayEngine:
                     program=program,
                 )
                 system.cores[core_id] = cast(Core, replay)
-                replay_cores.append(replay)
                 replay_mask |= 1 << core_id
                 self.replayed_cores.append(core_id)
             elif isinstance(entry, TraceUnsafe):
@@ -927,8 +938,6 @@ class ReplayEngine:
         self.fallback_reason = loop.fallback_reason
         cycle, timed_out = loop.run(observed, max_cycles)
 
-        for replay in replay_cores:
-            replay.finalize(cycle)
         for probe in probes:
             trace, reason, negative_cacheable = probe.harvest(cycle, timed_out)
             probe.uninstall()

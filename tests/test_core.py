@@ -206,6 +206,31 @@ class TestCoreBookkeeping:
             deltas = set(result.trace.injection_times(0, kinds=["load"]))
             assert deltas == {l1_latency}
 
+    def test_fetch_order_follows_the_program_stream(self):
+        """The core's program cursor fetches exactly the order of
+        ``Program.instruction_stream``: prologue, then the body once per
+        iteration.  Checked on the stepped oracle, which fetches one
+        instruction at a time."""
+        config = micro_config().with_overrides(engine="stepped")
+        program = Program(
+            name="p",
+            body=(Load(0x100), Nop(), Alu(latency=2), Store(0x140)),
+            prologue=(Nop(), Load(0x180)),
+            iterations=3,
+        )
+        system = System(config, [program], preload_il1=True, preload_l2=True)
+        core = system.cores[0]
+        fetched = []
+        lookup = core.il1.lookup
+
+        def record(addr, is_write=False):
+            fetched.append(addr)
+            return lookup(addr, is_write)
+
+        core.il1.lookup = record
+        system.run()
+        assert fetched == [pc for pc, _ in program.instruction_stream()]
+
     def test_done_cycle_recorded_once(self):
         config = micro_config()
         program = Program(name="p", body=(Nop(),), iterations=3)

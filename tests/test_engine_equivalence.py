@@ -49,6 +49,7 @@ from repro.kernels.rsk import build_rsk
 from repro.methodology.experiment import build_contender_set
 from repro.sim import codegen as codegen_mod
 from repro.sim.codegen import CodegenMismatch
+from repro.sim.core import Core
 from repro.sim.isa import Alu, Load, Nop, Program, Store
 from repro.sim.resource import NO_EVENT, SharedResource
 from repro.sim.system import System
@@ -472,3 +473,190 @@ class TestEngineEquivalenceProperties:
             preload_il1=preload_il1,
         )
         assert _observable_state(outcomes["stepped"]) == _observable_state(outcomes["event"])
+
+
+# --------------------------------------------------------------------------- #
+# Straight-line segments: where a batched nop/alu run starts, ends and is cut.
+# --------------------------------------------------------------------------- #
+
+_straight_runs = st.lists(
+    st.one_of(st.builds(Nop), st.builds(Alu, latency=st.integers(min_value=1, max_value=4))),
+    min_size=1,
+    max_size=40,
+)
+
+_memory_ops = st.lists(
+    st.one_of(st.builds(Load, addr=_addresses), st.builds(Store, addr=_addresses)),
+    max_size=2,
+)
+
+#: Up to four (run, memory operations) chunks per body: runs long enough to
+#: span several 32-byte IL1 lines, with loads and stores between them.
+_chunks = st.lists(st.tuples(_straight_runs, _memory_ops), min_size=1, max_size=4)
+
+_prologues = st.lists(
+    st.one_of(
+        st.builds(Nop),
+        st.builds(Alu, latency=st.integers(min_value=1, max_value=3)),
+        st.builds(Load, addr=_addresses),
+    ),
+    max_size=6,
+)
+
+
+def _segmented_program(chunks, prologue, word, iterations):
+    # The word offset moves the body against the IL1 line grid, so runs
+    # start and end at every position inside a line.
+    return Program(
+        name="segments",
+        body=tuple(instr for run, ops in chunks for instr in run + ops),
+        prologue=tuple(prologue),
+        base_pc=0x4000_0000 + 4 * word,
+        iterations=iterations,
+    )
+
+
+def _segmented_programs(iterations):
+    return st.builds(
+        _segmented_program,
+        chunks=_chunks,
+        prologue=_prologues,
+        word=st.integers(min_value=0, max_value=7),
+        iterations=iterations,
+    )
+
+
+_segmented_contenders = st.lists(st.one_of(st.none(), _segmented_programs(st.none())), max_size=2)
+
+
+def _segment_config(il1_geometry, il1_policy, nop_latency, entries, arbiter, topology):
+    size_bytes, ways = il1_geometry
+    return small_config(
+        il1=CacheConfig(size_bytes=size_bytes, ways=ways, replacement=il1_policy),
+        nop_latency=nop_latency,
+        store_buffer=StoreBufferConfig(entries=entries),
+        bus=BusConfig(arbitration=arbiter, transfer_latency=1),
+        topology=TopologyConfig(name=topology),
+    )
+
+
+_segment_configs = st.builds(
+    _segment_config,
+    # From two lines (lines go missing and get evicted inside a run) to the
+    # 1 KiB IL1 of the small platform (every body fits).
+    il1_geometry=st.sampled_from([(64, 1), (64, 2), (128, 2), (256, 2), (1024, 2)]),
+    il1_policy=st.sampled_from(["lru", "fifo"]),
+    nop_latency=st.integers(min_value=1, max_value=2),
+    # One or two entries: back-to-back stores fill the buffer and stall.
+    entries=st.integers(min_value=1, max_value=2),
+    arbiter=st.sampled_from(ARBITRATION_POLICIES),
+    topology=st.sampled_from(TOPOLOGIES),
+)
+
+
+def _private_cache_state(system):
+    """Every core's IL1/DL1 contents, LRU stamps and hit/miss counters.
+
+    Reads the cache internals on purpose: a batched run must leave the very
+    stamps its one-by-one lookups would have left, not just the same hits.
+    """
+    state = []
+    for core in system.cores:
+        for cache in (core.il1, core.dl1):
+            lines = sorted(
+                (index, tag, tuple(line))
+                for index, line_set in enumerate(cache._sets)
+                for tag, line in line_set.items()
+            )
+            state.append((cache.stats, cache._stamp, lines))
+    return state
+
+
+def _run_with_segments(config, programs, max_cycles, **kwargs):
+    """:func:`_run_both` plus the private cache state of the engines that
+    run real cores (stepped, event, codegen), which must agree too."""
+    outcomes = _run_both(config, programs, observed=[0], max_cycles=max_cycles, **kwargs)
+    states = {}
+    for engine in ("stepped", "event", "codegen"):
+        system = System(config.with_overrides(engine=engine), list(programs), **kwargs)
+        system.run(observed_cores=[0], max_cycles=max_cycles)
+        states[engine] = _private_cache_state(system)
+    assert states["event"] == states["stepped"]
+    assert states["codegen"] == states["stepped"]
+    return outcomes
+
+
+class TestStraightLineSegments:
+    """The boundaries of fast-forwarded nop/alu runs, against the oracle.
+
+    Runs cross IL1 line boundaries and lines miss or get evicted inside a
+    run; stores sit next to runs with a store buffer small enough to fill;
+    infinite contenders are inside a segment when the run ends; and
+    ``max_cycles`` cuts through segments.
+    """
+
+    @given(
+        config=_segment_configs,
+        observed_program=_segmented_programs(st.integers(min_value=1, max_value=3)),
+        contender_programs=_segmented_contenders,
+        max_cycles=st.one_of(st.just(2_000_000), st.integers(min_value=5, max_value=1500)),
+        preload_l2=st.booleans(),
+        preload_il1=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_segment_boundaries_match_the_oracle(
+        self, config, observed_program, contender_programs, max_cycles, preload_l2, preload_il1
+    ):
+        programs: List[Optional[Program]] = [observed_program]
+        programs.extend(contender_programs[: config.num_cores - 1])
+        programs.extend([None] * (config.num_cores - len(programs)))
+        _run_with_segments(
+            config, programs, max_cycles, preload_l2=preload_l2, preload_il1=preload_il1
+        )
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_contender_segment_cut_at_every_offset(self, length):
+        """The observed core finishes while a contender is inside a run of
+        3-cycle ALUs, at every offset within one ALU (so some runs end on
+        the very cycle an ALU retires)."""
+        config = small_config()
+        observed = Program(name="short", body=(Nop(),) * length, iterations=1)
+        contender = Program(name="alus", body=(Alu(latency=3),) * 40, iterations=None)
+        programs: List[Optional[Program]] = [observed, contender, None]
+        outcomes = _run_with_segments(config, programs, 2_000_000, preload_il1=True)
+        assert outcomes["stepped"].instructions[1] == length // 3
+
+    @pytest.mark.parametrize("max_cycles", range(0, 14))
+    def test_max_cycles_cuts_through_a_segment(self, max_cycles):
+        config = small_config()
+        program = Program(
+            name="alus", body=(Alu(latency=2), Nop(), Alu(latency=3)) * 4, iterations=1
+        )
+        outcomes = _run_with_segments(config, [program], max_cycles, preload_il1=True)
+        assert outcomes["stepped"].timed_out
+
+    def test_stepped_oracle_retires_one_instruction_per_occupancy(self):
+        """The oracle never batches; the fast engines do.  Counted from the
+        outside: instructions retired by each ``tick`` call."""
+        config = small_config()
+        program = Program(
+            name="runs", body=(Load(0x100),) + (Nop(),) * 30 + (Alu(latency=2),), iterations=4
+        )
+        per_tick = {}
+        for engine in ENGINES_UNDER_TEST[:3]:
+            system = System(config.with_overrides(engine=engine), [program], preload_il1=True)
+            core = system.cores[0]
+            retired = []
+
+            def tick(cycle, core=core, retired=retired):
+                before = core.instructions_retired
+                Core.tick(core, cycle)
+                retired.append(core.instructions_retired - before)
+
+            core.tick = tick
+            result = system.run()
+            assert result.instructions[0] == 4 * 32
+            per_tick[engine] = max(retired)
+        assert per_tick["stepped"] == 1
+        # The 30 nops and the closing alu form one run.
+        assert per_tick["event"] == per_tick["codegen"] == 31

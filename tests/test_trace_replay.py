@@ -33,7 +33,7 @@ from hypothesis import given, settings, strategies as st
 from repro.campaign.store import ResultStore
 from repro.config import BusConfig, CacheConfig, L2Config, TopologyConfig, small_config
 from repro.errors import SimulationError
-from repro.kernels.rsk import build_rsk
+from repro.kernels.rsk import build_rsk, build_rsk_nop
 from repro.bench.campaign_bench import CAMPAIGN_WORKLOADS
 from repro.bench.compare import compare_payloads
 from repro.sim.arbiter import RoundRobinArbiter
@@ -41,6 +41,7 @@ from repro.sim.core import Core
 from repro.sim.isa import Program
 from repro.sim.system import System
 from repro.sim.trace import (
+    CaptureProbe,
     CoreTrace,
     ReplayCore,
     ReplayEngine,
@@ -351,6 +352,53 @@ class TestReplayEngine:
         assert "PoliteRoundRobin" in codegen.fallback_reason
         assert replay.name == "replay"
         assert replay.fallback_reason == codegen.fallback_reason
+
+
+# --------------------------------------------------------------------------- #
+# Capture identity: a fast-forwarding capture logs what a one-by-one run logs.
+# --------------------------------------------------------------------------- #
+
+
+class TestCaptureIdentity:
+    """The replay engine captures on fast-forwarding cores, which retire a
+    nop run in one batch; its probe must still log one retirement per
+    instruction at that instruction's cycle.  The reference is a probe on
+    the stepped oracle, which never batches."""
+
+    @pytest.mark.parametrize("k", [0, 3, 17, 40])
+    @pytest.mark.parametrize("preload_il1", [True, False])
+    def test_replay_capture_equals_a_stepped_probe(self, k, preload_il1, tmp_path):
+        config = small_config()
+        programs: List[Optional[Program]] = [build_rsk_nop(config, 0, k=k, iterations=40)]
+        for core in (1, 2):
+            contender = build_rsk_nop(config, core, k=k + 2 * core, iterations=1)
+            programs.append(contender.with_iterations(None))
+        flags = {"preload_l2": True, "preload_il1": preload_il1}
+
+        replay = System(config.with_overrides(engine="replay"), programs, **flags)
+        replay.run(observed_cores=[0])
+        assert ReplayEngine.fast_forward
+        assert replay.engine.captured_cores == [0, 1, 2]
+
+        stepped = System(config.with_overrides(engine="stepped"), programs, **flags)
+        probes = []
+        for core, program in enumerate(programs):
+            key = trace_key(config, program, preload_il1, False)
+            probes.append(CaptureProbe(stepped.cores[core], key, program))
+        result = stepped.run(observed_cores=[0])
+
+        # The traces/ store section keeps reading what replay writes.
+        store = ResultStore(tmp_path / "store")
+        cache = global_trace_cache()
+        for probe in probes:
+            reference, reason, _ = probe.harvest(result.cycles - 1, result.timed_out)
+            assert reference is not None, reason
+            captured = cache.get(probe.key)
+            assert isinstance(captured, CoreTrace)
+            assert captured.to_payload() == reference.to_payload()
+            store.put_trace(probe.key, captured.to_payload())
+            assert CoreTrace.from_payload(store.get_trace(probe.key)) == reference
+        assert TRACE_SCHEMA_VERSION == 1
 
 
 # --------------------------------------------------------------------------- #
