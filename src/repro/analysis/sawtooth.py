@@ -54,8 +54,9 @@ class PeriodEstimate:
             delta_nop``) — this is ``ubdm``.
         per_method: period (in ``k`` steps) reported by each estimator;
             ``None`` when an estimator could not produce a value.
-        agreement: fraction of successful estimators that agree with the
-            consensus (1.0 means unanimous).
+        agreement: fraction of *all* estimators that agree with the
+            consensus (1.0 means unanimous); an estimator that found no
+            period counts against it.
         delta_nop: cycles per nop used for the conversion.
     """
 
@@ -197,8 +198,9 @@ class SawtoothAnalyzer:
 
         The Equation 3 estimator is used as the consensus when it succeeds
         (it is the paper's definition); otherwise the median of the
-        successful robust estimators is used.  ``agreement`` reports how many
-        estimators land within one sweep step of the consensus.
+        successful robust estimators is used.  ``agreement`` reports the
+        share of the four estimators that land within one sweep step of the
+        consensus; one that returned ``None`` counts as disagreeing.
         """
         if delta_nop < 1:
             raise AnalysisError(f"delta_nop must be >= 1, got {delta_nop}")
@@ -217,7 +219,7 @@ class SawtoothAnalyzer:
         exact = per_method["exact"]
         consensus = exact if exact is not None else int(statistics.median(successful))
         agreeing = sum(1 for value in successful if abs(value - consensus) <= self.spacing)
-        agreement = agreeing / len(successful)
+        agreement = agreeing / len(per_method)
         return PeriodEstimate(
             period_k=consensus,
             period_cycles=consensus * delta_nop,

@@ -69,6 +69,7 @@ from .scheduler import (
     register_engine,
     registered_engines,
 )
+from .steady import SteadySkip
 from .store_buffer import StoreBuffer
 from .system import System, SystemResult
 from .topology import (
@@ -128,6 +129,7 @@ __all__ = [
     "RoundRobinArbiter",
     "SetAssociativeCache",
     "SharedResource",
+    "SteadySkip",
     "SteppedEngine",
     "Store",
     "StoreBuffer",

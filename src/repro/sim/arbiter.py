@@ -31,6 +31,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..config import BusConfig
 from ..errors import ConfigurationError, SimulationError
 from ..registry import Registry
+from .steady import Key, SteadyStateUnsupported
 
 
 class Arbiter:
@@ -108,6 +109,15 @@ class Arbiter:
     def reset(self) -> None:
         """Restore the arbiter's initial state."""
 
+    def steady_key(self, cycle: int) -> Key:
+        """The arbiter's state normalised to ``cycle`` (see
+        :mod:`repro.sim.steady`); a policy that does not declare one keeps
+        its run from skipping.  Arbiters hold no absolute cycles and no
+        counters, so a jump leaves them as they are."""
+        raise SteadyStateUnsupported(
+            f"arbitration policy {self.policy_name!r} declares no steady-state key"
+        )
+
 
 class RoundRobinArbiter(Arbiter):
     """Work-conserving round-robin arbitration (the paper's policy).
@@ -162,6 +172,10 @@ class RoundRobinArbiter(Arbiter):
     def reset(self) -> None:
         self._last_granted = self._initial_owner
 
+    def steady_key(self, cycle: int) -> Key:
+        del cycle
+        return self._last_granted, ()
+
 
 class FifoArbiter(Arbiter):
     """First-come-first-served arbitration by request readiness time.
@@ -189,6 +203,10 @@ class FifoArbiter(Arbiter):
             raise SimulationError("FIFO arbiter called with no pending ports")
         pairs = sorted(zip(ready_cycles, pending_ports))
         return pairs[0][1]
+
+    def steady_key(self, cycle: int) -> Key:
+        del cycle
+        return None, ()
 
 
 class FixedPriorityArbiter(Arbiter):
@@ -218,6 +236,10 @@ class FixedPriorityArbiter(Arbiter):
         if not pending_ports:
             raise SimulationError("fixed-priority arbiter called with no pending ports")
         return min(pending_ports, key=lambda port: self._rank[port])
+
+    def steady_key(self, cycle: int) -> Key:
+        del cycle
+        return None, ()
 
 
 class TdmaArbiter(Arbiter):
@@ -267,6 +289,10 @@ class TdmaArbiter(Arbiter):
     def next_event_cycle(self, cycle: int, port: int) -> int:
         """TDMA horizon: the start of ``port``'s next slot (see base class)."""
         return self.next_grant_opportunity(cycle, port)
+
+    def steady_key(self, cycle: int) -> Key:
+        """Where ``cycle`` falls in the slot frame: the schedule is the state."""
+        return cycle % (self.slot_cycles * self.num_ports), ()
 
 
 # --------------------------------------------------------------------------- #

@@ -24,13 +24,14 @@ what produces the synchrony effect the paper studies.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..errors import SimulationError
 from .arbiter import Arbiter
 from .pmc import PerformanceCounters, ResourceCounters
 from .request_trace import RequestRecord, TraceRecorder
 from .resource import NO_EVENT, SharedResource
+from .steady import Counts, Key, pending, shifted, until
 
 #: Signature of the grant-time callback: (request, cycle) -> bus occupancy.
 ServiceCallback = Callable[["BusRequest", int], int]
@@ -105,6 +106,26 @@ class BusRequest:
     def granted(self) -> bool:
         """True once the arbiter has granted this request."""
         return self.grant_cycle >= 0
+
+    def normalised(self, cycle: int) -> Tuple:
+        """The request relative to ``cycle``; ``grant_cycle = -1`` is a
+        sentinel, not a cycle."""
+        return (
+            self.port,
+            self.kind,
+            self.addr,
+            self.ready_cycle - cycle,
+            pending(self.grant_cycle, cycle),
+            self.service_cycles,
+            self.origin_core,
+            self.on_complete,
+        )
+
+    def shift(self, cycles: int) -> None:
+        """Move the request ``cycles`` cycles on (sentinels stay)."""
+        self.ready_cycle += cycles
+        self.grant_cycle = shifted(self.grant_cycle, cycles)
+        self.complete_cycle = shifted(self.complete_cycle, cycles)
 
 
 class Bus(SharedResource):
@@ -335,6 +356,39 @@ class Bus(SharedResource):
             request.record.service_cycles = request.service_cycles
         self.arbiter.notify_grant(cycle, port)
         return request
+
+    def requests(self) -> List[BusRequest]:
+        """The transaction in flight (if any), then the queues in port order."""
+        live = [] if self._current is None else [self._current]
+        for queue in self._queues:
+            live.extend(queue)
+        return live
+
+    # ------------------------------------------------------------------ #
+    # Steady-state key/advance pair (see repro.sim.steady).
+    # ------------------------------------------------------------------ #
+    def steady_key(self, cycle: int) -> Key:
+        """The queues, the transaction in flight and the arbiter; a free
+        channel's ``_busy_until`` compares as past."""
+        current = self._current
+        return (
+            (
+                None if current is None else current.normalised(cycle),
+                until(self._busy_until, cycle),
+                tuple(
+                    tuple(request.normalised(cycle) for request in queue) for queue in self._queues
+                ),
+                self.arbiter.steady_key(cycle),
+            ),
+            (self.granted_count,),
+        )
+
+    def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
+        for request in self.requests():
+            request.shift(shift)
+        self._busy_until += shift
+        self.granted_count += periods * (after[0] - before[0])
+        self.invalidate_horizon()
 
     # ------------------------------------------------------------------ #
     # Event-horizon support (see repro.sim.scheduler).

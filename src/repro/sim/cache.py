@@ -9,14 +9,15 @@ way masking, the way-partitioned shared L2 (see :mod:`repro.sim.l2`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..config import CacheConfig
 from ..errors import ConfigurationError, SimulationError
+from .steady import AdditiveCounters, Counts, Key
 
 
 @dataclass
-class CacheStats:
+class CacheStats(AdditiveCounters):
     """Hit/miss counters kept by every cache instance."""
 
     read_hits: int = 0
@@ -90,6 +91,10 @@ class SetAssociativeCache:
         self._index_bits = self._index_mask.bit_length()
         self._lru = config.replacement == "lru"
         self._write_back = config.write_policy == "write_back"
+        # Steady-state keys (see steady_key): the sets changed since the last
+        # key, and the normalised contents of every set changed before it.
+        self._touched: Set[int] = set()
+        self._steady_sets: Dict[int, Tuple] = {}
 
     # ------------------------------------------------------------------ #
     # Address helpers.
@@ -131,14 +136,16 @@ class SetAssociativeCache:
         the bus.
         """
         block = addr >> self._line_shift
-        line_set = self._sets[block & self._index_mask]
-        line = line_set.get(block >> self._index_bits)
+        index = block & self._index_mask
+        line = self._sets[index].get(block >> self._index_bits)
         if line is not None:
             if self._lru:
                 self._stamp += 1
                 line[_STAMP] = self._stamp
+                self._touched.add(index)
             if is_write:
                 line[_DIRTY] = self._write_back
+                self._touched.add(index)
                 self.stats.write_hits += 1
             else:
                 self.stats.read_hits += 1
@@ -181,12 +188,14 @@ class SetAssociativeCache:
         if not self._lru:
             return
         base = self._stamp
+        touched = self._touched
         index = 0
         while index < count:
             block = (start + index * step) >> self._line_shift
             index = self._next_line(start, index, step)
-            line = self._sets[block & self._index_mask][block >> self._index_bits]
-            line[_STAMP] = base + min(index, count)
+            line_index = block & self._index_mask
+            self._sets[line_index][block >> self._index_bits][_STAMP] = base + min(index, count)
+            touched.add(line_index)
         self._stamp = base + count
 
     def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
@@ -197,6 +206,7 @@ class SetAssociativeCache:
         """
         block = addr >> self._line_shift
         index = block & self._index_mask
+        self._touched.add(index)
         line_set = self._sets[index]
         if line_set is _NO_LINES:
             line_set = self._sets[index] = {}
@@ -225,13 +235,56 @@ class SetAssociativeCache:
 
     def invalidate(self, addr: int) -> bool:
         """Remove the line containing ``addr``; return True if it was present."""
-        line_set = self._sets[self.set_index(addr)]
-        return line_set.pop(self.tag(addr), None) is not None
+        index = self.set_index(addr)
+        self._touched.add(index)
+        return self._sets[index].pop(self.tag(addr), None) is not None
 
     def flush(self) -> None:
         """Empty the cache without touching the statistics counters."""
-        for line_set in self._sets:
-            line_set.clear()
+        for index, line_set in enumerate(self._sets):
+            if line_set:
+                self._touched.add(index)
+                line_set.clear()
+
+    # ------------------------------------------------------------------ #
+    # Steady-state key/advance pair (see repro.sim.steady).
+    # ------------------------------------------------------------------ #
+    def _steady_set(self, index: int) -> Tuple:
+        """Set ``index`` as (tag, dirty) pairs in LRU (or FIFO) rank order."""
+        line_set = self._sets[index]
+        if len(line_set) == 1:
+            for tag, line in line_set.items():
+                return ((tag, line[_DIRTY]),)
+        lines = sorted(line_set.items(), key=lambda item: item[1][_STAMP])
+        return tuple((tag, line[_DIRTY]) for tag, line in lines)
+
+    def steady_key(self, cycle: int) -> Key:
+        """Every set ever changed, by rank and dirty bit rather than stamp.
+
+        Only the sets changed since the last key are normalised again, so a
+        key costs time in proportion to what the last iteration touched;
+        sets never changed are equal at every loop-back and stay out.
+        """
+        del cycle
+        sets = self._steady_sets
+        for index in self._touched:
+            sets[index] = self._steady_set(index)
+        self._touched.clear()
+        return tuple(sets.items()), (self._stamp, self.stats.steady_key()[1])
+
+    def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
+        """Raise the stamp, and the stamps of the lines touched since the
+        earlier loop-back, by ``periods`` periods of stamps."""
+        stamp_before, stats_before = before
+        stamp_after, stats_after = after
+        raised = periods * (stamp_after - stamp_before)
+        if raised:
+            for index in self._touched.union(self._steady_sets):
+                for line in self._sets[index].values():
+                    if line[_STAMP] > stamp_before:
+                        line[_STAMP] += raised
+            self._stamp += raised
+        self.stats.steady_advance(shift, periods, stats_before, stats_after)
 
     def _reconstruct_address(self, tag: int, index: int) -> int:
         return ((tag << self._index_mask.bit_length() | index) << self._line_shift)
@@ -306,6 +359,7 @@ class WayPartitionedCache(SetAssociativeCache):
         ways = self.partition_of(owner)
         index = self.set_index(addr)
         tag = self.tag(addr)
+        self._touched.add(index)
         line_set = self._sets[index]
         if line_set is _NO_LINES:
             line_set = self._sets[index] = {}
@@ -335,6 +389,12 @@ class WayPartitionedCache(SetAssociativeCache):
         way_map[tag] = chosen_way
         self.stats.fills += 1
         return victim_addr
+
+    def _steady_set(self, index: int) -> Tuple:
+        """As for the base class, with the way each line occupies."""
+        way_map = self._line_way.get(index, {})
+        lines = sorted(self._sets[index].items(), key=lambda item: item[1][_STAMP])
+        return tuple((tag, line[_DIRTY], way_map.get(tag)) for tag, line in lines)
 
     def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
         """Unrestricted fills are not meaningful for a partitioned cache."""

@@ -967,6 +967,8 @@ class CodegenEngine:
 
     name = "codegen"
     fast_forward = True
+    #: Skips the steady state, on the generated loop and on the fallback.
+    steady_state_decline = None
 
     def __init__(self, system: "System", replay_mask: int = 0) -> None:
         self.system = system

@@ -49,11 +49,16 @@ from .cache import SetAssociativeCache
 from .isa import INSTRUCTION_BYTES, Alu, Instruction, Load, Nop, Program, Store
 from .pmc import PerformanceCounters
 from .resource import NO_EVENT
+from .steady import Counts, Key, until
 from .store_buffer import StoreBuffer
 
 #: Callback used by the core to start a bus transaction:
 #: ``issue_request(core_id, kind, addr, ready_cycle)``.
 IssueCallback = Callable[[int, str, int, int], None]
+
+#: Callback fired when the core starts body position 0 of its second or a
+#: later iteration: ``loop_back(cycle)``.
+LoopBackCallback = Callable[[int], None]
 
 
 class CoreState(enum.Enum):
@@ -148,6 +153,11 @@ class Core:
     docstring).  It is off on a bare core; :meth:`repro.sim.system.System.run`
     sets it from the engine class, and a run with it on must end with
     :meth:`finalize`.
+
+    ``loop_back`` is the steady-state hook (see :mod:`repro.sim.steady`):
+    ``None`` on a bare core; the system installs it on the observed core of
+    a run that may skip its steady state, the way it installs
+    ``issue_request``.
     """
 
     def __init__(
@@ -167,6 +177,7 @@ class Core:
         self.dl1 = SetAssociativeCache(config.dl1, name=f"dl1[{core_id}]")
         self.store_buffer = StoreBuffer(config.store_buffer, core_id=core_id)
         self.fast_forward = False
+        self.loop_back: Optional[LoopBackCallback] = None
         # Few instance attributes on purpose: from 30 on, CPython stops
         # sharing the instance dict's keys and every attribute read in the
         # engine loops gets slower.
@@ -295,6 +306,57 @@ class Core:
         self._retire_segment(stop)
 
     # ------------------------------------------------------------------ #
+    # Steady-state key/advance pair (see repro.sim.steady).
+    # ------------------------------------------------------------------ #
+    def steady_key(self, cycle: int) -> Key:
+        """The core's state normalised to ``cycle``: the body position
+        instead of the cursor, offsets instead of absolute cycles."""
+        code = self._code
+        position = self._next - len(code.prologue)
+        if position > 0:
+            position %= len(code.body)
+        state = self.state
+        il1_state, il1_counts = self.il1.steady_key(cycle)
+        dl1_state, dl1_counts = self.dl1.steady_key(cycle)
+        buffer_state, buffer_counts = self.store_buffer.steady_key(cycle)
+        return (
+            (
+                state,
+                self._phase,
+                position,
+                self._current_instr,
+                self._fetched_pending,
+                (self._seg_retired, self._seg_stop) if self._phase is _Phase.SEGMENT else None,
+                (self._stall_store_addr, self._stall_entry_cycle - cycle)
+                if state is CoreState.STALL_STORE_BUFFER
+                else None,
+                until(self._busy_until, cycle),
+                il1_state,
+                dl1_state,
+                buffer_state,
+            ),
+            (
+                self._next,
+                self.instructions_retired,
+                self.stall_cycles,
+                il1_counts,
+                dl1_counts,
+                buffer_counts,
+            ),
+        )
+
+    def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
+        """Move the core ``periods`` periods (``shift`` cycles) forward."""
+        self._next += periods * (after[0] - before[0])
+        self.instructions_retired += periods * (after[1] - before[1])
+        self.stall_cycles += periods * (after[2] - before[2])
+        self._busy_until += shift
+        self._stall_entry_cycle += shift
+        self.il1.steady_advance(shift, periods, before[3], after[3])
+        self.dl1.steady_advance(shift, periods, before[4], after[4])
+        self.store_buffer.steady_advance(shift, periods, before[5], after[5])
+
+    # ------------------------------------------------------------------ #
     # Bus-response entry points (phase 1 callbacks, via the system).
     # ------------------------------------------------------------------ #
     def on_instruction_line(self, addr: int, cycle: int) -> None:
@@ -336,13 +398,17 @@ class Core:
             self.state = CoreState.DONE
             self.done_cycle = cycle
             return
-        self._next = index + 1
         position = index - len(code.prologue)
         if position < 0:
             instr = code.prologue[position]
         else:
-            position %= len(code.body)
+            if position:
+                position %= len(code.body)
+                if not position and self.loop_back is not None:
+                    # Loop-back: the state is keyed before the cursor moves.
+                    self.loop_back(cycle)
             instr = code.body[position]
+        self._next = index + 1
         pc = code.body_pc + position * INSTRUCTION_BYTES
         self._current_instr = instr
         if not self.il1.lookup(pc):

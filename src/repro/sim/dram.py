@@ -22,15 +22,16 @@ on a single clock domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..config import DramConfig
 from ..errors import SimulationError
 from .resource import NO_EVENT
+from .steady import AdditiveCounters, Counts, Key, until
 
 
 @dataclass
-class DramStats:
+class DramStats(AdditiveCounters):
     """Counters describing the access mix seen by the DRAM."""
 
     reads: int = 0
@@ -169,6 +170,18 @@ class Dram:
     def open_rows(self) -> Dict[int, Optional[int]]:
         """Mapping bank index -> currently open row (``None`` if closed)."""
         return {index: bank.open_row for index, bank in enumerate(self._banks)}
+
+    def steady_key(self, cycle: int) -> Key:
+        """Each bank's open row and busy window (a past one compares as past)."""
+        return (
+            tuple((bank.open_row, until(bank.busy_until, cycle)) for bank in self._banks),
+            self.stats.steady_key()[1],
+        )
+
+    def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
+        for bank in self._banks:
+            bank.busy_until += shift
+        self.stats.steady_advance(shift, periods, before, after)
 
     def reset(self) -> None:
         """Close every row and clear all busy windows (statistics preserved)."""

@@ -19,10 +19,11 @@ from typing import Dict, Optional, Tuple
 from ..config import ArchConfig
 from ..errors import SimulationError
 from .cache import CacheStats, SetAssociativeCache, WayPartitionedCache
+from .steady import AdditiveCounters, Counts, Key
 
 
 @dataclass
-class L2CoreStats:
+class L2CoreStats(AdditiveCounters):
     """Per-core hit/miss counters of the shared L2."""
 
     hits: int = 0
@@ -114,6 +115,16 @@ class PartitionedL2:
     def occupancy(self) -> int:
         """Number of valid lines currently resident."""
         return self._cache.occupancy()
+
+    def steady_key(self, cycle: int) -> Key:
+        """The cache's key, plus the per-core counters."""
+        state, counts = self._cache.steady_key(cycle)
+        return state, (counts, tuple(stats.steady_key()[1] for stats in self.per_core.values()))
+
+    def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
+        self._cache.steady_advance(shift, periods, before[0], after[0])
+        for stats, old, new in zip(self.per_core.values(), before[1], after[1]):
+            stats.steady_advance(shift, periods, old, new)
 
     def _check_core(self, core_id: int) -> None:
         if not 0 <= core_id < self.config.num_cores:

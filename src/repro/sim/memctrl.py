@@ -34,6 +34,7 @@ from .arbiter import create_arbiter
 from .dram import Dram
 from .request_trace import RequestRecord
 from .resource import NO_EVENT, SharedResource
+from .steady import AdditiveCounters, Counts, Key, pending, shifted
 
 #: Completion callback signature: (pending_read, cycle) -> None.
 ReadCallback = Callable[["PendingRead", int], None]
@@ -57,9 +58,24 @@ class PendingRead:
     kind: str = "load"
     record: Optional[RequestRecord] = None
 
+    def normalised(self, cycle: int) -> Tuple:
+        """The read relative to ``cycle`` (``complete_cycle`` may be -1)."""
+        return (
+            self.core_id,
+            self.addr,
+            self.enqueue_cycle - cycle,
+            pending(self.complete_cycle, cycle),
+            self.kind,
+        )
+
+    def shift(self, cycles: int) -> None:
+        """Move the read ``cycles`` cycles on."""
+        self.enqueue_cycle += cycles
+        self.complete_cycle = shifted(self.complete_cycle, cycles)
+
 
 @dataclass
-class MemCtrlStats:
+class MemCtrlStats(AdditiveCounters):
     """Counters for the memory controller (its PMC surface).
 
     The queue counters stay zero on the plain controller — only the
@@ -220,6 +236,29 @@ class MemoryController(SharedResource):
         """Number of reads still waiting for DRAM data."""
         return len(self._in_flight)
 
+    # ------------------------------------------------------------------ #
+    # Steady-state key/advance pair (see repro.sim.steady).
+    # ------------------------------------------------------------------ #
+    def steady_key(self, cycle: int) -> Key:
+        """In-flight reads in delivery order (the heap's sequence numbers
+        only break ties, so their order stands in for them), the DRAM."""
+        dram_state, dram_counts = self.dram.steady_key(cycle)
+        reads = tuple(read.normalised(cycle) for _, _, read in sorted(self._in_flight))
+        return (reads, dram_state), (self._sequence, self.stats.steady_key()[1], dram_counts)
+
+    def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
+        sequence = periods * (after[0] - before[0])
+        for _, _, read in self._in_flight:
+            read.shift(shift)
+        # A uniform shift keeps the heap a heap (the list object stays).
+        self._in_flight[:] = [
+            (complete + shift, order + sequence, read) for complete, order, read in self._in_flight
+        ]
+        self._sequence += sequence
+        self.stats.steady_advance(shift, periods, before[1], after[1])
+        self.dram.steady_advance(shift, periods, before[2], after[2])
+        self.invalidate_horizon()
+
     def reset(self) -> None:
         """Drop in-flight requests and reset the DRAM row state."""
         self._in_flight.clear()
@@ -249,6 +288,16 @@ class _QueuedAccess:
         self.kind = kind
         self.pending = pending
         self.record = record
+
+    def normalised(self, cycle: int) -> Tuple:
+        return (
+            self.core_id,
+            self.addr,
+            self.ready_cycle - cycle,
+            self.is_write,
+            self.kind,
+            None if self.pending is None else self.pending.normalised(cycle),
+        )
 
 
 class BankQueuedMemoryController(MemoryController):
@@ -453,6 +502,25 @@ class BankQueuedMemoryController(MemoryController):
         horizon = MemoryController.next_event_cycle(self, cycle)
         grant = self.grant_horizon(cycle)
         return grant if grant < horizon else horizon
+
+    def steady_key(self, cycle: int) -> Key:
+        """The base key plus every bank queue and bank arbiter."""
+        state, counts = MemoryController.steady_key(self, cycle)
+        queues = tuple(
+            tuple(tuple(access.normalised(cycle) for access in queue) for queue in bank)
+            for bank in self._bank_queues
+        )
+        arbiters = tuple(arbiter.steady_key(cycle) for arbiter in self.bank_arbiters)
+        return (state, queues, arbiters), counts
+
+    def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
+        MemoryController.steady_advance(self, shift, periods, before, after)
+        for bank in self._bank_queues:
+            for queue in bank:
+                for access in queue:
+                    access.ready_cycle += shift
+                    if access.pending is not None:
+                        access.pending.shift(shift)
 
     @property
     def queued_accesses(self) -> int:

@@ -11,11 +11,13 @@ which utilisation figures are derived.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
+
+from .steady import AdditiveCounters, Counts, Key
 
 
 @dataclass(slots=True)
-class CoreCounters:
+class CoreCounters(AdditiveCounters):
     """Counters kept for a single core (one bus port)."""
 
     instructions: int = 0
@@ -44,7 +46,7 @@ class CoreCounters:
 
 
 @dataclass(slots=True)
-class ResourceCounters:
+class ResourceCounters(AdditiveCounters):
     """Counters kept for one shared-resource channel (``bus``,
     ``bus_response``, ...): the per-channel PMC surface of split-transaction
     topologies.
@@ -137,6 +139,29 @@ class PerformanceCounters:
             counters.stores += 1
         elif mnemonic == "nop":
             counters.nops += 1
+
+    # ------------------------------------------------------------------ #
+    # Steady-state key/advance pair (see repro.sim.steady).
+    # ------------------------------------------------------------------ #
+    def steady_key(self, cycle: int) -> Key:
+        """Which channels have counters (state), and every counter but
+        ``cycles``, which the engine sets when it stops."""
+        del cycle
+        names = tuple(sorted(self.resources))
+        return names, (
+            self.bus_busy_cycles,
+            self.dram_accesses,
+            tuple(counters.steady_key()[1] for counters in self.core),
+            tuple(self.resources[name].steady_key()[1] for name in names),
+        )
+
+    def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
+        self.bus_busy_cycles += periods * (after[0] - before[0])
+        self.dram_accesses += periods * (after[1] - before[1])
+        for counters, old, new in zip(self.core, before[2], after[2]):
+            counters.steady_advance(shift, periods, old, new)
+        for name, old, new in zip(sorted(self.resources), before[3], after[3]):
+            self.resources[name].steady_advance(shift, periods, old, new)
 
     # ------------------------------------------------------------------ #
     # Derived utilisation figures (the NGMP 0x17/0x18 equivalents).

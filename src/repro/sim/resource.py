@@ -51,7 +51,9 @@ Event-port surface (the base class implements all but
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+from .steady import Counts, Key, SteadyStateUnsupported
 
 #: Horizon sentinel: "this resource has no self-driven future event".
 #: An ``int`` (not ``float('inf')``) so the horizon arithmetic of
@@ -103,6 +105,18 @@ class SharedResource:
     def invalidate_horizon(self) -> None:
         """Mark the cached horizon stale; the next read recomputes it."""
         self._horizon_dirty = True
+
+    def steady_key(self, cycle: int) -> Key:
+        """The resource's state normalised to ``cycle`` and its counts (see
+        :mod:`repro.sim.steady`); a resource that does not declare one
+        keeps its run from skipping."""
+        raise SteadyStateUnsupported(
+            f"resource {self.resource_name!r} declares no steady-state key"
+        )
+
+    def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
+        """Move the resource ``periods`` periods (``shift`` cycles) forward."""
+        raise NotImplementedError
 
     def reset(self) -> None:
         """Restore the initial (empty, idle) state of the event-port fields."""

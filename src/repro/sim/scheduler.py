@@ -32,6 +32,15 @@ against.  :meth:`repro.sim.system.System.run` applies the flag and then
 finalizes every core, so a run that stops inside a segment still counts
 exactly the instructions retired by then.
 
+Every engine class declares ``steady_state_decline`` too: ``None`` when
+``System.run`` may skip a run's steady state on it (``event`` and
+``codegen``: whole loop iterations are added once the normalised system
+state repeats, see :mod:`repro.sim.steady`), otherwise the reason it does
+not (the ``stepped`` oracle simulates every iteration; ``replay`` keeps its
+own fast path).  Skipping needs no engine support beyond the ``max_cycles``
+stop: the system runs the engine in chunks that end there and resumes it at
+the next cycle, so no loop here knows about it.
+
 Every engine drives ``System.resources`` **generically** through the
 :class:`repro.sim.resource.SharedResource` surface — ``deliver`` /
 ``arbitrate`` / the cached horizon / ``wake_targets``.  No engine names a
@@ -122,9 +131,12 @@ def register_engine(name: str, description: str = ""):
     """Class decorator registering a simulation engine under ``name``.
 
     The class must accept a :class:`repro.sim.system.System`, expose
-    ``run(observed, max_cycles) -> (cycle, timed_out)`` and declare the
-    class attribute ``fast_forward`` (whether cores batch straight-line
-    code under it; see the module docstring).
+    ``run(observed, max_cycles) -> (cycle, timed_out)`` (resumable: a run
+    starts at ``system.current_cycle``) and declare the class attributes
+    ``fast_forward`` (whether cores batch straight-line code under it) and
+    ``steady_state_decline`` (``None`` if runs on it may skip their steady
+    state, else why not); see the module docstring.  An engine without the
+    latter never skips.
     """
 
     def decorator(cls: Type) -> Type:
@@ -166,6 +178,8 @@ class SteppedEngine:
     #: The oracle retires one instruction per occupancy: it is what the
     #: batched segments of the other engines are validated against.
     fast_forward = False
+    #: ... and simulates every iteration (see repro.sim.steady).
+    steady_state_decline = "the stepped engine is the oracle"
 
     def __init__(self, system) -> None:
         self.system = system
@@ -212,6 +226,7 @@ class EventScheduler:
 
     name = "event"
     fast_forward = True
+    steady_state_decline = None
 
     def __init__(self, system) -> None:
         self.system = system

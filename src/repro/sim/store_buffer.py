@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, Optional, Tuple
 
 from ..config import StoreBufferConfig
 from ..errors import SimulationError
+from .steady import Counts, Key
 
 
 @dataclass
@@ -126,6 +127,27 @@ class StoreBuffer:
     def head_in_flight(self) -> bool:
         """True while the head entry's bus transaction is outstanding."""
         return self._head_in_flight
+
+    # ------------------------------------------------------------------ #
+    # Steady-state key/advance pair (see repro.sim.steady).
+    # ------------------------------------------------------------------ #
+    def steady_key(self, cycle: int) -> Key:
+        """Buffered stores with their enqueue offsets, and the counters."""
+        return (
+            (
+                tuple((entry.addr, entry.enqueue_cycle - cycle) for entry in self._entries),
+                self._head_in_flight,
+            ),
+            (self.total_enqueued, self.total_drained, self.full_rejections),
+        )
+
+    def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
+        """Shift the buffered stores and add ``periods`` periods of counts."""
+        for entry in self._entries:
+            entry.enqueue_cycle += shift
+        self.total_enqueued += periods * (after[0] - before[0])
+        self.total_drained += periods * (after[1] - before[1])
+        self.full_rejections += periods * (after[2] - before[2])
 
     def reset(self) -> None:
         """Drop every entry (statistics preserved)."""

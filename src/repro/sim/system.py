@@ -27,12 +27,21 @@ completion, execute-stage end), the ``codegen`` loop generated for the
 concrete chain, and ``replay``, which streams captured core-side traces.
 The engines change speed, never observable timing; a property test
 cross-checks all four against the oracle instruction for instruction.
+
+Steady-state skipping (:mod:`repro.sim.steady`): on ``event`` and
+``codegen``, an untraced run with one observed core is driven in chunks
+through the engine's ``max_cycles`` stop.  At each loop-back of the
+observed core the system takes a cycle-normalised key of every component
+(:meth:`System.steady_key`); once a key repeats, :meth:`System.steady_advance`
+adds whole periods — shifted cycles and LRU stamps, counters raised by the
+period's deltas — and the tail is simulated normally.  ``SystemResult.skip``
+records what was skipped, or why nothing was.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..config import ArchConfig
 from ..errors import ConfigurationError, SimulationError
@@ -45,6 +54,7 @@ from .memctrl import MemCtrlStats, PendingRead
 from .pmc import PerformanceCounters
 from .request_trace import RequestRecord, TraceRecorder
 from .scheduler import make_engine
+from .steady import Counts, Key, SteadySkip, run_skipping, skip_record
 from .topology import TopologyHooks, build_topology
 
 #: Default safety bound on simulated cycles; long experiments may raise it.
@@ -67,6 +77,8 @@ class SystemResult:
         trace: the request trace, if recording was enabled.
         timed_out: True when the run stopped at ``max_cycles`` instead of at
             program completion.
+        skip: whether the run skipped its steady state, by how many
+            iterations, or why not (see :mod:`repro.sim.steady`).
     """
 
     cycles: int
@@ -76,6 +88,7 @@ class SystemResult:
     memctrl_stats: Optional[MemCtrlStats] = None
     trace: Optional[TraceRecorder] = None
     timed_out: bool = False
+    skip: Optional[SteadySkip] = None
 
     def execution_time(self, core_id: int) -> int:
         """Execution time (cycles) of ``core_id``; raises if it never finished."""
@@ -320,7 +333,9 @@ class System:
 
         The engine named by ``config.engine`` runs the loop and is kept as
         :attr:`engine`.  Its class decides whether the cores fast-forward
-        straight-line code (every engine but the ``stepped`` oracle); after
+        straight-line code (every engine but the ``stepped`` oracle) and
+        whether the run skips its steady state (``event`` and ``codegen``,
+        untraced, one observed core; see :mod:`repro.sim.steady`); after
         it returns, every core is finalized at the last processed cycle, so
         a run that ends inside a segment counts exactly the instructions
         retired by then.
@@ -349,7 +364,7 @@ class System:
             # (An earlier replay run may have left trace-streaming cores.)
             if isinstance(core, Core):
                 core.fast_forward = self.engine.fast_forward
-        cycle, timed_out = self.engine.run(observed, max_cycles)
+        cycle, timed_out, skipped = run_skipping(self, observed, max_cycles)
         for core in self.cores:
             core.finalize(cycle)
         return SystemResult(
@@ -360,7 +375,51 @@ class System:
             memctrl_stats=self.memctrl.stats,
             trace=self.trace if self.trace.enabled else None,
             timed_out=timed_out,
+            skip=skip_record(self, observed, skipped),
         )
+
+    # ------------------------------------------------------------------ #
+    # Steady-state key/advance (see repro.sim.steady).
+    # ------------------------------------------------------------------ #
+    def steady_blocker(self) -> Optional[str]:
+        """Why no key can be taken of this system, or ``None``."""
+        for core in self.cores:
+            if type(core) is not Core:
+                return f"core {core.core_id} is a {type(core).__name__}, not the built-in Core"
+        return None
+
+    def _steady_parts(self) -> List[Any]:
+        return [*self.cores, self.l2, *self.resources, self.pmc]
+
+    def steady_key(self, cycle: int) -> Key:
+        """The whole system's state normalised to ``cycle``, and its counts.
+
+        Besides every component's own key, the state holds which demand
+        kind each live response resolves (``_response_meta``, keyed by the
+        response's identity, in the response channel's order).
+        """
+        parts = [part.steady_key(cycle) for part in self._steady_parts()]
+        resolves = {key: kind for key, (kind, _) in self._response_meta.items()}
+        responses = tuple(resolves.get(id(request)) for request in self.response_bus.requests())
+        return (
+            tuple(state for state, _ in parts) + (responses,),
+            tuple(counts for _, counts in parts),
+        )
+
+    def steady_probe(self, cycle: int) -> Hashable:
+        """The shared resources' part of :meth:`steady_key`: no cache is
+        walked, and two loop-backs whose keys are equal share it."""
+        return tuple(resource.steady_key(cycle)[0] for resource in self.resources)
+
+    def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
+        """Move every component ``periods`` periods (``shift`` cycles) on;
+        ``before``/``after`` are the counts of two matching keys."""
+        for part, old, new in zip(self._steady_parts(), before, after):
+            part.steady_advance(shift, periods, old, new)
+
+    def steady_cursors(self, before: Counts, after: Counts) -> List[Tuple[int, int]]:
+        """Each core's program cursor in the counts ``before`` and ``after``."""
+        return [(old[0], new[0]) for old, new in zip(before[: len(self.cores)], after)]
 
     # ------------------------------------------------------------------ #
     # Introspection helpers used by the methodology layer.

@@ -883,6 +883,9 @@ class ReplayEngine:
     #: Fallback cores and capture runs execute on real, fast-forwarding
     #: cores; the capture probe still logs every retirement at its cycle.
     fast_forward = True
+    steady_state_decline = (
+        "replay's capture probes wrap Core methods and its streamed cores have no loop"
+    )
 
     def __init__(self, system: "System") -> None:
         self.system = system

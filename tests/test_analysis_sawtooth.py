@@ -191,7 +191,20 @@ class TestConsensus:
         estimate = SawtoothAnalyzer(ks, values).estimate()
         assert estimate.per_method["exact"] is None
         assert estimate.period_k == 27
-        assert estimate.agreement == 1.0
+        # The three robust estimators agree; the failed exact one counts
+        # against agreement.
+        assert estimate.agreement == 0.75
+
+    def test_a_single_answering_estimator_is_a_quarter_agreement(self, monkeypatch):
+        """One estimator answering alone is 25 % agreement, never 100 %."""
+        ks = list(range(1, 110))
+        analyzer = SawtoothAnalyzer(ks, synthetic_dbus(ks, ubd=27))
+        for method in ("period_exact", "period_rising_edges", "period_autocorrelation"):
+            monkeypatch.setattr(analyzer, method, lambda: None)
+        estimate = analyzer.estimate()
+        assert estimate.per_method["fft"] == 27
+        assert estimate.period_k == 27
+        assert estimate.agreement == 0.25
 
     def test_exact_detector_wins_against_dissent(self):
         """Equation 3 is the paper's definition; dissent only lowers agreement."""
