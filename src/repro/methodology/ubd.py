@@ -86,6 +86,15 @@ from .experiment import ContendedMeasurement, ExperimentRunner
 #: Largest ``k`` the saw-tooth sweep's auto-extension reaches.
 MAX_K_LIMIT = 400
 
+#: Why :meth:`UbdEstimator.run` refuses a TDMA bus before its first sweep
+#: point: ``dbus(k)`` there follows the slot frame, so sweeping would only
+#: run up to :data:`MAX_K_LIMIT` and blame the search limit.
+TDMA_HAS_NO_FAIR_ROUND = (
+    "a TDMA bus has no fair round for the rsk-nop saw-tooth to find: each "
+    "core waits for its own slot whatever the others do, so the saw-tooth "
+    "period does not measure ubd"
+)
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -217,7 +226,13 @@ class UbdEstimator:
     # Full methodology.
     # ------------------------------------------------------------------ #
     def run(self) -> UbdMethodologyResult:
-        """Execute the full methodology and return its result."""
+        """Execute the full methodology and return its result.
+
+        Raises :class:`~repro.errors.MethodologyError` on a TDMA bus
+        (:data:`TDMA_HAS_NO_FAIR_ROUND`) before simulating anything.
+        """
+        if self.config.bus.arbitration == "tdma":
+            raise MethodologyError(f"{self.config.name}: {TDMA_HAS_NO_FAIR_ROUND}")
         delta_nop = derive_delta_nop(self.config, core_id=self.scua_core)
 
         if self.explicit_k_values is not None:

@@ -198,6 +198,31 @@ class SetAssociativeCache:
             touched.add(line_index)
         self._stamp = base + count
 
+    def record_reads(self, addresses: Sequence[int]) -> None:
+        """Account read lookups of ``addresses``, in order, every one of
+        them resident.
+
+        Leaves exactly the state one :meth:`lookup` per address would: as
+        many more read hits and, under LRU, each line stamped as its last
+        lookup would have stamped it.
+        """
+        self.stats.read_hits += len(addresses)
+        if not self._lru:
+            return
+        sets = self._sets
+        touched = self._touched
+        shift = self._line_shift
+        mask = self._index_mask
+        bits = self._index_bits
+        stamp = self._stamp
+        for addr in addresses:
+            stamp += 1
+            block = addr >> shift
+            index = block & mask
+            sets[index][block >> bits][_STAMP] = stamp
+            touched.add(index)
+        self._stamp = stamp
+
     def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
         """Install the line containing ``addr`` and return the evicted line address.
 

@@ -20,19 +20,24 @@ callback installed by :class:`repro.sim.system.System`, which owns the L2 /
 memory-controller side of every transaction.
 
 Straight-line fast-forward: the paper's ``rsk-nop`` kernels are mostly
-nops, so on every engine whose class sets ``fast_forward`` (all but the
+nops, and the synthetic EEMBC-like workloads mostly compute and hit the
+DL1, so on every engine whose class sets ``fast_forward`` (all but the
 ``stepped`` oracle, which is the reference the others are checked against)
-the core executes a run of body ``nop``/``alu`` instructions as one
-execute-stage occupancy, a *segment*.  A segment starts at a body
-``nop``/``alu`` whose fetch hit the IL1 and ends before the next load or
-store, at the end of the body, or before the first IL1 line that is not
-resident.  The IL1 is private and fills only when this core's own ifetch
-completes, so residency cannot change inside a segment and one check at its
-start is exact.  The closing tick retires the whole run with batched PMC
-counts and applies the IL1 lookups the run would have made one by one
-(same hit count, same LRU stamps).  Store-buffer drains are unaffected: a
-drain only becomes possible on a delivery, and deliveries wake the core in
-that very cycle.  A run that ends inside a segment is settled by
+the core executes a run of body ``nop``/``alu``/``load`` instructions as
+one execute-stage occupancy, a *segment*.  A segment starts at a body
+``nop``/``alu``, or at a load whose DL1 line is resident, whose fetch hit
+the IL1.  It ends before the next store, at the end of the body, before
+the first load whose DL1 line is not resident, or before the first IL1
+line that is not resident.  Both L1s are private and fill only when this
+core's own ifetch or load completes, which never happens inside a segment
+(stores are write-through and no-allocate), so residency cannot change
+inside a segment and one check of each at its start is exact.  The
+closing tick retires the whole run with batched PMC counts and applies the
+IL1 and DL1 lookups the run would have made one by one (same hit counts,
+same LRU stamps).  Store-buffer drains are unaffected: a drain only
+becomes possible on a delivery, and deliveries wake the core in that very
+cycle; stores end a segment because a push can start a drain in that same
+cycle.  A run that ends inside a segment is settled by
 :meth:`Core.finalize`, which :meth:`repro.sim.system.System.run` calls on
 every core.
 """
@@ -91,27 +96,43 @@ class CompiledProgram:
     it, at negative ``i``.
 
     The straight-line segments are indexed by body position, so a segment
-    may start anywhere inside a ``nop``/``alu`` run (an IL1 miss can split
-    a run):
+    may start anywhere inside a run (an IL1 or DL1 miss can split a run):
 
-    * ``run_stop[i]`` — end (exclusive) of the maximal ``nop``/``alu`` run
-      holding body instruction ``i``; ``i`` itself for any other
-      instruction, which never joins a segment;
-    * ``latency[i]`` — summed execute latency of body instructions
-      ``[0, i)``, so the segment ``[j, e)`` occupies the core for
-      ``latency[e] - latency[j]`` cycles and instruction ``i`` retires
-      ``latency[e] - latency[i + 1]`` cycles before the segment ends;
-    * ``nops[i]`` — number of ``nop`` among body instructions ``[0, i)``
-      (the rest of a segment are ``alu``, which only count as
-      instructions in the PMCs).
+    * ``run_stop[i]`` — end (exclusive) of the maximal ``nop``/``alu``/
+      ``load`` run holding body instruction ``i``; ``i`` itself for any
+      other instruction, which never joins a segment;
+    * ``latency[i]`` — summed execute occupancy of body instructions
+      ``[0, i)`` (loads and stores occupy the DL1 hit latency), so the
+      segment ``[j, e)`` occupies the core for ``latency[e] - latency[j]``
+      cycles, instruction ``i`` retires ``latency[e] - latency[i + 1]``
+      cycles before the segment ends, and ``latency[-1]`` is a lower bound
+      on one iteration;
+    * ``nops[i]`` and ``loads[i]`` — number of ``nop`` and of ``load``
+      among body instructions ``[0, i)`` (the rest of a segment are
+      ``alu``, which only count as instructions in the PMCs);
+    * ``load_at`` and ``load_addr`` — body position and address of each
+      body load, in order, so the loads of ``[j, e)`` are entries
+      ``loads[j]`` to ``loads[e]`` of both.
 
-    Only exact :class:`~repro.sim.isa.Nop` and :class:`~repro.sim.isa.Alu`
-    instances form runs; subclasses execute one at a time.
+    Only exact :class:`~repro.sim.isa.Nop`, :class:`~repro.sim.isa.Alu` and
+    :class:`~repro.sim.isa.Load` instances form runs; subclasses execute
+    one at a time.
     """
 
-    __slots__ = ("prologue", "body", "body_pc", "total", "run_stop", "latency", "nops")
+    __slots__ = (
+        "prologue",
+        "body",
+        "body_pc",
+        "total",
+        "run_stop",
+        "latency",
+        "nops",
+        "loads",
+        "load_at",
+        "load_addr",
+    )
 
-    def __init__(self, program: Optional[Program], nop_latency: int) -> None:
+    def __init__(self, program: Optional[Program], config: ArchConfig) -> None:
         self.prologue: Tuple[Instruction, ...] = ()
         self.body: Tuple[Instruction, ...] = ()
         self.body_pc = 0
@@ -125,17 +146,28 @@ class CompiledProgram:
         self.run_stop: List[int] = list(range(size))
         self.latency: List[int] = [0] * (size + 1)
         self.nops: List[int] = [0] * (size + 1)
+        self.loads: List[int] = [0] * (size + 1)
+        self.load_at: List[int] = []
+        self.load_addr: List[int] = []
         stop = size
         for index in range(size - 1, -1, -1):
-            if type(self.body[index]) in (Nop, Alu):
+            if type(self.body[index]) in (Nop, Alu, Load):
                 self.run_stop[index] = stop
             else:
                 stop = index
-        # Costs outside a run are never read: only runs form segments.
         for index, instr in enumerate(self.body):
-            cost = instr.latency if isinstance(instr, Alu) else nop_latency
+            if isinstance(instr, Alu):
+                cost = instr.latency
+            elif isinstance(instr, (Load, Store)):
+                cost = config.dl1.hit_latency
+            else:
+                cost = config.nop_latency
             self.latency[index + 1] = self.latency[index] + cost
             self.nops[index + 1] = self.nops[index] + isinstance(instr, Nop)
+            if isinstance(instr, Load):
+                self.load_at.append(index)
+                self.load_addr.append(instr.addr)
+            self.loads[index + 1] = len(self.load_at)
 
 
 class Core:
@@ -181,7 +213,7 @@ class Core:
         # Few instance attributes on purpose: from 30 on, CPython stops
         # sharing the instance dict's keys and every attribute read in the
         # engine loops gets slower.
-        self._code = CompiledProgram(program, config.nop_latency)
+        self._code = CompiledProgram(program, config)
         #: Program cursor: instructions started so far (see CompiledProgram).
         self._next = 0
 
@@ -293,7 +325,7 @@ class Core:
         A segment normally retires at its closing tick; when the run stops
         first (an observed core finished, or ``max_cycles``), this retires
         exactly the instructions whose offset is ``<= end_cycle -
-        segment_start``, with their PMC counts and IL1 lookups, so the core
+        segment_start``, with their PMC counts and IL1/DL1 lookups, so the core
         reads as it would after a one-instruction-at-a-time run.  Idempotent,
         and a no-op outside a segment.
         """
@@ -417,20 +449,29 @@ class Core:
             self.issue_request(self.core_id, "ifetch", line, cycle)
             return
         if self.fast_forward and position >= 0 and code.run_stop[position] != position:
-            self._open_segment(cycle, position, pc)
-            return
+            # A load whose DL1 line is not resident executes alone.
+            if not isinstance(instr, Load) or self.dl1.contains(instr.addr):
+                self._open_segment(cycle, position, pc)
+                return
         self._begin_execute(cycle, instr)
 
     def _open_segment(self, cycle: int, position: int, pc: int) -> None:
-        """Start the segment at body ``position``, a ``nop``/``alu`` whose
-        fetch at ``pc`` just hit."""
+        """Start the segment at body ``position``, a ``nop``/``alu``, or a
+        load whose DL1 line is resident, whose fetch at ``pc`` just hit."""
         code = self._code
-        # The segment covers the rest of the run as far as its IL1 lines
-        # are resident.
+        stop = code.run_stop[position]
+        # The segment covers the rest of the run up to the first load whose
+        # DL1 line is not resident...
+        load_addr = code.load_addr
+        contains = self.dl1.contains
+        for load in range(code.loads[position + 1], code.loads[stop]):
+            if not contains(load_addr[load]):
+                stop = code.load_at[load]
+                break
+        # ... as far as its IL1 lines are resident.
         step = INSTRUCTION_BYTES
-        run = 1 + self.il1.count_resident(pc + step, code.run_stop[position] - position - 1, step)
-        stop = position + run
-        self._next += run - 1
+        stop = position + 1 + self.il1.count_resident(pc + step, stop - position - 1, step)
+        self._next += stop - position - 1
         self._seg_retired = position
         self._seg_stop = stop
         self._phase = _Phase.SEGMENT
@@ -505,9 +546,10 @@ class Core:
     def _retire_segment(self, stop: int) -> None:
         """Retire the open segment's body positions up to ``stop``.
 
-        Also applies the IL1 lookups made by then: the segment's first
-        fetch ran when it opened, and each retirement starts the next
-        instruction of the run, whose fetch is one more hit.
+        Also applies the cache lookups made by then: the segment's first
+        fetch ran when it opened, each retirement starts the next
+        instruction of the run, whose fetch is one more IL1 hit, and each
+        load's DL1 lookup, one more hit, ran as it retired.
         """
         first = self._seg_retired
         count = stop - first
@@ -515,15 +557,20 @@ class Core:
             return
         self._seg_retired = stop
         self.instructions_retired += count
+        code = self._code
+        loads = code.loads
         if self.pmc is not None:
             counters = self.pmc.core[self.core_id]
             counters.instructions += count
-            nops = self._code.nops
+            nops = code.nops
             counters.nops += nops[stop] - nops[first]
+            counters.loads += loads[stop] - loads[first]
         fetched = min(stop + 1, self._seg_stop) - (first + 1)
         if fetched:
-            start = self._code.body_pc + (first + 1) * INSTRUCTION_BYTES
+            start = code.body_pc + (first + 1) * INSTRUCTION_BYTES
             self.il1.record_hits(start, fetched, INSTRUCTION_BYTES)
+        if loads[stop] != loads[first]:
+            self.dl1.record_reads(code.load_addr[loads[first] : loads[stop]])
 
     def _segment_retirements(self, stop: int) -> List[Tuple[int, str]]:
         """``(cycle, mnemonic)`` of each instruction :meth:`_retire_segment`

@@ -23,14 +23,16 @@ is the only thing that selects one:
   interconnect on later runs, and binds its loop through ``codegen``.
 
 Every engine class also declares ``fast_forward``: whether its cores run
-straight-line ``nop``/``alu`` code as one execute-stage occupancy per run
-(see :mod:`repro.sim.core`).  ``event``, ``codegen`` and ``replay`` do, which
-turns the hundreds of nops ``rsk-nop`` puts between two memory operations
-into a single core event.  The ``stepped`` oracle does not: it keeps retiring
-one instruction per occupancy, the reference the batched engines are checked
-against.  :meth:`repro.sim.system.System.run` applies the flag and then
-finalizes every core, so a run that stops inside a segment still counts
-exactly the instructions retired by then.
+straight-line ``nop``/``alu`` code, and the loads in it whose DL1 line is
+resident, as one execute-stage occupancy per run (see :mod:`repro.sim.core`).
+``event``, ``codegen`` and ``replay`` do, which turns the hundreds of nops
+``rsk-nop`` puts between two memory operations, or the compute and DL1 hits
+between two stores of a synthetic workload, into a single core event.  The
+``stepped`` oracle does not: it keeps retiring one instruction per
+occupancy, the reference the batched engines are checked against.
+:meth:`repro.sim.system.System.run` applies the flag and then finalizes
+every core, so a run that stops inside a segment still counts exactly the
+instructions retired by then.
 
 Every engine class declares ``steady_state_decline`` too: ``None`` when
 ``System.run`` may skip a run's steady state on it (``event`` and

@@ -13,8 +13,9 @@ back, tick the cores, arbitrate every resource front to back:
 2. the memory controller delivers DRAM reads that completed, posting their
    split-transaction responses on the dedicated response port;
 3. every core ticks: it may retire instructions (a whole straight-line
-   segment at once, except under the ``stepped`` oracle), post demand
-   requests that are ready in this very cycle, and drain its store buffer;
+   segment of ``nop``/``alu`` instructions and DL1-resident loads at once,
+   except under the ``stepped`` oracle), post demand requests that are
+   ready in this very cycle, and drain its store buffer;
 4. the bus arbitrates and, if free, grants one pending request;
 5. on multi-resource topologies, each free DRAM bank's queue arbitrates and
    starts one pending access (a no-op on the paper's ``bus_only`` platform).
@@ -337,8 +338,8 @@ class System:
         whether the run skips its steady state (``event`` and ``codegen``,
         untraced, one observed core; see :mod:`repro.sim.steady`); after
         it returns, every core is finalized at the last processed cycle, so
-        a run that ends inside a segment counts exactly the instructions
-        retired by then.
+        a run that ends inside a segment counts exactly the instructions,
+        and applies exactly the cache lookups, retired by then.
         """
         if observed_cores is None:
             observed_cores = [

@@ -103,6 +103,28 @@ class TestLookupAndFill:
                     cache.fill(addr)
         assert hits == 0
 
+    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
+    def test_record_reads_equals_one_lookup_per_address(self, replacement):
+        """Batched read hits over repeated lines leave the counters, the
+        stamps and the changed sets that one lookup per address leaves."""
+        caches = [small_cache(replacement=replacement) for _ in range(2)]
+        stride = caches[0].config.same_set_stride
+        for cache in caches:
+            for addr in (0x00, stride, 0x20, 0x60):
+                cache.fill(addr)
+        addresses = [0x00, 0x24, stride + 4, 0x08, 0x60, 0x20, stride, 0x04]
+        one_by_one, batched = caches
+        assert all(one_by_one.lookup(addr) for addr in addresses)
+        batched.record_reads(addresses)
+        for cache in caches:
+            cache.fill(2 * stride)
+        state = [
+            (cache.stats, cache._stamp, cache._touched, cache.resident_lines(), cache._sets)
+            for cache in caches
+        ]
+        assert state[0] == state[1]
+        assert batched.stats.read_hits == len(addresses)
+
     def test_within_capacity_pattern_always_hits_after_warmup(self):
         cache = small_cache(ways=4, sets=8, line=32)
         stride = cache.config.same_set_stride

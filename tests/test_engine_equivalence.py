@@ -476,11 +476,23 @@ class TestEngineEquivalenceProperties:
 
 
 # --------------------------------------------------------------------------- #
-# Straight-line segments: where a batched nop/alu run starts, ends and is cut.
+# Straight-line segments: where a batched nop/alu/load run starts, ends and
+# is cut.
 # --------------------------------------------------------------------------- #
 
+#: Loads inside runs: the window the other memory operations use, or lines
+#: that all fall in one set of every drawn DL1, so some loads stay resident
+#: and others keep missing and evicting each other.
+_run_load_addresses = st.one_of(
+    _addresses, st.integers(min_value=0, max_value=3).map(lambda i: 0x100 + 1024 * i)
+)
+
 _straight_runs = st.lists(
-    st.one_of(st.builds(Nop), st.builds(Alu, latency=st.integers(min_value=1, max_value=4))),
+    st.one_of(
+        st.builds(Nop),
+        st.builds(Alu, latency=st.integers(min_value=1, max_value=4)),
+        st.builds(Load, addr=_run_load_addresses),
+    ),
     min_size=1,
     max_size=40,
 )
@@ -491,7 +503,8 @@ _memory_ops = st.lists(
 )
 
 #: Up to four (run, memory operations) chunks per body: runs long enough to
-#: span several 32-byte IL1 lines, with loads and stores between them.
+#: span several 32-byte IL1 lines, with loads in them and loads and stores
+#: between them.
 _chunks = st.lists(st.tuples(_straight_runs, _memory_ops), min_size=1, max_size=4)
 
 _prologues = st.lists(
@@ -529,10 +542,24 @@ def _segmented_programs(iterations):
 _segmented_contenders = st.lists(st.one_of(st.none(), _segmented_programs(st.none())), max_size=2)
 
 
-def _segment_config(il1_geometry, il1_policy, nop_latency, entries, arbiter, topology):
+def _segment_config(
+    il1_geometry,
+    il1_policy,
+    dl1_geometry,
+    dl1_policy,
+    dl1_latency,
+    nop_latency,
+    entries,
+    arbiter,
+    topology,
+):
     size_bytes, ways = il1_geometry
+    dl1_bytes, dl1_ways = dl1_geometry
     return small_config(
         il1=CacheConfig(size_bytes=size_bytes, ways=ways, replacement=il1_policy),
+        dl1=CacheConfig(
+            size_bytes=dl1_bytes, ways=dl1_ways, hit_latency=dl1_latency, replacement=dl1_policy
+        ),
         nop_latency=nop_latency,
         store_buffer=StoreBufferConfig(entries=entries),
         bus=BusConfig(arbitration=arbiter, transfer_latency=1),
@@ -546,6 +573,11 @@ _segment_configs = st.builds(
     # 1 KiB IL1 of the small platform (every body fits).
     il1_geometry=st.sampled_from([(64, 1), (64, 2), (128, 2), (256, 2), (1024, 2)]),
     il1_policy=st.sampled_from(["lru", "fifo"]),
+    # From two lines (a load's own miss evicts a line a later run needs) to
+    # the 1 KiB DL1 of the small platform (every drawn line fits).
+    dl1_geometry=st.sampled_from([(64, 1), (64, 2), (128, 2), (1024, 2)]),
+    dl1_policy=st.sampled_from(["lru", "fifo"]),
+    dl1_latency=st.sampled_from([1, 4]),
     nop_latency=st.integers(min_value=1, max_value=2),
     # One or two entries: back-to-back stores fill the buffer and stall.
     entries=st.integers(min_value=1, max_value=2),
@@ -587,12 +619,15 @@ def _run_with_segments(config, programs, max_cycles, **kwargs):
 
 
 class TestStraightLineSegments:
-    """The boundaries of fast-forwarded nop/alu runs, against the oracle.
+    """The boundaries of fast-forwarded nop/alu/load runs, against the
+    oracle.
 
     Runs cross IL1 line boundaries and lines miss or get evicted inside a
-    run; stores sit next to runs with a store buffer small enough to fill;
-    infinite contenders are inside a segment when the run ends; and
-    ``max_cycles`` cuts through segments.
+    run; loads inside runs hit resident DL1 lines or miss, and a DL1 of two
+    lines makes a load's own miss evict a line a later run needs; stores
+    sit next to runs with a store buffer small enough to fill; infinite
+    contenders are inside a segment when the run ends; and ``max_cycles``
+    cuts through segments.
     """
 
     @given(
@@ -602,16 +637,29 @@ class TestStraightLineSegments:
         max_cycles=st.one_of(st.just(2_000_000), st.integers(min_value=5, max_value=1500)),
         preload_l2=st.booleans(),
         preload_il1=st.booleans(),
+        preload_dl1=st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
     def test_segment_boundaries_match_the_oracle(
-        self, config, observed_program, contender_programs, max_cycles, preload_l2, preload_il1
+        self,
+        config,
+        observed_program,
+        contender_programs,
+        max_cycles,
+        preload_l2,
+        preload_il1,
+        preload_dl1,
     ):
         programs: List[Optional[Program]] = [observed_program]
         programs.extend(contender_programs[: config.num_cores - 1])
         programs.extend([None] * (config.num_cores - len(programs)))
         _run_with_segments(
-            config, programs, max_cycles, preload_l2=preload_l2, preload_il1=preload_il1
+            config,
+            programs,
+            max_cycles,
+            preload_l2=preload_l2,
+            preload_il1=preload_il1,
+            preload_dl1=preload_dl1,
         )
 
     @pytest.mark.parametrize("length", range(1, 9))
@@ -635,13 +683,23 @@ class TestStraightLineSegments:
         outcomes = _run_with_segments(config, [program], max_cycles, preload_il1=True)
         assert outcomes["stepped"].timed_out
 
-    def test_stepped_oracle_retires_one_instruction_per_occupancy(self):
+    @pytest.mark.parametrize(
+        "loads, hits, run",
+        [
+            # From iteration 2 on the load's line is resident, so the load
+            # joins the 30 nops and the closing alu in one run.
+            ((Load(0x100),), 3, 32),
+            # Three lines take turns in one 2-way DL1 set and never hit, so
+            # each load executes alone and the run is the nops and the alu.
+            (tuple(Load(0x100 + 512 * line) for line in range(3)), 0, 31),
+        ],
+        ids=["resident-load", "missing-loads"],
+    )
+    def test_stepped_oracle_retires_one_instruction_per_occupancy(self, loads, hits, run):
         """The oracle never batches; the fast engines do.  Counted from the
         outside: instructions retired by each ``tick`` call."""
         config = small_config()
-        program = Program(
-            name="runs", body=(Load(0x100),) + (Nop(),) * 30 + (Alu(latency=2),), iterations=4
-        )
+        program = Program(name="runs", body=loads + (Nop(),) * 30 + (Alu(latency=2),), iterations=4)
         per_tick = {}
         for engine in ENGINES_UNDER_TEST[:3]:
             system = System(config.with_overrides(engine=engine), [program], preload_il1=True)
@@ -655,8 +713,8 @@ class TestStraightLineSegments:
 
             core.tick = tick
             result = system.run()
-            assert result.instructions[0] == 4 * 32
+            assert result.instructions[0] == 4 * len(program.body)
+            assert core.dl1.stats.read_hits == hits
             per_tick[engine] = max(retired)
         assert per_tick["stepped"] == 1
-        # The 30 nops and the closing alu form one run.
-        assert per_tick["event"] == per_tick["codegen"] == 31
+        assert per_tick["event"] == per_tick["codegen"] == run

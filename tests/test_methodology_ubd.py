@@ -5,9 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.sawtooth import PeriodEstimate
-from repro.config import small_config
+from repro.config import BusConfig, small_config
 from repro.errors import AnalysisError, MethodologyError
 from repro.methodology.ubd import SweepPoint, UbdEstimator, UbdMethodologyResult
+from repro.sim.system import System
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +110,16 @@ class TestAutoExtension:
         estimator = UbdEstimator(tiny_config, k_max=1, iterations=10)
         with pytest.raises(AnalysisError, match="search limit of 2"):
             estimator.run()
+
+    def test_tdma_bus_is_refused_before_any_simulation(self, monkeypatch):
+        """No sweep can find a fair round on a TDMA bus, so the estimator
+        refuses up front instead of sweeping to the search limit."""
+        runs = []
+        monkeypatch.setattr(System, "run", lambda *args, **kwargs: runs.append(args))
+        config = small_config(bus=BusConfig(arbitration="tdma", transfer_latency=1))
+        with pytest.raises(MethodologyError, match="no fair round"):
+            UbdEstimator(config, k_max=4, iterations=10).run()
+        assert runs == []
 
     def test_methodology_works_with_more_cores(self):
         """ubd scales with the number of contenders (Equation 1)."""

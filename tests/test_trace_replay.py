@@ -38,7 +38,7 @@ from repro.bench.campaign_bench import CAMPAIGN_WORKLOADS
 from repro.bench.compare import compare_payloads
 from repro.sim.arbiter import RoundRobinArbiter
 from repro.sim.core import Core
-from repro.sim.isa import Program
+from repro.sim.isa import Load, Program
 from repro.sim.system import System
 from repro.sim.trace import (
     CaptureProbe,
@@ -359,22 +359,30 @@ class TestReplayEngine:
 # --------------------------------------------------------------------------- #
 
 
+def _load_only_kernel(core_id: int, iterations: Optional[int]) -> Program:
+    """Loads only: runs of loads to resident lines, each cut by one of three
+    lines that take turns in one 2-way DL1 set of the small platform and
+    miss every time from the second iteration on."""
+    body = []
+    for turn in range(3):
+        body.extend(Load(0x100 + 32 * line) for line in range(4))
+        body.append(Load(0x1000 + 512 * turn))
+    return Program(
+        name=f"loads{core_id}",
+        body=tuple(body),
+        base_pc=0x4000_0000 + 0x1000 * core_id,
+        iterations=iterations,
+    )
+
+
 class TestCaptureIdentity:
     """The replay engine captures on fast-forwarding cores, which retire a
-    nop run in one batch; its probe must still log one retirement per
-    instruction at that instruction's cycle.  The reference is a probe on
-    the stepped oracle, which never batches."""
+    nop run, or a run of DL1-resident loads, in one batch; its probe must
+    still log one retirement per instruction at that instruction's cycle.
+    The reference is a probe on the stepped oracle, which never batches."""
 
-    @pytest.mark.parametrize("k", [0, 3, 17, 40])
-    @pytest.mark.parametrize("preload_il1", [True, False])
-    def test_replay_capture_equals_a_stepped_probe(self, k, preload_il1, tmp_path):
-        config = small_config()
-        programs: List[Optional[Program]] = [build_rsk_nop(config, 0, k=k, iterations=40)]
-        for core in (1, 2):
-            contender = build_rsk_nop(config, core, k=k + 2 * core, iterations=1)
-            programs.append(contender.with_iterations(None))
-        flags = {"preload_l2": True, "preload_il1": preload_il1}
-
+    @staticmethod
+    def _assert_capture_equals_a_stepped_probe(config, programs, flags, tmp_path):
         replay = System(config.with_overrides(engine="replay"), programs, **flags)
         replay.run(observed_cores=[0])
         assert ReplayEngine.fast_forward
@@ -383,7 +391,7 @@ class TestCaptureIdentity:
         stepped = System(config.with_overrides(engine="stepped"), programs, **flags)
         probes = []
         for core, program in enumerate(programs):
-            key = trace_key(config, program, preload_il1, False)
+            key = trace_key(config, program, flags["preload_il1"], flags["preload_dl1"])
             probes.append(CaptureProbe(stepped.cores[core], key, program))
         result = stepped.run(observed_cores=[0])
 
@@ -399,6 +407,30 @@ class TestCaptureIdentity:
             store.put_trace(probe.key, captured.to_payload())
             assert CoreTrace.from_payload(store.get_trace(probe.key)) == reference
         assert TRACE_SCHEMA_VERSION == 1
+        return replay
+
+    @pytest.mark.parametrize("k", [0, 3, 17, 40])
+    @pytest.mark.parametrize("preload_il1", [True, False])
+    def test_replay_capture_equals_a_stepped_probe(self, k, preload_il1, tmp_path):
+        config = small_config()
+        programs: List[Optional[Program]] = [build_rsk_nop(config, 0, k=k, iterations=40)]
+        for core in (1, 2):
+            contender = build_rsk_nop(config, core, k=k + 2 * core, iterations=1)
+            programs.append(contender.with_iterations(None))
+        flags = {"preload_l2": True, "preload_il1": preload_il1, "preload_dl1": False}
+        self._assert_capture_equals_a_stepped_probe(config, programs, flags, tmp_path)
+
+    @pytest.mark.parametrize("preload_il1", [True, False])
+    def test_capture_with_loads_inside_segments(self, preload_il1, tmp_path):
+        config = small_config()
+        programs: List[Optional[Program]] = [_load_only_kernel(0, 40)]
+        programs.extend(_load_only_kernel(core, None) for core in (1, 2))
+        flags = {"preload_l2": True, "preload_il1": preload_il1, "preload_dl1": True}
+        replay = self._assert_capture_equals_a_stepped_probe(config, programs, flags, tmp_path)
+        # Both kinds of load ran: resident ones inside segments, and the
+        # ones that miss on their own.
+        stats = replay.cores[0].dl1.stats
+        assert (stats.read_hits, stats.read_misses) == (40 * 12, 40 * 3)
 
 
 # --------------------------------------------------------------------------- #
