@@ -221,35 +221,18 @@ def _manifest_findings(context: CampaignAuditContext) -> List[Finding]:
         )
     )
     completed = context.completed
-    owner = manifest.get("owner")
-    if completed:
-        in_flight_detail = "manifest declares the campaign completed"
-    elif owner is not None:
-        # Daemon-owned in-flight directory: the service stamps an owner
-        # (e.g. "serve:<pid>") at stream begin and drops it at finalise,
-        # so a surviving owner names who to ask — or what crashed.  The
-        # verdict stays WARN: resumable, not corrupt.
-        in_flight_detail = (
-            f"manifest declares the campaign in-flight (completed: false), "
-            f"owned by {owner!r} — the owning daemon is still streaming it, "
-            "or died before finalisation (resumable)"
-        )
-    else:
-        in_flight_detail = (
-            "manifest declares the campaign in-flight (completed: "
-            "false) — it is still streaming, or crashed before "
-            "finalisation"
-        )
     findings.append(
         Finding(
             check="manifest_completed",
             verdict=VERDICT_PASS if completed else VERDICT_WARN,
-            detail=in_flight_detail,
-            evidence=(
-                {"completed": completed}
-                if owner is None
-                else {"completed": completed, "owner": owner}
+            detail=(
+                "manifest declares the campaign completed"
+                if completed
+                else "manifest declares the campaign in-flight (completed: "
+                "false) — it is still streaming, or crashed before "
+                "finalisation"
             ),
+            evidence={"completed": completed},
         )
     )
     total = manifest.get("total_runs")

@@ -26,13 +26,13 @@ The dimension contract (see ``DESIGN.md``, "Audit dimensions"):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from ..analysis.confidence import assess_write_burst
 from ..analysis.contention import ContentionHistogram, contention_histogram
 from ..config import FAIR_ARBITRATION_POLICIES, ArchConfig
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 from ..kernels.rsk import build_rsk
 from ..methodology.experiment import ContendedMeasurement, ExperimentRunner
 from ..methodology.ubd import (
@@ -60,6 +60,10 @@ class AuditOptions:
 
     The defaults match the CLI defaults of ``derive-ubd``/``synchrony``;
     tests and CI lower them to keep a full audit in the seconds range.
+    Every knob must be >= 1: a zero would turn its check vacuous (a
+    one-cycle engine cross-check passes trivially) or into a misleading
+    error.  Each field is the ``repro-bounds audit`` flag of the same name,
+    and the refusal names that flag.
     """
 
     k_max: int = 60
@@ -67,6 +71,13 @@ class AuditOptions:
     stress_iterations: int = 40
     synchrony_iterations: int = 150
     equivalence_iterations: int = 40
+
+    def __post_init__(self) -> None:
+        for knob in fields(self):
+            value = getattr(self, knob.name)
+            if value < 1:
+                flag = "--" + knob.name.replace("_", "-")
+                raise ConfigurationError(f"{flag} must be >= 1, got {value}")
 
 
 class ConfigAuditContext:

@@ -31,12 +31,6 @@ from .harness import (
     render_report,
     run_benchmarks,
 )
-from .service_bench import (
-    SERVICE_WORKLOADS,
-    ServiceBench,
-    run_service_benchmarks,
-    time_service,
-)
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
@@ -45,15 +39,11 @@ __all__ = [
     "CampaignBench",
     "CompareResult",
     "DEFAULT_WORKLOAD",
-    "SERVICE_WORKLOADS",
-    "ServiceBench",
     "WORKLOADS",
     "compare_payloads",
     "load_payload",
     "render_report",
     "run_benchmarks",
     "run_campaign_benchmarks",
-    "run_service_benchmarks",
     "time_campaign",
-    "time_service",
 ]

@@ -20,7 +20,6 @@ from typing import List, Optional
 from .campaign_bench import CAMPAIGN_WORKLOADS
 from .compare import METRICS, compare_files
 from .harness import WORKLOADS, profile_workload, render_report, run_benchmarks
-from .service_bench import SERVICE_WORKLOADS
 
 
 def _detect_rev() -> str:
@@ -87,14 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         "all; restricting skips the other families unless their own "
         "filters are also given)",
     )
-    run.add_argument(
-        "--service",
-        action="append",
-        choices=[bench.name for bench in SERVICE_WORKLOADS],
-        help="restrict to specific serve-daemon benches (repeatable; "
-        "default: all; restricting skips the other families unless their "
-        "own filters are also given)",
-    )
 
     compare = subparsers.add_parser("compare", help="gate new BENCH payload(s) against a baseline")
     compare.add_argument("old", help="baseline BENCH_*.json")
@@ -118,8 +109,7 @@ def _run(args: argparse.Namespace) -> int:
     rev = args.rev if args.rev is not None else _detect_rev()
     workloads = WORKLOADS
     campaigns = CAMPAIGN_WORKLOADS
-    services = SERVICE_WORKLOADS
-    if args.workload or args.campaign or args.service:
+    if args.workload or args.campaign:
         # Any explicit filter narrows the run to exactly the named
         # benches; families without a filter of their own are skipped.
         workloads = (
@@ -132,18 +122,12 @@ def _run(args: argparse.Namespace) -> int:
             if args.campaign
             else ()
         )
-        services = (
-            tuple(s for s in SERVICE_WORKLOADS if s.name in set(args.service))
-            if args.service
-            else ()
-        )
     payload = run_benchmarks(
         workloads=workloads,
         quick=args.quick,
         repeats=args.repeats,
         rev=rev,
         campaigns=campaigns,
-        services=services,
     )
     print(render_report(payload))
     out_dir = Path(args.out)

@@ -22,11 +22,8 @@ from .harness import BENCH_SCHEMA_VERSION
 #: stepped oracle; ``codegen_speedup`` gates the generated-loop engine the
 #: same host-independent way; ``campaign_warm_speedup`` gates the result
 #: store's warm-hit path (warm vs cold runs/sec of the ``campaigns``
-#: section — also a same-process ratio); ``service_warm_speedup`` gates
-#: the serve daemon's multi-client warm path (aggregate warm runs/sec of
-#: concurrent clients vs cold, from the ``services`` section);
-#: ``cycles_per_sec`` (event engine) is only meaningful when both
-#: payloads come from the same machine.
+#: section — also a same-process ratio); ``cycles_per_sec`` (event engine)
+#: is only meaningful when both payloads come from the same machine.
 #: ``replay_speedup`` gates the trace-warm replay engine per workload and
 #: ``campaign_replay_speedup`` the replay-engine campaign phase (trace-warm
 #: replay campaign vs codegen-engine campaign runs/sec).
@@ -36,7 +33,6 @@ METRICS = (
     "replay_speedup",
     "campaign_warm_speedup",
     "campaign_replay_speedup",
-    "service_warm_speedup",
     "cycles_per_sec",
 )
 
@@ -94,8 +90,6 @@ def _metric_of(entry: Dict[str, object], metric: str) -> float:
         return float(entry["warm_speedup"])
     if metric == "campaign_replay_speedup":
         return float(entry["campaign_replay_speedup"])
-    if metric == "service_warm_speedup":
-        return float(entry["multi_client_warm_speedup"])
     if metric == "cycles_per_sec":
         return float(entry["engines"]["event"]["cycles_per_sec"])
     raise ValueError(f"unknown metric {metric!r}; available: {list(METRICS)}")
@@ -103,12 +97,9 @@ def _metric_of(entry: Dict[str, object], metric: str) -> float:
 
 def _section_of(metric: str) -> str:
     """The payload section a metric gates: engine metrics live under
-    ``workloads``, campaign metrics under ``campaigns``, service metrics
-    under ``services``."""
+    ``workloads``, campaign metrics under ``campaigns``."""
     if metric.startswith("campaign_"):
         return "campaigns"
-    if metric.startswith("service_"):
-        return "services"
     return "workloads"
 
 

@@ -27,7 +27,6 @@ from ..config import ENGINES, get_preset
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a load-time module cycle
     from .campaign_bench import CampaignBench
-    from .service_bench import ServiceBench
 from ..errors import SimulationError
 from ..kernels.rsk import build_rsk, build_stress_contender_set, rsk_for_resource
 from ..methodology.experiment import build_contender_set
@@ -41,8 +40,7 @@ from ..sim.system import System
 #: the result store: cold/warm runs-per-sec, ``warm_speedup``, parallel
 #: efficiency) and the summary a ``campaign_geomean_warm_speedup``.
 #: v4: payloads gain a ``services`` section (campaigns through the serve
-#: daemon: cold submit+wait vs concurrent warm clients,
-#: ``multi_client_warm_speedup``, warm submissions/sec) and the summary a
+#: daemon: cold submit+wait vs concurrent warm clients) and the summary a
 #: ``service_geomean_multi_client_speedup``.
 #: v5: entries gain a ``replay`` speedup (the trace-warm replay engine),
 #: campaign entries may carry a ``replay`` phase (codegen-engine campaign
@@ -51,7 +49,9 @@ from ..sim.system import System
 #: v6: the event-engine mirrors are gone — the per-workload ``speedup``
 #: (now only ``speedups["event"]``) and the summary's top-level
 #: ``geomean/min/max/default_speedup`` (now only under ``engines``).
-BENCH_SCHEMA_VERSION = 6
+#: v7: the ``services`` section and the summary's
+#: ``service_geomean_multi_client_speedup`` are gone with the serve daemon.
+BENCH_SCHEMA_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,6 @@ def run_benchmarks(
     repeats: int = 2,
     rev: str = "local",
     campaigns: Optional[Sequence["CampaignBench"]] = None,
-    services: Optional[Sequence["ServiceBench"]] = None,
 ) -> Dict[str, object]:
     """Time ``workloads`` on every registered engine and return the payload.
 
@@ -276,18 +275,13 @@ def run_benchmarks(
     result.
 
     ``campaigns`` selects the campaign-throughput family
-    (:mod:`repro.bench.campaign_bench`) and ``services`` the
-    serve-daemon family (:mod:`repro.bench.service_bench`); for each,
-    ``None`` runs the family's default grid and ``()`` skips the family
-    entirely.
+    (:mod:`repro.bench.campaign_bench`): ``None`` runs its default grid and
+    ``()`` skips the family entirely.
     """
     from .campaign_bench import CAMPAIGN_WORKLOADS, run_campaign_benchmarks
-    from .service_bench import SERVICE_WORKLOADS, run_service_benchmarks
 
     if campaigns is None:
         campaigns = CAMPAIGN_WORKLOADS
-    if services is None:
-        services = SERVICE_WORKLOADS
     entries: List[Dict[str, object]] = []
     for workload in workloads:
         engines: Dict[str, Dict[str, float]] = {}
@@ -327,7 +321,6 @@ def run_benchmarks(
             }
         )
     campaign_entries = run_campaign_benchmarks(campaigns, quick=quick, repeats=repeats)
-    service_entries = run_service_benchmarks(services, quick=quick, repeats=repeats)
     return {
         "schema": BENCH_SCHEMA_VERSION,
         "rev": rev,
@@ -336,8 +329,7 @@ def run_benchmarks(
         "python": platform.python_version(),
         "workloads": entries,
         "campaigns": campaign_entries,
-        "services": service_entries,
-        "summary": _summarize(entries, campaign_entries, service_entries),
+        "summary": _summarize(entries, campaign_entries),
     }
 
 
@@ -353,7 +345,6 @@ def _geomean(values: Sequence[float]) -> float:
 def _summarize(
     entries: Sequence[Dict[str, object]],
     campaign_entries: Sequence[Dict[str, object]] = (),
-    service_entries: Sequence[Dict[str, object]] = (),
 ) -> Dict[str, object]:
     default = next((entry for entry in entries if entry["name"] == DEFAULT_WORKLOAD), None)
     per_engine: Dict[str, Dict[str, object]] = {}
@@ -374,11 +365,6 @@ def _summarize(
         for entry in campaign_entries
         if entry.get("campaign_replay_speedup", 0) > 0
     ]
-    service_speedups = [
-        entry["multi_client_warm_speedup"]
-        for entry in service_entries
-        if entry["multi_client_warm_speedup"] > 0
-    ]
     return {
         "default_workload": DEFAULT_WORKLOAD,
         "engines": per_engine,
@@ -387,9 +373,6 @@ def _summarize(
         ),
         "campaign_replay_speedup": (
             _geomean(replay_speedups) if replay_speedups else None
-        ),
-        "service_geomean_multi_client_speedup": (
-            _geomean(service_speedups) if service_speedups else None
         ),
     }
 
@@ -461,25 +444,6 @@ def render_report(payload: Dict[str, object]) -> str:
         geomean = summary.get("campaign_replay_speedup")
         if geomean is not None:
             lines.append(f"campaign replay speedup: geomean {geomean:.2f}x")
-    services = payload.get("services") or []
-    if services:
-        lines.append("")
-        lines.append(
-            f"{'service':24s} {'runs':>5s} {'cold r/s':>9s} {'clients':>8s} "
-            f"{'warm r/s':>9s} {'warm x':>7s} {'subs/s':>7s}"
-        )
-        for entry in services:
-            lines.append(
-                f"{entry['name']:24s} {entry['runs']:>5d} "
-                f"{entry['cold']['runs_per_sec']:>9.0f} "
-                f"{entry['clients']:>8d} "
-                f"{entry['warm_multi']['runs_per_sec']:>9.0f} "
-                f"{entry['multi_client_warm_speedup']:>6.1f}x "
-                f"{entry['submissions']['per_sec']:>7.1f}"
-            )
-        geomean = summary.get("service_geomean_multi_client_speedup")
-        if geomean is not None:
-            lines.append(f"service multi-client warm speedup: geomean {geomean:.1f}x")
     return "\n".join(lines)
 
 

@@ -59,7 +59,6 @@ from .spec import (
     workload_campaign_descriptors,
 )
 from .store import (
-    CLAIM_TTL_SECONDS,
     STORE_SCHEMA_VERSION,
     GcOutcome,
     ResultStore,
@@ -68,7 +67,6 @@ from .store import (
 )
 
 __all__ = [
-    "CLAIM_TTL_SECONDS",
     "CampaignArtifacts",
     "CampaignOutcome",
     "CampaignSpec",

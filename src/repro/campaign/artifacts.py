@@ -58,30 +58,19 @@ class CampaignArtifacts:
     manifest_path: Optional[Path] = None
 
 
-def build_manifest(
-    campaign_id: str,
-    total_runs: int,
-    completed: bool,
-    owner: Optional[str] = None,
-) -> Dict[str, object]:
+def build_manifest(campaign_id: str, total_runs: int, completed: bool) -> Dict[str, object]:
     """The ``campaign.json`` payload: deterministic campaign identity.
 
     Every field is a pure function of the campaign's descriptors plus the
     ``completed`` flag, so serial and parallel executions finalise
-    bit-identical manifests.  ``owner`` names the process that holds the
-    in-flight directory (e.g. ``"serve:1234"`` for a daemon job); it is
-    stamped only while ``completed`` is false and dropped at finalisation,
-    so finished artifacts stay byte-identical regardless of who ran them.
+    bit-identical manifests.
     """
-    manifest: Dict[str, object] = {
+    return {
         "schema": SCHEMA_VERSION,
         "campaign_id": campaign_id,
         "total_runs": total_runs,
         "completed": completed,
     }
-    if owner is not None and not completed:
-        manifest["owner"] = owner
-    return manifest
 
 
 def _atomic_write_json(path: Path, payload: Dict[str, object]) -> None:
@@ -131,13 +120,7 @@ class CampaignStreamWriter:
     one-shot artifacts byte-identical.
     """
 
-    def __init__(
-        self,
-        out_dir: os.PathLike,
-        checkpoint_interval: float = 2.0,
-        owner: Optional[str] = None,
-    ) -> None:
-        self.owner = owner
+    def __init__(self, out_dir: os.PathLike, checkpoint_interval: float = 2.0) -> None:
         self.directory = Path(out_dir)
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -165,10 +148,7 @@ class CampaignStreamWriter:
         as in-flight (``completed: false``)."""
         self._campaign_id = campaign_id
         self._total_runs = total_runs
-        write_manifest(
-            self.directory,
-            build_manifest(campaign_id, total_runs, False, owner=self.owner),
-        )
+        write_manifest(self.directory, build_manifest(campaign_id, total_runs, False))
         self._handle = self.results_path.open("w", encoding="utf-8")
         self._last_checkpoint = time.monotonic()
 

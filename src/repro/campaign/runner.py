@@ -5,11 +5,10 @@ into a plain-JSON result record.  :class:`ParallelRunner` is the only code
 that turns a descriptor sequence into records: it probes the result store
 for the miss-frontier, partitions the misses into *shards*, hands the
 shards to a *shard executor* and absorbs their results in shard order.
-Three executors exist: in-process (:func:`execute_inline`, ``jobs=1``), a
-``concurrent.futures.ProcessPoolExecutor`` (:func:`pool_executor`) and the
-serve daemon's :class:`~repro.service.daemon.ShardBoard`.  Because every
-record is a pure function of its descriptor and the absorb order is
-fixed, a parallel or served campaign's artifacts are bit-identical to a
+Two executors exist: in-process (:func:`execute_inline`, ``jobs=1``) and a
+``concurrent.futures.ProcessPoolExecutor`` (:func:`pool_executor`).
+Because every record is a pure function of its descriptor and the absorb
+order is fixed, a parallel campaign's artifacts are bit-identical to a
 serial campaign's — the only difference is wall-clock time.
 
 Sharding is the IPC amortisation: a 10k-run grid crosses the executor
@@ -313,11 +312,10 @@ ShardResults = List[Tuple[str, Dict[str, object]]]
 ShardExecutor = Callable[[Sequence[ShardTask]], Generator[ShardResults, None, None]]
 
 
-def execute_shard(shard: ShardTask) -> Tuple[int, ShardResults]:
+def execute_shard(shard: ShardTask) -> ShardResults:
     """Execute a shard's runs in order; the worker entry point.
 
-    Returns ``(shard.index, [(digest, record), ...])`` so executors that
-    complete shards out of order can tell them apart.  One process-level
+    Returns ``[(digest, record), ...]`` in run order.  One process-level
     setup (the contender-program memo) is amortised across every run of
     the shard.
     """
@@ -339,14 +337,14 @@ def execute_shard(shard: ShardTask) -> Tuple[int, ShardResults]:
             descriptor, _contender_memo=memo, _config_slot=run.config_index
         )
         results.append((run.digest, record))
-    return shard.index, results
+    return results
 
 
 def execute_inline(shards: Sequence[ShardTask]) -> Generator[ShardResults, None, None]:
     """In-process executor: the reference behaviour every other executor
     must reproduce bit-for-bit (no pool, no pickling)."""
     for shard in shards:
-        yield execute_shard(shard)[1]
+        yield execute_shard(shard)
 
 
 def worker_pool(jobs: int, store: Optional[ResultStore]) -> ProcessPoolExecutor:
@@ -355,8 +353,7 @@ def worker_pool(jobs: int, store: Optional[ResultStore]) -> ProcessPoolExecutor:
 
     A replay-engine campaign therefore captures each kernel once
     *globally*: the first worker to capture persists the trace and every
-    other process replays it from disk.  The runner and the serve daemon
-    both build their pools here.
+    other process replays it from disk.
     """
     if store is None:
         return ProcessPoolExecutor(max_workers=jobs)
@@ -375,7 +372,7 @@ def pool_executor(pool: ProcessPoolExecutor) -> ShardExecutor:
     def execute(shards: Sequence[ShardTask]) -> Generator[ShardResults, None, None]:
         futures = [pool.submit(execute_shard, shard) for shard in shards]
         for future in futures:
-            yield future.result()[1]
+            yield future.result()
 
     return execute
 
@@ -440,10 +437,10 @@ class ParallelRunner:
         With ``stream``, records are additionally appended to the stream
         writer as they resolve (cached prefix immediately, then shard by
         shard); the caller still finalises the stream with the summary.
-        ``executor`` overrides how shards run (the serve daemon passes its
-        :class:`~repro.service.daemon.ShardBoard` dispatch); by default
-        :meth:`run` picks the in-process or the pool executor from
-        ``jobs``.
+        ``executor`` overrides how shards run (any :data:`ShardExecutor`
+        generator, e.g. a recording wrapper around :func:`execute_inline`);
+        by default :meth:`run` picks the in-process or the pool executor
+        from ``jobs``.
         """
         started = time.perf_counter()
         store = self.cache

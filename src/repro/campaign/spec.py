@@ -198,69 +198,6 @@ class CampaignSpec:
             if count < 1:
                 raise MethodologyError("contender counts must be positive")
 
-    def to_dict(self) -> dict:
-        """JSON-ready form; the service protocol's wire representation.
-
-        Inverse of :meth:`from_dict`.  Tuples become lists (JSON has no
-        tuples); the round-trip is exact because every field is a scalar
-        or a flat sequence of scalars.
-        """
-        return {
-            "presets": list(self.presets),
-            "arbiters": list(self.arbiters),
-            "topologies": list(self.topologies),
-            "contender_counts": list(self.contender_counts),
-            "seeds": list(self.seeds),
-            "num_workloads": self.num_workloads,
-            "iterations": self.iterations,
-            "include_rsk_reference": self.include_rsk_reference,
-            "rsk_iterations": self.rsk_iterations,
-            "kernel_pool": list(self.kernel_pool) if self.kernel_pool is not None else None,
-            "engine": self.engine,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CampaignSpec":
-        """Rebuild a spec from :meth:`to_dict` output (or a spec JSON file).
-
-        Unknown keys are rejected — a typo'd field silently falling back to
-        a default would run the wrong grid.  Missing keys keep their
-        defaults, so hand-written spec files stay terse.
-        """
-        if not isinstance(payload, dict):
-            raise MethodologyError(
-                f"campaign spec must be a JSON object, got {type(payload).__name__}"
-            )
-        known = {
-            "presets",
-            "arbiters",
-            "topologies",
-            "contender_counts",
-            "seeds",
-            "num_workloads",
-            "iterations",
-            "include_rsk_reference",
-            "rsk_iterations",
-            "kernel_pool",
-            "engine",
-        }
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise MethodologyError(f"unknown campaign spec fields: {', '.join(unknown)}")
-        kwargs: dict = dict(payload)
-        for field in ("presets", "arbiters", "topologies"):
-            if field in kwargs:
-                kwargs[field] = tuple(str(value) for value in kwargs[field])
-        for field in ("contender_counts", "seeds"):
-            if field in kwargs:
-                kwargs[field] = tuple(int(value) for value in kwargs[field])
-        if kwargs.get("kernel_pool") is not None and "kernel_pool" in kwargs:
-            kwargs["kernel_pool"] = tuple(str(value) for value in kwargs["kernel_pool"])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise MethodologyError(f"invalid campaign spec: {exc}") from exc
-
     def expand(self) -> Tuple[RunDescriptor, ...]:
         """Expand the grid into an ordered tuple of run descriptors."""
         pool = (

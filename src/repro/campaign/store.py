@@ -31,18 +31,13 @@ Durability and concurrency contract:
 * Lookups ignore ``campaign_id`` — any historical campaign's hit
   short-circuits simulation, which is what makes overlapping sweeps only
   simulate their frontier.
-* Long-lived multi-threaded handles (the ``repro-bounds serve`` daemon) get
-  a per-thread connection: every thread that touches the index lazily opens
-  its own ``sqlite3`` connection, so no statement ever crosses threads.  On
-  top of WAL's ``busy_timeout``, every statement retries with bounded
-  exponential backoff when SQLite reports ``database is locked`` — a
-  maintenance command racing a daemon degrades to a short wait, never to a
+* A handle shared across threads gets a per-thread connection: every
+  thread that touches the index lazily opens its own ``sqlite3``
+  connection, so no statement ever crosses threads.  On top of WAL's
+  ``busy_timeout``, every statement retries with bounded exponential
+  backoff when SQLite reports ``database is locked`` — a maintenance
+  command racing a running campaign degrades to a short wait, never to a
   crash.
-* A daemon marks the campaigns it is actively executing via the ``claims``
-  table (:meth:`ResultStore.claim`); ``gc`` skips — and reports — rows of
-  actively claimed campaigns instead of deleting data another process is
-  still appending to.  Claims expire after :data:`CLAIM_TTL_SECONDS` or
-  when their process dies, so a crashed daemon never pins rows forever.
 """
 
 from __future__ import annotations
@@ -61,14 +56,10 @@ from ..errors import ConfigurationError
 #: Layout version of the index; bump when the table shapes or the meaning
 #: of a column changes.  A store stamped with a *newer* version is refused
 #: (the artifacts remain readable by re-indexing with the newer tool); an
-#: older or missing stamp triggers a transparent rebuild.  Version 2 adds
-#: the ``claims`` table (daemon in-use markers consulted by ``gc``).
-STORE_SCHEMA_VERSION = 2
-
-#: A claim whose heartbeat is older than this (and whose process cannot be
-#: confirmed alive) is considered abandoned: ``gc`` ignores it and deletes
-#: the stale row.  Daemons refresh their claims far more often than this.
-CLAIM_TTL_SECONDS = 3600.0
+#: older or missing stamp triggers a transparent rebuild.  Version 2 added
+#: a ``claims`` table of in-use markers; version 3 drops it again, so a
+#: version-2 index is rebuilt from the artifacts on first open.
+STORE_SCHEMA_VERSION = 3
 
 #: Bounded retry-with-backoff for ``database is locked``/``busy`` errors:
 #: attempt count and initial sleep (doubled per attempt, ~3 s worst case).
@@ -106,47 +97,17 @@ CREATE TABLE IF NOT EXISTS meta (
 )
 """
 
-_CREATE_CLAIMS = """
-CREATE TABLE IF NOT EXISTS claims (
-    campaign_id TEXT PRIMARY KEY,
-    pid         INTEGER NOT NULL,
-    heartbeat   REAL NOT NULL
-)
-"""
-
-
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe; unknown states count as alive."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:
-        return True  # exists but owned by someone else (EPERM), or exotic
-    return True
 
 
 @dataclass(frozen=True)
 class GcOutcome:
-    """What one :meth:`ResultStore.gc` pass did.
-
-    ``skipped_in_use`` rows were old enough to expire but belong to a
-    campaign another process actively claims — they are reported, not
-    deleted, so a daemon's in-flight campaign never loses rows under it.
-    """
+    """What one :meth:`ResultStore.gc` pass did."""
 
     removed: int
-    skipped_in_use: int
-    in_use_campaigns: Tuple[str, ...] = ()
     traces_removed: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "removed": self.removed,
-            "skipped_in_use": self.skipped_in_use,
-            "in_use_campaigns": list(self.in_use_campaigns),
-            "traces_removed": self.traces_removed,
-        }
+        return {"removed": self.removed, "traces_removed": self.traces_removed}
 
 
 @dataclass
@@ -236,10 +197,9 @@ class ResultStore:
     def _db(self) -> sqlite3.Connection:
         """This thread's connection, opened lazily.
 
-        A long-lived store handle is shared by a daemon's scheduler,
-        worker-handler and maintenance threads; per-thread connections mean
-        no cursor or transaction ever crosses a thread boundary, which is
-        the discipline SQLite's serialized mode is fast at and WAL makes
+        Per-thread connections mean no cursor or transaction ever crosses a
+        thread boundary when several threads share one handle, which is the
+        discipline SQLite's serialized mode is fast at and WAL makes
         concurrent.
         """
         db: Optional[sqlite3.Connection] = getattr(self._local, "db", None)
@@ -325,7 +285,6 @@ class ResultStore:
         with db:
             db.execute(_CREATE_RUNS)
             db.execute(_CREATE_META)
-            db.execute(_CREATE_CLAIMS)
             db.execute(
                 "INSERT OR REPLACE INTO meta (key, value) VALUES ('schema_version', ?)",
                 (str(STORE_SCHEMA_VERSION),),
@@ -591,66 +550,8 @@ class ResultStore:
         self.put_many(batch)
         return added
 
-    # ------------------------------------------------------------------ #
-    # Claims: in-use markers for long-lived (daemon) campaign execution.
-    # ------------------------------------------------------------------ #
-
-    def claim(self, campaign_id: Optional[str] = None) -> None:
-        """Mark ``campaign_id`` (default: this handle's) as actively in use.
-
-        Claims are advisory: lookups and writes ignore them, but ``gc``
-        skips the claimed campaign's rows and ``stats`` reports the claim.
-        Re-claiming refreshes the heartbeat; daemons call this periodically
-        so a claim outliving :data:`CLAIM_TTL_SECONDS` means the claimant
-        is gone.
-        """
-        target = campaign_id if campaign_id is not None else self.campaign_id
-        now = time.time()
-
-        def upsert() -> None:
-            with self._db:
-                self._db.execute(
-                    "INSERT OR REPLACE INTO claims (campaign_id, pid, heartbeat) "
-                    "VALUES (?, ?, ?)",
-                    (target, os.getpid(), now),
-                )
-
-        self.counters.index_queries += 1
-        self._with_lock_retry(upsert)
-
-    def release_claim(self, campaign_id: Optional[str] = None) -> None:
-        """Drop the in-use marker for ``campaign_id`` (default: this handle's)."""
-        target = campaign_id if campaign_id is not None else self.campaign_id
-
-        def delete() -> None:
-            with self._db:
-                self._db.execute("DELETE FROM claims WHERE campaign_id = ?", (target,))
-
-        self.counters.index_queries += 1
-        self._with_lock_retry(delete)
-
-    def active_claims(self, ttl: float = CLAIM_TTL_SECONDS) -> Dict[str, Dict[str, object]]:
-        """Live in-use markers: fresh heartbeat, or a confirmed-alive pid.
-
-        A claim is *live* while its heartbeat is younger than ``ttl``; an
-        older claim survives only if its process can be confirmed alive on
-        this host (a crashed daemon's claim therefore expires on its own).
-        """
-        self.counters.index_queries += 1
-        rows = self._with_lock_retry(
-            lambda: self._db.execute("SELECT campaign_id, pid, heartbeat FROM claims").fetchall()
-        )
-        now = time.time()
-        active: Dict[str, Dict[str, object]] = {}
-        for campaign_id, pid, heartbeat in rows:
-            age = now - float(heartbeat)
-            if age > ttl and not _pid_alive(int(pid)):
-                continue
-            active[str(campaign_id)] = {"pid": int(pid), "age_seconds": age}
-        return active
-
     def stats(self) -> Dict[str, object]:
-        """Entries, per-campaign attribution, claims and on-disk sizes."""
+        """Entries, per-campaign attribution and on-disk sizes."""
         self.counters.index_queries += 2
         entries = int(
             self._with_lock_retry(
@@ -678,7 +579,6 @@ class ResultStore:
             "schema": STORE_SCHEMA_VERSION,
             "entries": entries,
             "campaigns": campaigns,
-            "active_claims": self.active_claims(),
             "artifact_bytes": artifact_bytes,
             "index_bytes": index_bytes,
             "traces": self.trace_stats(),
@@ -687,44 +587,27 @@ class ResultStore:
     def gc(self, keep_days: float) -> GcOutcome:
         """Delete runs older than ``keep_days`` days (rows *and* artifacts).
 
-        Rows belonging to an actively claimed campaign (a daemon holding
-        the store open) are left alone and reported via
-        :attr:`GcOutcome.skipped_in_use`.  Artifacts are unlinked after
-        their rows so a crash mid-gc leaves re-indexable files, never
-        dangling rows.  Stale claims (expired heartbeat, dead pid) are
-        purged as a side effect.  The trace section ages by file mtime
-        (traces are unindexed); an expired trace is only a future capture
-        run, never data loss.
+        ``keep_days`` must be a number >= 0 (NaN is refused; ``inf`` keeps
+        everything).  Artifacts are unlinked after their rows so a crash
+        mid-gc leaves re-indexable files, never dangling rows.  The trace
+        section ages by file mtime (traces are unindexed); an expired trace
+        is only a future capture run, never data loss.
         """
-        if keep_days < 0:
+        if not keep_days >= 0:
             raise ConfigurationError(f"keep_days must be >= 0, got {keep_days}")
         cutoff = time.time() - keep_days * 86400.0
         traces_removed = self._gc_traces(cutoff)
-        active = self.active_claims()
         self.counters.index_queries += 2
-        rows = self._with_lock_retry(
-            lambda: self._db.execute(
-                "SELECT digest, path, campaign_id FROM runs WHERE created_at < ?",
-                (cutoff,),
-            ).fetchall()
-        )
-        victims: List[Tuple[str, str]] = []
-        skipped = 0
-        in_use: Dict[str, None] = {}
-        for digest, path, campaign_id in rows:
-            if str(campaign_id) in active:
-                skipped += 1
-                in_use[str(campaign_id)] = None
-                continue
-            victims.append((str(digest), str(path)))
-        self._purge_stale_claims(active)
-        if not victims:
-            return GcOutcome(
-                removed=0,
-                skipped_in_use=skipped,
-                in_use_campaigns=tuple(in_use),
-                traces_removed=traces_removed,
+        victims: List[Tuple[str, str]] = [
+            (str(digest), str(path))
+            for digest, path in self._with_lock_retry(
+                lambda: self._db.execute(
+                    "SELECT digest, path FROM runs WHERE created_at < ?", (cutoff,)
+                ).fetchall()
             )
+        ]
+        if not victims:
+            return GcOutcome(removed=0, traces_removed=traces_removed)
 
         def delete_rows() -> None:
             with self._db:
@@ -745,12 +628,7 @@ class ResultStore:
                 os.unlink(target)
             except OSError:
                 pass
-        return GcOutcome(
-            removed=len(victims),
-            skipped_in_use=skipped,
-            in_use_campaigns=tuple(in_use),
-            traces_removed=traces_removed,
-        )
+        return GcOutcome(removed=len(victims), traces_removed=traces_removed)
 
     def _gc_traces(self, cutoff: float) -> int:
         """Unlink trace files last modified before ``cutoff``; returns count."""
@@ -767,22 +645,6 @@ class ResultStore:
             except OSError:
                 pass
         return removed
-
-    def _purge_stale_claims(self, active: Dict[str, Dict[str, object]]) -> None:
-        """Drop claims rows that are no longer live (dead pid, old heartbeat)."""
-
-        def purge() -> None:
-            rows = self._db.execute("SELECT campaign_id FROM claims").fetchall()
-            stale = [str(cid) for (cid,) in rows if str(cid) not in active]
-            if not stale:
-                return
-            with self._db:
-                marks = ",".join("?" for _ in stale)
-                self._db.execute(
-                    f"DELETE FROM claims WHERE campaign_id IN ({marks})", stale
-                )
-
-        self._with_lock_retry(purge)
 
 
 def is_store_directory(directory: "os.PathLike[str] | str") -> bool:

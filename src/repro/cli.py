@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Five subcommands cover the library's main use cases without writing any
+Six subcommands cover the library's main use cases without writing any
 Python:
 
 * ``repro-bounds derive-ubd`` — run the full rsk-nop methodology on a preset
@@ -22,14 +22,7 @@ Python:
 * ``repro-bounds list`` — print the registered presets, arbitration
   policies, simulation engines and topologies.  The listing is read straight
   from the factories' registries, so it can never drift from what the
-  simulator actually builds;
-* ``repro-bounds serve`` — run the campaign daemon: accept specs over a
-  Unix/TCP socket, execute them FIFO against one shared store and worker
-  pool, and hand shards to remote executors (DESIGN.md §11);
-* ``repro-bounds submit | status | results | shutdown`` — the client
-  commands against a running daemon;
-* ``repro-bounds worker`` — connect to a daemon as a remote shard
-  executor (pull shards, heartbeat, execute, report).
+  simulator actually builds.
 
 Examples::
 
@@ -42,10 +35,6 @@ Examples::
     repro-bounds cache gc --store out/store --keep-days 30
     repro-bounds audit small --topology split_bus --out out/audit
     repro-bounds audit out/campaign
-    repro-bounds serve --socket out/serve/daemon.sock --store out/store
-    repro-bounds submit spec.json --socket out/serve/daemon.sock --wait
-    repro-bounds status --socket out/serve/daemon.sock
-    repro-bounds worker --connect tcp:daemon-host:7915
     repro-bounds list
 """
 
@@ -54,9 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import signal
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from .analysis.confidence import assess_write_burst
@@ -295,160 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="emit the result as one JSON object (for scripting)",
         )
 
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the campaign daemon: accept specs over a socket, execute "
-        "them FIFO against one shared store and worker pool, ship shards "
-        "to remote workers, drain gracefully on SIGTERM/shutdown",
-    )
-    serve.add_argument(
-        "--socket",
-        metavar="ADDR",
-        required=True,
-        help="listen address: a Unix socket path (default form, also "
-        "'unix:/path'), or 'tcp:host:port' for multi-host setups",
-    )
-    serve.add_argument(
-        "--store",
-        metavar="DIR",
-        required=True,
-        help="shared durable result store (created if missing); every "
-        "submitted campaign reads and writes it, so overlapping "
-        "submissions simulate only their miss-frontier",
-    )
-    serve.add_argument(
-        "--data-dir",
-        metavar="DIR",
-        default="out/serve",
-        help="daemon working directory; job artifacts stream to "
-        "DATA_DIR/jobs/<job-id>/ (default: out/serve)",
-    )
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="local worker processes (default: CPU count); 0 disables "
-        "local execution so shards only flow to remote workers",
-    )
-    serve.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=120.0,
-        metavar="SECONDS",
-        help="requeue a remote shard whose worker has not heartbeat for "
-        "this long (default: 120)",
-    )
-    serve.add_argument(
-        "--log",
-        metavar="FILE",
-        default=None,
-        help="append operational log lines to FILE (default: stderr)",
-    )
-
-    submit = subparsers.add_parser(
-        "submit",
-        help="submit a campaign spec (JSON file) to a running daemon",
-    )
-    submit.add_argument(
-        "spec",
-        metavar="SPEC.json",
-        help="campaign spec file: a JSON object with CampaignSpec fields "
-        "(presets, arbiters, seeds, num_workloads, ...); unknown fields "
-        "are rejected",
-    )
-    submit.add_argument(
-        "--socket", metavar="ADDR", required=True, help="daemon address"
-    )
-    submit.add_argument(
-        "--out",
-        metavar="DIR",
-        default=None,
-        help="write this job's artifacts into DIR instead of the daemon's "
-        "data directory",
-    )
-    submit.add_argument(
-        "--wait",
-        action="store_true",
-        help="block until the job finishes and print its statistics",
-    )
-    submit.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="give up on --wait after this long (default: wait forever)",
-    )
-    submit.add_argument(
-        "--json", action="store_true", help="print the response as JSON"
-    )
-
-    status = subparsers.add_parser(
-        "status", help="show one job (or the whole job table) of a daemon"
-    )
-    status.add_argument(
-        "job_id", nargs="?", default=None, metavar="JOB-ID",
-        help="job to query (omit for the full table)",
-    )
-    status.add_argument(
-        "--socket", metavar="ADDR", required=True, help="daemon address"
-    )
-    status.add_argument(
-        "--json", action="store_true", help="print the response as JSON"
-    )
-
-    results = subparsers.add_parser(
-        "results", help="fetch a completed job's summary (and records with --json)"
-    )
-    results.add_argument("job_id", metavar="JOB-ID")
-    results.add_argument(
-        "--socket", metavar="ADDR", required=True, help="daemon address"
-    )
-    results.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full results frame (records + summary) as JSON",
-    )
-
-    shutdown = subparsers.add_parser(
-        "shutdown",
-        help="ask a daemon to drain its queue and exit (graceful; queued "
-        "jobs still run)",
-    )
-    shutdown.add_argument(
-        "--socket", metavar="ADDR", required=True, help="daemon address"
-    )
-    shutdown.add_argument(
-        "--json", action="store_true", help="print the response as JSON"
-    )
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="connect to a daemon as a remote shard executor: pull leased "
-        "shards, heartbeat while executing, report results; exits when "
-        "the daemon drains",
-    )
-    worker.add_argument(
-        "--connect", metavar="ADDR", required=True, help="daemon address"
-    )
-    worker.add_argument(
-        "--id",
-        dest="worker_id",
-        metavar="NAME",
-        default=None,
-        help="worker name shown in the daemon log (default: host:pid)",
-    )
-    worker.add_argument(
-        "--max-shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="exit after completing N shards (default: run until drain)",
-    )
-    worker.add_argument(
-        "--quiet", action="store_true", help="suppress per-shard log lines"
-    )
-
     subparsers.add_parser(
         "list",
         help="print registered presets, arbiters, engines and topologies "
@@ -684,19 +517,8 @@ def _run_cache(args: argparse.Namespace) -> int:
                         [[name, campaigns[name]] for name in sorted(campaigns)],
                     )
                 )
-            claims = stats["active_claims"]
-            if isinstance(claims, dict) and claims:
-                print("Active claims (campaigns a live process holds in use):")
-                for campaign_id in sorted(claims):
-                    claim = claims[campaign_id]
-                    print(
-                        f"  {campaign_id}: pid {claim['pid']}, "
-                        f"heartbeat {claim['age_seconds']:.0f}s ago"
-                    )
             return 0
         if args.cache_command == "gc":
-            if args.keep_days < 0:
-                raise ConfigurationError("--keep-days must be non-negative")
             outcome = store.gc(keep_days=args.keep_days)
             if args.json:
                 print(json.dumps(outcome.as_dict(), sort_keys=True, indent=2))
@@ -706,13 +528,6 @@ def _run_cache(args: argparse.Namespace) -> int:
                 f"Removed {removed} entr{'y' if removed == 1 else 'ies'} older "
                 f"than {args.keep_days:g} day(s); {len(store)} remain"
             )
-            if outcome.skipped_in_use:
-                in_use = ", ".join(outcome.in_use_campaigns)
-                print(
-                    f"Skipped {outcome.skipped_in_use} in-use entr"
-                    f"{'y' if outcome.skipped_in_use == 1 else 'ies'} "
-                    f"(claimed by: {in_use})"
-                )
             if outcome.traces_removed:
                 print(f"Removed {outcome.traces_removed} expired core trace(s)")
             return 0
@@ -725,8 +540,6 @@ def _run_audit(args: argparse.Namespace) -> int:
     """The ``audit`` subcommand: dimensions -> verdict -> artifacts."""
     from .audit import AuditOptions, run_audit
 
-    if args.k_max < 1:
-        raise ConfigurationError(f"--k-max must be >= 1, got {args.k_max}")
     options = AuditOptions(
         k_max=args.k_max,
         iterations=args.iterations,
@@ -766,173 +579,6 @@ def _run_audit(args: argparse.Namespace) -> int:
     print(f"Wrote {artifacts.html_path}")
     print(f"Verdict: {report.verdict} (exit code {report.exit_code})")
     return report.exit_code
-
-
-def _job_stats_line(job: dict) -> str:
-    """One-line completion report for a job payload; the ``N simulated``
-    phrasing matches the campaign summary so scripts can grep either."""
-    stats = job.get("stats", {})
-    return (
-        f"{job['job_id']} {job['state']}: {stats.get('simulated', '?')} simulated, "
-        f"{stats.get('cached', '?')} cached ({job.get('total_runs', '?')} runs) "
-        f"-> {job.get('out_dir', '?')}"
-    )
-
-
-def _run_serve(args: argparse.Namespace) -> int:
-    """The ``serve`` subcommand: run the daemon until it drains."""
-    from .service import CampaignDaemon, parse_address
-
-    address = parse_address(args.socket)
-    if address.kind == "unix":
-        parent = Path(address.path).parent
-        if str(parent) not in ("", "."):
-            parent.mkdir(parents=True, exist_ok=True)
-    jobs = args.jobs if args.jobs is not None else max(1, os.cpu_count() or 1)
-    log_handle = open(args.log, "a", encoding="utf-8") if args.log else None
-    daemon = CampaignDaemon(
-        store_dir=args.store,
-        data_dir=args.data_dir,
-        jobs=jobs,
-        shard_timeout=args.shard_timeout,
-        log=log_handle,
-    )
-
-    def _drain(signum: int, frame: object) -> None:
-        del signum, frame
-        daemon.request_shutdown()
-
-    previous = {
-        sig: signal.signal(sig, _drain) for sig in (signal.SIGTERM, signal.SIGINT)
-    }
-    try:
-        daemon.serve(address)
-    finally:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-        if log_handle is not None:
-            log_handle.close()
-    return 0
-
-
-def _run_submit(args: argparse.Namespace) -> int:
-    """The ``submit`` subcommand: spec file -> daemon -> job id."""
-    from .service import ServiceClient, parse_address
-
-    try:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"cannot read campaign spec {args.spec}: {exc}") from exc
-    spec = CampaignSpec.from_dict(payload)
-    client = ServiceClient(parse_address(args.socket))
-    submitted = client.submit(spec, out=args.out)
-    job_id = str(submitted["job_id"])
-    if not args.wait:
-        if args.json:
-            print(json.dumps(submitted, sort_keys=True, indent=2))
-        else:
-            print(
-                f"Submitted {job_id}: {submitted['total_runs']} runs "
-                f"-> {submitted['out_dir']}"
-            )
-        return 0
-    job = client.wait(job_id, timeout=args.timeout)
-    if args.json:
-        print(json.dumps(job, sort_keys=True, indent=2))
-    else:
-        print(_job_stats_line(job))
-    return 0
-
-
-def _run_status(args: argparse.Namespace) -> int:
-    """The ``status`` subcommand: one job, or the daemon's job table."""
-    from .service import ServiceClient, parse_address
-
-    client = ServiceClient(parse_address(args.socket))
-    response = client.status(args.job_id)
-    if args.json:
-        print(json.dumps(response, sort_keys=True, indent=2))
-        return 0
-    if args.job_id is not None:
-        job = response["job"]
-        assert isinstance(job, dict)
-        print(_job_stats_line(job))
-        if job.get("error"):
-            print(f"error: {job['error']}")
-        return 0
-    jobs = response.get("jobs", [])
-    assert isinstance(jobs, list)
-    if not jobs:
-        print("No jobs submitted yet")
-    else:
-        print(
-            render_table(
-                ["job", "state", "runs", "simulated", "cached"],
-                [
-                    [
-                        job["job_id"],
-                        job["state"],
-                        job.get("total_runs", "?"),
-                        job.get("stats", {}).get("simulated", "-"),
-                        job.get("stats", {}).get("cached", "-"),
-                    ]
-                    for job in jobs
-                ],
-            )
-        )
-    print(
-        f"Workers connected: {response.get('workers', 0)}; "
-        f"draining: {response.get('draining', False)}"
-    )
-    return 0
-
-
-def _run_results(args: argparse.Namespace) -> int:
-    """The ``results`` subcommand: render a finished job's summary."""
-    from .service import ServiceClient, parse_address
-
-    client = ServiceClient(parse_address(args.socket))
-    response = client.results(args.job_id)
-    if args.json:
-        print(json.dumps(response, sort_keys=True, indent=2))
-        return 0
-    summary = response["summary"]
-    assert isinstance(summary, dict)
-    print(render_campaign_summary(summary))
-    job = response["job"]
-    assert isinstance(job, dict)
-    print()
-    print(_job_stats_line(job))
-    return 0
-
-
-def _run_shutdown(args: argparse.Namespace) -> int:
-    """The ``shutdown`` subcommand: start the daemon's graceful drain."""
-    from .service import ServiceClient, parse_address
-
-    client = ServiceClient(parse_address(args.socket))
-    response = client.shutdown()
-    if args.json:
-        print(json.dumps(response, sort_keys=True, indent=2))
-    else:
-        print(f"Daemon draining; {response.get('pending_jobs', 0)} job(s) still pending")
-    return 0
-
-
-def _run_worker(args: argparse.Namespace) -> int:
-    """The ``worker`` subcommand: remote shard executor loop."""
-    from .service import RemoteWorker, parse_address
-
-    worker = RemoteWorker(
-        parse_address(args.connect),
-        worker_id=args.worker_id,
-        max_shards=args.max_shards,
-        log=None if args.quiet else sys.stderr,
-    )
-    completed = worker.run()
-    print(f"Completed {completed} shard(s)")
-    return 0
 
 
 def _run_list(args: argparse.Namespace) -> int:
@@ -1008,25 +654,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run_audit(args)
         if args.command == "cache":
             return _run_cache(args)
-        if args.command == "serve":
-            return _run_serve(args)
-        if args.command == "submit":
-            return _run_submit(args)
-        if args.command == "status":
-            return _run_status(args)
-        if args.command == "results":
-            return _run_results(args)
-        if args.command == "shutdown":
-            return _run_shutdown(args)
-        if args.command == "worker":
-            return _run_worker(args)
         if args.command == "list":
             return _run_list(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # A downstream reader closed early (`repro-bounds results ... | head`);
+        # A downstream reader closed early (`repro-bounds list | head`);
         # that is not an error.  Point stdout at devnull so the interpreter's
         # exit-time flush does not raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -58,18 +58,6 @@ class MethodologyError(ReproError):
     """
 
 
-class ServiceError(ReproError):
-    """The campaign service (daemon, worker, or client) hit a protocol or
-    lifecycle problem.
-
-    Examples: a frame that is not valid JSON, a protocol version mismatch,
-    a request for an unknown job id, or a client command against a daemon
-    that is already draining.  Simulation-level failures inside a job are
-    *not* service errors — they mark the job ``failed`` and surface through
-    ``status``/``results`` instead.
-    """
-
-
 class AuditError(ReproError):
     """An audit could not be assembled or its artifacts are malformed.
 

@@ -80,7 +80,8 @@ def build_rsk(
         config: target platform (provides the DL1 geometry).
         core_id: core the kernel will run on; selects its address region.
         kind: ``"load"`` or ``"store"`` — the bus access type ``t``.
-        iterations: loop iterations; ``None`` builds an infinite contender.
+        iterations: loop iterations (>= 1); ``None`` builds an infinite
+            contender.
         extra_conflict_lines: how many lines beyond the DL1 associativity the
             loop touches (the paper uses ``W + 1``, i.e. one extra line).
         loop_control_overhead: latency (cycles) of an optional ALU
@@ -88,6 +89,8 @@ def build_rsk(
             at iteration boundaries.  The paper unrolls aggressively to keep
             this below 2%; the default of 0 models a fully unrolled loop.
     """
+    if iterations is not None and iterations < 1:
+        raise ProgramError(f"rsk must run at least one iteration, got {iterations}")
     if extra_conflict_lines < 1:
         raise ProgramError("rsk needs at least one extra conflicting line to miss in DL1")
     space = core_address_space(core_id)

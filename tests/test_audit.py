@@ -566,11 +566,19 @@ class TestManifestAudit:
         assert by_check["manifest"].verdict == "pass"
         assert "pre-manifest" in by_check["manifest"].detail
 
-    def test_in_flight_campaign_warns_instead_of_failing(self, tmp_path):
+    @pytest.mark.parametrize("owner", [None, "serve:12345"], ids=["unowned", "owner-stamp"])
+    def test_in_flight_campaign_warns_instead_of_failing(self, owner, tmp_path):
         """A streamed campaign caught mid-flight (or after a crash) has a
         completed:false manifest and a truncated record stream: the audit
-        must report that as WARN — inspectable, not corrupt."""
-        from repro.campaign import CampaignStreamWriter, campaign_digest
+        must report that as WARN — inspectable, not corrupt.  Older tools
+        stamped an ``owner`` into in-flight manifests; such a directory
+        audits the same way."""
+        from repro.campaign import (
+            CampaignStreamWriter,
+            campaign_digest,
+            load_manifest,
+            write_manifest,
+        )
 
         spec = CampaignSpec(presets=("small",), num_workloads=2, iterations=4, rsk_iterations=20)
         descriptors = spec.expand()
@@ -580,6 +588,10 @@ class TestManifestAudit:
         stream.append(records[:2])
         stream.checkpoint()
         stream.abandon()
+        if owner is not None:
+            manifest = load_manifest(stream.directory)
+            manifest["owner"] = owner
+            write_manifest(stream.directory, manifest)
 
         report = audit_campaign_dir(stream.directory)
         assert report.verdict == "warn"
@@ -587,6 +599,7 @@ class TestManifestAudit:
         assert report.target["completed"] is False
         by_check = {f.check: f for f in report.dimension("artifact_schema").findings}
         assert by_check["manifest_completed"].verdict == "warn"
+        assert by_check["manifest_completed"].evidence == {"completed": False}
         assert by_check["manifest_run_count"].verdict == "warn"
         assert "in-flight" in by_check["manifest_run_count"].detail
 

@@ -608,8 +608,7 @@ class TestSharding:
     def test_shard_execution_matches_run_execution(self):
         descriptors = TINY_SPEC.expand()
         shard = compact_shard(3, [(d.digest(), d) for d in descriptors])
-        index, results = execute_shard(shard)
-        assert index == 3
+        results = execute_shard(shard)
         assert [digest for digest, _ in results] == [d.digest() for d in descriptors]
         for (_, record), descriptor in zip(results, descriptors):
             assert record == execute_run(descriptor)
@@ -657,8 +656,7 @@ class TestShardExecutors:
 
     def test_absorb_failure_closes_the_executor(self, tmp_path):
         """A failing absorb stops the dispatch: the runner closes the
-        executor before re-raising, which is how the serve daemon's
-        board learns to stop handing out shards."""
+        executor before re-raising, so no further shard is started."""
         closed = []
 
         def executor(shards):

@@ -88,9 +88,17 @@ class TestBuildRskNop:
         with pytest.raises(ProgramError):
             build_rsk_nop(ref, 0, k=-1)
 
-    def test_must_be_finite(self, ref):
-        with pytest.raises(ProgramError):
-            build_rsk_nop(ref, 0, k=1, iterations=0)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda config: build_rsk_nop(config, 0, k=1, iterations=0),
+            lambda config: build_rsk(config, 0, iterations=0),
+        ],
+        ids=["rsk-nop", "rsk"],
+    )
+    def test_must_be_finite(self, ref, build):
+        with pytest.raises(ProgramError, match="at least one iteration"):
+            build(ref)
 
     def test_store_variant_with_nops(self, ref):
         program = build_rsk_nop(ref, 0, kind="store", k=2, iterations=5)

@@ -48,6 +48,24 @@ def _put_range(store: ResultStore, start: int, stop: int) -> None:
     store.put_many([(_digest(i), _record(_digest(i), seed=i)) for i in range(start, stop)])
 
 
+def _stamp_schema_zero(db: sqlite3.Connection) -> None:
+    db.execute("UPDATE meta SET value = '0' WHERE key = 'schema_version'")
+
+
+def _schema_two_with_live_claim(db: sqlite3.Connection) -> None:
+    """The index a schema-2 tool left behind while a campaign was in use: a
+    ``claims`` table holding a fresh claim of a live process."""
+    db.execute(
+        "CREATE TABLE claims (campaign_id TEXT PRIMARY KEY, pid INTEGER NOT NULL, "
+        "heartbeat REAL NOT NULL)"
+    )
+    db.execute(
+        "INSERT INTO claims VALUES ('claimed', ?, ?)",
+        (store_module.os.getpid(), store_module.time.time()),
+    )
+    db.execute("UPDATE meta SET value = '2' WHERE key = 'schema_version'")
+
+
 class TestStoreBasics:
     def test_round_trip_and_membership(self, tmp_path):
         with ResultStore(tmp_path / "store") as store:
@@ -226,16 +244,45 @@ class TestRecovery:
         with pytest.raises(ConfigurationError, match="newer"):
             ResultStore(directory)
 
-    def test_older_index_schema_triggers_a_rebuild(self, tmp_path):
+    @pytest.mark.parametrize(
+        "downgrade",
+        [_stamp_schema_zero, _schema_two_with_live_claim],
+        ids=["stamp-0", "schema-2-live-claim"],
+    )
+    def test_older_index_schema_triggers_a_rebuild(self, tmp_path, downgrade):
         directory = tmp_path / "store"
-        with ResultStore(directory) as store:
+        digests = [_digest(i) for i in range(3)]
+        with ResultStore(directory, campaign_id="claimed") as store:
             _put_range(store, 0, 3)
         db = sqlite3.connect(directory / store_module.INDEX_NAME)
         with db:
-            db.execute("UPDATE meta SET value = '0' WHERE key = 'schema_version'")
+            downgrade(db)
         db.close()
         with ResultStore(directory) as store:
             assert len(store) == 3
+            assert set(store.get_many(digests)) == set(digests)
+            tables = {row[0] for row in store._db.execute("SELECT name FROM sqlite_master")}
+            assert "claims" not in tables
+            stats = store.stats()
+            assert stats["schema"] == STORE_SCHEMA_VERSION
+            assert set(stats) == {
+                "directory",
+                "schema",
+                "entries",
+                "campaigns",
+                "artifact_bytes",
+                "index_bytes",
+                "traces",
+            }
+            # The rebuild re-stamps every row with the opener's campaign id
+            # and a fresh created_at; nothing protects the formerly claimed
+            # campaign's rows from gc once they are old.
+            assert stats["campaigns"] == {"adhoc": 3}
+            week_ago = store_module.time.time() - 7 * 86400.0
+            store._db.execute("UPDATE runs SET created_at = ?", (week_ago,))
+            store._db.commit()
+            assert store.gc(keep_days=1.0).removed == 3
+            assert store.get_many(digests) == {}
 
     def test_unusable_store_path_is_a_configuration_error(self, tmp_path):
         blocker = tmp_path / "file"
@@ -286,7 +333,6 @@ class TestStatsAndGc:
             store._db.commit()
             outcome = store.gc(keep_days=1.0)
             assert outcome.removed == 1
-            assert outcome.skipped_in_use == 0
             assert len(store) == 2
             assert store.get(_digest(0)) is None
         assert not (tmp_path / "store" / f"{_digest(0)}.json").exists()
@@ -296,8 +342,11 @@ class TestStatsAndGc:
         with ResultStore(tmp_path / "store") as store:
             _put_range(store, 0, 2)
             assert store.gc(keep_days=365.0).removed == 0
-            with pytest.raises(ConfigurationError, match="keep_days"):
-                store.gc(keep_days=-1.0)
+            assert store.gc(keep_days=math.inf).removed == 0
+            for bad in (-1.0, math.nan):
+                with pytest.raises(ConfigurationError, match="keep_days"):
+                    store.gc(keep_days=bad)
+            assert len(store) == 2
 
     def test_gc_artifacts_remain_reindexable_after_partial_removal(self, tmp_path):
         """gc deletes rows before artifacts; a rebuild after gc must only
@@ -314,89 +363,14 @@ class TestStatsAndGc:
             assert store.rebuild_index() == 1
             assert len(store) == 3
 
-
-# --------------------------------------------------------------------------- #
-# Claims: the serve daemon's in-use markers (gc/stats safety).
-# --------------------------------------------------------------------------- #
-
-
-class TestClaims:
-    def test_claim_release_and_stats(self, tmp_path):
-        with ResultStore(tmp_path / "store", campaign_id="job-1") as store:
-            _put_range(store, 0, 2)
-            store.claim("job-1")
-            active = store.active_claims()
-            assert set(active) == {"job-1"}
-            assert active["job-1"]["pid"] == store_module.os.getpid()
-            assert set(store.stats()["active_claims"]) == {"job-1"}
-            store.release_claim("job-1")
-            assert store.active_claims() == {}
-
-    def test_reclaim_refreshes_heartbeat(self, tmp_path):
-        with ResultStore(tmp_path / "store", campaign_id="job-1") as store:
-            store.claim()
-            store._db.execute(
-                "UPDATE claims SET heartbeat = ?", (store_module.time.time() - 9999,)
-            )
-            store._db.commit()
-            store.claim()  # heartbeat back to now
-            assert store.active_claims(ttl=60.0) != {}
-
-    def test_stale_claim_of_dead_pid_expires(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            store.claim("ghost")
-            # Forge a claim held by a dead process with an expired heartbeat.
-            store._db.execute(
-                "UPDATE claims SET pid = ?, heartbeat = ? WHERE campaign_id = 'ghost'",
-                (2**22 + 12345, store_module.time.time() - 9999),
-            )
-            store._db.commit()
-            assert store.active_claims(ttl=60.0) == {}
-            # A fresh heartbeat keeps even an unverifiable pid alive.
-            store.claim("ghost")
-            assert "ghost" in store.active_claims()
-
-    def test_gc_skips_claimed_campaign_rows(self, tmp_path):
-        with ResultStore(tmp_path / "store", campaign_id="daemon-job") as store:
-            _put_range(store, 0, 3)
-            week_ago = store_module.time.time() - 7 * 86400.0
-            store._db.execute("UPDATE runs SET created_at = ?", (week_ago,))
-            store._db.commit()
-            store.claim("daemon-job")
-            outcome = store.gc(keep_days=1.0)
-            # Every old row belongs to the claimed campaign: all skipped.
-            assert outcome.removed == 0
-            assert outcome.skipped_in_use == 3
-            assert outcome.in_use_campaigns == ("daemon-job",)
-            assert len(store) == 3
-            store.release_claim("daemon-job")
-            outcome = store.gc(keep_days=1.0)
-            assert outcome.removed == 3
-            assert outcome.skipped_in_use == 0
-
-    def test_gc_purges_stale_claims(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            store.claim("ghost")
-            store._db.execute(
-                "UPDATE claims SET pid = ?, heartbeat = ? WHERE campaign_id = 'ghost'",
-                (2**22 + 12345, store_module.time.time() - 9999),
-            )
-            store._db.commit()
-            store.gc(keep_days=365.0)
-            rows = store._db.execute("SELECT campaign_id FROM claims").fetchall()
-            assert rows == []
-
     def test_gc_outcome_as_dict(self, tmp_path):
         with ResultStore(tmp_path / "store") as store:
             outcome = store.gc(keep_days=365.0)
-        payload = outcome.as_dict()
-        assert payload["removed"] == 0
-        assert payload["skipped_in_use"] == 0
-        assert payload["in_use_campaigns"] == []
+        assert outcome.as_dict() == {"removed": 0, "traces_removed": 0}
 
 
 # --------------------------------------------------------------------------- #
-# Thread safety: the daemon shares one handle across handler threads.
+# Thread safety: several threads may share one handle.
 # --------------------------------------------------------------------------- #
 
 
