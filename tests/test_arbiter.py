@@ -131,6 +131,10 @@ class TestTdmaArbiter:
         arbiter = TdmaArbiter(2, slot_cycles=4)
         assert arbiter.select(0, [1]) == -1
 
+    def test_cycles_left_in_slot_counts_down_to_the_next_slot(self):
+        arbiter = TdmaArbiter(2, slot_cycles=4)
+        assert [arbiter.cycles_left_in_slot(c) for c in range(9)] == [4, 3, 2, 1, 4, 3, 2, 1, 4]
+
     def test_next_grant_opportunity(self):
         arbiter = TdmaArbiter(2, slot_cycles=4)
         assert arbiter.next_grant_opportunity(1, 0) == 8

@@ -3,33 +3,44 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.campaign import (
+    KIND_RSK,
+    KIND_SYNTHETIC,
+    MANIFEST_NAME,
     SCHEMA_VERSION,
     CampaignSpec,
     CampaignStreamWriter,
     ParallelRunner,
     ResultStore,
     RunDescriptor,
+    build_manifest,
     campaign_digest,
     compact_shard,
     default_shard_size,
     execute_run,
     execute_shard,
+    histogram_from_json,
     load_campaign,
     load_manifest,
     load_results,
     load_summary,
+    summarize_records,
+    workload_campaign_descriptors,
     workload_run_from_record,
     write_campaign_artifacts,
+    write_manifest,
 )
-from repro.campaign.runner import execute_inline, pool_executor, worker_pool
+from repro.campaign.runner import _json_histogram, execute_inline, pool_executor, worker_pool
 from repro.config import config_from_dict, get_preset, small_config
 from repro.errors import AnalysisError, ConfigurationError, MethodologyError
-from repro.methodology.workloads import run_workload_campaign
+from repro.kernels.synthetic import synthetic_kernel_names
+from repro.methodology.workloads import random_workloads, run_workload_campaign
 from repro.report.campaign import render_campaign_summary
+from repro.sim.trace import clear_trace_cache
 
 #: A campaign small enough for unit tests yet covering both run kinds.
 TINY_SPEC = CampaignSpec(
@@ -685,3 +696,280 @@ class TestShardExecutors:
             ParallelRunner(jobs=1, cache=store).run(descriptors)
             warm = ParallelRunner(jobs=2, cache=store).run(descriptors, executor=refusing)
         assert warm.stats["simulated"] == 0 and warm.stats["shards"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# Spec validation: a malformed grid fails at declaration, not mid-campaign.
+# --------------------------------------------------------------------------- #
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"presets": ()}, "at least one preset"),
+            ({"arbiters": ()}, "at least one arbiter"),
+            ({"seeds": ()}, "at least one seed"),
+            ({"num_workloads": -1}, "num_workloads"),
+            ({"iterations": 0}, "iteration counts"),
+            ({"rsk_iterations": 0}, "iteration counts"),
+            ({"contender_counts": (1, 0)}, "contender counts"),
+            ({"engine": "warp"}, "unknown simulation engine"),
+        ],
+        ids=[
+            "no-presets",
+            "no-arbiters",
+            "no-seeds",
+            "negative-workloads",
+            "zero-iterations",
+            "zero-rsk-iterations",
+            "zero-contenders",
+            "unknown-engine",
+        ],
+    )
+    def test_malformed_grid_rejected_at_declaration(self, overrides, message):
+        with pytest.raises(MethodologyError, match=message):
+            replace(TINY_SPEC, **overrides)
+
+    def test_unknown_preset_fails_at_expansion(self):
+        spec = CampaignSpec(presets=("no-such-preset",), num_workloads=1)
+        with pytest.raises(ConfigurationError, match="unknown preset"):
+            spec.expand()
+
+    def test_rsk_reference_alone_is_a_campaign(self):
+        descriptors = replace(TINY_SPEC, num_workloads=0).expand()
+        assert [d.kind for d in descriptors] == [KIND_RSK]
+        (rsk,) = descriptors
+        assert rsk.iterations == TINY_SPEC.rsk_iterations
+        assert rsk.tasks == ("rsk-load",) * rsk.config.num_cores
+        assert rsk.rsk_kind == "load"
+
+    def test_workloads_without_the_rsk_reference(self):
+        descriptors = replace(TINY_SPEC, include_rsk_reference=False).expand()
+        assert [d.kind for d in descriptors] == [KIND_SYNTHETIC] * TINY_SPEC.num_workloads
+        # Workload i of a seed runs with seed + i.
+        assert [d.seed for d in descriptors] == [2015, 2016]
+        assert all(d.iterations == TINY_SPEC.iterations for d in descriptors)
+
+    def test_kernel_pool_restricts_the_drawn_tasks(self):
+        pool = synthetic_kernel_names()[:2]
+        spec = replace(TINY_SPEC, kernel_pool=pool, num_workloads=6, include_rsk_reference=False)
+        drawn = {task for d in spec.expand() for task in d.tasks}
+        assert drawn <= set(pool)
+
+    @pytest.mark.parametrize("engine", ["stepped", "codegen", "replay"])
+    def test_engine_choice_never_changes_digests(self, engine):
+        """Every engine is cycle-exact, so the engine rides in the config
+        but stays out of the cache key: campaigns share store entries
+        whichever engine ran them."""
+        descriptors = replace(TINY_SPEC, engine=engine).expand()
+        assert all(d.config.engine == engine for d in descriptors)
+        assert [d.digest() for d in descriptors] == [d.digest() for d in TINY_SPEC.expand()]
+
+
+# --------------------------------------------------------------------------- #
+# Explicit workload lists (the run_workload_campaign bridge).
+# --------------------------------------------------------------------------- #
+
+
+class TestWorkloadDescriptors:
+    def test_run_ids_seeds_and_tasks_follow_the_workload_order(self):
+        config = small_config()
+        workloads = random_workloads(3, config.num_cores, seed=7)
+        descriptors = workload_campaign_descriptors(
+            config, workloads, observed_core=1, observed_iterations=6, seed=40
+        )
+        assert [d.run_id for d in descriptors] == ["00000", "00001", "00002"]
+        assert [d.seed for d in descriptors] == [40, 41, 42]
+        assert [d.tasks for d in descriptors] == [tuple(w) for w in workloads]
+        for descriptor in descriptors:
+            assert descriptor.preset == config.name
+            assert descriptor.config is config
+            assert descriptor.kind == KIND_SYNTHETIC
+            assert descriptor.observed_core == 1
+            assert descriptor.iterations == 6
+
+    def test_observed_core_outside_the_workload_is_rejected(self):
+        name = synthetic_kernel_names()[0]
+        with pytest.raises(MethodologyError, match="observed core"):
+            workload_campaign_descriptors(small_config(), [(name, name)], observed_core=2)
+
+    def test_empty_workload_list_has_no_descriptors(self):
+        assert workload_campaign_descriptors(small_config(), []) == ()
+
+
+# --------------------------------------------------------------------------- #
+# Campaign identity, manifests and histogram transport.
+# --------------------------------------------------------------------------- #
+
+
+class TestCampaignIdentity:
+    def test_campaign_digest_is_a_function_of_the_ordered_runs(self):
+        digests = [d.digest() for d in TINY_SPEC.expand()]
+        assert campaign_digest(digests) == campaign_digest(tuple(digests))
+        assert campaign_digest(digests) != campaign_digest(digests[::-1])
+
+    def test_a_repeated_run_changes_the_campaign_identity(self):
+        digests = [d.digest() for d in TINY_SPEC.expand()]
+        assert campaign_digest(digests) != campaign_digest(digests + digests[:1])
+
+    def test_engine_choice_keeps_the_campaign_identity(self):
+        event = [d.digest() for d in TINY_SPEC.expand()]
+        codegen = [d.digest() for d in replace(TINY_SPEC, engine="codegen").expand()]
+        assert campaign_digest(codegen) == campaign_digest(event)
+
+    def test_build_manifest_is_the_identity_stamp(self):
+        assert build_manifest("cid", 5, completed=False) == {
+            "schema": SCHEMA_VERSION,
+            "campaign_id": "cid",
+            "total_runs": 5,
+            "completed": False,
+        }
+
+    def test_write_manifest_round_trips_and_leaves_no_temporaries(self, tmp_path):
+        manifest = build_manifest("cid", 5, completed=True)
+        path = write_manifest(tmp_path, manifest)
+        assert path == tmp_path / MANIFEST_NAME
+        assert load_manifest(tmp_path) == manifest
+        assert [entry.name for entry in tmp_path.iterdir()] == [MANIFEST_NAME]
+
+    def test_rewriting_the_manifest_replaces_it(self, tmp_path):
+        write_manifest(tmp_path, build_manifest("cid", 5, completed=False))
+        write_manifest(tmp_path, build_manifest("cid", 5, completed=True))
+        assert load_manifest(tmp_path)["completed"] is True
+
+    def test_histogram_keys_are_strings_in_numeric_order(self):
+        rendered = _json_histogram({10: 1, 2: 5, 0: 7})
+        # Numeric, not lexicographic, order: "10" sorts after "2".
+        assert list(rendered) == ["0", "2", "10"]
+        assert histogram_from_json(json.loads(json.dumps(rendered))) == {0: 7, 2: 5, 10: 1}
+
+    def test_record_histograms_load_back_with_int_keys(self):
+        descriptor = next(d for d in TINY_SPEC.expand() if d.kind == KIND_SYNTHETIC)
+        metrics = execute_run(descriptor)["metrics"]
+        histogram = histogram_from_json(metrics["contender_histogram"])
+        assert histogram
+        assert all(0 <= key < descriptor.config.num_cores for key in histogram)
+        assert sum(histogram.values()) == metrics["contender_total_requests"]
+
+
+# --------------------------------------------------------------------------- #
+# The one pipeline end to end: stats, failures, stores and the replay engine.
+# --------------------------------------------------------------------------- #
+
+#: The replay engine on an arbiter sweep: both arbiters share each run's
+#: core side, so a store's ``traces/`` section fills on the first pass.
+REPLAY_SPEC = replace(TINY_SPEC, arbiters=("round_robin", "fifo"), engine="replay")
+
+
+def _summary_without_timing(path) -> dict:
+    summary = load_summary(path)
+    del summary["timing"]
+    return summary
+
+
+class TestOnePipeline:
+    def test_outcome_summary_is_the_record_summary_plus_timing(self):
+        outcome = ParallelRunner(jobs=1).run(TINY_SPEC.expand())
+        summary = outcome.summary()
+        assert summary.pop("timing") == outcome.stats
+        assert summary == summarize_records(outcome.records)
+
+    def test_stats_account_for_every_run(self):
+        descriptors = TINY_SPEC.expand()
+        outcome = ParallelRunner(jobs=1).run(list(descriptors) + [descriptors[0]])
+        stats = outcome.stats
+        assert stats["runs"] == len(descriptors) + 1
+        assert stats["unique_runs"] == len(descriptors)
+        assert stats["simulated"] == len(descriptors)
+        assert stats["cached"] == 0
+        assert stats["jobs"] == 1
+        assert stats["shards"] * stats["shard_size"] >= stats["simulated"]
+        assert "store" not in stats
+
+    def test_inline_executor_yields_one_result_list_per_shard(self):
+        descriptors = TINY_SPEC.expand()
+        shards = [compact_shard(i, [(d.digest(), d)]) for i, d in enumerate(descriptors)]
+        results = list(execute_inline(shards))
+        assert [[digest for digest, _ in fresh] for fresh in results] == [
+            [d.digest()] for d in descriptors
+        ]
+
+    def test_executor_failure_propagates_and_keeps_the_emitted_prefix(self, tmp_path):
+        """A shard executor dying mid-campaign (a lost pool worker) fails
+        the run; the stream keeps the records resolved before the failure
+        and its manifest stays in flight."""
+        descriptors = TINY_SPEC.expand()
+        stream = CampaignStreamWriter(tmp_path / "crashed", checkpoint_interval=0.0)
+
+        def dying(shards):
+            yield from execute_inline(shards[:1])
+            raise RuntimeError("worker lost")
+
+        with pytest.raises(RuntimeError, match="worker lost"):
+            ParallelRunner(jobs=1).run(descriptors, stream=stream, executor=dying)
+        assert load_manifest(stream.directory)["completed"] is False
+        emitted = load_results(stream.results_path)
+        assert [record["run_id"] for record in emitted] == [descriptors[0].run_id]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_store_backed_stream_matches_a_storeless_run(self, jobs, tmp_path):
+        """The store changes what is simulated, never what is written:
+        cold and warm store-backed campaigns stream the same bytes as a
+        storeless one."""
+        descriptors = TINY_SPEC.expand()
+        outcome = ParallelRunner(jobs=1).run(descriptors)
+        plain = write_campaign_artifacts(outcome, tmp_path / "plain")
+        expected_summary = _summary_without_timing(plain.summary_path)
+        campaign_id = campaign_digest([d.digest() for d in descriptors])
+        with ResultStore(tmp_path / "store", campaign_id=campaign_id) as store:
+            for attempt in ("cold", "warm"):
+                stream = CampaignStreamWriter(tmp_path / attempt, checkpoint_interval=0.0)
+                outcome = ParallelRunner(jobs=jobs, cache=store).run(descriptors, stream=stream)
+                streamed = stream.finalize(outcome.summary())
+                assert streamed.results_path.read_bytes() == plain.results_path.read_bytes()
+                assert streamed.manifest_path.read_bytes() == plain.manifest_path.read_bytes()
+                assert _summary_without_timing(streamed.summary_path) == expected_summary
+        assert outcome.stats["simulated"] == 0
+
+    def test_warm_rerun_writes_no_artifacts(self, tmp_path):
+        descriptors = TINY_SPEC.expand()
+        with ResultStore(tmp_path / "store") as store:
+            ParallelRunner(jobs=1, cache=store).run(descriptors)
+            written = len(list(store.directory.glob("*.json")))
+            store.counters.reset()
+            warm = ParallelRunner(jobs=1, cache=store).run(descriptors)
+        assert written == len(descriptors)
+        assert warm.stats["store"]["artifact_writes"] == 0
+        assert warm.stats["store"]["batches_flushed"] == 0
+
+    def test_replay_campaign_traces_do_not_depend_on_jobs(self, tmp_path):
+        """Pool workers back their trace caches with the store, like the
+        in-process runner: a replay campaign persists the same
+        ``traces/`` entries at any job count."""
+
+        def traces(directory):
+            return sorted(path.name for path in (directory / "traces").glob("*.json"))
+
+        descriptors = REPLAY_SPEC.expand()
+        clear_trace_cache()
+        try:
+            with ResultStore(tmp_path / "serial") as store:
+                serial = ParallelRunner(jobs=1, cache=store).run(descriptors)
+            clear_trace_cache()
+            with ResultStore(tmp_path / "pooled") as store:
+                pooled = ParallelRunner(jobs=2, cache=store).run(descriptors)
+        finally:
+            clear_trace_cache()
+        assert traces(tmp_path / "serial")
+        assert traces(tmp_path / "pooled") == traces(tmp_path / "serial")
+        assert pooled.records == serial.records
+
+    def test_replay_campaign_records_match_the_event_engine(self):
+        clear_trace_cache()
+        try:
+            replayed = ParallelRunner(jobs=1).run(REPLAY_SPEC.expand())
+        finally:
+            clear_trace_cache()
+        event = ParallelRunner(jobs=1).run(replace(REPLAY_SPEC, engine="event").expand())
+        assert replayed.records == event.records

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from repro.config import (
@@ -12,9 +15,13 @@ from repro.config import (
     L2Config,
     PRESETS,
     StoreBufferConfig,
+    TopologyConfig,
+    canonical_digest,
     get_preset,
+    multi_resource_config,
     reference_config,
     small_config,
+    split_bus_config,
     variant_config,
 )
 from repro.errors import ConfigurationError
@@ -208,3 +215,74 @@ class TestPresets:
         assert reference_config(freq_mhz=100).freq_mhz == 100
         assert variant_config(freq_mhz=100).freq_mhz == 100
         assert small_config(freq_mhz=100).freq_mhz == 100
+
+
+class TestBusServiceTimes:
+    def test_request_phases_occupy_transfer_plus_l2_and_responses_transfer_only(self, ref_config):
+        lbus = ref_config.bus.transfer_latency + ref_config.l2.hit_latency
+        assert ref_config.bus_service_l2_hit == lbus
+        assert ref_config.bus_service_store == lbus
+        assert ref_config.bus_service_miss_request == lbus
+        assert ref_config.bus_service_response == ref_config.bus.transfer_latency
+
+
+class TestTopologyFlags:
+    @pytest.mark.parametrize(
+        "name, memory_queues, response_channel",
+        [
+            ("bus_only", False, False),
+            ("bus_bank_queues", True, False),
+            ("split_bus", True, True),
+        ],
+    )
+    def test_contention_points_of_each_topology(self, name, memory_queues, response_channel):
+        topology = TopologyConfig(name=name)
+        assert topology.has_memory_queues is memory_queues
+        assert topology.has_response_channel is response_channel
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"mem_tdma_slot": 0},
+            {"response_tdma_slot": 0},
+            {"response_arbitration": "lottery"},
+        ],
+        ids=["zero-memory-slot", "zero-response-slot", "unknown-response-policy"],
+    )
+    def test_invalid_memory_and_response_parameters_rejected(self, overrides):
+        with pytest.raises(ConfigurationError):
+            TopologyConfig(name="split_bus", **overrides)
+
+    def test_with_topology_name_swaps_only_the_name(self):
+        base = split_bus_config(
+            topology=TopologyConfig(
+                name="split_bus",
+                mem_arbitration="round_robin",
+                response_arbitration="round_robin",
+                response_tdma_slot=5,
+            )
+        )
+        chained = base.with_topology_name("bus_bank_queues")
+        assert chained.topology == replace(base.topology, name="bus_bank_queues")
+        assert base.topology.name == "split_bus"
+        assert chained.with_overrides(topology=base.topology) == base
+
+    @pytest.mark.parametrize(
+        "factory, topology",
+        [(multi_resource_config, "bus_bank_queues"), (split_bus_config, "split_bus")],
+    )
+    def test_chained_presets_are_ref_with_another_topology(self, factory, topology):
+        config = factory()
+        assert config.topology.name == topology
+        assert config.topology.mem_arbitration == "fifo"
+        assert config.with_overrides(name="ref", topology=TopologyConfig()) == reference_config()
+
+
+class TestCanonicalDigest:
+    def test_digest_ignores_key_order(self):
+        assert canonical_digest({"a": 1, "b": [1, 2]}) == canonical_digest({"b": [1, 2], "a": 1})
+
+    def test_digest_is_sha256_of_compact_sorted_json(self):
+        expected = hashlib.sha256(b'{"a":1,"b":[1,2]}').hexdigest()
+        assert canonical_digest({"b": [1, 2], "a": 1}) == expected
+        assert canonical_digest({"b": [2, 1], "a": 1}) != expected

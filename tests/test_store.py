@@ -26,6 +26,7 @@ from repro.campaign import (
     CampaignSpec,
     ParallelRunner,
     ResultStore,
+    StoreCounters,
     is_store_directory,
 )
 from repro.errors import ConfigurationError
@@ -122,6 +123,39 @@ class TestStoreBasics:
             store.counters.reset()
             assert store.get(_digest(3)) == _record(_digest(3))
             assert store.counters.artifact_reads == 1
+
+    def test_index_lives_inside_the_store_directory(self, tmp_path):
+        with ResultStore(tmp_path / "store") as store:
+            assert store.index_path == tmp_path / "store" / store_module.INDEX_NAME
+            assert store.index_path.is_file()
+
+    def test_empty_requests_touch_neither_index_nor_disk(self, tmp_path):
+        with ResultStore(tmp_path / "store") as store:
+            store.counters.reset()
+            assert store.get_many([]) == {}
+            store.put_many([])
+            assert store.counters.as_dict() == StoreCounters().as_dict()
+        assert [path.name for path in (tmp_path / "store").glob("*.json")] == []
+
+    def test_counters_report_and_reset_every_field(self, tmp_path):
+        fields = set(vars(StoreCounters()))
+        with ResultStore(tmp_path / "store") as store:
+            store.counters.reset()
+            _put_range(store, 0, 3)
+            store.get_many([_digest(0), _digest(9)])
+            counters = store.counters.as_dict()
+            assert set(counters) == fields
+            assert counters["artifact_writes"] == 3
+            assert counters["batches_flushed"] == 1
+            assert counters["index_queries"] == 2
+            store.counters.reset()
+            assert store.counters.as_dict() == dict.fromkeys(fields, 0)
+
+    def test_rebuild_of_a_complete_index_adds_nothing(self, tmp_path):
+        with ResultStore(tmp_path / "store") as store:
+            _put_range(store, 0, 3)
+            assert store.rebuild_index() == 0
+            assert len(store) == 3
 
     def test_record_under_wrong_digest_is_a_miss(self, tmp_path):
         """A mis-synced row (index digest != embedded digest) must be a
@@ -367,6 +401,69 @@ class TestStatsAndGc:
         with ResultStore(tmp_path / "store") as store:
             outcome = store.gc(keep_days=365.0)
         assert outcome.as_dict() == {"removed": 0, "traces_removed": 0}
+
+
+# --------------------------------------------------------------------------- #
+# The trace section: the replay engine's unindexed core-trace memos.
+# --------------------------------------------------------------------------- #
+
+TRACE_KEY = "ab" * 32
+
+
+class TestTraceSection:
+    def test_round_trip_counts_the_write_and_the_hit(self, tmp_path):
+        with ResultStore(tmp_path / "store") as store:
+            store.put_trace(TRACE_KEY, {"schema": 1, "ops": [1, 2]})
+            assert store.get_trace(TRACE_KEY) == {"schema": 1, "ops": [1, 2]}
+            counters = store.counters
+            assert (counters.trace_writes, counters.trace_hits, counters.trace_misses) == (1, 1, 0)
+            # Atomic write: no temporary file is left next to the trace.
+            assert [path.name for path in store.traces_dir.iterdir()] == [f"{TRACE_KEY}.json"]
+
+    def test_absent_trace_is_a_counted_miss(self, tmp_path):
+        with ResultStore(tmp_path / "store") as store:
+            assert store.get_trace(TRACE_KEY) is None
+            assert store.counters.trace_misses == 1
+            assert store.counters.trace_hits == 0
+
+    @pytest.mark.parametrize("content", ["{ torn", "[1, 2]"], ids=["torn", "not-an-object"])
+    def test_unreadable_trace_is_a_miss(self, tmp_path, content):
+        with ResultStore(tmp_path / "store") as store:
+            store.traces_dir.mkdir()
+            (store.traces_dir / f"{TRACE_KEY}.json").write_text(content, encoding="utf-8")
+            assert store.get_trace(TRACE_KEY) is None
+            assert store.counters.trace_misses == 1
+
+    @pytest.mark.parametrize(
+        "key",
+        ["", "ABCDEF", "../escape", "ab/cd"],
+        ids=["empty", "upper-case", "parent-dir", "sub-dir"],
+    )
+    def test_malformed_trace_key_is_refused(self, tmp_path, key):
+        """Keys are hex digests; anything else could name a path outside
+        ``traces/`` and is refused before touching the filesystem."""
+        with ResultStore(tmp_path / "store") as store:
+            with pytest.raises(ConfigurationError, match="malformed trace key"):
+                store.put_trace(key, {})
+            with pytest.raises(ConfigurationError, match="malformed trace key"):
+                store.get_trace(key)
+            assert not store.traces_dir.exists()
+        assert not (tmp_path / "escape.json").exists()
+
+    def test_traces_are_never_indexed_as_runs(self, tmp_path):
+        directory = tmp_path / "store"
+        with ResultStore(directory) as store:
+            store.put_trace(TRACE_KEY, {"digest": TRACE_KEY})
+            _put_range(store, 0, 2)
+        # A lost index is rebuilt from the run artifacts alone.
+        (directory / store_module.INDEX_NAME).unlink()
+        with ResultStore(directory) as store:
+            assert len(store) == 2
+            assert TRACE_KEY not in store
+            stats = store.stats()
+        assert stats["entries"] == 2
+        trace_file = directory / "traces" / f"{TRACE_KEY}.json"
+        assert stats["traces"] == {"entries": 1, "bytes": trace_file.stat().st_size}
 
 
 # --------------------------------------------------------------------------- #

@@ -34,6 +34,29 @@ class TestRequestRecord:
         assert record().completed
         assert not record(complete=-1).completed
 
+    def test_l2_hit_never_reached_memory(self):
+        hit = record()
+        assert not hit.reached_memory
+        assert (hit.memory_queue_wait, hit.dram_service, hit.response_wait) == (0, 0, 0)
+
+    def test_l2_miss_decomposes_into_memory_stages(self):
+        miss = record(ready=0, grant=2, complete=40)
+        miss.mem_ready_cycle = 5
+        miss.mem_grant_cycle = 9
+        miss.mem_complete_cycle = 30
+        miss.response_ready_cycle = 30
+        miss.response_grant_cycle = 33
+        assert miss.reached_memory
+        assert miss.memory_queue_wait == 4
+        assert miss.dram_service == 21
+        assert miss.response_wait == 3
+
+    def test_miss_still_queued_at_its_bank_has_no_service_yet(self):
+        queued = record(ready=0, grant=2, complete=-1)
+        queued.mem_ready_cycle = 5
+        assert queued.reached_memory
+        assert (queued.memory_queue_wait, queued.dram_service, queued.response_wait) == (0, 0, 0)
+
 
 class TestTraceRecorder:
     def test_disabled_recorder_drops_records(self):
