@@ -53,8 +53,6 @@ def campaign_runner():
     if os.environ.get("REPRO_BENCH_CACHE", "0") == "1":
         store = ResultStore(OUTPUT_DIR / ".cache")
     yield ParallelRunner(jobs=max(1, jobs), cache=store)
-    if store is not None:
-        store.close()
 
 
 @pytest.fixture(scope="session")

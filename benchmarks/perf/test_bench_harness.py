@@ -104,8 +104,8 @@ class TestHarness:
     def test_campaign_entry_schema_and_guarantees(self, payload):
         """The campaigns section records cold/warm runs-per-sec, the gated
         warm_speedup ratio and the parallel-efficiency series; the warm
-        phase must have answered from the index alone (zero artifact
-        reads, zero simulations — violations raise inside the harness)."""
+        phase must have read each unique run's artifact once and written
+        none, with zero simulations (violations raise inside the harness)."""
         (entry,) = payload["campaigns"]
         assert entry["name"] == TINY_CAMPAIGN.name
         assert entry["runs"] == 2  # one workload + the rsk reference
@@ -114,8 +114,8 @@ class TestHarness:
         assert entry["warm"]["runs_per_sec"] > 0
         # A warm re-run skips every simulation, so it must beat cold.
         assert entry["warm_speedup"] > 1.0
-        assert entry["warm"]["counters"]["artifact_reads"] == 0
-        assert entry["warm"]["counters"]["index_queries"] >= 1
+        assert entry["warm"]["counters"]["artifact_reads"] == entry["unique_runs"]
+        assert entry["warm"]["counters"]["artifact_writes"] == 0
         assert set(entry["parallel"]) == {"2"}
         series = entry["parallel"]["2"]
         assert series["runs_per_sec"] > 0

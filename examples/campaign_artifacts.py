@@ -54,8 +54,7 @@ def main() -> None:
           f"({spec.num_workloads} workloads + rsk reference, per arbiter)")
 
     # 2. Execute through a result store and persist the artifacts.
-    with ResultStore(out_dir / "store") as store:
-        outcome = ParallelRunner(jobs=2, cache=store).run(descriptors)
+    outcome = ParallelRunner(jobs=2, cache=ResultStore(out_dir / "store")).run(descriptors)
     stats = outcome.stats
     print(f"Executed: {stats['simulated']} simulated, "
           f"{stats['cached']} from cache, jobs={stats['jobs']}")

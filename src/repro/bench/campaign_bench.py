@@ -7,20 +7,19 @@ the campaign engine is optimised for:
 
 * **cold** runs/sec — miss-frontier execution through shard dispatch;
 * **warm** runs/sec — a re-run of an unchanged campaign, which must
-  simulate nothing and resolve the whole grid from the store's SQLite
-  index (a handful of batched queries, zero artifact reads);
+  simulate nothing and resolve the whole grid from the store's artifacts
+  (one read per unique run, zero writes);
 * **parallel efficiency** — cold speedup per worker versus ``--jobs``.
 
 The gated metric is ``warm_speedup`` (warm / cold runs per second): like
 the engine ``speedup`` metrics it is a same-process ratio, so a committed
 baseline stays meaningful on any CI host.  Raw runs/sec and the store's
-operation counters are recorded for trend plots and the ≥10x-fewer-ops
-acceptance check.
+operation counters are recorded for trend plots.
 
 Each measurement also re-asserts the engine's core guarantees — a warm
-re-run performs zero simulations and reads zero artifact files, and
-parallel records equal serial records — so a broken guarantee surfaces as
-a bench *error*, never as a silently fast number.
+re-run performs zero simulations, reads each unique run's artifact once
+and writes none, and parallel records equal serial records — so a broken
+guarantee surfaces as a bench *error*, never as a silently fast number.
 """
 
 from __future__ import annotations
@@ -179,8 +178,8 @@ def time_campaign(
         warm_dir: Optional[Path] = None
         for attempt in range(max(1, repeats)):
             directory = base / f"cold-{attempt}"
-            with ResultStore(directory, campaign_id=bench.name) as store:
-                elapsed, outcome = _timed_run(ParallelRunner(jobs=1, cache=store), descriptors)
+            store = ResultStore(directory)
+            elapsed, outcome = _timed_run(ParallelRunner(jobs=1, cache=store), descriptors)
             if outcome.stats["simulated"] != outcome.stats["unique_runs"]:
                 raise SimulationError(
                     f"{bench.name}: cold campaign hit a fresh store "
@@ -197,29 +196,31 @@ def time_campaign(
 
         warm_seconds: Optional[float] = None
         warm_counters: Dict[str, int] = {}
-        with ResultStore(warm_dir, campaign_id=bench.name) as store:
-            for _ in range(max(1, repeats)):
-                store.counters.reset()
-                elapsed, outcome = _timed_run(ParallelRunner(jobs=1, cache=store), descriptors)
-                if outcome.stats["simulated"] != 0:
-                    raise SimulationError(
-                        f"{bench.name}: warm re-run simulated "
-                        f"{outcome.stats['simulated']} run(s); the store "
-                        "failed to dedupe an unchanged campaign"
-                    )
-                if store.counters.artifact_reads != 0:
-                    raise SimulationError(
-                        f"{bench.name}: warm re-run read "
-                        f"{store.counters.artifact_reads} artifact file(s); "
-                        "the index should have answered from its inline records"
-                    )
-                if outcome.records != reference:
-                    raise SimulationError(
-                        f"{bench.name}: warm records differ from cold records"
-                    )
-                if warm_seconds is None or elapsed < warm_seconds:
-                    warm_seconds = elapsed
-                    warm_counters = store.counters.as_dict()
+        store = ResultStore(warm_dir)
+        for _ in range(max(1, repeats)):
+            store.counters.reset()
+            elapsed, outcome = _timed_run(ParallelRunner(jobs=1, cache=store), descriptors)
+            if outcome.stats["simulated"] != 0:
+                raise SimulationError(
+                    f"{bench.name}: warm re-run simulated "
+                    f"{outcome.stats['simulated']} run(s); the store "
+                    "failed to dedupe an unchanged campaign"
+                )
+            counters = store.counters
+            if (counters.artifact_reads, counters.artifact_writes) != (entry["unique_runs"], 0):
+                raise SimulationError(
+                    f"{bench.name}: warm re-run read {counters.artifact_reads} "
+                    f"and wrote {counters.artifact_writes} artifact file(s); "
+                    f"expected one read per unique run ({entry['unique_runs']}) "
+                    "and no write"
+                )
+            if outcome.records != reference:
+                raise SimulationError(
+                    f"{bench.name}: warm records differ from cold records"
+                )
+            if warm_seconds is None or elapsed < warm_seconds:
+                warm_seconds = elapsed
+                warm_counters = counters.as_dict()
         assert warm_seconds is not None
 
         parallel: Dict[str, Dict[str, float]] = {}
@@ -227,10 +228,9 @@ def time_campaign(
             best: Optional[float] = None
             for attempt in range(max(1, repeats)):
                 directory = base / f"par{jobs}-{attempt}"
-                with ResultStore(directory, campaign_id=bench.name) as store:
-                    elapsed, outcome = _timed_run(
-                        ParallelRunner(jobs=jobs, cache=store), descriptors
-                    )
+                elapsed, outcome = _timed_run(
+                    ParallelRunner(jobs=jobs, cache=ResultStore(directory)), descriptors
+                )
                 if outcome.records != reference:
                     raise SimulationError(
                         f"{bench.name}: parallel (jobs={jobs}) records differ "
@@ -316,10 +316,9 @@ def _time_replay_phase(
     reference: Optional[Tuple[Dict[str, object], ...]] = None
     for attempt in range(max(1, repeats)):
         directory = base / f"replaycmp-codegen-{attempt}"
-        with ResultStore(directory, campaign_id=bench.name) as store:
-            elapsed, outcome = _timed_run(
-                ParallelRunner(jobs=1, cache=store), codegen_descriptors
-            )
+        elapsed, outcome = _timed_run(
+            ParallelRunner(jobs=1, cache=ResultStore(directory)), codegen_descriptors
+        )
         if reference is None:
             reference = _strip_engine(outcome.records)
         if codegen_seconds is None or elapsed < codegen_seconds:
@@ -331,18 +330,18 @@ def _time_replay_phase(
     # Priming campaign: the only execution-driven core simulations of the
     # whole phase.  Its store is discarded so the timed attempts resolve
     # nothing from the result store — only from the trace cache.
-    with ResultStore(base / "replaycmp-prime", campaign_id=bench.name) as store:
-        _timed_run(ParallelRunner(jobs=1, cache=store), replay_descriptors)
+    _timed_run(
+        ParallelRunner(jobs=1, cache=ResultStore(base / "replaycmp-prime")), replay_descriptors
+    )
 
     replay_seconds: Optional[float] = None
     warm_counters: Dict[str, int] = {}
     for attempt in range(max(1, repeats)):
         cache.reset_counters()
         directory = base / f"replaycmp-replay-{attempt}"
-        with ResultStore(directory, campaign_id=bench.name) as store:
-            elapsed, outcome = _timed_run(
-                ParallelRunner(jobs=1, cache=store), replay_descriptors
-            )
+        elapsed, outcome = _timed_run(
+            ParallelRunner(jobs=1, cache=ResultStore(directory)), replay_descriptors
+        )
         if cache.counters["captures"] != 0:
             raise SimulationError(
                 f"{bench.name}: trace-warm replay campaign captured "

@@ -11,9 +11,9 @@ and cached:
   pipeline: execute descriptors as shards in-process, over a process pool
   or through a caller-supplied executor, with deterministic,
   order-independent results (:mod:`repro.campaign.runner`);
-* :class:`ResultStore` — the content-addressed result store (JSON
-  artifacts behind a durable SQLite index) so re-runs only simulate what
-  changed, deduplicated across campaigns (:mod:`repro.campaign.store`);
+* :class:`ResultStore` — the content-addressed result store (a directory
+  of ``<digest>.json`` artifacts) so re-runs only simulate what changed,
+  deduplicated across campaigns (:mod:`repro.campaign.store`);
 * :func:`write_campaign_artifacts` / :class:`CampaignStreamWriter` /
   :func:`load_campaign` — the ``results.jsonl`` / ``summary.json`` /
   ``campaign.json`` artifact layer (:mod:`repro.campaign.artifacts`).
@@ -39,9 +39,7 @@ from .artifacts import (
 from .runner import (
     CampaignOutcome,
     ParallelRunner,
-    ShardRun,
     ShardTask,
-    compact_shard,
     default_shard_size,
     execute_run,
     execute_shard,
@@ -58,13 +56,7 @@ from .spec import (
     campaign_digest,
     workload_campaign_descriptors,
 )
-from .store import (
-    STORE_SCHEMA_VERSION,
-    GcOutcome,
-    ResultStore,
-    StoreCounters,
-    is_store_directory,
-)
+from .store import GcOutcome, ResultStore, StoreCounters
 
 __all__ = [
     "CampaignArtifacts",
@@ -80,19 +72,15 @@ __all__ = [
     "ResultStore",
     "RunDescriptor",
     "SCHEMA_VERSION",
-    "STORE_SCHEMA_VERSION",
     "SUMMARY_NAME",
-    "ShardRun",
     "ShardTask",
     "StoreCounters",
     "build_manifest",
     "campaign_digest",
-    "compact_shard",
     "default_shard_size",
     "execute_run",
     "execute_shard",
     "histogram_from_json",
-    "is_store_directory",
     "load_campaign",
     "load_manifest",
     "load_results",

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 from ..errors import AnalysisError
 from .runner import CampaignOutcome, summarize_records
 from .spec import SCHEMA_VERSION, campaign_digest
+from .store import atomic_write_text
 
 #: File names inside a campaign output directory.
 RESULTS_NAME = "results.jsonl"
@@ -74,11 +75,7 @@ def build_manifest(campaign_id: str, total_runs: int, completed: bool) -> Dict[s
 
 
 def _atomic_write_json(path: Path, payload: Dict[str, object]) -> None:
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    with tmp.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_manifest(directory: os.PathLike, manifest: Dict[str, object]) -> Path:

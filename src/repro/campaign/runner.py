@@ -12,19 +12,20 @@ order is fixed, a parallel campaign's artifacts are bit-identical to a
 serial campaign's — the only difference is wall-clock time.
 
 Sharding is the IPC amortisation: a 10k-run grid crosses the executor
-boundary ~``4 * jobs`` times instead of 10k times, and each
-:class:`ShardTask` ships every distinct :class:`ArchConfig` exactly once —
-descriptors inside the shard reference it by index, so identical platform
-payloads are never re-pickled per run.  Inside a worker, contender rsk
-programs are memoised per (config, kind) across the shard's runs.
+boundary ~``4 * jobs`` times instead of 10k times.  A :class:`ShardTask`
+is its index plus its ``(digest, descriptor)`` pairs; descriptors of one
+grid point share their :class:`ArchConfig` object, and pickle writes an
+object shared within one ``dumps`` call once, so a shard ships each
+platform once however many of its runs use it.  Inside a worker, contender
+rsk programs are memoised per (config, kind) across the shard's runs.
 
 A :class:`~repro.campaign.store.ResultStore` can be attached so repeated
-campaigns only simulate misses: one batched ``get_many`` resolves the
-whole grid (hits dedupe across *all* historical campaigns) and each
-absorbed shard is one ``put_many``.  The store also backs the replay
-engine's trace cache, in this process and in every pool worker, so core
-captures persist in its ``traces/`` section.  :class:`CampaignOutcome.stats`
-reports how many runs were simulated versus served from the store.
+campaigns only simulate misses: one ``get_many`` resolves the whole grid
+(hits dedupe across *all* historical campaigns) and each absorbed shard is
+one ``put_many``.  The store also backs the replay engine's trace cache,
+in this process and in every pool worker, so core captures persist in its
+``traces/`` section.  :class:`CampaignOutcome.stats` reports how many runs
+were simulated versus served from the store.
 
 Streaming: pass a :class:`~repro.campaign.artifacts.CampaignStreamWriter`
 to :meth:`ParallelRunner.run` and records are appended to
@@ -48,7 +49,7 @@ from ..analysis.contention import (
     contention_histogram,
     latency_decomposition,
 )
-from ..config import ArchConfig, FAIR_ARBITRATION_POLICIES, config_from_dict
+from ..config import FAIR_ARBITRATION_POLICIES, config_from_dict
 from ..errors import AnalysisError, MethodologyError
 from ..kernels.rsk import build_rsk
 from ..methodology.experiment import ExperimentRunner
@@ -66,7 +67,6 @@ def execute_run(
     descriptor: RunDescriptor,
     *,
     _contender_memo: Optional["_ContenderMemo"] = None,
-    _config_slot: int = -1,
 ) -> Dict[str, object]:
     """Simulate one descriptor and return its JSON-serialisable result record.
 
@@ -98,12 +98,14 @@ def execute_run(
         record["metrics"] = _synthetic_metrics(descriptor)
     else:
         record["rsk_kind"] = descriptor.rsk_kind
-        record["metrics"] = _rsk_metrics(descriptor, _contender_memo, _config_slot)
+        record["metrics"] = _rsk_metrics(descriptor, _contender_memo)
     return record
 
 
-#: Memo key for contender rsk programs: (config slot, rsk kind, occupied
-#: cores, observed core) fully determines the contender program map.
+#: Memo key for contender rsk programs: (config identity, rsk kind,
+#: occupied cores, observed core) fully determines the contender program
+#: map.  A memo lives for one shard, which keeps its configs alive, so a
+#: config's ``id`` cannot be reused by another config while it is a key.
 _ContenderKey = Tuple[int, str, int, int]
 _ContenderMemo = Dict[_ContenderKey, Dict[int, Program]]
 
@@ -127,7 +129,6 @@ def _synthetic_metrics(descriptor: RunDescriptor) -> Dict[str, object]:
 def _rsk_metrics(
     descriptor: RunDescriptor,
     contender_memo: Optional[_ContenderMemo] = None,
-    config_slot: int = -1,
 ) -> Dict[str, object]:
     config = descriptor.config
     observed = descriptor.observed_core
@@ -136,7 +137,7 @@ def _rsk_metrics(
     # shard executing many runs on the same platform builds them once.
     # Programs are frozen dataclasses, which makes sharing them safe.
     memo_key: _ContenderKey = (
-        config_slot,
+        id(config),
         descriptor.rsk_kind,
         len(descriptor.tasks),
         observed,
@@ -221,83 +222,23 @@ def workload_run_from_record(record: Dict[str, object]) -> WorkloadRun:
 
 
 @dataclass(frozen=True)
-class ShardRun:
-    """One run inside a :class:`ShardTask`, with the config replaced by an
-    index into the shard's deduplicated config table.
-
-    Campaign grids repeat the same :class:`ArchConfig` object across dozens
-    of descriptors (every workload/seed of one grid point shares it); a
-    shard pickles each distinct config once and each run carries only a
-    small integer, so the IPC payload stays proportional to the number of
-    *platforms* in the shard, not the number of runs.
-    """
-
-    run_id: str
-    preset: str
-    config_index: int
-    kind: str
-    tasks: Tuple[str, ...]
-    observed_core: int
-    iterations: int
-    seed: int
-    rsk_kind: str
-    digest: str
-
-
-@dataclass(frozen=True)
 class ShardTask:
-    """A contiguous slice of the miss-frontier, shipped to one worker."""
+    """A contiguous slice of the miss-frontier, shipped to one worker:
+    ``(digest, descriptor)`` pairs in frontier order."""
 
     index: int
-    configs: Tuple[ArchConfig, ...]
-    runs: Tuple[ShardRun, ...]
-
-
-def compact_shard(index: int, pending: Sequence[Tuple[str, RunDescriptor]]) -> ShardTask:
-    """Pack ``(digest, descriptor)`` pairs into a :class:`ShardTask`.
-
-    Configs are deduplicated by object identity — :meth:`CampaignSpec.expand
-    <repro.campaign.spec.CampaignSpec.expand>` reuses one config object per
-    grid point, so identity dedup catches exactly the repetition that
-    matters without hashing whole configurations.
-    """
-    configs: List[ArchConfig] = []
-    slots: Dict[int, int] = {}
-    runs: List[ShardRun] = []
-    for digest, descriptor in pending:
-        key = id(descriptor.config)
-        slot = slots.get(key)
-        if slot is None:
-            slot = len(configs)
-            configs.append(descriptor.config)
-            slots[key] = slot
-        runs.append(
-            ShardRun(
-                run_id=descriptor.run_id,
-                preset=descriptor.preset,
-                config_index=slot,
-                kind=descriptor.kind,
-                tasks=descriptor.tasks,
-                observed_core=descriptor.observed_core,
-                iterations=descriptor.iterations,
-                seed=descriptor.seed,
-                rsk_kind=descriptor.rsk_kind,
-                digest=digest,
-            )
-        )
-    return ShardTask(index=index, configs=tuple(configs), runs=tuple(runs))
+    runs: Tuple[Tuple[str, RunDescriptor], ...]
 
 
 def _attach_worker_trace_store(directory: str) -> None:
     """Pool-worker initializer: back this process's trace cache with the
     campaign store's ``traces/`` section.
 
-    Runs once per worker process.  Opening a fresh :class:`ResultStore`
-    handle is WAL-safe alongside the parent's; only the trace section is
-    touched through it (run records still travel back over IPC).
+    Runs once per worker process.  Only the trace section is touched
+    through the worker's handle (run records still travel back over IPC).
     """
     try:
-        store = ResultStore(directory, campaign_id="trace-worker")
+        store = ResultStore(directory)
     except Exception:  # pragma: no cover - a worker without traces still works
         return
     global_trace_cache().attach_store(store)
@@ -320,24 +261,10 @@ def execute_shard(shard: ShardTask) -> ShardResults:
     the shard.
     """
     memo: _ContenderMemo = {}
-    results: ShardResults = []
-    for run in shard.runs:
-        descriptor = RunDescriptor(
-            run_id=run.run_id,
-            preset=run.preset,
-            config=shard.configs[run.config_index],
-            kind=run.kind,
-            tasks=run.tasks,
-            observed_core=run.observed_core,
-            iterations=run.iterations,
-            seed=run.seed,
-            rsk_kind=run.rsk_kind,
-        )
-        record = execute_run(
-            descriptor, _contender_memo=memo, _config_slot=run.config_index
-        )
-        results.append((run.digest, record))
-    return results
+    return [
+        (digest, execute_run(descriptor, _contender_memo=memo))
+        for digest, descriptor in shard.runs
+    ]
 
 
 def execute_inline(shards: Sequence[ShardTask]) -> Generator[ShardResults, None, None]:
@@ -467,7 +394,7 @@ class ParallelRunner:
         ]
         shard_size = default_shard_size(len(pending), self.jobs)
         shards = [
-            compact_shard(index, pending[start : start + shard_size])
+            ShardTask(index, tuple(pending[start : start + shard_size]))
             for index, start in enumerate(range(0, len(pending), shard_size))
         ]
 

@@ -53,8 +53,6 @@ from .campaign import (
     CampaignStreamWriter,
     ParallelRunner,
     ResultStore,
-    campaign_digest,
-    is_store_directory,
 )
 from .config import PRESETS, get_preset
 from .errors import ConfigurationError, ReproError
@@ -173,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--store",
         metavar="DIR",
-        help="durable SQLite-indexed result store: re-runs only simulate "
-        "misses and hits dedupe across all historical campaigns; a "
-        "directory of bare <digest>.json artifacts is adopted as a store "
+        help="durable result store, one <digest>.json artifact per run: "
+        "re-runs only simulate misses and hits dedupe across all historical "
+        "campaigns; any directory of such artifacts is a store "
         "(see 'repro-bounds cache')",
     )
     campaign.add_argument(
@@ -257,14 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     cache_stats = cache_sub.add_parser(
         "stats",
-        help="print entry counts, per-campaign attribution and on-disk sizes",
+        help="print entry counts and on-disk sizes",
     )
     cache_stats.add_argument(
         "--store", metavar="DIR", required=True, help="result store directory"
     )
-    cache_gc = cache_sub.add_parser(
-        "gc", help="delete entries older than --keep-days (index and artifacts)"
-    )
+    cache_gc = cache_sub.add_parser("gc", help="delete entries older than --keep-days")
     cache_gc.add_argument(
         "--store", metavar="DIR", required=True, help="result store directory"
     )
@@ -451,29 +447,21 @@ def _run_campaign(args: argparse.Namespace) -> int:
         engine=args.engine,
     )
     descriptors = spec.expand()
-    store = None
-    if args.store:
-        campaign_id = campaign_digest([descriptor.digest() for descriptor in descriptors])
-        store = ResultStore(args.store, campaign_id=campaign_id)
-    try:
-        runner = ParallelRunner(jobs=args.jobs, cache=store)
-        if args.out:
-            stream = CampaignStreamWriter(args.out)
-            outcome = runner.run(descriptors, stream=stream)
-            summary = outcome.summary()
-            artifacts = stream.finalize(summary)
-            print(render_campaign_summary(summary))
-            print()
-            print(f"Wrote {artifacts.results_path}")
-            print(f"Wrote {artifacts.summary_path}")
-            print(f"Wrote {artifacts.manifest_path}")
-        else:
-            outcome = runner.run(descriptors)
-            summary = outcome.summary()
-            print(render_campaign_summary(summary))
-    finally:
-        if store is not None:
-            store.close()
+    runner = ParallelRunner(jobs=args.jobs, cache=ResultStore(args.store) if args.store else None)
+    if args.out:
+        stream = CampaignStreamWriter(args.out)
+        outcome = runner.run(descriptors, stream=stream)
+        summary = outcome.summary()
+        artifacts = stream.finalize(summary)
+        print(render_campaign_summary(summary))
+        print()
+        print(f"Wrote {artifacts.results_path}")
+        print(f"Wrote {artifacts.summary_path}")
+        print(f"Wrote {artifacts.manifest_path}")
+    else:
+        outcome = runner.run(descriptors)
+        summary = outcome.summary()
+        print(render_campaign_summary(summary))
     return 0
 
 
@@ -484,53 +472,39 @@ def _run_cache(args: argparse.Namespace) -> int:
     invalid (raised as :class:`ConfigurationError` and mapped by
     :func:`main`).
     """
-    if not is_store_directory(args.store):
+    if not os.path.isdir(args.store):
         raise ConfigurationError(
-            f"{args.store} is not a result store (no index); "
-            "'repro-bounds campaign --store DIR' creates one, adopting any "
-            "<digest>.json artifacts already in DIR"
+            f"{args.store} is not a result store (no such directory); "
+            "'repro-bounds campaign --store DIR' creates one"
         )
-    with ResultStore(args.store) as store:
-        if args.cache_command == "stats":
-            stats = store.stats()
-            if args.json:
-                print(json.dumps(stats, sort_keys=True, indent=2))
-                return 0
-            print(f"Store: {stats['directory']} (schema {stats['schema']})")
-            print(
-                f"Entries: {stats['entries']} "
-                f"({stats['artifact_bytes']} artifact bytes, "
-                f"{stats['index_bytes']} index bytes)"
-            )
-            traces = stats.get("traces")
-            if isinstance(traces, dict):
-                print(
-                    f"Traces: {traces['entries']} "
-                    f"({traces['bytes']} bytes, replay-engine core captures)"
-                )
-            campaigns = stats["campaigns"]
-            if isinstance(campaigns, dict) and campaigns:
-                print("Per-campaign attribution:")
-                print(
-                    render_table(
-                        ["campaign", "entries"],
-                        [[name, campaigns[name]] for name in sorted(campaigns)],
-                    )
-                )
+    store = ResultStore(args.store)
+    if args.cache_command == "stats":
+        stats = store.stats()
+        if args.json:
+            print(json.dumps(stats, sort_keys=True, indent=2))
             return 0
-        if args.cache_command == "gc":
-            outcome = store.gc(keep_days=args.keep_days)
-            if args.json:
-                print(json.dumps(outcome.as_dict(), sort_keys=True, indent=2))
-                return 0
-            removed = outcome.removed
+        print(f"Store: {stats['directory']}")
+        print(f"Entries: {stats['entries']} ({stats['artifact_bytes']} artifact bytes)")
+        traces = stats.get("traces")
+        if isinstance(traces, dict):
             print(
-                f"Removed {removed} entr{'y' if removed == 1 else 'ies'} older "
-                f"than {args.keep_days:g} day(s); {len(store)} remain"
+                f"Traces: {traces['entries']} "
+                f"({traces['bytes']} bytes, replay-engine core captures)"
             )
-            if outcome.traces_removed:
-                print(f"Removed {outcome.traces_removed} expired core trace(s)")
+        return 0
+    if args.cache_command == "gc":
+        outcome = store.gc(keep_days=args.keep_days)
+        if args.json:
+            print(json.dumps(outcome.as_dict(), sort_keys=True, indent=2))
             return 0
+        removed = outcome.removed
+        print(
+            f"Removed {removed} entr{'y' if removed == 1 else 'ies'} older "
+            f"than {args.keep_days:g} day(s); {len(store)} remain"
+        )
+        if outcome.traces_removed:
+            print(f"Removed {outcome.traces_removed} expired core trace(s)")
+        return 0
     raise ConfigurationError(
         f"unknown cache command {args.cache_command!r}"
     )  # pragma: no cover

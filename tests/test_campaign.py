@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 from dataclasses import replace
 
 import pytest
@@ -17,9 +18,9 @@ from repro.campaign import (
     ParallelRunner,
     ResultStore,
     RunDescriptor,
+    ShardTask,
     build_manifest,
     campaign_digest,
-    compact_shard,
     default_shard_size,
     execute_run,
     execute_shard,
@@ -263,31 +264,27 @@ class TestParallelRunner:
 
     def test_warm_cache_performs_zero_simulations(self, tmp_path):
         descriptors = TINY_SPEC.expand()
-        with ResultStore(tmp_path / "store") as store:
-            cold = ParallelRunner(jobs=1, cache=store).run(descriptors)
-            assert cold.stats["simulated"] == len(descriptors)
-            warm = ParallelRunner(jobs=2, cache=store).run(descriptors)
+        store = ResultStore(tmp_path / "store")
+        cold = ParallelRunner(jobs=1, cache=store).run(descriptors)
+        assert cold.stats["simulated"] == len(descriptors)
+        warm = ParallelRunner(jobs=2, cache=store).run(descriptors)
         assert warm.stats["simulated"] == 0
         assert warm.stats["cached"] == len(descriptors)
         assert warm.records == cold.records
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
         descriptors = TINY_SPEC.expand()[:1]
-        with ResultStore(tmp_path / "store") as store:
-            ParallelRunner(jobs=1, cache=store).run(descriptors)
-            # Both copies unreadable: the inline index record and the artifact.
-            store._db.execute("UPDATE runs SET record = '{ not json'")
-            store._db.commit()
-            for path in store.directory.glob("*.json"):
-                path.write_text("{ not json", encoding="utf-8")
-            rerun = ParallelRunner(jobs=1, cache=store).run(descriptors)
+        store = ResultStore(tmp_path / "store")
+        ParallelRunner(jobs=1, cache=store).run(descriptors)
+        for path in store.directory.glob("*.json"):
+            path.write_text("{ not json", encoding="utf-8")
+        rerun = ParallelRunner(jobs=1, cache=store).run(descriptors)
         assert rerun.stats["simulated"] == 1
         assert rerun.records[0]["digest"] == descriptors[0].digest()
 
     def test_cache_entry_under_wrong_name_is_a_miss(self, tmp_path):
         descriptors = TINY_SPEC.expand()[:2]
-        with ResultStore(tmp_path / "store") as store:
-            ParallelRunner(jobs=1, cache=store).run(descriptors)
+        ParallelRunner(jobs=1, cache=ResultStore(tmp_path / "store")).run(descriptors)
         first, second = (d.digest() for d in descriptors)
         # A mis-synced copy of the artifacts: the second record under the
         # first name.  Opening the copy adopts only the well-named record.
@@ -297,8 +294,7 @@ class TestParallelRunner:
             (copy / f"{digest}.json").write_bytes(
                 (tmp_path / "store" / f"{second}.json").read_bytes()
             )
-        with ResultStore(copy) as store:
-            rerun = ParallelRunner(jobs=1, cache=store).run(descriptors)
+        rerun = ParallelRunner(jobs=1, cache=ResultStore(copy)).run(descriptors)
         assert rerun.stats["simulated"] == 1
         assert rerun.records[0]["digest"] == first
 
@@ -577,10 +573,10 @@ class TestStreaming:
         def explode(items):
             raise boom
 
-        with ResultStore(tmp_path / "store") as store:
-            store.put_many = explode
-            with pytest.raises(RuntimeError, match="simulated crash"):
-                ParallelRunner(jobs=1, cache=store).run(descriptors, stream=stream)
+        store = ResultStore(tmp_path / "store")
+        store.put_many = explode
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            ParallelRunner(jobs=1, cache=store).run(descriptors, stream=stream)
         assert load_manifest(stream.directory)["completed"] is False
         assert stream._handle is None  # stream closed, not leaked
 
@@ -607,18 +603,27 @@ class TestStreaming:
 
 
 class TestSharding:
-    def test_compact_shard_dedups_shared_configs(self):
-        """Grid points expanded from one spec share ArchConfig objects;
-        a shard must serialise each distinct config once, not per run."""
-        pending = [(d.digest(), d) for d in TINY_SPEC.expand()]
-        shard = compact_shard(0, pending)
-        assert len(shard.configs) == 1  # one platform in TINY_SPEC
-        assert all(run.config_index == 0 for run in shard.runs)
-        assert [run.digest for run in shard.runs] == [digest for digest, _ in pending]
+    def test_pickled_shard_holds_one_config_per_platform(self):
+        """Grid points expanded from one spec share ArchConfig objects, and
+        pickle writes an object shared within one ``dumps`` call once: a
+        shard's round trip holds one config object per platform, not one
+        per run, and executes to the same records byte for byte."""
+        descriptors = replace(TINY_SPEC, arbiters=("round_robin", "fifo")).expand()
+        shard = ShardTask(0, tuple((d.digest(), d) for d in descriptors))
+        clone = pickle.loads(pickle.dumps(shard))
+        assert len(clone.runs) == len(descriptors) == 6
+        assert len({id(descriptor.config) for _, descriptor in clone.runs}) == 2
+        assert [digest for digest, _ in clone.runs] == [d.digest() for d in descriptors]
+        assert [descriptor for _, descriptor in clone.runs] == list(descriptors)
+
+        def canonical(results):
+            return [json.dumps(record, sort_keys=True) for _, record in results]
+
+        assert canonical(execute_shard(clone)) == canonical(execute_shard(shard))
 
     def test_shard_execution_matches_run_execution(self):
         descriptors = TINY_SPEC.expand()
-        shard = compact_shard(3, [(d.digest(), d) for d in descriptors])
+        shard = ShardTask(3, tuple((d.digest(), d) for d in descriptors))
         results = execute_shard(shard)
         assert [digest for digest, _ in results] == [d.digest() for d in descriptors]
         for (_, record), descriptor in zip(results, descriptors):
@@ -659,7 +664,7 @@ class TestShardExecutors:
 
     def test_pool_executor_yields_in_submission_order(self):
         descriptors = TINY_SPEC.expand()
-        shards = [compact_shard(i, [(d.digest(), d)]) for i, d in enumerate(descriptors)]
+        shards = [ShardTask(i, ((d.digest(), d),)) for i, d in enumerate(descriptors)]
         with worker_pool(2, None) as pool:
             results = list(pool_executor(pool)(shards))
         assert [fresh[0][0] for fresh in results] == [d.digest() for d in descriptors]
@@ -679,10 +684,10 @@ class TestShardExecutors:
         def explode(items):
             raise RuntimeError("disk full")
 
-        with ResultStore(tmp_path / "store") as store:
-            store.put_many = explode
-            with pytest.raises(RuntimeError, match="disk full"):
-                ParallelRunner(jobs=1, cache=store).run(TINY_SPEC.expand(), executor=executor)
+        store = ResultStore(tmp_path / "store")
+        store.put_many = explode
+        with pytest.raises(RuntimeError, match="disk full"):
+            ParallelRunner(jobs=1, cache=store).run(TINY_SPEC.expand(), executor=executor)
         assert closed == [True]
 
     def test_warm_run_dispatches_no_shards(self, tmp_path):
@@ -692,9 +697,9 @@ class TestShardExecutors:
             assert not shards, "a warm campaign must not dispatch work"
             yield from ()
 
-        with ResultStore(tmp_path / "store") as store:
-            ParallelRunner(jobs=1, cache=store).run(descriptors)
-            warm = ParallelRunner(jobs=2, cache=store).run(descriptors, executor=refusing)
+        store = ResultStore(tmp_path / "store")
+        ParallelRunner(jobs=1, cache=store).run(descriptors)
+        warm = ParallelRunner(jobs=2, cache=store).run(descriptors, executor=refusing)
         assert warm.stats["simulated"] == 0 and warm.stats["shards"] == 0
 
 
@@ -889,7 +894,7 @@ class TestOnePipeline:
 
     def test_inline_executor_yields_one_result_list_per_shard(self):
         descriptors = TINY_SPEC.expand()
-        shards = [compact_shard(i, [(d.digest(), d)]) for i, d in enumerate(descriptors)]
+        shards = [ShardTask(i, ((d.digest(), d),)) for i, d in enumerate(descriptors)]
         results = list(execute_inline(shards))
         assert [[digest for digest, _ in fresh] for fresh in results] == [
             [d.digest()] for d in descriptors
@@ -921,27 +926,26 @@ class TestOnePipeline:
         outcome = ParallelRunner(jobs=1).run(descriptors)
         plain = write_campaign_artifacts(outcome, tmp_path / "plain")
         expected_summary = _summary_without_timing(plain.summary_path)
-        campaign_id = campaign_digest([d.digest() for d in descriptors])
-        with ResultStore(tmp_path / "store", campaign_id=campaign_id) as store:
-            for attempt in ("cold", "warm"):
-                stream = CampaignStreamWriter(tmp_path / attempt, checkpoint_interval=0.0)
-                outcome = ParallelRunner(jobs=jobs, cache=store).run(descriptors, stream=stream)
-                streamed = stream.finalize(outcome.summary())
-                assert streamed.results_path.read_bytes() == plain.results_path.read_bytes()
-                assert streamed.manifest_path.read_bytes() == plain.manifest_path.read_bytes()
-                assert _summary_without_timing(streamed.summary_path) == expected_summary
+        store = ResultStore(tmp_path / "store")
+        for attempt in ("cold", "warm"):
+            stream = CampaignStreamWriter(tmp_path / attempt, checkpoint_interval=0.0)
+            outcome = ParallelRunner(jobs=jobs, cache=store).run(descriptors, stream=stream)
+            streamed = stream.finalize(outcome.summary())
+            assert streamed.results_path.read_bytes() == plain.results_path.read_bytes()
+            assert streamed.manifest_path.read_bytes() == plain.manifest_path.read_bytes()
+            assert _summary_without_timing(streamed.summary_path) == expected_summary
         assert outcome.stats["simulated"] == 0
 
     def test_warm_rerun_writes_no_artifacts(self, tmp_path):
         descriptors = TINY_SPEC.expand()
-        with ResultStore(tmp_path / "store") as store:
-            ParallelRunner(jobs=1, cache=store).run(descriptors)
-            written = len(list(store.directory.glob("*.json")))
-            store.counters.reset()
-            warm = ParallelRunner(jobs=1, cache=store).run(descriptors)
+        store = ResultStore(tmp_path / "store")
+        ParallelRunner(jobs=1, cache=store).run(descriptors)
+        written = len(list(store.directory.glob("*.json")))
+        store.counters.reset()
+        warm = ParallelRunner(jobs=1, cache=store).run(descriptors)
         assert written == len(descriptors)
         assert warm.stats["store"]["artifact_writes"] == 0
-        assert warm.stats["store"]["batches_flushed"] == 0
+        assert warm.stats["store"]["artifact_reads"] == len(descriptors)
 
     def test_replay_campaign_traces_do_not_depend_on_jobs(self, tmp_path):
         """Pool workers back their trace caches with the store, like the
@@ -954,11 +958,9 @@ class TestOnePipeline:
         descriptors = REPLAY_SPEC.expand()
         clear_trace_cache()
         try:
-            with ResultStore(tmp_path / "serial") as store:
-                serial = ParallelRunner(jobs=1, cache=store).run(descriptors)
+            serial = ParallelRunner(jobs=1, cache=ResultStore(tmp_path / "serial")).run(descriptors)
             clear_trace_cache()
-            with ResultStore(tmp_path / "pooled") as store:
-                pooled = ParallelRunner(jobs=2, cache=store).run(descriptors)
+            pooled = ParallelRunner(jobs=2, cache=ResultStore(tmp_path / "pooled")).run(descriptors)
         finally:
             clear_trace_cache()
         assert traces(tmp_path / "serial")

@@ -523,13 +523,24 @@ class TestStoreCli:
         assert main(["cache", "stats", "--store", str(tmp_path / "store")]) == 0
         output = capsys.readouterr().out
         assert "Entries: 3" in output
-        assert "Per-campaign attribution" in output
 
     def test_cache_stats_on_non_store_is_a_clean_error(self, tmp_path, capsys):
         assert main(["cache", "stats", "--store", str(tmp_path / "empty")]) == 2
         err = capsys.readouterr().err
         assert "not a result store" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["stats", "gc"])
+    def test_cache_refuses_a_path_that_is_not_a_directory(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a store", encoding="utf-8")
+        extra = ["--keep-days", "30"] if command == "gc" else []
+        for target in (blocker, tmp_path / "missing"):
+            assert main(["cache", command, "--store", str(target), *extra]) == 2
+            err = capsys.readouterr().err
+            assert "not a result store" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
 
     def test_campaign_store_adopts_copied_artifacts(self, tmp_path, capsys):
         import shutil
@@ -540,13 +551,35 @@ class TestStoreCli:
         fresh.mkdir()
         for path in (tmp_path / "store").glob("*.json"):
             shutil.copy(path, fresh / path.name)
-        # A directory of bare artifacts is not a store until one opens it.
-        assert main(["cache", "stats", "--store", str(fresh)]) == 2
-        assert "adopting" in capsys.readouterr().err
+        # A directory of bare artifacts is a store as it is.
+        assert main(["cache", "stats", "--store", str(fresh)]) == 0
+        assert "Entries: 3" in capsys.readouterr().out
         assert main(self._campaign_argv(fresh)) == 0
         assert ": 0 simulated" in capsys.readouterr().out
         assert main(["cache", "stats", "--store", str(fresh)]) == 0
         assert "Entries: 3" in capsys.readouterr().out
+
+    def test_campaign_files_sharing_the_store_are_not_entries(self, tmp_path, capsys):
+        """With ``--out`` and ``--store`` naming one directory, ``cache``
+        counts and collects the two run artifacts only: the campaign's
+        ``results.jsonl``, ``summary.json`` and ``campaign.json`` are not
+        entries."""
+        import json
+
+        shared = tmp_path / "shared"
+        assert main(self._campaign_argv(shared, out_dir=shared, workloads="1")) == 0
+        capsys.readouterr()
+        campaign_files = ["campaign.json", "results.jsonl", "summary.json"]
+        artifacts = [path for path in shared.glob("*.json") if len(path.stem) == 64]
+        assert len(artifacts) == 2
+        assert main(["cache", "stats", "--store", str(shared), "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["entries"] == 2
+        assert stats["artifact_bytes"] == sum(path.stat().st_size for path in artifacts)
+        gc = ["cache", "gc", "--store", str(shared), "--keep-days", "0", "--json"]
+        assert main(gc) == 0
+        assert json.loads(capsys.readouterr().out)["removed"] == 2
+        assert sorted(path.name for path in shared.iterdir()) == campaign_files
 
     def test_cache_gc_removes_nothing_on_a_fresh_store(self, tmp_path, capsys):
         assert main(self._campaign_argv(tmp_path / "store")) == 0
@@ -577,10 +610,9 @@ class TestCacheJson:
         from repro.campaign import ResultStore
 
         store_dir = tmp_path / "store"
-        with ResultStore(store_dir, campaign_id="seed") as store:
-            store.put_many(
-                [(f"{i:064x}", {"digest": f"{i:064x}", "schema": 4}) for i in range(3)]
-            )
+        ResultStore(store_dir).put_many(
+            [(f"{i:064x}", {"digest": f"{i:064x}", "schema": 4}) for i in range(3)]
+        )
         return store_dir
 
     def test_cache_stats_json(self, tmp_path, capsys):
@@ -590,14 +622,10 @@ class TestCacheJson:
         assert main(["cache", "stats", "--store", str(store_dir), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["entries"] == 3
-        assert payload["campaigns"] == {"seed": 3}
         assert sorted(payload) == [
             "artifact_bytes",
-            "campaigns",
             "directory",
             "entries",
-            "index_bytes",
-            "schema",
             "traces",
         ]
 

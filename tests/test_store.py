@@ -1,13 +1,12 @@
-"""Tests for the durable SQLite-indexed result store.
+"""Tests for the durable result store.
 
-The store is the campaign engine's long-lived memory: content-addressed
-JSON artifacts (the source of truth) fronted by a rebuildable SQLite
-index with an inline record copy, so a warm campaign answers from a
-handful of batched queries instead of one filesystem probe per run.
-These tests pin the contracts the runner and CLI rely on: concurrent
-writers never lose rows, dedup works across campaigns, a corrupt index
-is recovered from the artifacts, and a directory of bare artifacts is
-adopted as a store in place.
+The store is the campaign engine's long-lived memory: a directory of
+content-addressed JSON artifacts, one ``<digest>.json`` per run.  These
+tests pin the contracts the runner and CLI rely on: concurrent writers
+never lose or tear an entry, dedup works across campaigns, unreadable
+artifacts are misses, a directory of bare artifacts is a store as it is,
+and the store touches no file that is not an entry (including the
+``index.sqlite`` an older layout kept beside the artifacts).
 """
 
 from __future__ import annotations
@@ -15,19 +14,19 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 import shutil
 import sqlite3
+import sys
+import time
 
 import pytest
 
-import repro.campaign.store as store_module
 from repro.campaign import (
-    STORE_SCHEMA_VERSION,
     CampaignSpec,
     ParallelRunner,
     ResultStore,
     StoreCounters,
-    is_store_directory,
 )
 from repro.errors import ConfigurationError
 
@@ -49,142 +48,92 @@ def _put_range(store: ResultStore, start: int, stop: int) -> None:
     store.put_many([(_digest(i), _record(_digest(i), seed=i)) for i in range(start, stop)])
 
 
-def _stamp_schema_zero(db: sqlite3.Connection) -> None:
-    db.execute("UPDATE meta SET value = '0' WHERE key = 'schema_version'")
-
-
-def _schema_two_with_live_claim(db: sqlite3.Connection) -> None:
-    """The index a schema-2 tool left behind while a campaign was in use: a
-    ``claims`` table holding a fresh claim of a live process."""
-    db.execute(
-        "CREATE TABLE claims (campaign_id TEXT PRIMARY KEY, pid INTEGER NOT NULL, "
-        "heartbeat REAL NOT NULL)"
-    )
-    db.execute(
-        "INSERT INTO claims VALUES ('claimed', ?, ?)",
-        (store_module.os.getpid(), store_module.time.time()),
-    )
-    db.execute("UPDATE meta SET value = '2' WHERE key = 'schema_version'")
+def _age(path, days: float) -> None:
+    """Backdate ``path``'s mtime by ``days`` days (what ``gc`` ages by)."""
+    then = time.time() - days * 86400.0
+    os.utime(path, (then, then))
 
 
 class TestStoreBasics:
     def test_round_trip_and_membership(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            record = _record(_digest(1), seed=7)
-            store.put(_digest(1), record)
-            assert store.get(_digest(1)) == record
-            assert _digest(1) in store
-            assert _digest(2) not in store
-            assert len(store) == 1
-            assert store.get(_digest(2)) is None
+        store = ResultStore(tmp_path / "store")
+        record = _record(_digest(1), seed=7)
+        store.put(_digest(1), record)
+        assert store.get(_digest(1)) == record
+        assert _digest(1) in store
+        assert _digest(2) not in store
+        assert len(store) == 1
+        assert store.get(_digest(2)) is None
 
     def test_store_directory_is_created_and_detectable(self, tmp_path):
         target = tmp_path / "nested" / "store"
-        assert not is_store_directory(target)
-        with ResultStore(target):
-            pass
-        assert is_store_directory(target)
-        assert not is_store_directory(tmp_path)
+        assert not target.exists()
+        ResultStore(target)
+        assert target.is_dir()
 
-    def test_warm_lookups_answer_from_the_index_alone(self, tmp_path):
-        """The inline record copy means a warm ``get_many`` costs
-        ``ceil(n / batch)`` queries and *zero* artifact reads — the
-        ISSUE's >=10x fewer filesystem operations on the warm path."""
-        with ResultStore(tmp_path / "store") as store:
-            _put_range(store, 0, 40)
-            store.counters.reset()
-            hits = store.get_many([_digest(i) for i in range(40)])
-            assert len(hits) == 40
-            assert store.counters.index_queries == 1
-            assert store.counters.artifact_reads == 0
-
-    def test_get_many_batches_and_dedups_the_request(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(store_module, "_BATCH", 8)
-        with ResultStore(tmp_path / "store") as store:
-            _put_range(store, 0, 20)
-            store.counters.reset()
-            asked = [_digest(i % 20) for i in range(60)]  # each digest thrice
-            hits = store.get_many(asked)
-            assert len(hits) == 20
-            assert store.counters.index_queries == math.ceil(20 / 8)
+    def test_get_many_batches_and_dedups_the_request(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        _put_range(store, 0, 20)
+        store.counters.reset()
+        asked = [_digest(i % 20) for i in range(60)]  # each digest thrice
+        hits = store.get_many(asked)
+        assert len(hits) == 20
+        assert store.counters.artifact_reads == 20
+        assert store.counters.artifact_writes == 0
 
     def test_put_many_is_idempotent_under_replay(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            _put_range(store, 0, 5)
-            _put_range(store, 0, 5)
-            assert len(store) == 5
-            assert len(list((tmp_path / "store").glob("*.json"))) == 5
-
-    def test_tampered_inline_record_falls_back_to_the_artifact(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            store.put(_digest(3), _record(_digest(3)))
-            store._db.execute("UPDATE runs SET record = '{ not json'")
-            store._db.commit()
-            store.counters.reset()
-            assert store.get(_digest(3)) == _record(_digest(3))
-            assert store.counters.artifact_reads == 1
-
-    def test_index_lives_inside_the_store_directory(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            assert store.index_path == tmp_path / "store" / store_module.INDEX_NAME
-            assert store.index_path.is_file()
+        store = ResultStore(tmp_path / "store")
+        _put_range(store, 0, 5)
+        _put_range(store, 0, 5)
+        assert len(store) == 5
+        assert len(list((tmp_path / "store").glob("*.json"))) == 5
 
     def test_empty_requests_touch_neither_index_nor_disk(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            store.counters.reset()
-            assert store.get_many([]) == {}
-            store.put_many([])
-            assert store.counters.as_dict() == StoreCounters().as_dict()
+        store = ResultStore(tmp_path / "store")
+        store.counters.reset()
+        assert store.get_many([]) == {}
+        store.put_many([])
+        assert store.counters.as_dict() == StoreCounters().as_dict()
         assert [path.name for path in (tmp_path / "store").glob("*.json")] == []
 
     def test_counters_report_and_reset_every_field(self, tmp_path):
         fields = set(vars(StoreCounters()))
-        with ResultStore(tmp_path / "store") as store:
-            store.counters.reset()
-            _put_range(store, 0, 3)
-            store.get_many([_digest(0), _digest(9)])
-            counters = store.counters.as_dict()
-            assert set(counters) == fields
-            assert counters["artifact_writes"] == 3
-            assert counters["batches_flushed"] == 1
-            assert counters["index_queries"] == 2
-            store.counters.reset()
-            assert store.counters.as_dict() == dict.fromkeys(fields, 0)
-
-    def test_rebuild_of_a_complete_index_adds_nothing(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            _put_range(store, 0, 3)
-            assert store.rebuild_index() == 0
-            assert len(store) == 3
+        store = ResultStore(tmp_path / "store")
+        store.counters.reset()
+        _put_range(store, 0, 3)
+        store.get_many([_digest(0), _digest(9)])
+        counters = store.counters.as_dict()
+        assert set(counters) == fields
+        assert counters["artifact_writes"] == 3
+        store.counters.reset()
+        assert store.counters.as_dict() == dict.fromkeys(fields, 0)
 
     def test_record_under_wrong_digest_is_a_miss(self, tmp_path):
-        """A mis-synced row (index digest != embedded digest) must be a
+        """A mis-synced artifact (file name != embedded digest) must be a
         miss, not a silently wrong payload."""
-        with ResultStore(tmp_path / "store") as store:
-            store.put(_digest(4), _record(_digest(4)))
-            swapped = json.dumps(_record(_digest(9)), sort_keys=True)
-            store._db.execute("UPDATE runs SET record = ?", (swapped,))
-            store._db.commit()
-            (tmp_path / "store" / f"{_digest(4)}.json").write_text(swapped, encoding="utf-8")
-            assert store.get(_digest(4)) is None
+        store = ResultStore(tmp_path / "store")
+        store.put(_digest(4), _record(_digest(4)))
+        swapped = json.dumps(_record(_digest(9)), sort_keys=True)
+        (tmp_path / "store" / f"{_digest(4)}.json").write_text(swapped, encoding="utf-8")
+        assert store.get(_digest(4)) is None
 
 
 def _stress_writer(directory: str, offset: int, count: int) -> None:
     """Subprocess body: write ``count`` records starting at ``offset``
     through an independent store handle, in several small batches."""
-    with ResultStore(directory, campaign_id=f"writer-{offset}") as store:
-        for start in range(offset, offset + count, 7):
-            stop = min(start + 7, offset + count)
-            store.put_many([(_digest(i), _record(_digest(i), seed=i)) for i in range(start, stop)])
+    store = ResultStore(directory)
+    for start in range(offset, offset + count, 7):
+        stop = min(start + 7, offset + count)
+        store.put_many([(_digest(i), _record(_digest(i), seed=i)) for i in range(start, stop)])
 
 
 class TestConcurrentWriters:
     def test_overlapping_writers_lose_nothing(self, tmp_path):
         """Four processes hammer one store with overlapping digest ranges;
-        WAL + busy_timeout + INSERT OR REPLACE must leave every digest
+        per-writer temp files + ``os.replace`` must leave every digest
         present, readable and consistent with its artifact."""
         directory = tmp_path / "store"
-        ResultStore(directory).close()  # settle schema creation up front
+        ResultStore(directory)
         ctx = multiprocessing.get_context("fork")
         offsets = (0, 30, 60, 90)
         workers = [
@@ -196,13 +145,13 @@ class TestConcurrentWriters:
         for worker in workers:
             worker.join(timeout=120)
             assert worker.exitcode == 0
-        with ResultStore(directory) as store:
-            assert len(store) == 130  # 0..129, overlaps deduplicated
-            hits = store.get_many([_digest(i) for i in range(130)])
-            assert len(hits) == 130
-            assert all(hits[_digest(i)]["seed"] == i for i in range(130))
-            # Every indexed row has its artifact on disk (crash contract).
-            assert len(list(directory.glob("*.json"))) == 130
+        store = ResultStore(directory)
+        assert len(store) == 130  # 0..129, overlaps deduplicated
+        hits = store.get_many([_digest(i) for i in range(130)])
+        assert len(hits) == 130
+        assert all(hits[_digest(i)]["seed"] == i for i in range(130))
+        # No writer left a temp file behind.
+        assert len(list(directory.iterdir())) == 130
 
 
 class TestCrossCampaignDedup:
@@ -211,112 +160,39 @@ class TestCrossCampaignDedup:
         shared store, B must simulate exactly the one novel run and still
         produce records bit-equal to an uncached execution."""
         directory = tmp_path / "store"
-        with ResultStore(directory, campaign_id="campaign-a") as store:
-            cold = ParallelRunner(jobs=1, cache=store).run(SPEC_A.expand())
+        cold = ParallelRunner(jobs=1, cache=ResultStore(directory)).run(SPEC_A.expand())
         assert cold.stats["simulated"] == 2
-        with ResultStore(directory, campaign_id="campaign-b") as store:
-            overlap = ParallelRunner(jobs=2, cache=store).run(SPEC_B.expand())
-            attribution = store.stats()["campaigns"]
+        store = ResultStore(directory)
+        overlap = ParallelRunner(jobs=2, cache=store).run(SPEC_B.expand())
         assert overlap.stats["simulated"] == 1
         assert overlap.stats["cached"] == 2
         assert overlap.records == ParallelRunner(jobs=1).run(SPEC_B.expand()).records
-        # stats() attributes each run to the campaign that first wrote it.
-        assert attribution == {"campaign-a": 2, "campaign-b": 1}
+        assert store.stats()["entries"] == 3
 
     def test_fully_warm_campaign_simulates_nothing(self, tmp_path):
         directory = tmp_path / "store"
-        with ResultStore(directory, campaign_id="first") as store:
-            ParallelRunner(jobs=1, cache=store).run(SPEC_B.expand())
-        with ResultStore(directory, campaign_id="second") as store:
-            warm = ParallelRunner(jobs=2, cache=store).run(SPEC_B.expand())
-            counters = store.counters.as_dict()
+        ParallelRunner(jobs=1, cache=ResultStore(directory)).run(SPEC_B.expand())
+        store = ResultStore(directory)
+        warm = ParallelRunner(jobs=2, cache=store).run(SPEC_B.expand())
+        counters = store.counters.as_dict()
         assert warm.stats["simulated"] == 0
         assert warm.stats["cached"] == 3
-        assert counters["artifact_reads"] == 0
-        assert counters["index_queries"] == 1
+        assert counters["artifact_reads"] == 3
+        assert counters["artifact_writes"] == 0
 
 
 class TestRecovery:
-    def test_corrupt_index_is_rebuilt_from_artifacts(self, tmp_path):
-        directory = tmp_path / "store"
-        with ResultStore(directory) as store:
-            _put_range(store, 0, 12)
-        (directory / store_module.INDEX_NAME).write_bytes(b"this is not a database")
-        with ResultStore(directory) as store:
-            assert len(store) == 12
-            hits = store.get_many([_digest(i) for i in range(12)])
-            assert all(hits[_digest(i)]["seed"] == i for i in range(12))
-
-    def test_deleted_index_is_rebuilt_from_artifacts(self, tmp_path):
-        directory = tmp_path / "store"
-        with ResultStore(directory) as store:
-            _put_range(store, 0, 6)
-        (directory / store_module.INDEX_NAME).unlink()
-        with ResultStore(directory) as store:
-            assert len(store) == 6
-
     def test_unreadable_artifacts_are_skipped_during_rebuild(self, tmp_path):
         directory = tmp_path / "store"
-        with ResultStore(directory) as store:
-            _put_range(store, 0, 4)
+        store = ResultStore(directory)
+        _put_range(store, 0, 4)
         (directory / f"{_digest(0)}.json").write_text("{ torn", encoding="utf-8")
-        (directory / store_module.INDEX_NAME).write_bytes(b"garbage")
-        with ResultStore(directory) as store:
-            assert len(store) == 3
-            assert store.get(_digest(0)) is None
-
-    def test_newer_index_schema_is_refused(self, tmp_path):
-        directory = tmp_path / "store"
-        ResultStore(directory).close()
-        db = sqlite3.connect(directory / store_module.INDEX_NAME)
-        with db:
-            db.execute(
-                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
-                (str(STORE_SCHEMA_VERSION + 1),),
-            )
-        db.close()
-        with pytest.raises(ConfigurationError, match="newer"):
-            ResultStore(directory)
-
-    @pytest.mark.parametrize(
-        "downgrade",
-        [_stamp_schema_zero, _schema_two_with_live_claim],
-        ids=["stamp-0", "schema-2-live-claim"],
-    )
-    def test_older_index_schema_triggers_a_rebuild(self, tmp_path, downgrade):
-        directory = tmp_path / "store"
-        digests = [_digest(i) for i in range(3)]
-        with ResultStore(directory, campaign_id="claimed") as store:
-            _put_range(store, 0, 3)
-        db = sqlite3.connect(directory / store_module.INDEX_NAME)
-        with db:
-            downgrade(db)
-        db.close()
-        with ResultStore(directory) as store:
-            assert len(store) == 3
-            assert set(store.get_many(digests)) == set(digests)
-            tables = {row[0] for row in store._db.execute("SELECT name FROM sqlite_master")}
-            assert "claims" not in tables
-            stats = store.stats()
-            assert stats["schema"] == STORE_SCHEMA_VERSION
-            assert set(stats) == {
-                "directory",
-                "schema",
-                "entries",
-                "campaigns",
-                "artifact_bytes",
-                "index_bytes",
-                "traces",
-            }
-            # The rebuild re-stamps every row with the opener's campaign id
-            # and a fresh created_at; nothing protects the formerly claimed
-            # campaign's rows from gc once they are old.
-            assert stats["campaigns"] == {"adhoc": 3}
-            week_ago = store_module.time.time() - 7 * 86400.0
-            store._db.execute("UPDATE runs SET created_at = ?", (week_ago,))
-            store._db.commit()
-            assert store.gc(keep_days=1.0).removed == 3
-            assert store.get_many(digests) == {}
+        store = ResultStore(directory)
+        assert len(store) == 4  # still an entry: the next put replaces it
+        assert store.get(_digest(0)) is None
+        assert set(store.get_many([_digest(i) for i in range(4)])) == {
+            _digest(i) for i in range(1, 4)
+        }
 
     def test_unusable_store_path_is_a_configuration_error(self, tmp_path):
         blocker = tmp_path / "file"
@@ -324,83 +200,152 @@ class TestRecovery:
         with pytest.raises(ConfigurationError, match="result store"):
             ResultStore(blocker / "store")
 
+    @pytest.mark.parametrize(
+        "digest",
+        ["", "ab" * 31, "AB" * 32, "../" + "a" * 61],
+        ids=["empty", "short", "upper-case", "parent-dir"],
+    )
+    def test_malformed_run_digest_is_refused(self, tmp_path, digest):
+        """Only a 64-hex-digit name is an entry; any other digest could
+        name a file outside the entries and is refused before any I/O."""
+        store = ResultStore(tmp_path / "store")
+        for call in (lambda: store.put(digest, _record(digest)), lambda: store.get(digest)):
+            with pytest.raises(ConfigurationError, match="malformed run digest"):
+                call()
+        assert list((tmp_path / "store").iterdir()) == []
+
+
+def _parent_layout_index(directory, digests) -> None:
+    """Write the ``index.sqlite`` the SQLite-indexed layout (store schema 3)
+    kept beside its artifacts: a ``runs`` row per digest, inline record
+    included, and the schema stamp."""
+    db = sqlite3.connect(directory / "index.sqlite")
+    with db:
+        db.execute(
+            "CREATE TABLE runs (digest TEXT PRIMARY KEY, campaign_id TEXT NOT NULL, "
+            "seed INTEGER, created_at REAL NOT NULL, path TEXT NOT NULL, record TEXT NOT NULL)"
+        )
+        db.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+        db.execute("INSERT INTO meta VALUES ('schema_version', '3')")
+        for digest in digests:
+            name = f"{digest}.json"
+            record = (directory / name).read_text(encoding="utf-8")
+            db.execute(
+                "INSERT INTO runs VALUES (?, 'adhoc', NULL, ?, ?, ?)",
+                (digest, time.time(), name, record),
+            )
+    db.close()
+
 
 class TestAdoption:
     def test_copied_artifacts_are_adopted_in_place(self, tmp_path):
         """A directory of bare ``<digest>.json`` artifacts (here a copy of
-        a store without its index) becomes a store when opened: the index
-        is built from the artifacts and a warm campaign simulates nothing."""
+        a store) is a store as it is: a warm campaign simulates nothing."""
         descriptors = SPEC_B.expand()
-        with ResultStore(tmp_path / "store") as store:
-            cold = ParallelRunner(jobs=1, cache=store).run(descriptors)
+        cold = ParallelRunner(jobs=1, cache=ResultStore(tmp_path / "store")).run(descriptors)
         copy = tmp_path / "copy"
         copy.mkdir()
         for path in (tmp_path / "store").glob("*.json"):
             shutil.copy(path, copy / path.name)
-        assert not is_store_directory(copy)
-        with ResultStore(copy, campaign_id="adopted") as store:
-            assert len(store) == len(descriptors)
-            warm = ParallelRunner(jobs=1, cache=store).run(descriptors)
+        store = ResultStore(copy)
+        assert len(store) == len(descriptors)
+        warm = ParallelRunner(jobs=1, cache=store).run(descriptors)
         assert warm.stats["simulated"] == 0
         assert warm.records == cold.records
+
+    def test_parent_layout_store_answers_warm_and_keeps_its_index(self, tmp_path):
+        """A store written by the SQLite-indexed layout holds the same
+        artifacts plus ``index.sqlite``: a warm campaign answers from the
+        artifacts, and the index is ignored and left byte-identical."""
+        directory = tmp_path / "store"
+        descriptors = SPEC_B.expand()
+        cold = ParallelRunner(jobs=1, cache=ResultStore(directory)).run(descriptors)
+        digests = sorted({d.digest() for d in descriptors})
+        _parent_layout_index(directory, digests)
+        index = (directory / "index.sqlite").read_bytes()
+        store = ResultStore(directory)
+        warm = ParallelRunner(jobs=2, cache=store).run(descriptors)
+        assert warm.stats["simulated"] == 0
+        assert warm.records == cold.records
+        assert (directory / "index.sqlite").read_bytes() == index
+        assert store.stats()["entries"] == len(digests)
+        assert store.stats()["artifact_bytes"] == sum(
+            (directory / f"{digest}.json").stat().st_size for digest in digests
+        )
+        assert store.gc(keep_days=0.0).removed == len(digests)
+        assert [path.name for path in directory.iterdir()] == ["index.sqlite"]
+        assert (directory / "index.sqlite").read_bytes() == index
 
 
 class TestStatsAndGc:
     def test_stats_reports_sizes_and_attribution(self, tmp_path):
-        with ResultStore(tmp_path / "store", campaign_id="alpha") as store:
-            _put_range(store, 0, 4)
-            stats = store.stats()
-        assert stats["schema"] == STORE_SCHEMA_VERSION
+        store = ResultStore(tmp_path / "store")
+        _put_range(store, 0, 4)
+        stats = store.stats()
         assert stats["entries"] == 4
-        assert stats["campaigns"] == {"alpha": 4}
-        assert stats["artifact_bytes"] > 0
-        assert stats["index_bytes"] > 0
+        assert stats["artifact_bytes"] == sum(
+            path.stat().st_size for path in (tmp_path / "store").glob("*.json")
+        )
         assert stats["directory"] == str(tmp_path / "store")
+        assert set(stats) == {"directory", "entries", "artifact_bytes", "traces"}
 
     def test_gc_removes_old_rows_and_their_artifacts(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            _put_range(store, 0, 3)
-            week_ago = store_module.time.time() - 7 * 86400.0
-            store._db.execute(
-                "UPDATE runs SET created_at = ? WHERE digest = ?", (week_ago, _digest(0))
-            )
-            store._db.commit()
-            outcome = store.gc(keep_days=1.0)
-            assert outcome.removed == 1
-            assert len(store) == 2
-            assert store.get(_digest(0)) is None
+        store = ResultStore(tmp_path / "store")
+        _put_range(store, 0, 3)
+        _age(tmp_path / "store" / f"{_digest(0)}.json", days=7)
+        outcome = store.gc(keep_days=1.0)
+        assert outcome.removed == 1
+        assert len(store) == 2
+        assert store.get(_digest(0)) is None
         assert not (tmp_path / "store" / f"{_digest(0)}.json").exists()
         assert (tmp_path / "store" / f"{_digest(1)}.json").exists()
 
     def test_gc_keep_everything_and_bad_arguments(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            _put_range(store, 0, 2)
-            assert store.gc(keep_days=365.0).removed == 0
-            assert store.gc(keep_days=math.inf).removed == 0
-            for bad in (-1.0, math.nan):
-                with pytest.raises(ConfigurationError, match="keep_days"):
-                    store.gc(keep_days=bad)
-            assert len(store) == 2
+        store = ResultStore(tmp_path / "store")
+        _put_range(store, 0, 2)
+        assert store.gc(keep_days=365.0).removed == 0
+        assert store.gc(keep_days=math.inf).removed == 0
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ConfigurationError, match="keep_days"):
+                store.gc(keep_days=bad)
+        assert len(store) == 2
 
-    def test_gc_artifacts_remain_reindexable_after_partial_removal(self, tmp_path):
-        """gc deletes rows before artifacts; a rebuild after gc must only
-        resurrect artifacts that still exist."""
+    def test_leftover_temp_file_is_not_an_entry(self, tmp_path):
+        """A writer that died between its temp write and ``os.replace``
+        leaves ``<digest>.json.<pid>.<thread>.tmp``: not an entry, so it is
+        neither read, counted nor collected."""
         directory = tmp_path / "store"
-        with ResultStore(directory) as store:
-            _put_range(store, 0, 3)
-        # Simulate the crash window: row deleted, artifact left behind.
-        db = sqlite3.connect(directory / store_module.INDEX_NAME)
-        with db:
-            db.execute("DELETE FROM runs WHERE digest = ?", (_digest(2),))
-        db.close()
-        with ResultStore(directory) as store:
-            assert store.rebuild_index() == 1
-            assert len(store) == 3
+        store = ResultStore(directory)
+        leftover = directory / f"{_digest(1)}.json.{os.getpid()}.1.tmp"
+        leftover.write_text(json.dumps(_record(_digest(1))), encoding="utf-8")
+        _age(leftover, days=7)
+        assert store.get(_digest(1)) is None
+        assert _digest(1) not in store
+        assert (len(store), store.stats()["entries"]) == (0, 0)
+        assert store.gc(keep_days=0.0).removed == 0
+        assert leftover.exists()
 
     def test_gc_outcome_as_dict(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            outcome = store.gc(keep_days=365.0)
+        outcome = ResultStore(tmp_path / "store").gc(keep_days=365.0)
         assert outcome.as_dict() == {"removed": 0, "traces_removed": 0}
+
+    def test_only_entries_are_counted_and_collected(self, tmp_path):
+        """Files that are not ``<64 hex digits>.json`` are not entries:
+        campaign files sharing the directory survive ``stats`` and ``gc``."""
+        directory = tmp_path / "store"
+        store = ResultStore(directory)
+        _put_range(store, 0, 2)
+        others = ["summary.json", "campaign.json", "results.jsonl", f"{'ab' * 31}.json"]
+        for name in others:
+            (directory / name).write_text("{}", encoding="utf-8")
+            _age(directory / name, days=7)
+        stats = store.stats()
+        assert (stats["entries"], len(store)) == (2, 2)
+        assert stats["artifact_bytes"] == sum(
+            (directory / f"{_digest(i)}.json").stat().st_size for i in range(2)
+        )
+        assert store.gc(keep_days=0.0).removed == 2
+        assert sorted(path.name for path in directory.iterdir()) == sorted(others)
 
 
 # --------------------------------------------------------------------------- #
@@ -412,27 +357,27 @@ TRACE_KEY = "ab" * 32
 
 class TestTraceSection:
     def test_round_trip_counts_the_write_and_the_hit(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            store.put_trace(TRACE_KEY, {"schema": 1, "ops": [1, 2]})
-            assert store.get_trace(TRACE_KEY) == {"schema": 1, "ops": [1, 2]}
-            counters = store.counters
-            assert (counters.trace_writes, counters.trace_hits, counters.trace_misses) == (1, 1, 0)
-            # Atomic write: no temporary file is left next to the trace.
-            assert [path.name for path in store.traces_dir.iterdir()] == [f"{TRACE_KEY}.json"]
+        store = ResultStore(tmp_path / "store")
+        store.put_trace(TRACE_KEY, {"schema": 1, "ops": [1, 2]})
+        assert store.get_trace(TRACE_KEY) == {"schema": 1, "ops": [1, 2]}
+        counters = store.counters
+        assert (counters.trace_writes, counters.trace_hits, counters.trace_misses) == (1, 1, 0)
+        # Atomic write: no temporary file is left next to the trace.
+        assert [path.name for path in store.traces_dir.iterdir()] == [f"{TRACE_KEY}.json"]
 
     def test_absent_trace_is_a_counted_miss(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            assert store.get_trace(TRACE_KEY) is None
-            assert store.counters.trace_misses == 1
-            assert store.counters.trace_hits == 0
+        store = ResultStore(tmp_path / "store")
+        assert store.get_trace(TRACE_KEY) is None
+        assert store.counters.trace_misses == 1
+        assert store.counters.trace_hits == 0
 
     @pytest.mark.parametrize("content", ["{ torn", "[1, 2]"], ids=["torn", "not-an-object"])
     def test_unreadable_trace_is_a_miss(self, tmp_path, content):
-        with ResultStore(tmp_path / "store") as store:
-            store.traces_dir.mkdir()
-            (store.traces_dir / f"{TRACE_KEY}.json").write_text(content, encoding="utf-8")
-            assert store.get_trace(TRACE_KEY) is None
-            assert store.counters.trace_misses == 1
+        store = ResultStore(tmp_path / "store")
+        store.traces_dir.mkdir()
+        (store.traces_dir / f"{TRACE_KEY}.json").write_text(content, encoding="utf-8")
+        assert store.get_trace(TRACE_KEY) is None
+        assert store.counters.trace_misses == 1
 
     @pytest.mark.parametrize(
         "key",
@@ -442,25 +387,23 @@ class TestTraceSection:
     def test_malformed_trace_key_is_refused(self, tmp_path, key):
         """Keys are hex digests; anything else could name a path outside
         ``traces/`` and is refused before touching the filesystem."""
-        with ResultStore(tmp_path / "store") as store:
-            with pytest.raises(ConfigurationError, match="malformed trace key"):
-                store.put_trace(key, {})
-            with pytest.raises(ConfigurationError, match="malformed trace key"):
-                store.get_trace(key)
-            assert not store.traces_dir.exists()
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(ConfigurationError, match="malformed trace key"):
+            store.put_trace(key, {})
+        with pytest.raises(ConfigurationError, match="malformed trace key"):
+            store.get_trace(key)
+        assert not store.traces_dir.exists()
         assert not (tmp_path / "escape.json").exists()
 
     def test_traces_are_never_indexed_as_runs(self, tmp_path):
         directory = tmp_path / "store"
-        with ResultStore(directory) as store:
-            store.put_trace(TRACE_KEY, {"digest": TRACE_KEY})
-            _put_range(store, 0, 2)
-        # A lost index is rebuilt from the run artifacts alone.
-        (directory / store_module.INDEX_NAME).unlink()
-        with ResultStore(directory) as store:
-            assert len(store) == 2
-            assert TRACE_KEY not in store
-            stats = store.stats()
+        store = ResultStore(directory)
+        store.put_trace(TRACE_KEY, {"digest": TRACE_KEY})
+        _put_range(store, 0, 2)
+        store = ResultStore(directory)
+        assert len(store) == 2
+        assert TRACE_KEY not in store
+        stats = store.stats()
         assert stats["entries"] == 2
         trace_file = directory / "traces" / f"{TRACE_KEY}.json"
         assert stats["traces"] == {"entries": 1, "bytes": trace_file.stat().st_size}
@@ -475,24 +418,60 @@ class TestThreadSafety:
     def test_concurrent_threads_share_one_handle(self, tmp_path):
         import threading
 
-        with ResultStore(tmp_path / "store") as store:
-            errors = []
+        store = ResultStore(tmp_path / "store")
+        errors = []
 
-            def writer(offset):
-                try:
-                    for i in range(offset, offset + 20):
-                        store.put(_digest(i), _record(_digest(i), seed=i))
-                        assert store.get(_digest(i)) is not None
-                except BaseException as exc:  # pragma: no cover - surfaced below
-                    errors.append(exc)
+        def writer(offset):
+            try:
+                for i in range(offset, offset + 20):
+                    store.put(_digest(i), _record(_digest(i), seed=i))
+                    assert store.get(_digest(i)) is not None
+            except BaseException as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
 
-            threads = [
-                threading.Thread(target=writer, args=(offset,))
-                for offset in (0, 100, 200, 300)
-            ]
+        threads = [
+            threading.Thread(target=writer, args=(offset,))
+            for offset in (0, 100, 200, 300)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert len(store) == 80
+
+    def test_threads_writing_the_same_digests_share_one_handle(self, tmp_path):
+        """Eight threads rewrite the same ten entries through one handle.
+        Each write needs its own temp file: with a temp name shared by the
+        threads of a process, one thread's ``os.replace`` moves another
+        thread's file away and that thread's replace fails."""
+        import threading
+
+        store = ResultStore(tmp_path / "store")
+        records = [(_digest(i), _record(_digest(i), seed=i)) for i in range(10)]
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(20):
+                    for digest, record in records:
+                        store.put(digest, record)
+            except BaseException as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
-            assert not errors
-            assert len(store) == 80
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert store.get_many([digest for digest, _ in records]) == dict(records)
+        assert sorted(path.name for path in store.directory.iterdir()) == sorted(
+            f"{digest}.json" for digest, _ in records
+        )

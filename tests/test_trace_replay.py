@@ -205,13 +205,13 @@ class TestSafetyAndPayload:
         trace = _capture_one_trace()
         stale = trace.to_payload()
         stale["schema"] = TRACE_SCHEMA_VERSION + 1
-        with ResultStore(tmp_path / "store") as store:
-            store.put_trace(trace.key, stale)
-            cache = TraceCache()
-            cache.attach_store(store)
-            assert cache.get(trace.key) is None
-            assert cache.counters["misses"] == 1
-            assert cache.counters["store_hits"] == 0
+        store = ResultStore(tmp_path / "store")
+        store.put_trace(trace.key, stale)
+        cache = TraceCache()
+        cache.attach_store(store)
+        assert cache.get(trace.key) is None
+        assert cache.counters["misses"] == 1
+        assert cache.counters["store_hits"] == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -249,35 +249,35 @@ class TestTraceCache:
 
     def test_store_round_trip_feeds_a_fresh_cache(self, tmp_path):
         trace = _capture_one_trace()
-        with ResultStore(tmp_path / "store") as store:
-            writer = TraceCache()
-            writer.attach_store(store)
-            writer.put(trace)
-            assert store.trace_stats()["entries"] == 1
-            reader = TraceCache()
-            reader.attach_store(store)
-            got = reader.get(trace.key)
-            assert got == trace
-            assert reader.counters["store_hits"] == 1
+        store = ResultStore(tmp_path / "store")
+        writer = TraceCache()
+        writer.attach_store(store)
+        writer.put(trace)
+        assert store.trace_stats()["entries"] == 1
+        reader = TraceCache()
+        reader.attach_store(store)
+        got = reader.get(trace.key)
+        assert got == trace
+        assert reader.counters["store_hits"] == 1
 
     def test_negative_entries_stay_in_process(self, tmp_path):
-        with ResultStore(tmp_path / "store") as store:
-            cache = TraceCache()
-            cache.attach_store(store)
-            cache.put_unsafe("deadbeef" * 8, "not safe")
-            assert store.trace_stats()["entries"] == 0
+        store = ResultStore(tmp_path / "store")
+        cache = TraceCache()
+        cache.attach_store(store)
+        cache.put_unsafe("deadbeef" * 8, "not safe")
+        assert store.trace_stats()["entries"] == 0
 
     def test_store_gc_ages_traces_by_mtime(self, tmp_path):
         trace = _capture_one_trace()
-        with ResultStore(tmp_path / "store") as store:
-            store.put_trace(trace.key, trace.to_payload())
-            # Backdate the artifact so a 1-day horizon expires it.
-            path = store.traces_dir / f"{trace.key}.json"
-            old = path.stat().st_mtime - 3 * 86400
-            os.utime(path, (old, old))
-            outcome = store.gc(keep_days=1.0)
-            assert outcome.traces_removed == 1
-            assert store.trace_stats()["entries"] == 0
+        store = ResultStore(tmp_path / "store")
+        store.put_trace(trace.key, trace.to_payload())
+        # Backdate the artifact so a 1-day horizon expires it.
+        path = store.traces_dir / f"{trace.key}.json"
+        old = path.stat().st_mtime - 3 * 86400
+        os.utime(path, (old, old))
+        outcome = store.gc(keep_days=1.0)
+        assert outcome.traces_removed == 1
+        assert store.trace_stats()["entries"] == 0
 
 
 # --------------------------------------------------------------------------- #
