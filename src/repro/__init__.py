@@ -28,98 +28,62 @@ Quickstart::
     print(result.summary())      # ubdm = 27 cycles on the reference platform
 """
 
-from .config import (
-    ArchConfig,
-    BusConfig,
-    CacheConfig,
-    DramConfig,
-    L2Config,
-    StoreBufferConfig,
-    get_preset,
-    reference_config,
-    small_config,
-    variant_config,
-)
-from .errors import (
-    AnalysisError,
-    ConfigurationError,
-    MethodologyError,
-    ProgramError,
-    ReproError,
-    SimulationError,
-)
-from .analysis import (
-    ContentionModel,
-    SawtoothAnalyzer,
-    assess_confidence,
-    contender_histogram,
-    contention_histogram,
-    derive_delta_nop,
-    gamma_of_delta,
-    sawtooth_curve,
-    ubd_analytical,
-)
-from .kernels import (
-    build_nop_kernel,
-    build_rsk,
-    build_rsk_nop,
-    build_synthetic_kernel,
-    synthetic_kernel_names,
-)
-from .methodology import (
-    ExperimentRunner,
-    NaiveUbdEstimator,
-    UbdEstimator,
-    build_contender_set,
-    compute_etb,
-    mbta_padding,
-    run_rsk_reference_workload,
-    run_workload_campaign,
-)
-from .sim import Program, System
+from .lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AnalysisError",
-    "ArchConfig",
-    "BusConfig",
-    "CacheConfig",
-    "ConfigurationError",
-    "ContentionModel",
-    "DramConfig",
-    "ExperimentRunner",
-    "L2Config",
-    "MethodologyError",
-    "NaiveUbdEstimator",
-    "Program",
-    "ProgramError",
-    "ReproError",
-    "SawtoothAnalyzer",
-    "SimulationError",
-    "StoreBufferConfig",
-    "System",
-    "UbdEstimator",
-    "__version__",
-    "assess_confidence",
-    "build_contender_set",
-    "build_nop_kernel",
-    "build_rsk",
-    "build_rsk_nop",
-    "build_synthetic_kernel",
-    "compute_etb",
-    "contender_histogram",
-    "contention_histogram",
-    "derive_delta_nop",
-    "gamma_of_delta",
-    "get_preset",
-    "mbta_padding",
-    "reference_config",
-    "run_rsk_reference_workload",
-    "run_workload_campaign",
-    "sawtooth_curve",
-    "small_config",
-    "synthetic_kernel_names",
-    "ubd_analytical",
-    "variant_config",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "config": (
+            "ArchConfig",
+            "BusConfig",
+            "CacheConfig",
+            "DramConfig",
+            "L2Config",
+            "StoreBufferConfig",
+            "get_preset",
+            "reference_config",
+            "small_config",
+            "variant_config",
+        ),
+        "errors": (
+            "AnalysisError",
+            "ConfigurationError",
+            "MethodologyError",
+            "ProgramError",
+            "ReproError",
+            "SimulationError",
+        ),
+        "analysis": (
+            "ContentionModel",
+            "SawtoothAnalyzer",
+            "assess_confidence",
+            "contender_histogram",
+            "contention_histogram",
+            "derive_delta_nop",
+            "gamma_of_delta",
+            "sawtooth_curve",
+            "ubd_analytical",
+        ),
+        "kernels": (
+            "build_nop_kernel",
+            "build_rsk",
+            "build_rsk_nop",
+            "build_synthetic_kernel",
+            "synthetic_kernel_names",
+        ),
+        "methodology": (
+            "ExperimentRunner",
+            "NaiveUbdEstimator",
+            "UbdEstimator",
+            "build_contender_set",
+            "compute_etb",
+            "mbta_padding",
+            "run_rsk_reference_workload",
+            "run_workload_campaign",
+        ),
+        "sim": ("Program", "System"),
+    },
+)
+__all__.append("__version__")

@@ -14,47 +14,31 @@
   (bus utilisation, saturation, delta_nop validity).
 """
 
-from .model import (
-    ContentionModel,
-    gamma_of_delta,
-    predicted_slowdown_per_request,
-    sawtooth_curve,
-    synchrony_timeline,
-    ubd_analytical,
-)
-from .sawtooth import PeriodEstimate, SawtoothAnalyzer
-from .injection import DeltaNopEstimate, derive_delta_nop
-from .contention import (
-    DECOMPOSITION_STAGES,
-    ContenderHistogram,
-    ContentionHistogram,
-    LatencyDecomposition,
-    contender_histogram,
-    contention_histogram,
-    injection_time_histogram,
-    latency_decomposition,
-)
-from .confidence import ConfidenceReport, assess_confidence
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ConfidenceReport",
-    "ContenderHistogram",
-    "ContentionHistogram",
-    "ContentionModel",
-    "DECOMPOSITION_STAGES",
-    "DeltaNopEstimate",
-    "LatencyDecomposition",
-    "PeriodEstimate",
-    "SawtoothAnalyzer",
-    "assess_confidence",
-    "contender_histogram",
-    "contention_histogram",
-    "derive_delta_nop",
-    "gamma_of_delta",
-    "injection_time_histogram",
-    "latency_decomposition",
-    "predicted_slowdown_per_request",
-    "sawtooth_curve",
-    "synchrony_timeline",
-    "ubd_analytical",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "model": (
+            "ContentionModel",
+            "gamma_of_delta",
+            "predicted_slowdown_per_request",
+            "sawtooth_curve",
+            "synchrony_timeline",
+            "ubd_analytical",
+        ),
+        "sawtooth": ("PeriodEstimate", "SawtoothAnalyzer"),
+        "injection": ("DeltaNopEstimate", "derive_delta_nop"),
+        "contention": (
+            "DECOMPOSITION_STAGES",
+            "ContenderHistogram",
+            "ContentionHistogram",
+            "LatencyDecomposition",
+            "contender_histogram",
+            "contention_histogram",
+            "injection_time_histogram",
+            "latency_decomposition",
+        ),
+        "confidence": ("ConfidenceReport", "assess_confidence"),
+    },
+)

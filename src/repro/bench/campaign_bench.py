@@ -30,7 +30,9 @@ from dataclasses import dataclass, replace as dataclass_replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..campaign import CampaignSpec, ParallelRunner, ResultStore
+from ..campaign.runner import ParallelRunner
+from ..campaign.spec import CampaignSpec
+from ..campaign.store import ResultStore
 from ..errors import SimulationError
 from ..sim.trace import clear_trace_cache, global_trace_cache
 

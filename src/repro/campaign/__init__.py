@@ -22,72 +22,45 @@ The CLI front-end is ``repro-bounds campaign --jobs N --out DIR``; the
 report renderer lives in :mod:`repro.report.campaign`.
 """
 
-from .artifacts import (
-    CampaignArtifacts,
-    CampaignStreamWriter,
-    MANIFEST_NAME,
-    RESULTS_NAME,
-    SUMMARY_NAME,
-    build_manifest,
-    load_campaign,
-    load_manifest,
-    load_results,
-    load_summary,
-    write_campaign_artifacts,
-    write_manifest,
-)
-from .runner import (
-    CampaignOutcome,
-    ParallelRunner,
-    ShardTask,
-    default_shard_size,
-    execute_run,
-    execute_shard,
-    histogram_from_json,
-    summarize_records,
-    workload_run_from_record,
-)
-from .spec import (
-    KIND_RSK,
-    KIND_SYNTHETIC,
-    SCHEMA_VERSION,
-    CampaignSpec,
-    RunDescriptor,
-    campaign_digest,
-    workload_campaign_descriptors,
-)
-from .store import GcOutcome, ResultStore, StoreCounters
+from ..lazy import lazy_exports
 
-__all__ = [
-    "CampaignArtifacts",
-    "CampaignOutcome",
-    "CampaignSpec",
-    "CampaignStreamWriter",
-    "GcOutcome",
-    "KIND_RSK",
-    "KIND_SYNTHETIC",
-    "MANIFEST_NAME",
-    "ParallelRunner",
-    "RESULTS_NAME",
-    "ResultStore",
-    "RunDescriptor",
-    "SCHEMA_VERSION",
-    "SUMMARY_NAME",
-    "ShardTask",
-    "StoreCounters",
-    "build_manifest",
-    "campaign_digest",
-    "default_shard_size",
-    "execute_run",
-    "execute_shard",
-    "histogram_from_json",
-    "load_campaign",
-    "load_manifest",
-    "load_results",
-    "load_summary",
-    "summarize_records",
-    "workload_campaign_descriptors",
-    "workload_run_from_record",
-    "write_campaign_artifacts",
-    "write_manifest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "artifacts": (
+            "CampaignArtifacts",
+            "CampaignStreamWriter",
+            "MANIFEST_NAME",
+            "RESULTS_NAME",
+            "SUMMARY_NAME",
+            "build_manifest",
+            "load_campaign",
+            "load_manifest",
+            "load_results",
+            "load_summary",
+            "write_campaign_artifacts",
+            "write_manifest",
+        ),
+        "runner": (
+            "CampaignOutcome",
+            "ParallelRunner",
+            "ShardTask",
+            "default_shard_size",
+            "execute_run",
+            "execute_shard",
+            "histogram_from_json",
+            "summarize_records",
+            "workload_run_from_record",
+        ),
+        "spec": (
+            "KIND_RSK",
+            "KIND_SYNTHETIC",
+            "SCHEMA_VERSION",
+            "CampaignSpec",
+            "RunDescriptor",
+            "campaign_digest",
+            "workload_campaign_descriptors",
+        ),
+        "store": ("GcOutcome", "ResultStore", "StoreCounters"),
+    },
+)

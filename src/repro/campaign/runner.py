@@ -22,10 +22,18 @@ rsk programs are memoised per (config, kind) across the shard's runs.
 A :class:`~repro.campaign.store.ResultStore` can be attached so repeated
 campaigns only simulate misses: one ``get_many`` resolves the whole grid
 (hits dedupe across *all* historical campaigns) and each absorbed shard is
-one ``put_many``.  The store also backs the replay engine's trace cache,
+one ``put_many``.  When a pending run uses the replay engine, the store
+also backs the replay trace cache while :meth:`ParallelRunner.run` runs,
 in this process and in every pool worker, so core captures persist in its
 ``traces/`` section.  :class:`CampaignOutcome.stats` reports how many runs
 were simulated versus served from the store.
+
+Store probing and absorb never touch the simulator: the execution
+functions import the kernels, methodology, analysis and simulator layers
+when a shard runs, and the parent imports them (and the engines its
+pending runs use) before a pool forks, so every worker inherits them
+loaded.  A warm re-run, answered entirely by the store, imports none of
+them.
 
 Streaming: pass a :class:`~repro.campaign.artifacts.CampaignStreamWriter`
 to :meth:`ParallelRunner.run` and records are appended to
@@ -37,29 +45,31 @@ from __future__ import annotations
 
 import contextlib
 import math
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Generator, List, Optional, Sequence, Tuple
-
-from ..analysis.contention import (
-    DECOMPOSITION_STAGES,
-    ContenderHistogram,
-    contender_histogram,
-    contention_histogram,
-    latency_decomposition,
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
 )
+
 from ..config import FAIR_ARBITRATION_POLICIES, config_from_dict
 from ..errors import AnalysisError, MethodologyError
-from ..kernels.rsk import build_rsk
-from ..methodology.experiment import ExperimentRunner
-from ..methodology.workloads import WorkloadRun, run_single_workload
-from ..sim.isa import Program
-from ..sim.trace import global_trace_cache
 from .spec import KIND_RSK, KIND_SYNTHETIC, SCHEMA_VERSION, RunDescriptor, campaign_digest
 from .store import ResultStore
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from concurrent.futures import ProcessPoolExecutor
+
+    from ..methodology.workloads import WorkloadRun
+    from ..sim.isa import Program
     from .artifacts import CampaignStreamWriter
 
 
@@ -107,10 +117,29 @@ def execute_run(
 #: map.  A memo lives for one shard, which keeps its configs alive, so a
 #: config's ``id`` cannot be reused by another config while it is a key.
 _ContenderKey = Tuple[int, str, int, int]
-_ContenderMemo = Dict[_ContenderKey, Dict[int, Program]]
+_ContenderMemo = Dict[_ContenderKey, Dict[int, "Program"]]
+
+
+def load_execution_layers(engines: Iterable[str]) -> None:
+    """Import what executing a run needs: the kernels, methodology, analysis
+    and simulator layers, plus the classes of ``engines``.
+
+    The execution functions import these when a shard first runs; a pool's
+    parent calls this before it forks, so every worker inherits them loaded
+    instead of importing them again.
+    """
+    from ..analysis import contention  # noqa: F401
+    from ..kernels import rsk  # noqa: F401
+    from ..methodology import experiment, workloads  # noqa: F401
+    from ..sim.scheduler import ENGINE_REGISTRY
+
+    for engine in engines:
+        ENGINE_REGISTRY.require(engine).cls  # imports a path-registered engine
 
 
 def _synthetic_metrics(descriptor: RunDescriptor) -> Dict[str, object]:
+    from ..methodology.workloads import run_single_workload
+
     run = run_single_workload(
         descriptor.config,
         descriptor.tasks,
@@ -130,6 +159,15 @@ def _rsk_metrics(
     descriptor: RunDescriptor,
     contender_memo: Optional[_ContenderMemo] = None,
 ) -> Dict[str, object]:
+    from ..analysis.contention import (
+        DECOMPOSITION_STAGES,
+        contender_histogram,
+        contention_histogram,
+        latency_decomposition,
+    )
+    from ..kernels.rsk import build_rsk
+    from ..methodology.experiment import ExperimentRunner
+
     config = descriptor.config
     observed = descriptor.observed_core
     scua = build_rsk(config, observed, kind=descriptor.rsk_kind, iterations=descriptor.iterations)
@@ -142,7 +180,7 @@ def _rsk_metrics(
         len(descriptor.tasks),
         observed,
     )
-    contenders: Optional[Dict[int, Program]] = (
+    contenders: Optional[Dict[int, "Program"]] = (
         contender_memo.get(memo_key) if contender_memo is not None else None
     )
     if contenders is None:
@@ -198,8 +236,11 @@ def histogram_from_json(counts: Dict[str, int]) -> Dict[int, int]:
     return {int(key): value for key, value in counts.items()}
 
 
-def workload_run_from_record(record: Dict[str, object]) -> WorkloadRun:
+def workload_run_from_record(record: Dict[str, object]) -> "WorkloadRun":
     """Rebuild the legacy :class:`WorkloadRun` view from a synthetic record."""
+    from ..analysis.contention import ContenderHistogram
+    from ..methodology.workloads import WorkloadRun
+
     if record["kind"] != KIND_SYNTHETIC:
         raise MethodologyError(
             f"record {record.get('run_id', '?')} is a {record['kind']!r} run, "
@@ -237,6 +278,8 @@ def _attach_worker_trace_store(directory: str) -> None:
     Runs once per worker process.  Only the trace section is touched
     through the worker's handle (run records still travel back over IPC).
     """
+    from ..sim.trace import global_trace_cache
+
     try:
         store = ResultStore(directory)
     except Exception:  # pragma: no cover - a worker without traces still works
@@ -274,7 +317,7 @@ def execute_inline(shards: Sequence[ShardTask]) -> Generator[ShardResults, None,
         yield execute_shard(shard)
 
 
-def worker_pool(jobs: int, store: Optional[ResultStore]) -> ProcessPoolExecutor:
+def worker_pool(jobs: int, store: Optional[ResultStore]) -> "ProcessPoolExecutor":
     """A process pool of ``jobs`` workers whose trace caches are backed by
     ``store``'s ``traces/`` section.
 
@@ -282,6 +325,8 @@ def worker_pool(jobs: int, store: Optional[ResultStore]) -> ProcessPoolExecutor:
     *globally*: the first worker to capture persists the trace and every
     other process replays it from disk.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     if store is None:
         return ProcessPoolExecutor(max_workers=jobs)
     return ProcessPoolExecutor(
@@ -291,7 +336,7 @@ def worker_pool(jobs: int, store: Optional[ResultStore]) -> ProcessPoolExecutor:
     )
 
 
-def pool_executor(pool: ProcessPoolExecutor) -> ShardExecutor:
+def pool_executor(pool: "ProcessPoolExecutor") -> ShardExecutor:
     """Executor over ``pool``: every shard is submitted up front and the
     results are yielded by waiting on the futures in submission order, so
     store writes and the stream see the exact serial sequence."""
@@ -371,10 +416,6 @@ class ParallelRunner:
         """
         started = time.perf_counter()
         store = self.cache
-        if store is not None:
-            # Replay-engine campaigns dedup core captures across campaigns
-            # and processes through the store's ``traces/`` section.
-            global_trace_cache().attach_store(store)
         digests = [descriptor.digest() for descriptor in descriptors]
         # First occurrence of each digest, in descriptor order: duplicate
         # descriptors simulate once and share the record.
@@ -397,6 +438,10 @@ class ParallelRunner:
             ShardTask(index, tuple(pending[start : start + shard_size]))
             for index, start in enumerate(range(0, len(pending), shard_size))
         ]
+        engines = {descriptor.config.engine for _, descriptor in pending}
+        # Replay-engine runs dedup core captures across campaigns and
+        # processes through the store's ``traces/`` section.
+        trace_store = store if "replay" in engines else None
 
         records: List[Dict[str, object]] = []
 
@@ -421,10 +466,19 @@ class ParallelRunner:
             # streams before any shard is dispatched.
             emit()
             with contextlib.ExitStack() as stack:
+                if trace_store is not None:
+                    from ..sim.trace import global_trace_cache
+
+                    # Attached for this campaign only: the previous
+                    # attachment comes back when the campaign ends.
+                    trace_cache = global_trace_cache()
+                    stack.callback(trace_cache.attach_store, trace_cache.store)
+                    trace_cache.attach_store(trace_store)
                 if executor is None:
                     executor = execute_inline
                     if self.jobs > 1 and len(shards) > 1:
-                        pool = worker_pool(min(self.jobs, len(shards)), store)
+                        load_execution_layers(engines)
+                        pool = worker_pool(min(self.jobs, len(shards)), trace_store)
                         executor = pool_executor(stack.enter_context(pool))
                 results = stack.enter_context(contextlib.closing(executor(shards)))
                 for fresh in results:
@@ -449,11 +503,14 @@ class ParallelRunner:
         }
         if store is not None:
             stats["store"] = store.counters.as_dict()
-        trace_stats = global_trace_cache().stats()
-        if any(trace_stats.values()):
-            # Only meaningful when the replay engine ran in this process
-            # (worker processes keep their own per-process trace caches).
-            stats["trace_cache"] = trace_stats
+        # Only meaningful when the replay engine ran in this process (worker
+        # processes keep their own per-process trace caches); a process that
+        # never loaded the engine's module has nothing to report.
+        trace = sys.modules.get("repro.sim.trace")
+        if trace is not None:
+            trace_stats = trace.global_trace_cache().stats()
+            if any(trace_stats.values()):
+                stats["trace_cache"] = trace_stats
         return CampaignOutcome(records=tuple(records), stats=stats)
 
 

@@ -46,26 +46,11 @@ import os
 import sys
 from typing import List, Optional
 
-from .analysis.confidence import assess_write_burst
-from .analysis.contention import contention_histogram, latency_decomposition
-from .campaign import (
-    CampaignSpec,
-    CampaignStreamWriter,
-    ParallelRunner,
-    ResultStore,
-)
 from .config import PRESETS, get_preset
 from .errors import ConfigurationError, ReproError
 from .sim.arbiter import registered_arbiters
 from .sim.scheduler import registered_engines
 from .sim.topology import registered_topologies
-from .kernels.rsk import build_rsk
-from .methodology.experiment import ExperimentRunner
-from .methodology.naive import NaiveUbdEstimator
-from .methodology.ubd import MeasuredBoundPipeline, UbdEstimator
-from .report.campaign import render_campaign_summary
-from .report.histogram import render_histogram
-from .report.tables import render_series, render_table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulation engine: the event-driven fast path, the codegen "
         "engine (a loop generated for the configured topology chain and "
         "arbiter set, falling back to the event engine on unknown registry "
-        "entries) or the stepped cycle-by-cycle oracle; all are cycle-exact "
+        "entries), the replay engine (each core's request trace captured "
+        "once per kernel and streamed through the interconnect on later "
+        "runs) or the stepped cycle-by-cycle oracle; all are cycle-exact "
         "(default: event)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
@@ -297,6 +284,9 @@ def _preset_config(args: argparse.Namespace):
 
 def _run_per_resource_derive(args: argparse.Namespace, config) -> int:
     """The ``derive-ubd --per-resource`` path: the measured-bound pipeline."""
+    from .methodology.ubd import MeasuredBoundPipeline
+    from .report.tables import render_series, render_table
+
     pipeline = MeasuredBoundPipeline(
         config,
         instruction_type=args.instruction_type,
@@ -358,6 +348,9 @@ def _run_derive_ubd(args: argparse.Namespace) -> int:
     config = _preset_config(args)
     if args.per_resource:
         return _run_per_resource_derive(args, config)
+    from .methodology.ubd import UbdEstimator
+    from .report.tables import render_series
+
     estimator = UbdEstimator(
         config,
         instruction_type=args.instruction_type,
@@ -391,6 +384,13 @@ def _run_derive_ubd(args: argparse.Namespace) -> int:
 
 
 def _run_synchrony(args: argparse.Namespace) -> int:
+    from .analysis.confidence import assess_write_burst
+    from .analysis.contention import contention_histogram, latency_decomposition
+    from .kernels.rsk import build_rsk
+    from .methodology.experiment import ExperimentRunner
+    from .methodology.naive import NaiveUbdEstimator
+    from .report.histogram import render_histogram
+
     config = _preset_config(args)
     runner = ExperimentRunner(config)
     scua = build_rsk(config, 0, iterations=args.iterations)
@@ -435,6 +435,12 @@ def _run_synchrony(args: argparse.Namespace) -> int:
 
 
 def _run_campaign(args: argparse.Namespace) -> int:
+    from .campaign.artifacts import CampaignStreamWriter
+    from .campaign.runner import ParallelRunner
+    from .campaign.spec import CampaignSpec
+    from .campaign.store import ResultStore
+    from .report.campaign import render_campaign_summary
+
     spec = CampaignSpec(
         presets=(args.preset,),
         arbiters=tuple(args.arbiter) if args.arbiter else ("round_robin",),
@@ -472,6 +478,8 @@ def _run_cache(args: argparse.Namespace) -> int:
     invalid (raised as :class:`ConfigurationError` and mapped by
     :func:`main`).
     """
+    from .campaign.store import ResultStore
+
     if not os.path.isdir(args.store):
         raise ConfigurationError(
             f"{args.store} is not a result store (no such directory); "
@@ -513,6 +521,7 @@ def _run_cache(args: argparse.Namespace) -> int:
 def _run_audit(args: argparse.Namespace) -> int:
     """The ``audit`` subcommand: dimensions -> verdict -> artifacts."""
     from .audit import AuditOptions, run_audit
+    from .report.tables import render_table
 
     options = AuditOptions(
         k_max=args.k_max,
@@ -564,6 +573,7 @@ def _run_list(args: argparse.Namespace) -> int:
     ``System`` actually builds.
     """
     del args
+    from .report.tables import render_table
     from .sim.arbiter import ARBITER_REGISTRY
     from .sim.scheduler import ENGINE_REGISTRY
     from .sim.topology import TOPOLOGY_REGISTRY

@@ -64,8 +64,8 @@ _known_arbitrations = registry_backed_names(
 
 
 #: Simulation engines shipped with the simulator.  The authoritative set is
-#: the registry in :mod:`repro.sim.scheduler` (engines self-register with
-#: the ``@register_engine`` decorator); this tuple lists the built-ins for
+#: the registry in :mod:`repro.sim.scheduler` (which registers the built-ins,
+#: ``codegen`` and ``replay`` by import path); this tuple lists them for
 #: documentation, and a tier-1 test pins the two in sync.  ``"stepped"`` is
 #: the cycle-by-cycle oracle loop; ``"event"`` is the event-driven fast
 #: path that skips the clock to the next component horizon.  Both are

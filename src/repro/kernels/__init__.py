@@ -12,46 +12,31 @@
   access patterns.
 """
 
-from .layout import CoreAddressSpace, same_bank_same_set_addresses, same_set_addresses
-from .rsk import (
-    RSK_REGISTRY,
-    RskEntry,
-    build_bank_conflict_rsk,
-    build_nop_kernel,
-    build_response_conflict_rsk,
-    build_rsk,
-    build_rsk_nop,
-    build_stress_contender_set,
-    register_rsk,
-    registered_rsks,
-    rsk_for_resource,
-    rsk_request_count,
-)
-from .synthetic import (
-    SYNTHETIC_KERNELS,
-    SyntheticKernelSpec,
-    build_synthetic_kernel,
-    synthetic_kernel_names,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "CoreAddressSpace",
-    "RSK_REGISTRY",
-    "RskEntry",
-    "SYNTHETIC_KERNELS",
-    "SyntheticKernelSpec",
-    "build_bank_conflict_rsk",
-    "build_nop_kernel",
-    "build_response_conflict_rsk",
-    "build_rsk",
-    "build_rsk_nop",
-    "build_stress_contender_set",
-    "build_synthetic_kernel",
-    "register_rsk",
-    "registered_rsks",
-    "rsk_for_resource",
-    "rsk_request_count",
-    "same_set_addresses",
-    "same_bank_same_set_addresses",
-    "synthetic_kernel_names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "layout": ("CoreAddressSpace", "same_bank_same_set_addresses", "same_set_addresses"),
+        "rsk": (
+            "RSK_REGISTRY",
+            "RskEntry",
+            "build_bank_conflict_rsk",
+            "build_nop_kernel",
+            "build_response_conflict_rsk",
+            "build_rsk",
+            "build_rsk_nop",
+            "build_stress_contender_set",
+            "register_rsk",
+            "registered_rsks",
+            "rsk_for_resource",
+            "rsk_request_count",
+        ),
+        "synthetic": (
+            "SYNTHETIC_KERNELS",
+            "SyntheticKernelSpec",
+            "build_synthetic_kernel",
+            "synthetic_kernel_names",
+        ),
+    },
+)

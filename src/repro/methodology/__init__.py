@@ -21,63 +21,40 @@
   workloads (the Figure 6(a) campaign).
 """
 
-from .experiment import (
-    ContendedMeasurement,
-    ExperimentRunner,
-    IsolationMeasurement,
-    build_contender_set,
-)
-from .ubd import (
-    MeasuredBoundPipeline,
-    MeasuredBoundReport,
-    ResourceUbdm,
-    UbdEstimator,
-    UbdMethodologyResult,
-)
-from .naive import NaiveEstimate, NaiveUbdEstimator
-from .etb import EtbReport, compute_etb, mbta_padding
-from .composition import (
-    ComposedEtbReport,
-    compose_etb,
-    compose_etb_for_config,
-    end_to_end_bound,
-    per_resource_bounds,
-)
-from .mbta import TaskAnalysis, TaskSetAnalysis, TaskSetResult
-from .workloads import (
-    WorkloadCampaignResult,
-    WorkloadRun,
-    random_workloads,
-    run_rsk_reference_workload,
-    run_workload_campaign,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ComposedEtbReport",
-    "ContendedMeasurement",
-    "EtbReport",
-    "ExperimentRunner",
-    "IsolationMeasurement",
-    "MeasuredBoundPipeline",
-    "MeasuredBoundReport",
-    "NaiveEstimate",
-    "NaiveUbdEstimator",
-    "ResourceUbdm",
-    "TaskAnalysis",
-    "TaskSetAnalysis",
-    "TaskSetResult",
-    "UbdEstimator",
-    "UbdMethodologyResult",
-    "WorkloadCampaignResult",
-    "WorkloadRun",
-    "build_contender_set",
-    "compose_etb",
-    "compose_etb_for_config",
-    "compute_etb",
-    "end_to_end_bound",
-    "mbta_padding",
-    "per_resource_bounds",
-    "random_workloads",
-    "run_rsk_reference_workload",
-    "run_workload_campaign",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "experiment": (
+            "ContendedMeasurement",
+            "ExperimentRunner",
+            "IsolationMeasurement",
+            "build_contender_set",
+        ),
+        "ubd": (
+            "MeasuredBoundPipeline",
+            "MeasuredBoundReport",
+            "ResourceUbdm",
+            "UbdEstimator",
+            "UbdMethodologyResult",
+        ),
+        "naive": ("NaiveEstimate", "NaiveUbdEstimator"),
+        "etb": ("EtbReport", "compute_etb", "mbta_padding"),
+        "composition": (
+            "ComposedEtbReport",
+            "compose_etb",
+            "compose_etb_for_config",
+            "end_to_end_bound",
+            "per_resource_bounds",
+        ),
+        "mbta": ("TaskAnalysis", "TaskSetAnalysis", "TaskSetResult"),
+        "workloads": (
+            "WorkloadCampaignResult",
+            "WorkloadRun",
+            "random_workloads",
+            "run_rsk_reference_workload",
+            "run_workload_campaign",
+        ),
+    },
+)

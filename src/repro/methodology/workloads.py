@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.contention import ContenderHistogram, contender_histogram
 from ..config import ArchConfig
 from ..errors import MethodologyError
-from ..kernels.rsk import build_rsk
 from ..kernels.synthetic import build_synthetic_kernel, synthetic_kernel_names
 from ..sim.isa import Program
-from ..sim.system import System
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from ..analysis.contention import ContenderHistogram
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,9 @@ def run_single_workload(
     and the parallel campaign engine (:mod:`repro.campaign`): one workload,
     one traced run, one :class:`WorkloadRun`.
     """
+    from ..analysis.contention import contender_histogram
+    from ..sim.system import System
+
     programs = build_workload_programs(
         config, task_names, observed_core, observed_iterations, seed=seed
     )
@@ -169,8 +172,9 @@ def run_workload_campaign(
     """
     workloads = random_workloads(num_workloads, config.num_cores, seed=seed, names=names)
     if runner is not None:
-        # Imported lazily: repro.campaign imports this module at load time.
-        from ..campaign import workload_campaign_descriptors, workload_run_from_record
+        # Imported here: repro.campaign.spec imports this module at load time.
+        from ..campaign.runner import workload_run_from_record
+        from ..campaign.spec import workload_campaign_descriptors
 
         descriptors = workload_campaign_descriptors(
             config,
@@ -209,6 +213,10 @@ def run_rsk_reference_workload(
     rsk contenders.  Under this saturating workload nearly every request
     finds all other cores with a pending request.
     """
+    from ..analysis.contention import contender_histogram
+    from ..kernels.rsk import build_rsk
+    from ..sim.system import System
+
     programs: List[Optional[Program]] = [None] * config.num_cores
     programs[observed_core] = build_rsk(config, observed_core, kind=kind, iterations=iterations)
     for core in range(config.num_cores):

@@ -5,13 +5,13 @@ harness and the examples can print the same rows/series the paper reports
 without any plotting dependency.
 """
 
-from .campaign import render_campaign_summary
-from .histogram import render_histogram
-from .tables import render_series, render_table
+from ..lazy import lazy_exports
 
-__all__ = [
-    "render_campaign_summary",
-    "render_histogram",
-    "render_series",
-    "render_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "campaign": ("render_campaign_summary",),
+        "histogram": ("render_histogram",),
+        "tables": ("render_series", "render_table"),
+    },
+)

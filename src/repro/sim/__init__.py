@@ -14,8 +14,11 @@ queues, or the NGMP-style split request/response bus pair.
 Arbitration policies, simulation engines and topologies are all
 registry-backed (``register_arbiter`` / ``register_engine`` /
 ``register_topology``), so new ones plug in without editing the simulator
-core; each built-in engine registers beside its own class, and
-``ArchConfig.engine`` alone selects one.  Four engines ship built in: the
+core, and ``ArchConfig.engine`` alone selects an engine.
+:mod:`repro.sim.scheduler` registers the built-in engines: ``stepped`` and
+``event`` beside their classes, ``codegen`` and ``replay`` by import path,
+so their modules load only when a run selects them.  Four engines ship
+built in: the
 stepped cycle-by-cycle oracle, the generic event-driven fast path
 (:mod:`repro.sim.scheduler`), the ``codegen`` engine
 (:mod:`repro.sim.codegen`), which compiles a run loop specialised to the
@@ -26,141 +29,80 @@ once per kernel and streams it through the live interconnect on every
 later run (binding its loop through ``codegen``), falling back per core on
 trace-unsafe programs.
 
-The top-level entry point is :class:`repro.sim.system.System`.
+The top-level entry point is :class:`repro.sim.system.System`.  Like every
+``repro`` package, this one re-exports its public names lazily
+(:mod:`repro.lazy`).
 """
 
-from .isa import Alu, Instruction, Load, Nop, Program, Store
-from .arbiter import (
-    ARBITER_REGISTRY,
-    Arbiter,
-    FifoArbiter,
-    FixedPriorityArbiter,
-    RoundRobinArbiter,
-    TdmaArbiter,
-    create_arbiter,
-    make_arbiter,
-    register_arbiter,
-    registered_arbiters,
-)
-from .bus import Bus, BusRequest
-from .cache import CacheStats, SetAssociativeCache
-from .codegen import (
-    CodegenEngine,
-    CodegenMismatch,
-    CompiledLoop,
-    UnspecialisableError,
-    compile_loop,
-    generate_loop_source,
-    loop_cache_key,
-    specialisation_mismatch,
-)
-from .core import Core
-from .dram import Dram
-from .l2 import PartitionedL2
-from .memctrl import BankQueuedMemoryController, MemoryController
-from .pmc import PerformanceCounters
-from .request_trace import RequestRecord, TraceRecorder, merge_traces
-from .resource import NO_EVENT, SharedResource
-from .scheduler import (
-    ENGINE_REGISTRY,
-    EventScheduler,
-    SteppedEngine,
-    make_engine,
-    register_engine,
-    registered_engines,
-)
-from .steady import SteadySkip
-from .store_buffer import StoreBuffer
-from .system import System, SystemResult
-from .topology import (
-    TOPOLOGY_REGISTRY,
-    ResourceChain,
-    TopologyHooks,
-    build_topology,
-    register_topology,
-    registered_topologies,
-)
-from .trace import (
-    CaptureProbe,
-    CoreTrace,
-    ReplayCore,
-    ReplayEngine,
-    TraceCache,
-    TraceStep,
-    TraceUnsafe,
-    clear_trace_cache,
-    core_side_key,
-    global_trace_cache,
-    replay_blocker,
-    trace_key,
-)
+from ..lazy import lazy_exports
 
-__all__ = [
-    "ARBITER_REGISTRY",
-    "Alu",
-    "Arbiter",
-    "BankQueuedMemoryController",
-    "Bus",
-    "BusRequest",
-    "CacheStats",
-    "CaptureProbe",
-    "CodegenEngine",
-    "CodegenMismatch",
-    "CompiledLoop",
-    "Core",
-    "CoreTrace",
-    "Dram",
-    "ENGINE_REGISTRY",
-    "EventScheduler",
-    "FifoArbiter",
-    "FixedPriorityArbiter",
-    "Instruction",
-    "Load",
-    "MemoryController",
-    "NO_EVENT",
-    "Nop",
-    "PartitionedL2",
-    "PerformanceCounters",
-    "Program",
-    "ReplayCore",
-    "ReplayEngine",
-    "RequestRecord",
-    "ResourceChain",
-    "RoundRobinArbiter",
-    "SetAssociativeCache",
-    "SharedResource",
-    "SteadySkip",
-    "SteppedEngine",
-    "Store",
-    "StoreBuffer",
-    "System",
-    "SystemResult",
-    "TOPOLOGY_REGISTRY",
-    "TdmaArbiter",
-    "TopologyHooks",
-    "TraceCache",
-    "TraceRecorder",
-    "TraceStep",
-    "TraceUnsafe",
-    "UnspecialisableError",
-    "build_topology",
-    "clear_trace_cache",
-    "compile_loop",
-    "core_side_key",
-    "create_arbiter",
-    "generate_loop_source",
-    "global_trace_cache",
-    "loop_cache_key",
-    "replay_blocker",
-    "trace_key",
-    "make_arbiter",
-    "make_engine",
-    "merge_traces",
-    "register_arbiter",
-    "register_engine",
-    "register_topology",
-    "registered_arbiters",
-    "specialisation_mismatch",
-    "registered_engines",
-    "registered_topologies",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "isa": ("Alu", "Instruction", "Load", "Nop", "Program", "Store"),
+        "arbiter": (
+            "ARBITER_REGISTRY",
+            "Arbiter",
+            "FifoArbiter",
+            "FixedPriorityArbiter",
+            "RoundRobinArbiter",
+            "TdmaArbiter",
+            "create_arbiter",
+            "make_arbiter",
+            "register_arbiter",
+            "registered_arbiters",
+        ),
+        "bus": ("Bus", "BusRequest"),
+        "cache": ("CacheStats", "SetAssociativeCache"),
+        "codegen": (
+            "CodegenEngine",
+            "CodegenMismatch",
+            "CompiledLoop",
+            "UnspecialisableError",
+            "compile_loop",
+            "generate_loop_source",
+            "loop_cache_key",
+            "specialisation_mismatch",
+        ),
+        "core": ("Core",),
+        "dram": ("Dram",),
+        "l2": ("PartitionedL2",),
+        "memctrl": ("BankQueuedMemoryController", "MemoryController"),
+        "pmc": ("PerformanceCounters",),
+        "request_trace": ("RequestRecord", "TraceRecorder", "merge_traces"),
+        "resource": ("NO_EVENT", "SharedResource"),
+        "scheduler": (
+            "ENGINE_REGISTRY",
+            "EventScheduler",
+            "SteppedEngine",
+            "make_engine",
+            "register_engine",
+            "registered_engines",
+        ),
+        "steady": ("SteadySkip",),
+        "store_buffer": ("StoreBuffer",),
+        "system": ("System", "SystemResult"),
+        "topology": (
+            "TOPOLOGY_REGISTRY",
+            "ResourceChain",
+            "TopologyHooks",
+            "build_topology",
+            "register_topology",
+            "registered_topologies",
+        ),
+        "trace": (
+            "CaptureProbe",
+            "CoreTrace",
+            "ReplayCore",
+            "ReplayEngine",
+            "TraceCache",
+            "TraceStep",
+            "TraceUnsafe",
+            "clear_trace_cache",
+            "core_side_key",
+            "global_trace_cache",
+            "replay_blocker",
+            "trace_key",
+        ),
+    },
+)

@@ -72,7 +72,7 @@ from .arbiter import (
 from .bus import Bus
 from .memctrl import BankQueuedMemoryController, MemoryController
 from .resource import NO_EVENT
-from .scheduler import EventScheduler, register_engine
+from .scheduler import EventScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .system import System
@@ -943,11 +943,6 @@ def specialisation_mismatch(system: "System") -> Optional[str]:
     return None
 
 
-@register_engine(
-    "codegen",
-    "generated loop specialised to the topology chain + arbiter set "
-    "(falls back to 'event' on unknown registry entries)",
-)
 class CodegenEngine:
     """The ``codegen`` engine: run the chain-specialised generated loop.
 

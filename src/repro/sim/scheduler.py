@@ -51,12 +51,15 @@ concrete resource type, so a topology registered via
 memory stage, a split request/response bus pair, ...) runs on every engine
 without engine edits.
 
-Engines are registered, not hardwired: the :func:`register_engine`
-decorator, applied beside each engine class in its own module, adds the
-class to :data:`ENGINE_REGISTRY` (a :class:`repro.registry.Registry`), and
-:func:`make_engine`, the CLI's ``list`` subcommand and ``ArchConfig``
-validation all read the registry.  Import order fixes the registration
-order: ``codegen`` imports this module and ``trace`` imports ``codegen``.
+Engines are registered, not hardwired: :data:`ENGINE_REGISTRY` (a
+:class:`repro.registry.Registry`) holds each engine's name, description and
+class, and :func:`make_engine`, the CLI's ``list`` subcommand, ``ArchConfig``
+validation and the audit all read it.  This module registers all four
+built-ins, in the order the registry lists them.  ``stepped`` and ``event``
+are defined here and register with the :func:`register_engine` decorator.
+``codegen`` and ``replay`` register by import path
+(:func:`register_engine_path`): their modules are imported when a run first
+selects them, so a run on another engine never loads them.
 
 Horizon contract
 ----------------
@@ -100,8 +103,9 @@ what makes the visited cycles themselves cheaper than the oracle's.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import List, Tuple, Type
+from typing import List, Tuple, Type, Union
 
 from ..registry import Registry
 from .core import CoreState
@@ -115,11 +119,20 @@ from .resource import NO_EVENT
 
 @dataclass(frozen=True)
 class EngineEntry:
-    """One registered simulation engine."""
+    """One registered simulation engine: its class, or the ``"module:Class"``
+    path that imports the class on first use."""
 
     name: str
-    cls: Type
+    target: Union[Type, str]
     description: str = ""
+
+    @property
+    def cls(self) -> Type:
+        """The engine class, importing its module if it registered by path."""
+        if isinstance(self.target, str):
+            module, _, attribute = self.target.partition(":")
+            return getattr(importlib.import_module(module), attribute)
+        return self.target
 
 
 #: Engine name -> registered entry, in registration order, on the shared
@@ -142,10 +155,21 @@ def register_engine(name: str, description: str = ""):
     """
 
     def decorator(cls: Type) -> Type:
-        ENGINE_REGISTRY.register(name, EngineEntry(name=name, cls=cls, description=description))
+        ENGINE_REGISTRY.register(name, EngineEntry(name, cls, description))
         return cls
 
     return decorator
+
+
+def register_engine_path(name: str, path: str, description: str = "") -> None:
+    """Register the engine class at ``path`` (``"module:Class"``) under
+    ``name`` without importing it.
+
+    :attr:`EngineEntry.cls` imports the module on first use, so listing the
+    registry or validating a configuration never loads the engine; the
+    class must satisfy the :func:`register_engine` contract.
+    """
+    ENGINE_REGISTRY.register(name, EngineEntry(name, path, description))
 
 
 def registered_engines() -> Tuple[str, ...]:
@@ -355,3 +379,17 @@ class EventScheduler:
         pmc.cycles = cycle + 1
         system.current_cycle = cycle
         return cycle, timed_out
+
+
+register_engine_path(
+    "codegen",
+    "repro.sim.codegen:CodegenEngine",
+    "generated loop specialised to the topology chain + arbiter set "
+    "(falls back to 'event' on unknown registry entries)",
+)
+register_engine_path(
+    "replay",
+    "repro.sim.trace:ReplayEngine",
+    "trace replay: capture the core side once per kernel, stream it through "
+    "any interconnect (falls back per core on trace-unsafe programs)",
+)

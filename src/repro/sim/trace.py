@@ -16,13 +16,14 @@ interconnect/arbiter/engine field stripped — the core-side analogue of
 :class:`TraceCache` (in-process LRU, optionally backed by the on-disk
 ``traces/`` section of :class:`repro.campaign.store.ResultStore`).
 
-:class:`ReplayEngine` registers as the fourth simulation engine
-(``"replay"``).  Any core whose program is not trace-safe — it contains
-stores (store-buffer drains create contention-coupled background requests),
-its capture timed out, or an infinite kernel exposed no periodic request
-suffix — transparently falls back to the real execution-driven
-:class:`~repro.sim.core.Core`; safety is per core, so a replayed observed
-core can share a platform with execution-driven contenders and vice versa.
+:class:`ReplayEngine` is the fourth simulation engine (``"replay"``,
+registered by import path in :mod:`repro.sim.scheduler`).  Any core whose
+program is not trace-safe — it contains stores (store-buffer drains create
+contention-coupled background requests), its capture timed out, or an
+infinite kernel exposed no periodic request suffix — transparently falls
+back to the real execution-driven :class:`~repro.sim.core.Core`; safety is
+per core, so a replayed observed core can share a platform with
+execution-driven contenders and vice versa.
 The DESIGN document's "Trace capture/replay contract" section states the
 full safety conditions.  The request-level bus trace the system side keeps
 recording during replay lives in :mod:`repro.sim.request_trace`.
@@ -51,7 +52,6 @@ from .core import Core, CoreState, IssueCallback
 from .isa import Alu, Instruction, Load, Nop, Program, Store
 from .pmc import PerformanceCounters
 from .resource import NO_EVENT
-from .scheduler import register_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .system import System
@@ -854,11 +854,6 @@ def clear_trace_cache() -> None:
 # --------------------------------------------------------------------------- #
 
 
-@register_engine(
-    "replay",
-    "trace replay: capture the core side once per kernel, stream it through "
-    "any interconnect (falls back per core on trace-unsafe programs)",
-)
 class ReplayEngine:
     """The ``replay`` engine: capture the core side once, then stream it.
 

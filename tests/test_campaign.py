@@ -41,7 +41,7 @@ from repro.errors import AnalysisError, ConfigurationError, MethodologyError
 from repro.kernels.synthetic import synthetic_kernel_names
 from repro.methodology.workloads import random_workloads, run_workload_campaign
 from repro.report.campaign import render_campaign_summary
-from repro.sim.trace import clear_trace_cache
+from repro.sim.trace import clear_trace_cache, global_trace_cache
 
 #: A campaign small enough for unit tests yet covering both run kinds.
 TINY_SPEC = CampaignSpec(
@@ -966,6 +966,29 @@ class TestOnePipeline:
         assert traces(tmp_path / "serial")
         assert traces(tmp_path / "pooled") == traces(tmp_path / "serial")
         assert pooled.records == serial.records
+
+    def test_store_backs_replay_captures_only_during_its_campaign(self, tmp_path):
+        """A campaign attaches its store to the process-wide trace cache
+        for its own duration: a later campaign without a store must not
+        write its captures into the earlier campaign's ``traces/``."""
+
+        def traces(directory):
+            return sorted(path.name for path in (directory / "traces").glob("*.json"))
+
+        clear_trace_cache()
+        cache = global_trace_cache()
+        try:
+            stored = ParallelRunner(jobs=1, cache=ResultStore(tmp_path / "store"))
+            stored.run(REPLAY_SPEC.expand())
+            written = traces(tmp_path / "store")
+            assert cache.store is None
+            captured = cache.counters["captures"]
+            ParallelRunner(jobs=1).run(replace(REPLAY_SPEC, rsk_iterations=25).expand())
+            assert cache.counters["captures"] > captured
+        finally:
+            clear_trace_cache()
+        assert written
+        assert traces(tmp_path / "store") == written
 
     def test_replay_campaign_records_match_the_event_engine(self):
         clear_trace_cache()

@@ -12,6 +12,20 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _python(script, *args):
+    """Run ``script`` in a fresh interpreter importing ``repro`` from this
+    checkout; ``args`` become its ``sys.argv[1:]``."""
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
 class TestParser:
     def test_derive_ubd_defaults(self):
         args = build_parser().parse_args(["derive-ubd"])
@@ -213,17 +227,118 @@ class TestCommands:
             "derive = ['--preset', 'small', 'derive-ubd', '--iterations', '2', '--k-max', '12']\n"
             "sys.exit(main(['list']) or main(derive))\n"
         )
-        source = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
+        result = _python(script)
         assert result.returncode == 0, result.stderr
         assert "ubdm = 6 cycles" in result.stdout
+
+    def test_commands_import_only_the_layers_they_run(self, tmp_path, capsys):
+        """``derive-ubd`` on ``event`` loads neither path-registered engine,
+        the campaign runner, the audit nor a process pool; a warm campaign
+        re-run loads neither engine nor the rsk-nop methodology."""
+        script = (
+            "import sys\n"
+            "absent = sys.argv[1].split(',')\n"
+            "from repro.cli import main\n"
+            "print('import', [name for name in absent if name in sys.modules])\n"
+            "code = main(sys.argv[2:])\n"
+            "print('command', [name for name in absent if name in sys.modules])\n"
+            "sys.exit(code)\n"
+        )
+        engines = ["repro.sim.codegen", "repro.sim.trace"]
+        absent = engines + ["repro.campaign.runner", "repro.audit", "concurrent.futures.process"]
+        derive = ["--preset", "small", "--engine", "event", "derive-ubd"]
+        derive += ["--iterations", "2", "--k-max", "12"]
+        result = _python(script, ",".join(absent), *derive)
+        assert result.returncode == 0, result.stderr
+        assert "import []" in result.stdout
+        assert "command []" in result.stdout
+
+        campaign = ["--preset", "small", "campaign", "--workloads", "2", "--iterations", "5"]
+        campaign += ["--store", str(tmp_path / "store")]
+        assert main(campaign) == 0
+        capsys.readouterr()
+        result = _python(script, ",".join(engines + ["repro.methodology.ubd"]), *campaign)
+        assert result.returncode == 0, result.stderr
+        assert ": 0 simulated" in result.stdout
+        assert "command []" in result.stdout
+
+    def test_lazy_exports_resolve_every_public_name(self):
+        """Lazy exports hide nothing: in a fresh interpreter every ``__all__``
+        name, ``import *``, ``dir()`` and a submodule attribute resolve."""
+        script = (
+            "import importlib\n"
+            "for name in ('repro', 'repro.sim', 'repro.analysis', 'repro.kernels',\n"
+            "             'repro.methodology', 'repro.campaign', 'repro.report'):\n"
+            "    package = importlib.import_module(name)\n"
+            "    for export in package.__all__:\n"
+            "        getattr(package, export)\n"
+            "    namespace = {}\n"
+            "    exec(f'from {name} import *', namespace)\n"
+            "    assert set(package.__all__) <= set(namespace), name\n"
+            "    assert set(package.__all__) <= set(dir(package)), name\n"
+            "    assert not hasattr(package, 'no_such_name'), name\n"
+            "import repro.sim\n"
+            "assert repro.sim.codegen.CodegenEngine is repro.sim.CodegenEngine\n"
+            "print('resolved')\n"
+        )
+        result = _python(script)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "resolved\n"
+
+    def test_path_registered_engines_stay_visible(self):
+        """``codegen`` and ``replay`` are registered without importing their
+        modules; the registry and ``list`` see all four engines, and
+        ``make_engine`` on one loads its module."""
+        script = (
+            "import sys\n"
+            "from repro.cli import main\n"
+            "from repro.config import ENGINES, small_config\n"
+            "from repro.sim.scheduler import make_engine, registered_engines\n"
+            "from repro.sim.system import System\n"
+            "def loaded():\n"
+            "    return [m for m in ('repro.sim.codegen', 'repro.sim.trace') if m in sys.modules]\n"
+            "print('registered', registered_engines() == ENGINES, loaded())\n"
+            "main(['list'])\n"
+            "print('listed', loaded())\n"
+            "system = System(small_config(), [])\n"
+            "print('codegen', type(make_engine('codegen', system)).__name__, loaded())\n"
+            "print('replay', type(make_engine('replay', system)).__name__, loaded())\n"
+        )
+        result = _python(script)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert "registered True []" in lines
+        assert "listed []" in lines
+        assert "codegen CodegenEngine ['repro.sim.codegen']" in lines
+        assert "replay ReplayEngine ['repro.sim.codegen', 'repro.sim.trace']" in lines
+        start = lines.index("Simulation engines (--engine):")
+        listed = [line.split()[0] for line in lines[start + 3 : lines.index("", start)]]
+        assert listed == ["stepped", "event", "codegen", "replay"]
+
+    def test_audit_cross_checks_every_engine_from_a_fresh_process(self, tmp_path):
+        """The audit's engine cross-check loads the path-registered engines
+        itself: all three fast engines are checked against the oracle."""
+        result = _python(
+            "import sys\nfrom repro.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+            "audit",
+            "small",
+            "--out",
+            str(tmp_path),
+            "--k-max",
+            "12",
+            "--iterations",
+            "2",
+            "--stress-iterations",
+            "10",
+            "--synchrony-iterations",
+            "20",
+            "--equivalence-iterations",
+            "5",
+        )
+        assert result.returncode == 0, result.stderr
+        rows = [line.split("|") for line in result.stdout.splitlines()]
+        cells = [[cell.strip() for cell in row] for row in rows if len(row) == 3]
+        assert ["engine_equivalence", "PASS", "3"] in cells
 
     def test_library_errors_become_clean_cli_errors(self, capsys):
         exit_code = main(["--preset", "small", "campaign", "--workloads", "1", "--jobs", "0"])

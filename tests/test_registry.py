@@ -18,11 +18,12 @@ from repro.config import (
     _known_arbitrations,
     _known_engines,
     _known_topologies,
+    small_config,
 )
 from repro.errors import ConfigurationError
 from repro.registry import Registry, registry_backed_names
 from repro.sim.arbiter import ARBITER_REGISTRY
-from repro.sim.scheduler import ENGINE_REGISTRY
+from repro.sim.scheduler import ENGINE_REGISTRY, EventScheduler, register_engine_path
 from repro.sim.topology import TOPOLOGY_REGISTRY
 
 
@@ -110,3 +111,12 @@ class TestInstantiations:
         assert _known_arbitrations() == ARBITER_REGISTRY.names()
         assert _known_engines() == ENGINE_REGISTRY.names()
         assert _known_topologies() == TOPOLOGY_REGISTRY.names()
+
+    def test_engine_registered_by_path_resolves_on_first_use(self):
+        register_engine_path("event_by_path", "repro.sim.scheduler:EventScheduler", "test")
+        try:
+            assert ENGINE_REGISTRY.names()[-1] == "event_by_path"
+            assert small_config(engine="event_by_path").engine == "event_by_path"
+            assert ENGINE_REGISTRY.require("event_by_path").cls is EventScheduler
+        finally:
+            ENGINE_REGISTRY.pop("event_by_path")
