@@ -70,6 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
     from ..methodology.workloads import WorkloadRun
     from ..sim.isa import Program
+    from ..sim.trace import TraceCache
     from .artifacts import CampaignStreamWriter
 
 
@@ -415,6 +416,11 @@ class ParallelRunner:
         from ``jobs``.
         """
         started = time.perf_counter()
+        # The replay trace cache counts per process, across campaigns: the
+        # stats report what this run adds to its counters (all zero while
+        # the replay engine's module is not loaded).
+        replay_cache = _loaded_trace_cache()
+        trace_before = dict(replay_cache.counters) if replay_cache is not None else {}
         store = self.cache
         digests = [descriptor.digest() for descriptor in descriptors]
         # First occurrence of each digest, in descriptor order: duplicate
@@ -504,14 +510,24 @@ class ParallelRunner:
         if store is not None:
             stats["store"] = store.counters.as_dict()
         # Only meaningful when the replay engine ran in this process (worker
-        # processes keep their own per-process trace caches); a process that
-        # never loaded the engine's module has nothing to report.
-        trace = sys.modules.get("repro.sim.trace")
-        if trace is not None:
-            trace_stats = trace.global_trace_cache().stats()
-            if any(trace_stats.values()):
-                stats["trace_cache"] = trace_stats
+        # processes keep their own per-process trace caches); ``entries`` is
+        # the cache's size, not a delta.
+        replay_cache = _loaded_trace_cache()
+        if replay_cache is not None:
+            counted = {
+                name: value - trace_before.get(name, 0)
+                for name, value in replay_cache.counters.items()
+            }
+            if any(counted.values()):
+                stats["trace_cache"] = dict(counted, entries=len(replay_cache))
         return CampaignOutcome(records=tuple(records), stats=stats)
+
+
+def _loaded_trace_cache() -> Optional["TraceCache"]:
+    """The process-wide replay trace cache, or ``None`` while
+    :mod:`repro.sim.trace` is not loaded (nothing has counted yet)."""
+    trace = sys.modules.get("repro.sim.trace")
+    return trace.global_trace_cache() if trace is not None else None
 
 
 def summarize_records(records: Sequence[Dict[str, object]]) -> Dict[str, object]:

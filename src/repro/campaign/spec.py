@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from ..config import ArchConfig, TopologyConfig, canonical_digest, get_preset
+from ..config import ArchConfig, TopologyConfig, _known_engines, canonical_digest, get_preset
 from ..errors import MethodologyError, ReproError
 from ..kernels.synthetic import synthetic_kernel_names
 from ..methodology.workloads import random_workloads
@@ -172,12 +172,10 @@ class CampaignSpec:
     engine: str = "event"
 
     def __post_init__(self) -> None:
-        from ..sim.scheduler import registered_engines
-
-        if self.engine not in registered_engines():
+        engines = _known_engines()
+        if self.engine not in engines:
             raise MethodologyError(
-                f"unknown simulation engine {self.engine!r}; "
-                f"registered: {list(registered_engines())}"
+                f"unknown simulation engine {self.engine!r}; registered: {list(engines)}"
             )
         if not self.presets:
             raise MethodologyError("a campaign needs at least one preset")

@@ -46,11 +46,8 @@ import os
 import sys
 from typing import List, Optional
 
-from .config import PRESETS, get_preset
+from .config import ARBITRATION_POLICIES, ENGINES, PRESETS, TOPOLOGIES, get_preset
 from .errors import ConfigurationError, ReproError
-from .sim.arbiter import registered_arbiters
-from .sim.scheduler import registered_engines
-from .sim.topology import registered_topologies
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--engine",
-        choices=registered_engines(),
+        choices=ENGINES,
         default="event",
         help="simulation engine: the event-driven fast path, the codegen "
         "engine (a loop generated for the configured topology chain and "
@@ -96,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     derive.add_argument(
         "--topology",
-        choices=registered_topologies(),
+        choices=TOPOLOGIES,
         default=None,
         help="override the preset's shared-resource topology",
     )
@@ -122,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     synchrony.add_argument("--iterations", type=int, default=150)
     synchrony.add_argument(
         "--topology",
-        choices=registered_topologies(),
+        choices=TOPOLOGIES,
         default=None,
         help="override the preset's shared-resource topology",
     )
@@ -166,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--arbiter",
         action="append",
-        choices=registered_arbiters(),
+        choices=ARBITRATION_POLICIES,
         help="bus arbitration policy to sweep (repeatable; default round_robin)",
     )
     campaign.add_argument(
@@ -178,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--topology",
         action="append",
-        choices=registered_topologies(),
+        choices=TOPOLOGIES,
         help="shared-resource topology to sweep (repeatable; default: the "
         "preset's own topology)",
     )
@@ -196,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     audit.add_argument(
         "--topology",
-        choices=registered_topologies(),
+        choices=TOPOLOGIES,
         default=None,
         help="override the topology of a preset/config target "
         "(invalid for campaign directories)",

@@ -52,12 +52,13 @@ FAIR_ARBITRATION_POLICIES = ("round_robin", "fifo")
 ARBITRATION_POLICIES = ("round_robin", "fifo", "fixed_priority", "tdma")
 
 
-#: Names accepted by ``BusConfig.arbitration``/``TopologyConfig``.  Delegates
-#: to the arbiter registry (lazily, through
-#: :func:`repro.registry.registry_backed_names`, to keep ``repro.config`` the
-#: bottom layer) so a policy registered at runtime is immediately
-#: constructible through a configuration; falls back to the built-in tuple
-#: while :mod:`repro.sim.arbiter` is still initialising.
+#: Names accepted by ``BusConfig.arbitration``/``TopologyConfig``.  Reads
+#: the arbiter registry once :mod:`repro.sim.arbiter` is loaded, so a policy
+#: registered at runtime is immediately constructible through a
+#: configuration, and answers with the built-in tuple until then (through
+#: :func:`repro.registry.registry_backed_names`): nothing can register
+#: before the module loads, and validating a name never imports the
+#: simulator, which keeps ``repro.config`` the bottom layer.
 _known_arbitrations = registry_backed_names(
     "repro.sim.arbiter", "registered_arbiters", ARBITRATION_POLICIES
 )
@@ -66,10 +67,10 @@ _known_arbitrations = registry_backed_names(
 #: Simulation engines shipped with the simulator.  The authoritative set is
 #: the registry in :mod:`repro.sim.scheduler` (which registers the built-ins,
 #: ``codegen`` and ``replay`` by import path); this tuple lists them for
-#: documentation, and a tier-1 test pins the two in sync.  ``"stepped"`` is
-#: the cycle-by-cycle oracle loop; ``"event"`` is the event-driven fast
-#: path that skips the clock to the next component horizon.  Both are
-#: cycle-exact: they produce identical traces, PMC counts and delay
+#: CLI choices and documentation, and a tier-1 test pins the two in sync.
+#: ``"stepped"`` is the cycle-by-cycle oracle loop; ``"event"`` is the
+#: event-driven fast path that skips the clock to the next component
+#: horizon.  Both are cycle-exact: they produce identical traces, PMC counts and delay
 #: histograms, so the engine choice is a pure speed knob and never
 #: participates in result digests.  ``"codegen"`` compiles a loop
 #: specialised to the configured topology chain and arbiter set
@@ -81,22 +82,26 @@ _known_arbitrations = registry_backed_names(
 ENGINES = ("stepped", "event", "codegen", "replay")
 
 
-#: Names accepted by ``ArchConfig.engine`` (see :data:`_known_arbitrations`).
+#: Names accepted by ``ArchConfig.engine`` and ``CampaignSpec.engine``: the
+#: engine registry once :mod:`repro.sim.scheduler` is loaded, the built-in
+#: tuple until then (see :data:`_known_arbitrations`).
 _known_engines = registry_backed_names("repro.sim.scheduler", "registered_engines", ENGINES)
 
 
 #: Shared-resource topologies shipped with the simulator.  Like
 #: :data:`ARBITRATION_POLICIES`, the authoritative set is the registry in
-#: :mod:`repro.sim.topology`; this tuple lists the built-ins and a tier-1
-#: test pins the two in sync.  ``bus_only`` is the paper's platform — one
-#: arbitrated bus in front of a FIFO memory controller; ``bus_bank_queues``
-#: chains the bus into per-DRAM-bank arbitrated memory-controller queues;
-#: ``split_bus`` splits the bus NGMP-style into an arbitrated request
-#: channel (feeding the bank queues) and a separate arbitrated response
-#: channel returning the data.
+#: :mod:`repro.sim.topology`; this tuple lists the built-ins for CLI choices
+#: and documentation, and a tier-1 test pins the two in sync.  ``bus_only``
+#: is the paper's platform — one arbitrated bus in front of a FIFO memory
+#: controller; ``bus_bank_queues`` chains the bus into per-DRAM-bank
+#: arbitrated memory-controller queues; ``split_bus`` splits the bus
+#: NGMP-style into an arbitrated request channel (feeding the bank queues)
+#: and a separate arbitrated response channel returning the data.
 TOPOLOGIES = ("bus_only", "bus_bank_queues", "split_bus")
 
-#: Names accepted by ``TopologyConfig.name`` (see :data:`_known_arbitrations`).
+#: Names accepted by ``TopologyConfig.name``: the topology registry once
+#: :mod:`repro.sim.topology` is loaded, the built-in tuple until then (see
+#: :data:`_known_arbitrations`).
 _known_topologies = registry_backed_names("repro.sim.topology", "registered_topologies", TOPOLOGIES)
 
 

@@ -21,12 +21,14 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..config import ArchConfig
 from ..errors import ProgramError
-from ..sim.isa import Alu, Instruction, Load, Nop, Program, Store
 from .layout import core_address_space
+
+if TYPE_CHECKING:  # pragma: no cover - type-only import
+    from ..sim.isa import Instruction, Program
 
 
 @dataclass(frozen=True)
@@ -266,6 +268,9 @@ def build_synthetic_kernel(
         seed: seed of the deterministic address generator; two kernels built
             with the same arguments are identical.
     """
+    # Imported here: listing kernel names (campaign expansion) needs no ISA.
+    from ..sim.isa import Alu, Load, Nop, Program, Store
+
     try:
         spec = SYNTHETIC_KERNELS[name]
     except KeyError as exc:

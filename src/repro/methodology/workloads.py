@@ -16,10 +16,10 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from ..config import ArchConfig
 from ..errors import MethodologyError
 from ..kernels.synthetic import build_synthetic_kernel, synthetic_kernel_names
-from ..sim.isa import Program
 
-if TYPE_CHECKING:  # pragma: no cover - type-only import
+if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..analysis.contention import ContenderHistogram
+    from ..sim.isa import Program
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,14 @@ never drift between them lives here exactly once:
   actionable message;
 * **the lazy configuration fallback** — :func:`registry_backed_names` gives
   ``repro.config`` (the bottom layer) a callable view of a registry that
-  degrades to the built-in tuple while the registry module is still
-  importing, without ``repro.config`` ever importing the simulator at module
-  scope.
+  reads the registry only once its module is loaded and otherwise answers
+  with the built-in tuple, so validating a configuration, or building the
+  CLI parser, never imports the simulator.
 """
 
 from __future__ import annotations
 
-import importlib
+import sys
 from typing import Callable, Dict, Generic, Iterator, Optional, Tuple, TypeVar
 
 from .errors import ConfigurationError
@@ -109,21 +109,25 @@ def registry_backed_names(
 
     ``repro.config`` validates configuration fields against the registries so
     a policy registered at runtime is immediately constructible, but it must
-    stay the bottom layer of the package — so the registry module is imported
-    lazily, and ``fallback`` (the built-in tuple) is returned while that
-    module is still initialising.
+    stay the bottom layer of the package and must not load the simulator to
+    check a name.  So the registry is read only when its module is already in
+    :data:`sys.modules`; otherwise ``fallback`` (the built-in tuple) is the
+    answer.  That is exact: nothing can register into a registry whose module
+    was never imported, so until then the registry holds the built-ins, and a
+    tier-1 test pins each built-in tuple to its registry.  A module that is
+    loaded but still initialising (its accessor not yet defined) also gets
+    ``fallback``.
 
     Args:
         module_name: absolute module holding the registry accessor.
         accessor: name of the zero-argument callable returning the names.
-        fallback: built-in names returned during partial initialisation.
+        fallback: built-in names returned while the module is not loaded.
     """
 
     def names() -> Tuple[str, ...]:
-        try:
-            module = importlib.import_module(module_name)
-            return getattr(module, accessor)()
-        except ImportError:  # pragma: no cover - partial-initialisation fallback
+        registered = getattr(sys.modules.get(module_name), accessor, None)
+        if registered is None:
             return fallback
+        return registered()
 
     return names

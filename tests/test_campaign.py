@@ -990,6 +990,32 @@ class TestOnePipeline:
         assert written
         assert traces(tmp_path / "store") == written
 
+    def test_trace_cache_stats_count_only_their_own_campaign(self):
+        """The process-wide trace cache outlives a campaign: a campaign's
+        ``trace_cache`` stats count its own lookups and captures, the
+        ``entries`` level aside, and a campaign that never replays reports
+        none."""
+        spec = CampaignSpec(presets=("small",), num_workloads=1, iterations=5, engine="replay")
+        clear_trace_cache()
+        cache = global_trace_cache()
+        try:
+            first = ParallelRunner(jobs=1).run(replace(spec, seeds=(1,)).expand())
+            after_first = cache.stats()
+            second = ParallelRunner(jobs=1).run(replace(spec, seeds=(2,)).expand())
+            after_second = cache.stats()
+            event = ParallelRunner(jobs=1).run(replace(spec, engine="event").expand())
+        finally:
+            clear_trace_cache()
+        assert first.stats["trace_cache"] == after_first
+        assert after_first["captures"] > 0
+        assert second.stats["trace_cache"] == {
+            name: (value if name == "entries" else value - after_first[name])
+            for name, value in after_second.items()
+        }
+        assert second.stats["trace_cache"]["captures"] == 0
+        assert second.stats["trace_cache"]["misses"] == 0
+        assert "trace_cache" not in event.stats
+
     def test_replay_campaign_records_match_the_event_engine(self):
         clear_trace_cache()
         try:

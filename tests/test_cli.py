@@ -233,15 +233,21 @@ class TestCommands:
 
     def test_commands_import_only_the_layers_they_run(self, tmp_path, capsys):
         """``derive-ubd`` on ``event`` loads neither path-registered engine,
-        the campaign runner, the audit nor a process pool; a warm campaign
-        re-run loads neither engine nor the rsk-nop methodology."""
+        the campaign runner, the audit nor a process pool.  ``import
+        repro.cli``, ``cache stats`` and a warm campaign re-run, which never
+        simulate, load no ``repro.sim`` module at all, and the re-run not
+        the rsk-nop methodology either.  An absent name covers its
+        submodules."""
         script = (
             "import sys\n"
-            "absent = sys.argv[1].split(',')\n"
+            "absent = tuple(sys.argv[1].split(','))\n"
+            "packages = tuple(name + '.' for name in absent)\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m in absent or m.startswith(packages))\n"
             "from repro.cli import main\n"
-            "print('import', [name for name in absent if name in sys.modules])\n"
+            "print('import', loaded())\n"
             "code = main(sys.argv[2:])\n"
-            "print('command', [name for name in absent if name in sys.modules])\n"
+            "print('command', loaded())\n"
             "sys.exit(code)\n"
         )
         engines = ["repro.sim.codegen", "repro.sim.trace"]
@@ -253,13 +259,21 @@ class TestCommands:
         assert "import []" in result.stdout
         assert "command []" in result.stdout
 
+        store = str(tmp_path / "store")
         campaign = ["--preset", "small", "campaign", "--workloads", "2", "--iterations", "5"]
-        campaign += ["--store", str(tmp_path / "store")]
+        campaign += ["--store", store]
         assert main(campaign) == 0
         capsys.readouterr()
-        result = _python(script, ",".join(engines + ["repro.methodology.ubd"]), *campaign)
+        result = _python(script, "repro.sim,repro.methodology.ubd", *campaign)
         assert result.returncode == 0, result.stderr
         assert ": 0 simulated" in result.stdout
+        assert "import []" in result.stdout
+        assert "command []" in result.stdout
+
+        result = _python(script, "repro.sim", "cache", "stats", "--store", store)
+        assert result.returncode == 0, result.stderr
+        assert "Entries: " in result.stdout
+        assert "import []" in result.stdout
         assert "command []" in result.stdout
 
     def test_lazy_exports_resolve_every_public_name(self):

@@ -9,6 +9,12 @@ instantiations and the declared tuples in ``repro.config`` in sync.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
 import pytest
 
 from repro.config import (
@@ -25,6 +31,24 @@ from repro.registry import Registry, registry_backed_names
 from repro.sim.arbiter import ARBITER_REGISTRY
 from repro.sim.scheduler import ENGINE_REGISTRY, EventScheduler, register_engine_path
 from repro.sim.topology import TOPOLOGY_REGISTRY
+
+
+def _fresh_python(script):
+    """Run ``script`` in a fresh interpreter importing ``repro`` from this
+    checkout, so no registry module is loaded before the script loads it."""
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+#: The three registry modules ``repro.config`` validates names against.
+_REGISTRY_MODULES = "('repro.sim.arbiter', 'repro.sim.scheduler', 'repro.sim.topology')"
 
 
 class TestRegistry:
@@ -88,6 +112,72 @@ class TestRegistryBackedNames:
     def test_unimportable_module_falls_back(self):
         names = registry_backed_names("repro.no_such_module", "accessor", ("fallback",))
         assert names() == ("fallback",)
+
+    def test_initialising_module_falls_back_until_its_accessor_exists(self, monkeypatch):
+        module = types.ModuleType("repro_initialising_registry")
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        names = registry_backed_names(module.__name__, "registered", ("fallback",))
+        assert names() == ("fallback",)
+        monkeypatch.setattr(module, "registered", lambda: ("fallback", "runtime"), raising=False)
+        assert names() == ("fallback", "runtime")
+
+    def test_built_in_names_validate_without_loading_the_registries(self):
+        result = _fresh_python(
+            "import sys\n"
+            "from repro.config import TopologyConfig, get_preset, small_config\n"
+            "get_preset('ref')\n"
+            "small_config(engine='replay')\n"
+            "TopologyConfig(name='split_bus')\n"
+            f"print([name for name in {_REGISTRY_MODULES} if name in sys.modules])\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
+
+    def test_unknown_names_are_refused_without_loading_the_registries(self):
+        result = _fresh_python(
+            "import sys\n"
+            "from repro.campaign.spec import CampaignSpec\n"
+            "from repro.config import BusConfig, TopologyConfig, small_config\n"
+            "from repro.errors import ReproError\n"
+            "for build in (lambda: small_config(engine='warp'),\n"
+            "              lambda: CampaignSpec(engine='warp'),\n"
+            "              lambda: TopologyConfig(name='ring'),\n"
+            "              lambda: TopologyConfig(mem_arbitration='lottery'),\n"
+            "              lambda: BusConfig(arbitration='lottery')):\n"
+            "    try:\n"
+            "        build()\n"
+            "    except ReproError as exc:\n"
+            "        print(exc)\n"
+            f"print([name for name in {_REGISTRY_MODULES} if name in sys.modules])\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "unsupported simulation engine: 'warp'",
+            "unknown simulation engine 'warp'; registered: "
+            "['stepped', 'event', 'codegen', 'replay']",
+            "unsupported topology: 'ring'",
+            "unsupported memory-queue arbitration policy: 'lottery'",
+            "unsupported arbitration policy: 'lottery'",
+            "[]",
+        ]
+
+    def test_runtime_registration_is_accepted_once_the_registry_loads(self):
+        result = _fresh_python(
+            "from repro.config import BusConfig\n"
+            "from repro.errors import ConfigurationError\n"
+            "try:\n"
+            "    BusConfig(arbitration='lottery')\n"
+            "except ConfigurationError as exc:\n"
+            "    print(exc)\n"
+            "from repro.sim.arbiter import RoundRobinArbiter, register_arbiter\n"
+            "register_arbiter('lottery')(lambda ports, slot: RoundRobinArbiter(ports))\n"
+            "print(BusConfig(arbitration='lottery').arbitration)\n"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "unsupported arbitration policy: 'lottery'",
+            "lottery",
+        ]
 
 
 class TestInstantiations:
