@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from repro.analysis.contention import contention_histogram
 from repro.config import small_config
-from repro.kernels.rsk import build_rsk
-from repro.methodology.experiment import build_contender_set
+from repro.kernels.rsk import build_rsk, build_stress_contender_set
 from repro.report.tables import render_table
 from repro.sim.arbiter import (
     FifoArbiter,
@@ -33,7 +32,7 @@ from .conftest import write_artifact
 
 def run_with_arbiter(config, arbiter, iterations: int):
     scua = build_rsk(config, 0, iterations=iterations)
-    contenders = build_contender_set(config, scua_core=0)
+    contenders = build_stress_contender_set(config, "bus", 0)
     programs = [scua] + [contenders[core] for core in sorted(contenders)]
     system = System(
         config, programs, trace=True, preload_l2=True, preload_il1=True, arbiter=arbiter

@@ -20,24 +20,31 @@ from __future__ import annotations
 
 from repro import reference_config, variant_config
 from repro.analysis.contention import contention_histogram, injection_time_histogram
+from repro.campaign import CampaignSpec, ParallelRunner, histogram_from_json
 from repro.kernels.rsk import build_rsk
 from repro.methodology.experiment import ExperimentRunner
-from repro.methodology.workloads import run_rsk_reference_workload, run_workload_campaign
 from repro.report.histogram import render_histogram
 
 
 def eembc_like_campaign() -> None:
-    config = reference_config()
     print("== EEMBC-like workloads (8 random 4-task mixes) ==")
-    campaign = run_workload_campaign(config, num_workloads=8, observed_iterations=20, seed=2015)
+    spec = CampaignSpec(
+        presets=("ref",),
+        seeds=(2015,),
+        num_workloads=8,
+        iterations=20,
+        include_rsk_reference=False,
+    )
+    summary = ParallelRunner().run(spec.expand()).summary()
+    workloads = summary["per_platform"]["ref/round_robin"]["synthetic"]
     print(
         render_histogram(
-            campaign.aggregated_counts(),
+            histogram_from_json(workloads["aggregated_contenders"]),
             title="Ready contenders when the observed task accesses the bus",
             label="contenders",
         )
     )
-    share = campaign.fraction_with_at_most(1)
+    share = workloads["fraction_with_at_most_1"]
     print(f"\n{share:.0%} of requests found the bus empty or with a single contender.\n")
 
 

@@ -77,11 +77,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ExperimentRunner",
             "NaiveUbdEstimator",
             "UbdEstimator",
-            "build_contender_set",
             "compute_etb",
             "mbta_padding",
-            "run_rsk_reference_workload",
-            "run_workload_campaign",
         ),
         "sim": ("Program", "System"),
     },

@@ -28,8 +28,7 @@ from ..config import ENGINES, get_preset
 if TYPE_CHECKING:  # pragma: no cover - avoids a load-time module cycle
     from .campaign_bench import CampaignBench
 from ..errors import SimulationError
-from ..kernels.rsk import build_rsk, build_stress_contender_set, rsk_for_resource
-from ..methodology.experiment import build_contender_set
+from ..kernels.rsk import build_stress_contender_set, rsk_for_resource
 from ..sim.system import System
 
 #: Version stamp embedded in BENCH_*.json; bump when the payload layout or
@@ -67,10 +66,10 @@ class BenchWorkload:
             preset's topology untouched, including its memory-side
             arbitration parameters.
         kind: rsk flavour (``"load"`` or ``"store"``).
-        stress: when set, build the kernels from the rsk registry entry for
-            this resource (``"bus"``, ``"memory"``, ``"bus_response"``)
-            instead of the plain rsk — the hot path of ``derive-ubd
-            --per-resource``, whose stress runs drive exactly these kernels.
+        stress: the rsk registry entry the kernels come from (``"memory"``,
+            ``"bus_response"``) — the hot path of ``derive-ubd
+            --per-resource``, whose stress runs drive exactly these kernels;
+            ``None`` means ``"bus"``, the plain rsk.
         preload_l2: warm the L2 first (True gives the paper's L2-hit hot
             path; False sends every miss to the DRAM model).
         iterations: observed-rsk loop iterations in full mode.
@@ -187,13 +186,9 @@ def _build_system(
     if workload.topology is not None:
         config = config.with_topology_name(workload.topology)
     iterations = workload.quick_iterations if quick else workload.iterations
-    if workload.stress is not None:
-        entry = rsk_for_resource(workload.stress)
-        scua = entry.build(config, 0, kind=workload.kind, iterations=iterations)
-        contenders = build_stress_contender_set(config, workload.stress, 0, kind=workload.kind)
-    else:
-        scua = build_rsk(config, 0, kind=workload.kind, iterations=iterations)
-        contenders = build_contender_set(config, 0, kind=workload.kind)
+    stress = workload.stress or "bus"
+    scua = rsk_for_resource(stress).build(config, 0, kind=workload.kind, iterations=iterations)
+    contenders = build_stress_contender_set(config, stress, 0, kind=workload.kind)
     programs: List[Optional[object]] = [None] * config.num_cores
     programs[0] = scua
     for core, program in contenders.items():

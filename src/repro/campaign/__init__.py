@@ -14,9 +14,10 @@ and cached:
 * :class:`ResultStore` — the content-addressed result store (a directory
   of ``<digest>.json`` artifacts) so re-runs only simulate what changed,
   deduplicated across campaigns (:mod:`repro.campaign.store`);
-* :func:`write_campaign_artifacts` / :class:`CampaignStreamWriter` /
-  :func:`load_campaign` — the ``results.jsonl`` / ``summary.json`` /
-  ``campaign.json`` artifact layer (:mod:`repro.campaign.artifacts`).
+* :class:`CampaignStreamWriter` / :func:`load_campaign` — the
+  ``results.jsonl`` / ``summary.json`` / ``campaign.json`` artifact layer
+  (:mod:`repro.campaign.artifacts`); the stream writer writes every
+  artifact, :func:`write_campaign_artifacts` included.
 
 The CLI front-end is ``repro-bounds campaign --jobs N --out DIR``; the
 report renderer lives in :mod:`repro.report.campaign`.
@@ -50,7 +51,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "execute_shard",
             "histogram_from_json",
             "summarize_records",
-            "workload_run_from_record",
         ),
         "spec": (
             "KIND_RSK",
@@ -59,7 +59,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "CampaignSpec",
             "RunDescriptor",
             "campaign_digest",
-            "workload_campaign_descriptors",
         ),
         "store": ("GcOutcome", "ResultStore", "StoreCounters"),
     },

@@ -17,11 +17,13 @@ A campaign writes three files into its output directory:
   finalisation, so a crashed campaign directory is detectable by the audit
   instead of masquerading as a short but finished sweep.
 
-Streaming: :class:`CampaignStreamWriter` appends result lines while the
-campaign runs and periodically rewrites ``summary.json`` from the emitted
-prefix, so a long campaign's artifacts are inspectable mid-flight.  The
-finalised bytes are identical to a one-shot
-:func:`write_campaign_artifacts` — streaming changes *when* artifacts
+:class:`CampaignStreamWriter` is the one code path that writes them:
+``begin`` stamps the manifest in-flight, ``append`` streams result lines
+while the campaign runs (and periodically rewrites ``summary.json`` from
+the emitted prefix, so a long campaign's artifacts are inspectable
+mid-flight), and ``finalize`` writes the final summary and completes the
+manifest.  :func:`write_campaign_artifacts` writes a finished outcome
+through the same three calls, so streaming changes *when* artifacts
 appear, never what they contain.
 
 The exact field layout is documented in ``DESIGN.md`` ("Campaign artifact
@@ -32,6 +34,7 @@ a saved campaign and re-renders its report without re-simulating anything.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -111,10 +114,9 @@ class CampaignStreamWriter:
     The runner appends result records (in final order) as shards complete;
     the writer keeps ``results.jsonl`` flushed line-by-line, rewrites
     ``summary.json`` at most every ``checkpoint_interval`` seconds, and
-    marks the manifest ``completed`` only at :meth:`finalize`.  All content
-    written here uses the exact serialisation of
-    :func:`write_campaign_artifacts`, which is what keeps streamed and
-    one-shot artifacts byte-identical.
+    marks the manifest ``completed`` only at :meth:`finalize`.
+    :func:`write_campaign_artifacts` is this writer with a single append,
+    so streamed and one-shot artifacts are byte-identical by construction.
     """
 
     def __init__(self, out_dir: os.PathLike, checkpoint_interval: float = 2.0) -> None:
@@ -216,46 +218,20 @@ def write_campaign_artifacts(
     summary: Optional[Dict[str, object]] = None,
 ) -> CampaignArtifacts:
     """Write ``results.jsonl``, ``summary.json`` and the manifest for
-    ``outcome``.
+    ``outcome``: a :class:`CampaignStreamWriter` stream with one append.
 
     The directory is created on demand; existing artifacts are overwritten
     (a campaign directory always reflects its last run).  Pass ``summary``
     when ``outcome.summary()`` was already computed (e.g. for rendering) to
     avoid aggregating the records twice.
     """
-    directory = Path(out_dir)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise AnalysisError(
-            f"cannot create campaign output directory {directory}: {exc}"
-        ) from exc
-    results_path = directory / RESULTS_NAME
-    with results_path.open("w", encoding="utf-8") as handle:
-        for record in outcome.records:
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            handle.write("\n")
-    summary_path = directory / SUMMARY_NAME
-    with summary_path.open("w", encoding="utf-8") as handle:
-        json.dump(
-            outcome.summary() if summary is None else summary,
-            handle,
-            sort_keys=True,
-            indent=2,
-        )
-        handle.write("\n")
-    campaign_id = campaign_digest(
-        [str(record.get("digest", "")) for record in outcome.records]
+    stream = CampaignStreamWriter(out_dir, checkpoint_interval=math.inf)
+    stream.begin(
+        campaign_digest([str(record.get("digest", "")) for record in outcome.records]),
+        len(outcome.records),
     )
-    manifest_path = write_manifest(
-        directory, build_manifest(campaign_id, len(outcome.records), True)
-    )
-    return CampaignArtifacts(
-        directory=directory,
-        results_path=results_path,
-        summary_path=summary_path,
-        manifest_path=manifest_path,
-    )
+    stream.append(outcome.records)
+    return stream.finalize(outcome.summary() if summary is None else summary)
 
 
 def load_results(path: os.PathLike) -> List[Dict[str, object]]:

@@ -68,7 +68,6 @@ from .store import ResultStore
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from concurrent.futures import ProcessPoolExecutor
 
-    from ..methodology.workloads import WorkloadRun
     from ..sim.isa import Program
     from ..sim.trace import TraceCache
     from .artifacts import CampaignStreamWriter
@@ -139,20 +138,30 @@ def load_execution_layers(engines: Iterable[str]) -> None:
 
 
 def _synthetic_metrics(descriptor: RunDescriptor) -> Dict[str, object]:
-    from ..methodology.workloads import run_single_workload
+    from ..analysis.contention import contender_histogram
+    from ..methodology.workloads import build_workload_programs
+    from ..sim.system import System
 
-    run = run_single_workload(
-        descriptor.config,
-        descriptor.tasks,
-        observed_core=descriptor.observed_core,
-        observed_iterations=descriptor.iterations,
-        seed=descriptor.seed,
+    config = descriptor.config
+    observed = descriptor.observed_core
+    programs = build_workload_programs(
+        config, descriptor.tasks, observed, descriptor.iterations, seed=descriptor.seed
     )
+    system = System(
+        config,
+        programs,
+        trace=True,
+        preload_l2=True,
+        preload_il1=True,
+        preload_dl1=True,
+    )
+    result = system.run(observed_cores=[observed])
+    ready = contender_histogram(result.trace, observed, config.num_cores)
     return {
-        "execution_time": run.execution_time,
-        "bus_utilisation": run.bus_utilisation,
-        "contender_histogram": _json_histogram(run.histogram.counts),
-        "contender_total_requests": run.histogram.total_requests,
+        "execution_time": result.execution_time(observed),
+        "bus_utilisation": result.pmc.bus_utilisation(),
+        "contender_histogram": _json_histogram(ready.counts),
+        "contender_total_requests": ready.total_requests,
     }
 
 
@@ -235,32 +244,6 @@ def _json_histogram(counts: Dict[int, int]) -> Dict[str, int]:
 def histogram_from_json(counts: Dict[str, int]) -> Dict[int, int]:
     """Invert :func:`_json_histogram` when loading artifacts."""
     return {int(key): value for key, value in counts.items()}
-
-
-def workload_run_from_record(record: Dict[str, object]) -> "WorkloadRun":
-    """Rebuild the legacy :class:`WorkloadRun` view from a synthetic record."""
-    from ..analysis.contention import ContenderHistogram
-    from ..methodology.workloads import WorkloadRun
-
-    if record["kind"] != KIND_SYNTHETIC:
-        raise MethodologyError(
-            f"record {record.get('run_id', '?')} is a {record['kind']!r} run, "
-            "not a synthetic workload"
-        )
-    metrics = record["metrics"]
-    histogram = ContenderHistogram(
-        counts=histogram_from_json(metrics["contender_histogram"]),
-        total_requests=metrics["contender_total_requests"],
-        observed_core=record["observed_core"],
-        num_cores=record["config"]["num_cores"],
-    )
-    return WorkloadRun(
-        task_names=tuple(record["tasks"]),
-        observed_core=record["observed_core"],
-        histogram=histogram,
-        execution_time=metrics["execution_time"],
-        bus_utilisation=metrics["bus_utilisation"],
-    )
 
 
 @dataclass(frozen=True)

@@ -264,42 +264,12 @@ class CampaignSpec:
         return tuple(descriptors)
 
 
-def workload_campaign_descriptors(
-    config: ArchConfig,
-    workloads: Sequence[Tuple[str, ...]],
-    observed_core: int = 0,
-    observed_iterations: int = 30,
-    seed: int = 2015,
-) -> Tuple[RunDescriptor, ...]:
-    """Descriptors for an explicit workload list on one platform.
-
-    This is the bridge used by
-    :func:`repro.methodology.workloads.run_workload_campaign`: the legacy
-    serial sweep and the parallel engine share these descriptors, which is
-    what guarantees bit-identical results on either path.
-    """
-    return tuple(
-        RunDescriptor(
-            run_id=_run_id(index),
-            preset=config.name,
-            config=config,
-            kind=KIND_SYNTHETIC,
-            tasks=tuple(tasks),
-            observed_core=observed_core,
-            iterations=observed_iterations,
-            seed=seed + index,
-        )
-        for index, tasks in enumerate(workloads)
-    )
-
-
 def campaign_digest(digests: Sequence[str]) -> str:
     """Content identity of a campaign: the digest of its ordered run digests.
 
     Pure function of the expanded descriptors, so serial and parallel
     executions (and re-runs on any machine) agree on it; stamped into the
-    ``campaign.json`` manifest and onto the result store's rows for
-    per-campaign attribution.
+    ``campaign.json`` manifest.
     """
     return canonical_digest({"schema": SCHEMA_VERSION, "runs": list(digests)})
 

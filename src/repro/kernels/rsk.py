@@ -46,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..config import ArchConfig
 from ..errors import MethodologyError, ProgramError
 from ..registry import Registry
-from ..sim.isa import INSTRUCTION_BYTES, Alu, Instruction, Load, Nop, Program, Store
+from ..sim.isa import INSTRUCTION_BYTES, Instruction, Load, Nop, Program, Store
 from .layout import (
     core_address_space,
     footprint_fits_l2_partition,
@@ -71,8 +71,6 @@ def build_rsk(
     core_id: int,
     kind: str = "load",
     iterations: Optional[int] = None,
-    extra_conflict_lines: int = 1,
-    loop_control_overhead: int = 0,
 ) -> Program:
     """Build ``rsk(t)`` for ``core_id``.
 
@@ -82,29 +80,22 @@ def build_rsk(
         kind: ``"load"`` or ``"store"`` — the bus access type ``t``.
         iterations: loop iterations (>= 1); ``None`` builds an infinite
             contender.
-        extra_conflict_lines: how many lines beyond the DL1 associativity the
-            loop touches (the paper uses ``W + 1``, i.e. one extra line).
-        loop_control_overhead: latency (cycles) of an optional ALU
-            instruction appended to the body, modelling loop-control overhead
-            at iteration boundaries.  The paper unrolls aggressively to keep
-            this below 2%; the default of 0 models a fully unrolled loop.
+
+    The loop is fully unrolled (the paper unrolls aggressively to keep
+    loop-control overhead below 2%), so its body holds only the accesses.
     """
     if iterations is not None and iterations < 1:
         raise ProgramError(f"rsk must run at least one iteration, got {iterations}")
-    if extra_conflict_lines < 1:
-        raise ProgramError("rsk needs at least one extra conflicting line to miss in DL1")
     space = core_address_space(core_id)
-    addresses = same_set_addresses(
-        config.dl1, config.dl1.ways + extra_conflict_lines, base=space.data_base
-    )
+    # The paper's W + 1 lines: one more than the DL1 associativity, all in
+    # one set, so every access misses in the DL1.
+    addresses = same_set_addresses(config.dl1, config.dl1.ways + 1, base=space.data_base)
     if not footprint_fits_l2_partition(config, addresses):
         raise ProgramError(
             "rsk footprint does not fit the core's L2 partition; the kernel would "
             "not hit in L2 as the methodology requires"
         )
     body: List[Instruction] = [_memory_instruction(kind, addr) for addr in addresses]
-    if loop_control_overhead > 0:
-        body.append(Alu(latency=loop_control_overhead))
     return Program(
         name=f"rsk-{kind}[core{core_id}]",
         body=tuple(body),
@@ -119,8 +110,6 @@ def build_rsk_nop(
     kind: str = "load",
     k: int = 0,
     iterations: int = DEFAULT_ITERATIONS,
-    extra_conflict_lines: int = 1,
-    loop_control_overhead: int = 0,
 ) -> Program:
     """Build ``rsk-nop(t, k)`` for ``core_id`` (Figure 1(b)).
 
@@ -135,17 +124,14 @@ def build_rsk_nop(
         k: number of nops between consecutive memory operations (>= 0).
         iterations: loop iterations (the scua must terminate, so the default
             is finite).
-        extra_conflict_lines: see :func:`build_rsk`.
-        loop_control_overhead: see :func:`build_rsk`.
     """
     if k < 0:
         raise ProgramError(f"nop count k must be >= 0, got {k}")
     if iterations < 1:
         raise ProgramError("rsk-nop must run at least one iteration")
     space = core_address_space(core_id)
-    addresses = same_set_addresses(
-        config.dl1, config.dl1.ways + extra_conflict_lines, base=space.data_base
-    )
+    # The same W + 1 conflicting lines as :func:`build_rsk`.
+    addresses = same_set_addresses(config.dl1, config.dl1.ways + 1, base=space.data_base)
     if not footprint_fits_l2_partition(config, addresses):
         raise ProgramError(
             "rsk-nop footprint does not fit the core's L2 partition; the kernel "
@@ -155,8 +141,6 @@ def build_rsk_nop(
     for addr in addresses:
         body.append(_memory_instruction(kind, addr))
         body.extend(Nop() for _ in range(k))
-    if loop_control_overhead > 0:
-        body.append(Alu(latency=loop_control_overhead))
     return Program(
         name=f"rsk-nop-{kind}(k={k})[core{core_id}]",
         body=tuple(body),
@@ -171,7 +155,6 @@ def build_bank_conflict_rsk(
     kind: str = "load",
     iterations: Optional[int] = None,
     target_bank: int = 0,
-    loop_control_overhead: int = 0,
 ) -> Program:
     """Build the bank-conflict rsk: every access misses DL1 *and* L2 and
     lands on one DRAM bank.
@@ -192,7 +175,6 @@ def build_bank_conflict_rsk(
         kind: ``"load"`` or ``"store"`` — the access type.
         iterations: loop iterations; ``None`` builds an infinite contender.
         target_bank: DRAM bank every access maps to.
-        loop_control_overhead: see :func:`build_rsk`.
     """
     # Exceed both the DL1 associativity and the core's L2 partition ways so
     # LRU/FIFO replacement misses on every access at both levels.
@@ -201,8 +183,6 @@ def build_bank_conflict_rsk(
         config, count, core_id=core_id, target_bank=target_bank
     )
     body: List[Instruction] = [_memory_instruction(kind, addr) for addr in addresses]
-    if loop_control_overhead > 0:
-        body.append(Alu(latency=loop_control_overhead))
     return Program(
         name=f"rsk-bank-{kind}[core{core_id}]",
         body=tuple(body),
@@ -216,7 +196,6 @@ def build_response_conflict_rsk(
     core_id: int,
     kind: str = "load",
     iterations: Optional[int] = None,
-    loop_control_overhead: int = 0,
 ) -> Program:
     """Build the response-channel stressor: every access misses DL1 *and* L2,
     each core targets its **own** DRAM bank, and the access pattern mixes
@@ -253,7 +232,6 @@ def build_response_conflict_rsk(
             (``core_id % num_banks``) and its period skew.
         kind: ``"load"`` or ``"store"`` — the access type.
         iterations: loop iterations; ``None`` builds an infinite contender.
-        loop_control_overhead: see :func:`build_rsk`.
     """
     count = max(config.dl1.ways, len(config.l2_ways_for_core(core_id))) + 1
     addresses = same_bank_same_set_addresses(
@@ -268,8 +246,6 @@ def build_response_conflict_rsk(
         body.append(_memory_instruction(kind, addr + line))
     for index in range(core_id):
         body.append(_memory_instruction(kind, addresses[index % count]))
-    if loop_control_overhead > 0:
-        body.append(Alu(latency=loop_control_overhead))
     return Program(
         name=f"rsk-response-{kind}[core{core_id}]",
         body=tuple(body),
@@ -355,10 +331,9 @@ def build_stress_contender_set(
 ) -> Dict[int, Program]:
     """One infinite stressing kernel per core other than ``scua_core``.
 
-    The per-resource analogue of
-    :func:`repro.methodology.experiment.build_contender_set`: the contenders
-    are drawn from the rsk registry, so they drive ``resource`` — not just
-    the bus — to its worst case.
+    The contenders are drawn from the rsk registry, so they drive
+    ``resource`` to its worst case; ``"bus"`` gives the paper's contender
+    set, one infinite :func:`build_rsk` per other core.
     """
     if not 0 <= scua_core < config.num_cores:
         raise MethodologyError(f"scua core {scua_core} does not exist")

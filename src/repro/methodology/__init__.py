@@ -17,8 +17,9 @@
 * :mod:`repro.methodology.composition` — per-resource worst-case delay terms
   for multi-resource topologies; they sum to the end-to-end bound and pad
   execution times resource by resource.
-* :mod:`repro.methodology.workloads` — randomly composed multiprogrammed
-  workloads (the Figure 6(a) campaign).
+* :mod:`repro.methodology.workloads` — composes the randomly drawn
+  multiprogrammed workloads of Figure 6(a); :mod:`repro.campaign` runs
+  them and aggregates their histograms.
 """
 
 from ..lazy import lazy_exports
@@ -30,7 +31,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ContendedMeasurement",
             "ExperimentRunner",
             "IsolationMeasurement",
-            "build_contender_set",
         ),
         "ubd": (
             "MeasuredBoundPipeline",
@@ -49,12 +49,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "per_resource_bounds",
         ),
         "mbta": ("TaskAnalysis", "TaskSetAnalysis", "TaskSetResult"),
-        "workloads": (
-            "WorkloadCampaignResult",
-            "WorkloadRun",
-            "random_workloads",
-            "run_rsk_reference_workload",
-            "run_workload_campaign",
-        ),
+        "workloads": ("random_workloads",),
     },
 )

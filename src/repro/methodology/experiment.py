@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..config import ArchConfig
 from ..errors import MethodologyError
-from ..kernels.rsk import build_rsk
+from ..kernels.rsk import build_stress_contender_set
 from ..sim.isa import Program
 from ..sim.system import System, SystemResult
 from ..sim.request_trace import TraceRecorder
@@ -78,32 +78,6 @@ class ContendedMeasurement:
             "bus_requests": self.bus_requests,
             "bus_utilisation": self.bus_utilisation,
         }
-
-
-def build_contender_set(
-    config: ArchConfig,
-    scua_core: int,
-    kind: str = "load",
-    loop_control_overhead: int = 0,
-) -> Dict[int, Program]:
-    """Build one infinite rsk per core other than ``scua_core``.
-
-    These are the paper's contender kernels: they put the highest possible
-    load on the bus and never terminate before the scua.
-    """
-    if not 0 <= scua_core < config.num_cores:
-        raise MethodologyError(f"scua core {scua_core} does not exist")
-    return {
-        core: build_rsk(
-            config,
-            core,
-            kind=kind,
-            iterations=None,
-            loop_control_overhead=loop_control_overhead,
-        )
-        for core in range(config.num_cores)
-        if core != scua_core
-    }
 
 
 class ExperimentRunner:
@@ -196,7 +170,7 @@ class ExperimentRunner:
         trace: bool = False,
     ) -> ContendedMeasurement:
         """Run ``scua`` against ``Nc - 1`` infinite rsk contenders of type ``kind``."""
-        contenders = build_contender_set(self.config, scua_core, kind=kind)
+        contenders = build_stress_contender_set(self.config, "bus", scua_core, kind=kind)
         return self.run_contended(scua, contenders, scua_core=scua_core, trace=trace)
 
     def run_pair(

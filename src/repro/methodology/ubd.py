@@ -229,7 +229,9 @@ class UbdEstimator:
         """Execute the full methodology and return its result.
 
         Raises :class:`~repro.errors.MethodologyError` on a TDMA bus
-        (:data:`TDMA_HAS_NO_FAIR_ROUND`) before simulating anything.
+        (:data:`TDMA_HAS_NO_FAIR_ROUND`) before simulating anything, and
+        :class:`~repro.errors.AnalysisError` when auto-extension reaches
+        :data:`MAX_K_LIMIT` without covering the detected period twice.
         """
         if self.config.bus.arbitration == "tdma":
             raise MethodologyError(f"{self.config.name}: {TDMA_HAS_NO_FAIR_ROUND}")
@@ -265,6 +267,16 @@ class UbdEstimator:
             period = self._detect_period(points, delta_nop)
         if period is None:
             raise AnalysisError("no saw-tooth period detected; widen the k sweep")
+        span = k_values[-1] - k_values[0] + 1
+        if self.auto_extend and span < 2 * period.period_k:
+            # The extension stopped at the search limit, not because the
+            # period is covered twice: the period is inconclusive by the
+            # sweep's own rule, so it is not reported as a bound.
+            raise AnalysisError(
+                f"the sweep reached the search limit MAX_K_LIMIT = {MAX_K_LIMIT} with a "
+                f"saw-tooth period of {period.period_k} k-steps that k = "
+                f"{k_values[0]}..{k_values[-1]} does not cover twice; no bound is reported"
+            )
 
         ubdm = period.period_cycles
         mean_utilisation = sum(point.bus_utilisation for point in points) / len(points)
@@ -272,7 +284,7 @@ class UbdEstimator:
             bus_utilisation=mean_utilisation,
             delta_nop=delta_nop,
             period=period,
-            sweep_span_k=k_values[-1] - k_values[0] + 1,
+            sweep_span_k=span,
         )
         return UbdMethodologyResult(
             arch_name=self.config.name,

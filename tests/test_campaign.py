@@ -30,8 +30,6 @@ from repro.campaign import (
     load_results,
     load_summary,
     summarize_records,
-    workload_campaign_descriptors,
-    workload_run_from_record,
     write_campaign_artifacts,
     write_manifest,
 )
@@ -39,7 +37,6 @@ from repro.campaign.runner import _json_histogram, execute_inline, pool_executor
 from repro.config import config_from_dict, get_preset, small_config
 from repro.errors import AnalysisError, ConfigurationError, MethodologyError
 from repro.kernels.synthetic import synthetic_kernel_names
-from repro.methodology.workloads import random_workloads, run_workload_campaign
 from repro.report.campaign import render_campaign_summary
 from repro.sim.trace import clear_trace_cache, global_trace_cache
 
@@ -328,30 +325,6 @@ class TestParallelRunner:
         assert metrics["slowdown"] > 0
         config = config_from_dict(record["config"])
         assert 0 < metrics["max_contention_delay"] <= config.ubd
-
-
-# --------------------------------------------------------------------------- #
-# Integration with the legacy workload campaign API.
-# --------------------------------------------------------------------------- #
-
-
-class TestWorkloadCampaignBridge:
-    def test_runner_path_matches_legacy_serial_path(self):
-        config = small_config()
-        legacy = run_workload_campaign(config, num_workloads=3, observed_iterations=5, seed=7)
-        engine = run_workload_campaign(
-            config,
-            num_workloads=3,
-            observed_iterations=5,
-            seed=7,
-            runner=ParallelRunner(jobs=2),
-        )
-        assert legacy == engine
-
-    def test_workload_run_from_record_rejects_rsk_records(self):
-        descriptor = next(d for d in TINY_SPEC.expand() if d.kind == "rsk")
-        with pytest.raises(MethodologyError):
-            workload_run_from_record(execute_run(descriptor))
 
 
 # --------------------------------------------------------------------------- #
@@ -770,37 +743,6 @@ class TestSpecValidation:
         descriptors = replace(TINY_SPEC, engine=engine).expand()
         assert all(d.config.engine == engine for d in descriptors)
         assert [d.digest() for d in descriptors] == [d.digest() for d in TINY_SPEC.expand()]
-
-
-# --------------------------------------------------------------------------- #
-# Explicit workload lists (the run_workload_campaign bridge).
-# --------------------------------------------------------------------------- #
-
-
-class TestWorkloadDescriptors:
-    def test_run_ids_seeds_and_tasks_follow_the_workload_order(self):
-        config = small_config()
-        workloads = random_workloads(3, config.num_cores, seed=7)
-        descriptors = workload_campaign_descriptors(
-            config, workloads, observed_core=1, observed_iterations=6, seed=40
-        )
-        assert [d.run_id for d in descriptors] == ["00000", "00001", "00002"]
-        assert [d.seed for d in descriptors] == [40, 41, 42]
-        assert [d.tasks for d in descriptors] == [tuple(w) for w in workloads]
-        for descriptor in descriptors:
-            assert descriptor.preset == config.name
-            assert descriptor.config is config
-            assert descriptor.kind == KIND_SYNTHETIC
-            assert descriptor.observed_core == 1
-            assert descriptor.iterations == 6
-
-    def test_observed_core_outside_the_workload_is_rejected(self):
-        name = synthetic_kernel_names()[0]
-        with pytest.raises(MethodologyError, match="observed core"):
-            workload_campaign_descriptors(small_config(), [(name, name)], observed_core=2)
-
-    def test_empty_workload_list_has_no_descriptors(self):
-        assert workload_campaign_descriptors(small_config(), []) == ()
 
 
 # --------------------------------------------------------------------------- #

@@ -33,8 +33,7 @@ from repro.config import (
     TopologyConfig,
     small_config,
 )
-from repro.kernels.rsk import build_rsk
-from repro.methodology.experiment import build_contender_set
+from repro.kernels.rsk import build_rsk, build_stress_contender_set
 from repro.sim.arbiter import ARBITER_REGISTRY, RoundRobinArbiter, register_arbiter
 from repro.sim.codegen import (
     CodegenEngine,
@@ -57,7 +56,7 @@ def _rsk_programs(config: ArchConfig, iterations: int = 40, kind: str = "load"):
     scua = build_rsk(config, 0, kind=kind, iterations=iterations)
     programs: List[Optional[object]] = [None] * config.num_cores
     programs[0] = scua
-    for core, program in build_contender_set(config, 0, kind=kind).items():
+    for core, program in build_stress_contender_set(config, "bus", 0, kind=kind).items():
         programs[core] = program
     return programs
 

@@ -45,8 +45,7 @@ from repro.config import (
     small_config,
 )
 from repro.errors import AnalysisError
-from repro.kernels.rsk import build_rsk
-from repro.methodology.experiment import build_contender_set
+from repro.kernels.rsk import build_rsk, build_stress_contender_set
 from repro.sim import codegen as codegen_mod
 from repro.sim.codegen import CodegenMismatch
 from repro.sim.core import Core
@@ -165,7 +164,7 @@ class TestAllArbitersEquivalent:
     def test_rsk_contention_is_identical(self, arbiter, kind):
         config = small_config(bus=BusConfig(arbitration=arbiter, transfer_latency=1))
         scua = build_rsk(config, 0, kind=kind, iterations=60)
-        contenders = build_contender_set(config, 0, kind=kind)
+        contenders = build_stress_contender_set(config, "bus", 0, kind=kind)
         programs: List[Optional[Program]] = [None] * config.num_cores
         programs[0] = scua
         for core, program in contenders.items():
@@ -190,7 +189,7 @@ class TestAllArbitersEquivalent:
         # No preloading: every miss walks the full controller + DRAM path.
         config = small_config()
         scua = build_rsk(config, 0, iterations=40)
-        contenders = build_contender_set(config, 0)
+        contenders = build_stress_contender_set(config, "bus", 0)
         programs: List[Optional[Program]] = [None] * config.num_cores
         programs[0] = scua
         for core, program in contenders.items():
@@ -223,7 +222,7 @@ class TestChainedTopologyEquivalent:
     @staticmethod
     def _run_chained(config, kind="load", iterations=45):
         scua = build_rsk(config, 0, kind=kind, iterations=iterations)
-        contenders = build_contender_set(config, 0, kind=kind)
+        contenders = build_stress_contender_set(config, "bus", 0, kind=kind)
         programs: List[Optional[Program]] = [None] * config.num_cores
         programs[0] = scua
         for core, program in contenders.items():
@@ -282,7 +281,7 @@ class TestSplitBusEquivalent:
     @staticmethod
     def _run_split(config, kind="load", iterations=45):
         scua = build_rsk(config, 0, kind=kind, iterations=iterations)
-        contenders = build_contender_set(config, 0, kind=kind)
+        contenders = build_stress_contender_set(config, "bus", 0, kind=kind)
         programs: List[Optional[Program]] = [None] * config.num_cores
         programs[0] = scua
         for core, program in contenders.items():
@@ -385,7 +384,7 @@ class TestCustomStageEquivalent:
             scua = build_rsk(config, 0, iterations=40)
             programs: List[Optional[Program]] = [None] * config.num_cores
             programs[0] = scua
-            for core, program in build_contender_set(config, 0).items():
+            for core, program in build_stress_contender_set(config, "bus", 0).items():
                 programs[core] = program
             outcomes = _run_both(config, programs, observed=[0])
         finally:

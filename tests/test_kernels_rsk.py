@@ -13,7 +13,7 @@ from repro.kernels.rsk import (
     build_rsk_nop,
     rsk_request_count,
 )
-from repro.sim.isa import Alu, Load, Nop, Store
+from repro.sim.isa import Load, Nop, Store
 from repro.sim.system import System
 
 
@@ -50,15 +50,6 @@ class TestBuildRsk:
         b = build_rsk(ref, 1, iterations=1)
         assert a.data_lines(32).isdisjoint(b.data_lines(32))
         assert a.base_pc != b.base_pc
-
-    def test_loop_control_overhead_appends_alu(self, ref):
-        program = build_rsk(ref, 0, iterations=1, loop_control_overhead=2)
-        assert isinstance(program.body[-1], Alu)
-        assert program.body[-1].latency == 2
-
-    def test_extra_conflict_lines_must_be_positive(self, ref):
-        with pytest.raises(ProgramError):
-            build_rsk(ref, 0, extra_conflict_lines=0)
 
     def test_rsk_always_misses_dl1_and_hits_l2(self, ref):
         """The defining property from Section 2 of the paper."""

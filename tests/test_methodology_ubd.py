@@ -111,6 +111,28 @@ class TestAutoExtension:
         with pytest.raises(AnalysisError, match="search limit of 2"):
             estimator.run()
 
+    def test_period_not_covered_twice_at_the_search_limit_is_refused(self, monkeypatch):
+        """At the cap the detected period (24 = the whole sweep, found by
+        one estimator) is inconclusive by the sweep's own rule: refuse it
+        rather than print the cap as a bound."""
+
+        def sawtooth_of_period_16(self, k):
+            dbus = 100 * (16 - (k - 1) % 16)
+            return SweepPoint(
+                k=k,
+                isolation_time=1000,
+                contended_time=1000 + dbus,
+                dbus=dbus,
+                bus_utilisation=1.0,
+                requests=100,
+            )
+
+        monkeypatch.setattr(UbdEstimator, "measure_point", sawtooth_of_period_16)
+        monkeypatch.setattr("repro.methodology.ubd.MAX_K_LIMIT", 24)
+        estimator = UbdEstimator(small_config(), k_max=12, iterations=5)
+        with pytest.raises(AnalysisError, match="MAX_K_LIMIT = 24 .* not cover twice"):
+            estimator.run()
+
     def test_tdma_bus_is_refused_before_any_simulation(self, monkeypatch):
         """No sweep can find a fair round on a TDMA bus, so the estimator
         refuses up front instead of sweeping to the search limit."""

@@ -1,17 +1,14 @@
-"""Unit tests for the random multiprogrammed workload campaign (Figure 6(a))."""
+"""Tests for the random multiprogrammed workloads and the Figure 6(a) campaign."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.campaign import KIND_RSK, KIND_SYNTHETIC, CampaignSpec, ParallelRunner
+from repro.config import reference_config, small_config
 from repro.errors import MethodologyError
 from repro.kernels.synthetic import synthetic_kernel_names
-from repro.methodology.workloads import (
-    WorkloadCampaignResult,
-    random_workloads,
-    run_rsk_reference_workload,
-    run_workload_campaign,
-)
+from repro.methodology.workloads import random_workloads
 
 
 class TestRandomWorkloads:
@@ -48,47 +45,57 @@ class TestRandomWorkloads:
             random_workloads(1, 1, names=())
 
 
-class TestCampaign:
+class TestFigure6aCampaign:
+    """Figure 6(a) on the campaign engine: three random workloads (the dark
+    bars) and the rsk reference run (the light bars) of one ``ref`` grid
+    point, read from the summary bucket the figure reads."""
+
     @pytest.fixture(scope="class")
-    def campaign(self, request):
-        from repro.config import reference_config
-
-        return run_workload_campaign(
-            reference_config(), num_workloads=3, observed_iterations=8, seed=7
+    def outcome(self):
+        spec = CampaignSpec(
+            presets=("ref",), seeds=(7,), num_workloads=3, iterations=8, rsk_iterations=100
         )
+        return ParallelRunner().run(spec.expand())
 
-    def test_campaign_runs_requested_number_of_workloads(self, campaign):
-        assert isinstance(campaign, WorkloadCampaignResult)
-        assert len(campaign.runs) == 3
+    @pytest.fixture(scope="class")
+    def bucket(self, outcome):
+        return outcome.summary()["per_platform"]["ref/round_robin"]
 
-    def test_every_run_has_a_histogram(self, campaign):
-        for run in campaign.runs:
-            assert run.histogram.total_requests > 0
-            assert run.execution_time > 0
+    def test_one_record_per_workload_plus_the_rsk_run(self, outcome, bucket):
+        assert [record["kind"] for record in outcome.records] == [KIND_SYNTHETIC] * 3 + [KIND_RSK]
+        assert (bucket[KIND_SYNTHETIC]["runs"], bucket[KIND_RSK]["runs"]) == (3, 1)
 
-    def test_real_workloads_mostly_find_an_idle_bus(self, campaign):
-        """The dark bars of Figure 6(a): bus empty or one contender most of the time."""
-        assert campaign.fraction_with_at_most(1) > 0.5
+    def test_every_run_has_a_histogram(self, outcome):
+        for record in outcome.records:
+            assert record["metrics"]["contender_total_requests"] > 0
+            assert record["metrics"]["execution_time"] > 0
 
-    def test_aggregated_counts_sum_over_runs(self, campaign):
-        total = sum(campaign.aggregated_counts().values())
-        assert total == sum(run.histogram.total_requests for run in campaign.runs)
+    def test_real_workloads_mostly_find_an_idle_bus(self, bucket):
+        """The dark bars: bus empty or one contender most of the time."""
+        assert bucket[KIND_SYNTHETIC]["fraction_with_at_most_1"] > 0.5
 
-    def test_campaign_on_small_platform_runs(self, tiny_config):
-        campaign = run_workload_campaign(
-            tiny_config, num_workloads=2, observed_iterations=4, seed=1
+    def test_rsk_workload_finds_all_contenders_ready(self, outcome, bucket):
+        """The light bars: with 4 rsk nearly every request sees all other
+        cores contending, and the bus saturates."""
+        rsk = bucket[KIND_RSK]
+        all_ready = rsk["aggregated_contenders"].get(str(reference_config().num_cores - 1), 0)
+        assert all_ready / rsk["total_requests"] > 0.95
+        (rsk_record,) = [record for record in outcome.records if record["kind"] == KIND_RSK]
+        assert rsk_record["metrics"]["bus_utilisation"] > 0.95
+
+    def test_aggregated_contenders_sum_to_total_requests(self, outcome, bucket):
+        for kind in (KIND_SYNTHETIC, KIND_RSK):
+            runs = [record for record in outcome.records if record["kind"] == kind]
+            total = sum(record["metrics"]["contender_total_requests"] for record in runs)
+            assert bucket[kind]["total_requests"] == total
+            assert sum(bucket[kind]["aggregated_contenders"].values()) == total
+
+    def test_small_platform_campaign(self):
+        spec = CampaignSpec(
+            presets=("small",), seeds=(1,), num_workloads=2, iterations=4, rsk_iterations=50
         )
-        assert len(campaign.runs) == 2
-
-
-class TestRskReferenceWorkload:
-    def test_rsk_workload_finds_all_contenders_ready(self, ref_config):
-        """The light bars of Figure 6(a): with 4 rsk nearly every request sees
-        all other cores contending."""
-        run = run_rsk_reference_workload(ref_config, iterations=100)
-        assert run.histogram.fraction_with(ref_config.num_cores - 1) > 0.95
-        assert run.bus_utilisation > 0.95
-
-    def test_rsk_workload_on_small_platform(self, tiny_config):
-        run = run_rsk_reference_workload(tiny_config, iterations=50)
-        assert run.histogram.fraction_with(tiny_config.num_cores - 1) > 0.9
+        bucket = ParallelRunner().run(spec.expand()).summary()["per_platform"]["small/round_robin"]
+        assert bucket[KIND_SYNTHETIC]["runs"] == 2
+        rsk = bucket[KIND_RSK]
+        all_ready = rsk["aggregated_contenders"].get(str(small_config().num_cores - 1), 0)
+        assert all_ready / rsk["total_requests"] > 0.9

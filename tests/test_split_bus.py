@@ -29,9 +29,9 @@ from repro.config import (
     small_config,
 )
 from repro.errors import ConfigurationError
-from repro.kernels.rsk import build_bank_conflict_rsk, build_rsk
+from repro.kernels.rsk import build_bank_conflict_rsk, build_rsk, build_stress_contender_set
 from repro.methodology.composition import compose_etb_for_config
-from repro.methodology.experiment import ExperimentRunner, build_contender_set
+from repro.methodology.experiment import ExperimentRunner
 from repro.sim.isa import Program
 from repro.sim.system import System
 from repro.sim.topology import TOPOLOGY_REGISTRY, register_topology
@@ -44,7 +44,7 @@ def _split_config(**overrides):
 def _rsk_programs(config, iterations=50, kind="load"):
     programs: List[Optional[Program]] = [None] * config.num_cores
     programs[0] = build_rsk(config, 0, kind=kind, iterations=iterations)
-    for core, program in build_contender_set(config, 0, kind=kind).items():
+    for core, program in build_stress_contender_set(config, "bus", 0, kind=kind).items():
         programs[core] = program
     return programs
 

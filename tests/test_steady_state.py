@@ -22,8 +22,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.config import TopologyConfig, get_preset, small_config
-from repro.kernels.rsk import build_rsk_nop
-from repro.methodology.experiment import build_contender_set
+from repro.kernels.rsk import build_rsk_nop, build_stress_contender_set
 from repro.sim import steady
 from repro.sim.bus import BusRequest
 from repro.sim.core import CoreState, _Phase
@@ -48,7 +47,7 @@ from test_engine_equivalence import (
 def _rsk_programs(config, kind, k, iterations) -> List[Optional[Program]]:
     programs: List[Optional[Program]] = [None] * config.num_cores
     programs[0] = build_rsk_nop(config, 0, kind=kind, k=k, iterations=iterations)
-    for core, program in build_contender_set(config, 0, kind=kind).items():
+    for core, program in build_stress_contender_set(config, "bus", 0, kind=kind).items():
         programs[core] = program
     return programs
 

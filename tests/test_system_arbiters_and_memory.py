@@ -12,8 +12,8 @@ import pytest
 
 from repro.analysis.contention import contention_histogram
 from repro.config import BusConfig, small_config
-from repro.kernels.rsk import build_rsk
-from repro.methodology.experiment import ExperimentRunner, build_contender_set
+from repro.kernels.rsk import build_rsk, build_stress_contender_set
+from repro.methodology.experiment import ExperimentRunner
 from repro.sim.arbiter import FifoArbiter, FixedPriorityArbiter, TdmaArbiter
 from repro.sim.isa import Load, Program
 from repro.sim.system import System
@@ -23,7 +23,7 @@ from test_core import micro_config
 
 def run_rsk_under_arbiter(config, arbiter, iterations=40, observed_core=0):
     scua = build_rsk(config, observed_core, iterations=iterations)
-    contenders = build_contender_set(config, scua_core=observed_core)
+    contenders = build_stress_contender_set(config, "bus", observed_core)
     programs = [None] * config.num_cores
     programs[observed_core] = scua
     for core, program in contenders.items():

@@ -34,13 +34,13 @@ from repro.config import (
     small_config,
 )
 from repro.errors import ConfigurationError, SimulationError
-from repro.kernels.rsk import build_rsk
+from repro.kernels.rsk import build_rsk, build_stress_contender_set
 from repro.methodology.composition import (
     compose_etb_for_config,
     end_to_end_bound,
     per_resource_bounds,
 )
-from repro.methodology.experiment import ExperimentRunner, build_contender_set
+from repro.methodology.experiment import ExperimentRunner
 from repro.methodology.workloads import build_workload_programs
 from repro.sim.arbiter import (
     ARBITER_REGISTRY,
@@ -72,7 +72,7 @@ def _rsk_programs(config, iterations=50, kind="load"):
     scua = build_rsk(config, 0, kind=kind, iterations=iterations)
     programs: List[Optional[object]] = [None] * config.num_cores
     programs[0] = scua
-    for core, program in build_contender_set(config, 0, kind=kind).items():
+    for core, program in build_stress_contender_set(config, "bus", 0, kind=kind).items():
         programs[core] = program
     return programs
 
@@ -475,7 +475,7 @@ class TestComposedBounds:
         runner = ExperimentRunner(config, preload_l2=False, preload_il1=False)
         if tasks is None:
             scua = build_rsk(config, 0, iterations=40)
-            contenders = build_contender_set(config, 0)
+            contenders = build_stress_contender_set(config, "bus", 0)
         else:
             programs = build_workload_programs(
                 config, tasks, observed_core=0, observed_iterations=8, seed=11
