@@ -53,6 +53,28 @@ def tiny_config() -> ArchConfig:
     return small_config()
 
 
+@pytest.fixture
+def sweep_capped_before_two_periods(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Stub every ``UbdEstimator`` sweep point with a saw-tooth of period 16
+    k-steps and lower ``MAX_K_LIMIT`` to 24, so auto-extension reaches the
+    search limit before the sweep covers the period twice."""
+    from repro.methodology.ubd import SweepPoint, UbdEstimator
+
+    def sawtooth_of_period_16(estimator: UbdEstimator, k: int) -> SweepPoint:
+        dbus = 100 * (16 - (k - 1) % 16)
+        return SweepPoint(
+            k=k,
+            isolation_time=1000,
+            contended_time=1000 + dbus,
+            dbus=dbus,
+            bus_utilisation=1.0,
+            requests=100,
+        )
+
+    monkeypatch.setattr(UbdEstimator, "measure_point", sawtooth_of_period_16)
+    monkeypatch.setattr("repro.methodology.ubd.MAX_K_LIMIT", 24)
+
+
 def make_tiny_config(**overrides) -> ArchConfig:
     """Build the small test platform with optional field overrides."""
     return small_config(**overrides)

@@ -37,6 +37,7 @@ from repro.campaign.runner import _json_histogram, execute_inline, pool_executor
 from repro.config import config_from_dict, get_preset, small_config
 from repro.errors import AnalysisError, ConfigurationError, MethodologyError
 from repro.kernels.synthetic import synthetic_kernel_names
+from repro.methodology.workloads import random_workloads
 from repro.report.campaign import render_campaign_summary
 from repro.sim.trace import clear_trace_cache, global_trace_cache
 
@@ -325,6 +326,52 @@ class TestParallelRunner:
         assert metrics["slowdown"] > 0
         config = config_from_dict(record["config"])
         assert 0 < metrics["max_contention_delay"] <= config.ubd
+
+
+# --------------------------------------------------------------------------- #
+# Synthetic runs against a plain in-process simulation of each workload.
+# --------------------------------------------------------------------------- #
+
+
+class TestWorkloadCampaignBridge:
+    def test_runner_path_matches_legacy_serial_path(self):
+        """Worker processes give every synthetic run exactly the record a
+        serial loop over the workloads computes in this process: the same
+        ``System`` flags (trace on, L2/IL1/DL1 preloaded) and metrics."""
+        from repro.analysis.contention import contender_histogram
+        from repro.methodology.workloads import build_workload_programs
+        from repro.sim.system import System
+
+        spec = CampaignSpec(
+            presets=("small",),
+            seeds=(7,),
+            num_workloads=3,
+            iterations=5,
+            include_rsk_reference=False,
+        )
+        descriptors = spec.expand()
+        outcome = ParallelRunner(jobs=2).run(descriptors)
+        assert len(outcome.records) == len(descriptors) == 3
+        for descriptor, record in zip(descriptors, outcome.records):
+            config, observed = descriptor.config, descriptor.observed_core
+            programs = build_workload_programs(
+                config, descriptor.tasks, observed, descriptor.iterations, seed=descriptor.seed
+            )
+            result = System(
+                config,
+                programs,
+                trace=True,
+                preload_l2=True,
+                preload_il1=True,
+                preload_dl1=True,
+            ).run(observed_cores=[observed])
+            ready = contender_histogram(result.trace, observed, config.num_cores)
+            assert record["metrics"] == {
+                "execution_time": result.execution_time(observed),
+                "bus_utilisation": result.pmc.bus_utilisation(),
+                "contender_histogram": _json_histogram(ready.counts),
+                "contender_total_requests": ready.total_requests,
+            }
 
 
 # --------------------------------------------------------------------------- #
@@ -743,6 +790,56 @@ class TestSpecValidation:
         descriptors = replace(TINY_SPEC, engine=engine).expand()
         assert all(d.config.engine == engine for d in descriptors)
         assert [d.digest() for d in descriptors] == [d.digest() for d in TINY_SPEC.expand()]
+
+
+# --------------------------------------------------------------------------- #
+# The random workloads of one grid point (the Figure 6(a) runs).
+# --------------------------------------------------------------------------- #
+
+
+class TestWorkloadDescriptors:
+    def test_run_ids_seeds_and_tasks_follow_the_workload_order(self):
+        config = small_config()
+        workloads = random_workloads(3, config.num_cores, seed=40)
+        spec = CampaignSpec(
+            presets=("small",),
+            seeds=(40,),
+            num_workloads=3,
+            iterations=6,
+            include_rsk_reference=False,
+        )
+        descriptors = spec.expand()
+        assert [d.run_id for d in descriptors] == ["00000", "00001", "00002"]
+        assert [d.seed for d in descriptors] == [40, 41, 42]
+        assert [d.tasks for d in descriptors] == [tuple(w) for w in workloads]
+        # One configuration object per grid point: the rsk contender memo
+        # of a shard is keyed on its identity.
+        assert len({id(d.config) for d in descriptors}) == 1
+        for descriptor in descriptors:
+            assert descriptor.preset == "small"
+            assert descriptor.config.num_cores == config.num_cores
+            assert descriptor.kind == KIND_SYNTHETIC
+            assert descriptor.observed_core == 0
+            assert descriptor.iterations == 6
+
+    def test_observed_core_outside_the_workload_is_rejected(self):
+        name = synthetic_kernel_names()[0]
+        with pytest.raises(MethodologyError, match="observed core"):
+            RunDescriptor(
+                run_id="00000",
+                preset="small",
+                config=small_config(),
+                kind=KIND_SYNTHETIC,
+                tasks=(name, name),
+                observed_core=2,
+                iterations=4,
+                seed=0,
+            )
+
+    def test_empty_workload_list_has_no_descriptors(self):
+        """Without random workloads a grid point expands to its rsk run only."""
+        descriptors = CampaignSpec(presets=("small",), num_workloads=0).expand()
+        assert [d.kind for d in descriptors] == [KIND_RSK]
 
 
 # --------------------------------------------------------------------------- #

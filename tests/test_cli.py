@@ -218,6 +218,16 @@ class TestCommands:
         assert "--k-max must be >= 1" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.usefixtures("sweep_capped_before_two_periods")
+    def test_derive_ubd_refuses_a_period_not_covered_at_the_search_limit(self, capsys):
+        exit_code = main(["--preset", "small", "derive-ubd", "--k-max", "12", "--iterations", "5"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error: ")
+        assert "MAX_K_LIMIT = 24" in captured.err
+        assert "ubdm" not in captured.out
+        assert "Traceback" not in captured.err
+
     def test_runs_without_numpy(self):
         """The library needs only the standard library."""
         script = (

@@ -33,6 +33,14 @@ class TestBuildContenderSet:
         with pytest.raises(MethodologyError):
             build_stress_contender_set(tiny_config, "bus", 9)
 
+    @pytest.mark.parametrize("kind", ["load", "store"])
+    def test_bus_contenders_are_infinite_rsk(self, ref_config, kind):
+        """The paper's contender set: an infinite rsk on every other core."""
+        contenders = build_stress_contender_set(ref_config, "bus", 1, kind=kind)
+        assert contenders == {
+            core: build_rsk(ref_config, core, kind=kind, iterations=None) for core in (0, 2, 3)
+        }
+
 
 class TestIsolationRuns:
     def test_isolation_measures_time_and_requests(self, tiny_config):

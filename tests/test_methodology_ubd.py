@@ -111,27 +111,25 @@ class TestAutoExtension:
         with pytest.raises(AnalysisError, match="search limit of 2"):
             estimator.run()
 
-    def test_period_not_covered_twice_at_the_search_limit_is_refused(self, monkeypatch):
+    @pytest.mark.usefixtures("sweep_capped_before_two_periods")
+    def test_period_not_covered_twice_at_the_search_limit_is_refused(self):
         """At the cap the detected period (24 = the whole sweep, found by
         one estimator) is inconclusive by the sweep's own rule: refuse it
         rather than print the cap as a bound."""
-
-        def sawtooth_of_period_16(self, k):
-            dbus = 100 * (16 - (k - 1) % 16)
-            return SweepPoint(
-                k=k,
-                isolation_time=1000,
-                contended_time=1000 + dbus,
-                dbus=dbus,
-                bus_utilisation=1.0,
-                requests=100,
-            )
-
-        monkeypatch.setattr(UbdEstimator, "measure_point", sawtooth_of_period_16)
-        monkeypatch.setattr("repro.methodology.ubd.MAX_K_LIMIT", 24)
         estimator = UbdEstimator(small_config(), k_max=12, iterations=5)
         with pytest.raises(AnalysisError, match="MAX_K_LIMIT = 24 .* not cover twice"):
             estimator.run()
+
+    @pytest.mark.usefixtures("sweep_capped_before_two_periods")
+    def test_budgeted_sweep_reports_an_uncovered_period_as_failed_coverage(self):
+        """With ``auto_extend=False`` the sweep is a fixed budget (the audit's
+        fallback, Figures 7(a)/7(b)): the same inconclusive period is
+        reported, and the confidence checks flag it instead of a refusal."""
+        result = UbdEstimator(small_config(), k_max=24, iterations=5, auto_extend=False).run()
+        assert result.ubdm == 24
+        assert not result.confidence.passed
+        failed = {check.name for check in result.confidence.failed_checks()}
+        assert "sweep_coverage" in failed
 
     def test_tdma_bus_is_refused_before_any_simulation(self, monkeypatch):
         """No sweep can find a fair round on a TDMA bus, so the estimator
