@@ -102,10 +102,11 @@ class TestHarness:
         assert entry["engines"]["stepped"]["cycles"] == entry["engines"]["event"]["cycles"]
 
     def test_campaign_entry_schema_and_guarantees(self, payload):
-        """The campaigns section records cold/warm runs-per-sec, the gated
-        warm_speedup ratio and the parallel-efficiency series; the warm
-        phase must have read each unique run's artifact once and written
-        none, with zero simulations (violations raise inside the harness)."""
+        """The campaigns section records cold/warm runs-per-sec, the bare
+        artifact reads, the gated warm_speedup ratio and the
+        parallel-efficiency series; the warm phase must have read each
+        unique run's artifact once and written none, with zero simulations
+        (violations raise inside the harness)."""
         (entry,) = payload["campaigns"]
         assert entry["name"] == TINY_CAMPAIGN.name
         assert entry["runs"] == 2  # one workload + the rsk reference
@@ -113,14 +114,23 @@ class TestHarness:
         assert entry["cold"]["runs_per_sec"] > 0
         assert entry["warm"]["runs_per_sec"] > 0
         # A warm re-run skips every simulation, so it must beat cold.
-        assert entry["warm_speedup"] > 1.0
+        assert entry["warm"]["runs_per_sec"] > entry["cold"]["runs_per_sec"]
+        # The gated ratio is taken over bare reads of the same artifacts.
+        reads = entry["artifact_reads"]
+        assert reads["runs_per_sec"] == pytest.approx(entry["runs"] / reads["seconds"])
+        assert entry["warm_speedup"] == pytest.approx(
+            entry["warm"]["runs_per_sec"] / reads["runs_per_sec"]
+        )
+        assert entry["warm_speedup"] > 0
         assert entry["warm"]["counters"]["artifact_reads"] == entry["unique_runs"]
         assert entry["warm"]["counters"]["artifact_writes"] == 0
         assert set(entry["parallel"]) == {"2"}
         series = entry["parallel"]["2"]
         assert series["runs_per_sec"] > 0
         assert series["efficiency"] == pytest.approx(series["speedup"] / 2)
-        assert payload["summary"]["campaign_geomean_warm_speedup"] > 1.0
+        assert payload["summary"]["campaign_geomean_warm_speedup"] == pytest.approx(
+            entry["warm_speedup"]
+        )
 
     def test_campaigns_render_and_serialise(self, payload):
         report = render_report(payload)

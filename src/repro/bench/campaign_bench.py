@@ -11,10 +11,13 @@ the campaign engine is optimised for:
   (one read per unique run, zero writes);
 * **parallel efficiency** — cold speedup per worker versus ``--jobs``.
 
-The gated metric is ``warm_speedup`` (warm / cold runs per second): like
-the engine ``speedup`` metrics it is a same-process ratio, so a committed
-baseline stays meaningful on any CI host.  Raw runs/sec and the store's
-operation counters are recorded for trend plots.
+The gated metric is ``warm_speedup``: warm runs per second over the runs
+per second of bare artifact reads, that is of reading and parsing the same
+artifacts with :func:`json.loads` in the same process.  Like the engine
+``speedup`` metrics it is a same-process ratio, so a committed baseline
+stays meaningful on any CI host; and neither leg simulates, so a faster
+simulator does not move it (over cold runs per second it did).  Raw
+runs/sec and the store's operation counters are recorded for trend plots.
 
 Each measurement also re-asserts the engine's core guarantees — a warm
 re-run performs zero simulations, reads each unique run's artifact once
@@ -24,6 +27,7 @@ guarantee surfaces as a bench *error*, never as a silently fast number.
 
 from __future__ import annotations
 
+import json
 import tempfile
 import time
 from dataclasses import dataclass, replace as dataclass_replace
@@ -224,6 +228,7 @@ def time_campaign(
                 warm_seconds = elapsed
                 warm_counters = counters.as_dict()
         assert warm_seconds is not None
+        read_seconds = _time_artifact_reads(bench, warm_dir, entry["unique_runs"], repeats)
 
         parallel: Dict[str, Dict[str, float]] = {}
         for jobs in bench.jobs_axis:
@@ -265,9 +270,36 @@ def time_campaign(
         "runs_per_sec": warm_rps,
         "counters": warm_counters,
     }
-    entry["warm_speedup"] = warm_rps / cold_rps if cold_rps else 0.0
+    read_rps = runs / read_seconds if read_seconds else 0.0
+    entry["artifact_reads"] = {"seconds": read_seconds, "runs_per_sec": read_rps}
+    entry["warm_speedup"] = warm_rps / read_rps if read_rps else 0.0
     entry["parallel"] = parallel
     return entry
+
+
+def _time_artifact_reads(
+    bench: CampaignBench, directory: Path, unique_runs: object, repeats: int
+) -> float:
+    """Best wall time of ``repeats`` passes that read and parse every
+    artifact of the store in ``directory`` with :func:`json.loads`: the floor
+    of a warm re-run, which no simulation speed moves."""
+    paths = sorted(directory.glob("*.json"))
+    if len(paths) != unique_runs:
+        raise SimulationError(
+            f"{bench.name}: the warm store holds {len(paths)} artifact(s), "
+            f"expected one per unique run ({unique_runs})"
+        )
+    best: Optional[float] = None
+    for _ in range(max(1, repeats)):
+        started = time.perf_counter()
+        for path in paths:
+            with open(path, "rb", buffering=0) as handle:
+                json.loads(handle.readall())
+        elapsed = time.perf_counter() - started
+        if best is None or elapsed < best:
+            best = elapsed
+    assert best is not None
+    return best
 
 
 def _strip_engine(records: Sequence[Dict[str, object]]) -> Tuple[Dict[str, object], ...]:

@@ -21,8 +21,9 @@ from .harness import BENCH_SCHEMA_VERSION
 #: Metrics the gate can check.  ``speedup`` is the event engine vs the
 #: stepped oracle; ``codegen_speedup`` gates the generated-loop engine the
 #: same host-independent way; ``campaign_warm_speedup`` gates the result
-#: store's warm-hit path (warm vs cold runs/sec of the ``campaigns``
-#: section — also a same-process ratio); ``cycles_per_sec`` (event engine)
+#: store's warm-hit path (warm runs/sec of the ``campaigns`` section over
+#: the runs/sec of reading the same artifacts with ``json.loads`` — also a
+#: same-process ratio, and one no simulation speed moves); ``cycles_per_sec`` (event engine)
 #: is only meaningful when both payloads come from the same machine.
 #: ``replay_speedup`` gates the trace-warm replay engine per workload and
 #: ``campaign_replay_speedup`` the replay-engine campaign phase (trace-warm

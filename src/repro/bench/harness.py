@@ -50,7 +50,10 @@ from ..sim.system import System
 #: ``geomean/min/max/default_speedup`` (now only under ``engines``).
 #: v7: the ``services`` section and the summary's
 #: ``service_geomean_multi_client_speedup`` are gone with the serve daemon.
-BENCH_SCHEMA_VERSION = 7
+#: v8: campaign entries gain ``artifact_reads`` (the same artifacts read
+#: with ``json.loads``), and ``warm_speedup`` is warm over that leg's
+#: runs-per-sec instead of over cold runs-per-sec.
+BENCH_SCHEMA_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -410,7 +413,7 @@ def render_report(payload: Dict[str, object]) -> str:
         lines.append("")
         lines.append(
             f"{'campaign':24s} {'runs':>5s} {'cold r/s':>9s} {'warm r/s':>9s} "
-            f"{'warm x':>7s}  parallel"
+            f"{'read r/s':>9s} {'warm x':>7s}  parallel"
         )
         for entry in campaigns:
             parallel = ", ".join(
@@ -422,11 +425,12 @@ def render_report(payload: Dict[str, object]) -> str:
                 f"{entry['name']:24s} {entry['runs']:>5d} "
                 f"{entry['cold']['runs_per_sec']:>9.0f} "
                 f"{entry['warm']['runs_per_sec']:>9.0f} "
-                f"{entry['warm_speedup']:>6.1f}x  {parallel}"
+                f"{entry['artifact_reads']['runs_per_sec']:>9.0f} "
+                f"{entry['warm_speedup']:>6.3f}x  {parallel}"
             )
         geomean = summary.get("campaign_geomean_warm_speedup")
         if geomean is not None:
-            lines.append(f"campaign warm speedup: geomean {geomean:.1f}x")
+            lines.append(f"campaign warm speedup (warm / bare reads): geomean {geomean:.3f}x")
         for entry in campaigns:
             replay = entry.get("replay")
             if replay:

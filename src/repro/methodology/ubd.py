@@ -231,7 +231,9 @@ class UbdEstimator:
         Raises :class:`~repro.errors.MethodologyError` on a TDMA bus
         (:data:`TDMA_HAS_NO_FAIR_ROUND`) before simulating anything, and
         :class:`~repro.errors.AnalysisError` when auto-extension reaches
-        :data:`MAX_K_LIMIT` without covering the detected period twice.
+        :data:`MAX_K_LIMIT` without covering the detected period twice, or
+        would extend a sweep that has settled at zero
+        (:func:`settled_at_zero`).
         """
         if self.config.bus.arbitration == "tdma":
             raise MethodologyError(f"{self.config.name}: {TDMA_HAS_NO_FAIR_ROUND}")
@@ -251,6 +253,15 @@ class UbdEstimator:
                 raise AnalysisError(
                     "no saw-tooth period detected and auto_extend is disabled; "
                     "widen the k sweep"
+                )
+            first_zero = settled_at_zero(points)
+            if first_zero is not None:
+                raise AnalysisError(
+                    f"dbus(k) never rises over k = {k_values[0]}..{k_values[-1]} and is 0 "
+                    f"from k = {first_zero} on: the store buffer hides every bus wait once "
+                    "the nops between two stores cover a drain (the store-side shape of "
+                    "the paper's Figure 7(b)), so no saw-tooth period measures ubd and no "
+                    "bound is reported"
                 )
             next_start = k_values[-1] + 1
             next_end = min(MAX_K_LIMIT, k_values[-1] * 2)
@@ -321,6 +332,23 @@ class UbdEstimator:
             return analyzer.estimate(delta_nop=delta_nop.rounded)
         except AnalysisError:
             return None
+
+
+def settled_at_zero(points: Sequence[SweepPoint]) -> Optional[int]:
+    """The first ``k`` of a sweep whose ``dbus`` never rises and ends in at
+    least two zeros, or ``None``.
+
+    A store sweep has this shape: one non-increasing flank, then zero for
+    good once the store buffer hides the bus.  Extending such a sweep only
+    adds zeros.  A load saw-tooth never matches: ``dbus`` rises right after
+    each of its zeros.
+    """
+    values = [point.dbus for point in points]
+    if len(values) < 2 or values[-1] or values[-2]:
+        return None
+    if any(later > earlier for earlier, later in zip(values, values[1:])):
+        return None
+    return points[values.index(0)].k
 
 
 # --------------------------------------------------------------------------- #

@@ -4,6 +4,15 @@ The model tracks presence and recency only (no data values): the simulator
 cares about hit/miss timing, not about functional correctness of loaded
 values.  The same class implements the private IL1 and DL1 caches and, with
 way masking, the way-partitioned shared L2 (see :mod:`repro.sim.l2`).
+
+Every cache counts a *generation*: it changes whenever the set of resident
+lines changes (a new line, an eviction, :meth:`SetAssociativeCache.invalidate`
+or :meth:`SetAssociativeCache.flush`), never on a hit or on a refill of a
+present line.  A :data:`LookupPlan` taken at one generation (what
+:meth:`~SetAssociativeCache.record_hits` or
+:meth:`~SetAssociativeCache.record_reads` would write) stays exact for as long
+as the generation holds: the core keeps one per straight-line segment and
+replays it instead of walking the lines again (see :mod:`repro.sim.core`).
 """
 
 from __future__ import annotations
@@ -65,6 +74,13 @@ _DIRTY = 1
 #: it (with a set of its own), so it is never mutated.
 _NO_LINES: Dict[int, List] = {}
 
+#: A batch of read hits worked out in advance: the number of lookups, and for
+#: each line they touch under LRU, the line itself, its set index and the
+#: offset of its last lookup from the stamp before the batch (no writes under
+#: FIFO, whose hits leave no stamp).  Valid while the cache's generation holds:
+#: until then each resident line keeps its list.
+LookupPlan = Tuple[int, Tuple[Tuple[List, int, int], ...]]
+
 
 class SetAssociativeCache:
     """A set-associative cache tracking tags and replacement state.
@@ -83,6 +99,9 @@ class SetAssociativeCache:
         # dominated the cost of building a System.
         self._sets: List[Dict[int, List]] = [_NO_LINES] * config.num_sets
         self._stamp = 0
+        #: Changes whenever the set of resident lines changes (see the module
+        #: docstring).
+        self.generation = 0
         self._line_shift = config.line_size.bit_length() - 1
         self._index_mask = config.num_sets - 1
         # Hot-path constants: lookups/fills run for every instruction of a
@@ -223,6 +242,46 @@ class SetAssociativeCache:
             touched.add(index)
         self._stamp = stamp
 
+    def plan_hits(self, start: int, count: int, step: int) -> LookupPlan:
+        """What :meth:`record_hits` with the same arguments would write, for
+        :meth:`apply_plan` to replay while the generation holds."""
+        writes = []
+        if self._lru:
+            index = 0
+            while index < count:
+                block = (start + index * step) >> self._line_shift
+                index = self._next_line(start, index, step)
+                line_index = block & self._index_mask
+                line = self._sets[line_index][block >> self._index_bits]
+                writes.append((line, line_index, min(index, count)))
+        return count, tuple(writes)
+
+    def plan_reads(self, addresses: Sequence[int]) -> LookupPlan:
+        """What :meth:`record_reads` with the same addresses would write, for
+        :meth:`apply_plan` to replay while the generation holds."""
+        writes: Dict[int, Tuple[List, int, int]] = {}
+        if self._lru:
+            for offset, addr in enumerate(addresses, 1):
+                block = addr >> self._line_shift
+                index = block & self._index_mask
+                # A line read again keeps the offset of its last read.
+                writes[block] = (self._sets[index][block >> self._index_bits], index, offset)
+        return len(addresses), tuple(writes.values())
+
+    def apply_plan(self, plan: LookupPlan) -> None:
+        """Account a batch of read hits planned at the current generation:
+        leaves exactly the state the planned :meth:`record_hits` or
+        :meth:`record_reads` call would leave now."""
+        count, writes = plan
+        self.stats.read_hits += count
+        if writes:
+            base = self._stamp
+            touched = self._touched
+            for line, index, offset in writes:
+                line[_STAMP] = base + offset
+                touched.add(index)
+            self._stamp = base + count
+
     def fill(self, addr: int, dirty: bool = False) -> Optional[int]:
         """Install the line containing ``addr`` and return the evicted line address.
 
@@ -242,6 +301,7 @@ class SetAssociativeCache:
             line[_STAMP] = self._next_stamp()
             line[_DIRTY] = line[_DIRTY] or dirty
             return None
+        self.generation += 1
         victim_addr: Optional[int] = None
         if len(line_set) >= self.config.ways:
             victim_tag = None
@@ -262,7 +322,10 @@ class SetAssociativeCache:
         """Remove the line containing ``addr``; return True if it was present."""
         index = self.set_index(addr)
         self._touched.add(index)
-        return self._sets[index].pop(self.tag(addr), None) is not None
+        if self._sets[index].pop(self.tag(addr), None) is None:
+            return False
+        self.generation += 1
+        return True
 
     def flush(self) -> None:
         """Empty the cache without touching the statistics counters."""
@@ -270,6 +333,7 @@ class SetAssociativeCache:
             if line_set:
                 self._touched.add(index)
                 line_set.clear()
+                self.generation += 1
 
     # ------------------------------------------------------------------ #
     # Steady-state key/advance pair (see repro.sim.steady).
@@ -395,6 +459,7 @@ class WayPartitionedCache(SetAssociativeCache):
             line[_STAMP] = self._next_stamp()
             line[_DIRTY] = line[_DIRTY] or dirty
             return None
+        self.generation += 1
         used = {way_map[t]: t for t in line_set if way_map.get(t) is not None}
         free_ways = [w for w in ways if w not in used]
         victim_addr: Optional[int] = None

@@ -26,31 +26,42 @@ DL1, so on every engine whose class sets ``fast_forward`` (all but the
 the core executes a run of body ``nop``/``alu``/``load`` instructions as
 one execute-stage occupancy, a *segment*.  A segment starts at a body
 ``nop``/``alu``, or at a load whose DL1 line is resident, whose fetch hit
-the IL1.  It ends before the next store, at the end of the body, before
-the first load whose DL1 line is not resident, or before the first IL1
-line that is not resident.  Both L1s are private and fill only when this
-core's own ifetch or load completes, which never happens inside a segment
-(stores are write-through and no-allocate), so residency cannot change
-inside a segment and one check of each at its start is exact.  The
-closing tick retires the whole run with batched PMC counts and applies the
-IL1 and DL1 lookups the run would have made one by one (same hit counts,
-same LRU stamps).  Store-buffer drains are unaffected: a drain only
-becomes possible on a delivery, and deliveries wake the core in that very
-cycle; stores end a segment because a push can start a drain in that same
-cycle.  A run that ends inside a segment is settled by
-:meth:`Core.finalize`, which :meth:`repro.sim.system.System.run` calls on
-every core.
+the IL1.  Its run ends at the next store, at the end of the body, at the
+first load whose DL1 line is not resident, or before the first IL1 line
+that is not resident.  The store or load that ends it joins the segment as
+its *tail* when its fetch hits the IL1: the segment then also occupies the
+tail's DL1 latency, and its closing tick does the tail's DL1 access and its
+store-buffer push or miss post, at the cycle the one-by-one core does them.
+
+Both L1s are private and fill only when this core's own ifetch or load
+completes, which never happens inside a segment (stores are write-through
+and no-allocate), so residency cannot change inside a segment and one
+check of each at its start is exact.  The closing tick retires the run
+with batched PMC counts and applies the IL1 and DL1 lookups it would have
+made one by one (same hit counts, same LRU stamps).  Store-buffer drains
+stay exact: one only becomes possible on a delivery, and deliveries wake
+the core in that very cycle; the cycle a tail saves (the one-by-one core's
+tick that starts the tail) drains nothing for the same reason.
+
+Each segment is worked out once per residency state: every cache counts a
+*generation* that changes with its resident set, and the second time a
+body position opens a segment at the same (IL1, DL1) generations, the core
+keeps a plan of it (its end and the stamps its lookups write), so later
+opens read the plan instead of probing the caches.
+
+A run that ends inside a segment is settled by :meth:`Core.finalize`,
+which :meth:`repro.sim.system.System.run` calls on every core.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import ArchConfig
 from ..errors import SimulationError
-from .cache import SetAssociativeCache
+from .cache import LookupPlan, SetAssociativeCache
 from .isa import INSTRUCTION_BYTES, Alu, Instruction, Load, Nop, Program, Store
 from .pmc import PerformanceCounters
 from .resource import NO_EVENT
@@ -112,10 +123,13 @@ class CompiledProgram:
       ``alu``, which only count as instructions in the PMCs);
     * ``load_at`` and ``load_addr`` — body position and address of each
       body load, in order, so the loads of ``[j, e)`` are entries
-      ``loads[j]`` to ``loads[e]`` of both.
+      ``loads[j]`` to ``loads[e]`` of both;
+    * ``plans[i]`` — the :class:`_SegmentPlan` of the segment that opens at
+      body position ``i``, from the first time one opens there.
 
     Only exact :class:`~repro.sim.isa.Nop`, :class:`~repro.sim.isa.Alu` and
-    :class:`~repro.sim.isa.Load` instances form runs; subclasses execute
+    :class:`~repro.sim.isa.Load` instances form runs, and only an exact
+    :class:`~repro.sim.isa.Store` or ``Load`` is a tail; subclasses execute
     one at a time.
     """
 
@@ -130,6 +144,7 @@ class CompiledProgram:
         "loads",
         "load_at",
         "load_addr",
+        "plans",
     )
 
     def __init__(self, program: Optional[Program], config: ArchConfig) -> None:
@@ -149,6 +164,7 @@ class CompiledProgram:
         self.loads: List[int] = [0] * (size + 1)
         self.load_at: List[int] = []
         self.load_addr: List[int] = []
+        self.plans: Dict[int, _SegmentPlan] = {}
         stop = size
         for index in range(size - 1, -1, -1):
             if type(self.body[index]) in (Nop, Alu, Load):
@@ -168,6 +184,31 @@ class CompiledProgram:
                 self.load_at.append(index)
                 self.load_addr.append(instr.addr)
             self.loads[index + 1] = len(self.load_at)
+
+
+class _SegmentPlan:
+    """The segment that opens at one body position, worked out once for one
+    (IL1 generation, DL1 generation) pair.
+
+    While both generations hold, the segment's extent and the cache lookups
+    it makes are the same at every open, so a plan holds them: ``stop`` and
+    ``tail`` as :meth:`Core._segment_extent` returns them, and the
+    :data:`~repro.sim.cache.LookupPlan` of the IL1 fetches and of the DL1
+    reads that :meth:`Core._retire_segment` makes when the segment retires
+    whole.  The first open at a generation pair only notes the pair
+    (``stop`` is 0 until then); the second builds the plan, so segments
+    whose residency keeps changing never pay for one.
+    """
+
+    __slots__ = ("il1_generation", "dl1_generation", "stop", "tail", "il1", "dl1")
+
+    def __init__(self) -> None:
+        self.il1_generation = -1
+        self.dl1_generation = -1
+        self.stop = 0
+        self.tail = False
+        self.il1: LookupPlan = (0, ())
+        self.dl1: LookupPlan = (0, ())
 
 
 class Core:
@@ -226,9 +267,13 @@ class Core:
         self._stall_store_addr = 0
         self._stall_entry_cycle = 0
         # The open segment ends at body position _seg_stop (and at cycle
-        # _busy_until); the positions before _seg_retired are retired.
+        # _busy_until); the positions before _seg_retired are retired.  With
+        # _seg_tail, its last position is a store or a DL1-missing load that
+        # the closing tick executes; _seg_plan is the plan it opened from.
         self._seg_stop = 0
         self._seg_retired = 0
+        self._seg_tail = False
+        self._seg_plan: Optional[_SegmentPlan] = None
 
         self.instructions_retired = 0
         self.done_cycle: Optional[int] = None
@@ -332,9 +377,12 @@ class Core:
         if self.state is not CoreState.EXECUTING or self._phase is not _Phase.SEGMENT:
             return
         latency = self._code.latency
-        # Instruction i retired iff latency[i + 1] <= cutoff.
+        # Instruction i retired iff latency[i + 1] <= cutoff, so never the
+        # last (a tail included): the closing tick retires it, and has not
+        # run.  A tail's fetch counts once the run before it has retired.
         cutoff = latency[self._seg_stop] - (self._busy_until - end_cycle)
         stop = bisect_right(latency, cutoff, self._seg_retired + 1, self._seg_stop + 1) - 1
+        self._seg_plan = None
         self._retire_segment(stop)
 
     # ------------------------------------------------------------------ #
@@ -358,7 +406,9 @@ class Core:
                 position,
                 self._current_instr,
                 self._fetched_pending,
-                (self._seg_retired, self._seg_stop) if self._phase is _Phase.SEGMENT else None,
+                (self._seg_retired, self._seg_stop, self._seg_tail)
+                if self._phase is _Phase.SEGMENT
+                else None,
                 (self._stall_store_addr, self._stall_entry_cycle - cycle)
                 if state is CoreState.STALL_STORE_BUFFER
                 else None,
@@ -459,6 +509,41 @@ class Core:
         """Start the segment at body ``position``, a ``nop``/``alu``, or a
         load whose DL1 line is resident, whose fetch at ``pc`` just hit."""
         code = self._code
+        il1 = self.il1
+        dl1 = self.dl1
+        plan = code.plans.get(position)
+        if plan is None:
+            plan = code.plans[position] = _SegmentPlan()
+        if plan.il1_generation != il1.generation or plan.dl1_generation != dl1.generation:
+            # First open at these generations: only note them.
+            plan.il1_generation = il1.generation
+            plan.dl1_generation = dl1.generation
+            plan.stop = 0
+            stop, tail = self._segment_extent(position, pc)
+            plan = None
+        elif plan.stop:
+            stop, tail = plan.stop, plan.tail
+        else:
+            # Second open at the same generations: plan the segment.
+            stop, tail = self._segment_extent(position, pc)
+            plan.stop, plan.tail = stop, tail
+            step = INSTRUCTION_BYTES
+            plan.il1 = il1.plan_hits(pc + step, stop - position - 1, step)
+            loads = code.loads
+            plan.dl1 = dl1.plan_reads(code.load_addr[loads[position] : loads[stop - tail]])
+        self._next += stop - position - 1
+        self._seg_retired = position
+        self._seg_stop = stop
+        self._seg_tail = tail
+        self._seg_plan = plan
+        self._phase = _Phase.SEGMENT
+        self._busy_until = cycle + code.latency[stop] - code.latency[position]
+        self.state = CoreState.EXECUTING
+
+    def _segment_extent(self, position: int, pc: int) -> Tuple[int, bool]:
+        """End (exclusive) of the segment that starts at body ``position``,
+        and whether its last instruction is a tail."""
+        code = self._code
         stop = code.run_stop[position]
         # The segment covers the rest of the run up to the first load whose
         # DL1 line is not resident...
@@ -468,15 +553,15 @@ class Core:
             if not contains(load_addr[load]):
                 stop = code.load_at[load]
                 break
+        # ... and that load, or the store that ends the run, as its tail ...
+        tail = stop < len(code.body) and type(code.body[stop]) in (Load, Store)
         # ... as far as its IL1 lines are resident.
         step = INSTRUCTION_BYTES
-        stop = position + 1 + self.il1.count_resident(pc + step, stop - position - 1, step)
-        self._next += stop - position - 1
-        self._seg_retired = position
-        self._seg_stop = stop
-        self._phase = _Phase.SEGMENT
-        self._busy_until = cycle + code.latency[stop] - code.latency[position]
-        self.state = CoreState.EXECUTING
+        fetches = stop - position - 1 + tail
+        resident = self.il1.count_resident(pc + step, fetches, step)
+        if resident < fetches:
+            return position + 1 + resident, False
+        return stop + tail, tail
 
     def _begin_execute(self, cycle: int, instr: Optional[Instruction]) -> None:
         if instr is None:
@@ -503,6 +588,17 @@ class Core:
         if phase is _Phase.SIMPLE:
             self._retire(cycle)
             return
+        if phase is _Phase.SEGMENT:
+            if not self._seg_tail:
+                self._retire_segment(self._seg_stop)
+                self.state = CoreState.READY
+                return
+            # The tail's fetch hit when the run before it retired; its DL1
+            # occupancy ends now, as the one-by-one core's would.
+            tail = self._seg_stop - 1
+            self._retire_segment(tail)
+            instr = self._current_instr = self._code.body[tail]
+            phase = self._phase = _Phase.DL1_LOAD if type(instr) is Load else _Phase.DL1_STORE
         if phase is _Phase.DL1_LOAD:
             assert isinstance(instr, Load)
             forwarded = self.store_buffer.forwards(instr.addr, self.config.line_size)
@@ -526,10 +622,6 @@ class Core:
                 self._stall_store_addr = line
                 self._stall_entry_cycle = cycle
             return
-        if phase is _Phase.SEGMENT:
-            self._retire_segment(self._seg_stop)
-            self.state = CoreState.READY
-            return
         raise SimulationError(f"core {self.core_id}: unknown phase {phase}")
 
     def _retire(self, cycle: int) -> None:
@@ -548,8 +640,9 @@ class Core:
 
         Also applies the cache lookups made by then: the segment's first
         fetch ran when it opened, each retirement starts the next
-        instruction of the run, whose fetch is one more IL1 hit, and each
-        load's DL1 lookup, one more hit, ran as it retired.
+        instruction of the segment, whose fetch is one more IL1 hit, and
+        each load's DL1 lookup, one more hit, ran as it retired.  A segment
+        opened from a plan and retired whole applies the plan instead.
         """
         first = self._seg_retired
         count = stop - first
@@ -565,6 +658,11 @@ class Core:
             nops = code.nops
             counters.nops += nops[stop] - nops[first]
             counters.loads += loads[stop] - loads[first]
+        plan = self._seg_plan
+        if plan is not None:
+            self.il1.apply_plan(plan.il1)
+            self.dl1.apply_plan(plan.dl1)
+            return
         fetched = min(stop + 1, self._seg_stop) - (first + 1)
         if fetched:
             start = code.body_pc + (first + 1) * INSTRUCTION_BYTES

@@ -24,10 +24,11 @@ is the only thing that selects one:
 
 Every engine class also declares ``fast_forward``: whether its cores run
 straight-line ``nop``/``alu`` code, and the loads in it whose DL1 line is
-resident, as one execute-stage occupancy per run (see :mod:`repro.sim.core`).
-``event``, ``codegen`` and ``replay`` do, which turns the hundreds of nops
-``rsk-nop`` puts between two memory operations, or the compute and DL1 hits
-between two stores of a synthetic workload, into a single core event.  The
+resident, as one execute-stage occupancy per run, joined by the store or
+missing load that ends the run (see :mod:`repro.sim.core`).  ``event``,
+``codegen`` and ``replay`` do, which turns the hundreds of nops ``rsk-nop``
+puts between two memory operations, or the compute and DL1 hits between
+two stores of a synthetic workload, into a single core event.  The
 ``stepped`` oracle does not: it keeps retiring one instruction per
 occupancy, the reference the batched engines are checked against.
 :meth:`repro.sim.system.System.run` applies the flag and then finalizes

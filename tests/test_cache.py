@@ -165,6 +165,83 @@ class TestLookupAndFill:
         assert cache.ways_used(32) == 0
 
 
+class TestGenerationAndPlans:
+    """The generation counts changes of the resident set, and a lookup plan
+    taken at one generation replays exactly what the batched lookups do."""
+
+    def test_generation_changes_with_the_resident_set(self):
+        cache = small_cache(ways=2, sets=4, line=32)
+        stride = cache.config.same_set_stride
+        changes = []
+
+        def changed(action):
+            before = cache.generation
+            action()
+            changes.append(cache.generation != before)
+
+        changed(lambda: cache.fill(0))  # new line
+        changed(lambda: cache.fill(stride))  # new line
+        changed(lambda: cache.lookup(0))  # hit
+        changed(lambda: cache.lookup(0x40))  # miss, no allocation
+        changed(lambda: cache.lookup(0, is_write=True))  # write hit
+        changed(lambda: cache.fill(0))  # refill of a present line
+        changed(lambda: cache.record_hits(0, 4, 4))
+        changed(lambda: cache.record_reads([0, stride]))
+        changed(lambda: cache.fill(2 * stride))  # new line and an eviction
+        changed(lambda: cache.invalidate(0x40))  # nothing to remove
+        changed(lambda: cache.invalidate(2 * stride))
+        changed(cache.flush)
+        changed(cache.flush)  # already empty
+        assert changes == [
+            True, True, False, False, False, False, False, False, True, False, True, True, False,
+        ]  # fmt: skip
+
+    def test_partitioned_fill_changes_the_generation(self):
+        cache = WayPartitionedCache(
+            CacheConfig(size_bytes=4 * 4 * 32, ways=4, line_size=32), {0: [0, 1], 1: [2, 3]}
+        )
+        before = cache.generation
+        cache.fill_for(0, 0x100)
+        assert cache.generation != before
+        before = cache.generation
+        cache.fill_for(1, 0x100)  # present: a refill
+        assert cache.generation == before
+
+    @pytest.mark.parametrize("replacement", ["lru", "fifo"])
+    def test_applied_plans_leave_what_the_batched_lookups_leave(self, replacement):
+        """Planned at one point, applied later after other hits: the same
+        counters, stamps and changed sets as the batched calls made then."""
+        caches = [small_cache(ways=2, sets=4, line=32, replacement=replacement) for _ in range(2)]
+        stride = caches[0].config.same_set_stride
+        for cache in caches:
+            for addr in (0x00, 0x20, 0x40, stride):
+                cache.fill(addr)
+            cache.steady_key(0)  # clears the changed sets
+        batched, planned = caches
+        hits = planned.plan_hits(0x08, 19, 4)  # 0x08 .. 0x50: three lines
+        reads = planned.plan_reads([0x00, stride + 4, 0x24, 0x04, stride])
+        for cache in caches:
+            cache.lookup(0x40)
+        batched.record_hits(0x08, 19, 4)
+        batched.record_reads([0x00, stride + 4, 0x24, 0x04, stride])
+        planned.apply_plan(hits)
+        planned.apply_plan(reads)
+        state = [
+            (cache.stats, cache._stamp, cache._touched, cache._sets, cache.generation)
+            for cache in caches
+        ]
+        assert state[0] == state[1]
+        assert planned.stats.read_hits == 1 + 19 + 5
+
+    def test_plan_of_no_lookups_changes_nothing(self):
+        cache = small_cache()
+        cache.fill(0)
+        plan = cache.plan_hits(0, 0, 4)
+        cache.apply_plan(plan)
+        assert plan == (0, ())
+        assert (cache.stats.read_hits, cache._stamp) == (0, 1)
+
+
 class TestStats:
     def test_read_and_write_counters(self):
         cache = small_cache()

@@ -228,6 +228,15 @@ class TestCommands:
         assert "ubdm" not in captured.out
         assert "Traceback" not in captured.err
 
+    def test_store_sweep_settled_at_zero_exits_2_without_extending(self, capsys):
+        argv = ["--preset", "small", "derive-ubd", "--instruction-type", "store"]
+        exit_code = main(argv + ["--iterations", "5", "--k-max", "12"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error: dbus(k) never rises over k = 1..12")
+        assert "Figure 7(b)" in captured.err
+        assert "ubdm" not in captured.out
+
     def test_runs_without_numpy(self):
         """The library needs only the standard library."""
         script = (

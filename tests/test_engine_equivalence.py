@@ -26,7 +26,7 @@ offending generated source attached — see :func:`_check_codegen`.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace as dataclass_replace
 from typing import Dict, List, Optional
 
@@ -49,7 +49,7 @@ from repro.kernels.rsk import build_rsk, build_stress_contender_set
 from repro.sim import codegen as codegen_mod
 from repro.sim.codegen import CodegenMismatch
 from repro.sim.core import Core
-from repro.sim.isa import Alu, Load, Nop, Program, Store
+from repro.sim.isa import INSTRUCTION_BYTES, Alu, Load, Nop, Program, Store
 from repro.sim.resource import NO_EVENT, SharedResource
 from repro.sim.system import System
 from repro.sim.topology import TOPOLOGY_REGISTRY, register_topology
@@ -496,8 +496,14 @@ _straight_runs = st.lists(
     max_size=40,
 )
 
+#: Memory operations between runs, each the tail of the run before it: the
+#: window the other memory operations use, or two lines that recur often, so
+#: stores hit resident lines and a load often follows a store to its line
+#: (the store buffer forwards it).
+_tail_addresses = st.one_of(_addresses, st.sampled_from([0x100, 0x120]))
+
 _memory_ops = st.lists(
-    st.one_of(st.builds(Load, addr=_addresses), st.builds(Store, addr=_addresses)),
+    st.one_of(st.builds(Load, addr=_tail_addresses), st.builds(Store, addr=_tail_addresses)),
     max_size=2,
 )
 
@@ -624,14 +630,16 @@ class TestStraightLineSegments:
     Runs cross IL1 line boundaries and lines miss or get evicted inside a
     run; loads inside runs hit resident DL1 lines or miss, and a DL1 of two
     lines makes a load's own miss evict a line a later run needs; stores
-    sit next to runs with a store buffer small enough to fill; infinite
-    contenders are inside a segment when the run ends; and ``max_cycles``
-    cuts through segments.
+    and missing loads end runs as their tails, with a store buffer small
+    enough to fill and loads it forwards; infinite contenders are inside a
+    segment, or a tail's DL1 occupancy, when the run ends; ``max_cycles``
+    cuts through both; and up to four iterations open each segment often
+    enough to plan it and reuse the plan.
     """
 
     @given(
         config=_segment_configs,
-        observed_program=_segmented_programs(st.integers(min_value=1, max_value=3)),
+        observed_program=_segmented_programs(st.integers(min_value=1, max_value=4)),
         contender_programs=_segmented_contenders,
         max_cycles=st.one_of(st.just(2_000_000), st.integers(min_value=5, max_value=1500)),
         preload_l2=st.booleans(),
@@ -717,3 +725,142 @@ class TestStraightLineSegments:
             per_tick[engine] = max(retired)
         assert per_tick["stepped"] == 1
         assert per_tick["event"] == per_tick["codegen"] == run
+
+
+def _count_plan_lookups(monkeypatch):
+    """Classify every segment open by what it finds noted for its body
+    position: nothing yet, a note or a plan taken at the current (IL1, DL1)
+    generations, or one taken at other generations (stale)."""
+    seen: Counter = Counter()
+    open_segment = Core._open_segment
+
+    def spy(core, cycle, position, pc):
+        plan = core._code.plans.get(position)
+        if plan is None:
+            seen["none"] += 1
+        else:
+            kind = "plan" if plan.stop else "note"
+            generations = (core.il1.generation, core.dl1.generation)
+            current = (plan.il1_generation, plan.dl1_generation) == generations
+            seen[f"{'current' if current else 'stale'} {kind}"] += 1
+        open_segment(core, cycle, position, pc)
+
+    monkeypatch.setattr(Core, "_open_segment", spy)
+    return seen
+
+
+class TestSegmentPlansAndTails:
+    """Plans reused only at their generations, and tails executed by the
+    closing tick, against the oracle."""
+
+    def test_dl1_miss_evicting_a_line_a_later_run_needs(self, monkeypatch):
+        """Two DL1 lines, three in use: each iteration's misses change the
+        resident set, so what an open noted is stale at the next."""
+        seen = _count_plan_lookups(monkeypatch)
+        config = small_config(dl1=CacheConfig(size_bytes=64, ways=2, hit_latency=1))
+        body = (Load(0x100), *(Nop(),) * 5, Load(0x100), *(Nop(),) * 5, Load(0x200))
+        program = Program(name="evict", body=body + (Nop(),) * 5 + (Load(0x300),), iterations=5)
+        _run_with_segments(config, [program], 2_000_000, preload_il1=True)
+        assert seen["stale note"] > 0
+        assert seen["current plan"] == 0
+
+    def test_il1_too_small_for_the_body(self, monkeypatch):
+        seen = _count_plan_lookups(monkeypatch)
+        config = small_config(il1=CacheConfig(size_bytes=64, ways=2))
+        program = Program(name="long", body=(Nop(),) * 23 + (Alu(latency=2),), iterations=4)
+        _run_with_segments(config, [program], 2_000_000)
+        assert seen["stale note"] > 0
+        assert seen["current plan"] == 0
+
+    @pytest.mark.parametrize("cache", ["il1", "dl1"])
+    def test_plan_is_not_reused_once_the_resident_set_changes(self, monkeypatch, cache):
+        """A planned segment, then a line it needs disappears between two
+        of its opens (invalidated as the fifth iteration starts, on every
+        engine at the same cycle): the stale plan is dropped, with every
+        count and stamp as the oracle's.  Iteration 1 fills the IL1, 2
+        notes the generations, 3 plans and 4 opens from the plan."""
+        program = Program(
+            name="planned",
+            body=(Alu(latency=2), Load(0x100), *(Nop(),) * 9, Store(0x140)),
+            iterations=6,
+        )
+        fifth_iteration = 4 * len(program.body)
+        start_next = Core._start_next_instruction
+
+        def invalidate_at_fifth_iteration(core, cycle):
+            if core._next == fifth_iteration:
+                if cache == "il1":
+                    core.il1.invalidate(program.base_pc + 8 * INSTRUCTION_BYTES)
+                else:
+                    core.dl1.invalidate(0x100)
+            start_next(core, cycle)
+
+        monkeypatch.setattr(Core, "_start_next_instruction", invalidate_at_fifth_iteration)
+        seen = _count_plan_lookups(monkeypatch)
+        config = small_config()
+        states = {}
+        for engine in ENGINES_UNDER_TEST[:3]:
+            # Traced, so no steady-state skip jumps over the fifth iteration.
+            system = System(
+                config.with_overrides(engine=engine), [program], trace=True, preload_dl1=True
+            )
+            result = system.run(observed_cores=[0])
+            states[engine] = (_observable_state(result), _private_cache_state(system))
+        assert states["event"] == states["stepped"]
+        assert states["codegen"] == states["stepped"]
+        assert seen["current plan"] == seen["stale plan"] == 2, seen  # once per fast engine
+
+    @pytest.mark.parametrize("max_cycles", range(0, 72))
+    def test_max_cycles_inside_a_tail(self, max_cycles):
+        """Segments of 2 + 1 + 1 cycles ending at a store whose 4-cycle DL1
+        occupancy follows: the run stops at every offset of both, in the
+        first iteration, in the second (which plans every segment) and in
+        the third (which opens every segment from its plan)."""
+        config = small_config(dl1=CacheConfig(size_bytes=1024, ways=2, hit_latency=4))
+        body = (Alu(latency=2), Nop(), Nop(), Store(0x100)) * 3
+        program = Program(name="tails", body=body, iterations=3)
+        outcomes = _run_with_segments(config, [program], max_cycles, preload_il1=True)
+        assert outcomes["stepped"].timed_out
+
+    @pytest.mark.parametrize("length", range(1, 30))
+    def test_observed_core_finishes_inside_a_contender_tail(self, length):
+        """The contender's runs end in a store, or in a load of one of three
+        lines that take turns in one 2-way DL1 set (always missing): the
+        observed core finishes at every offset of their 4-cycle DL1
+        occupancies."""
+        config = small_config(dl1=CacheConfig(size_bytes=1024, ways=2, hit_latency=4))
+        observed = Program(name="short", body=(Nop(),) * length, iterations=1)
+        first, second, third = (Load(0x2000 + 512 * line) for line in range(3))
+        body = (Alu(latency=3), Nop(), Store(0x2100), Nop(), first, Nop(), second)
+        contender = Program(
+            name="tails",
+            body=body + (Alu(latency=2), third),
+            base_pc=0x4000_1000,
+            iterations=None,
+        )
+        programs: List[Optional[Program]] = [observed, contender, None]
+        outcomes = _run_with_segments(config, programs, 2_000_000, preload_il1=True)
+        assert outcomes["stepped"].instructions[0] == length
+
+    def test_tail_store_with_a_full_store_buffer(self):
+        """The push at the closing tick finds the one-entry buffer full and
+        stalls, exactly where the one-by-one store would have."""
+        config = small_config(store_buffer=StoreBufferConfig(entries=1))
+        body = (Nop(), Nop(), Store(0x100), Nop(), Store(0x140))
+        program = Program(name="stores", body=body, iterations=6)
+        outcomes = _run_with_segments(config, [program], 2_000_000, preload_il1=True)
+        assert outcomes["stepped"].pmc.core[0].store_buffer_full_stalls > 0
+
+    def test_tail_load_forwarded_by_the_store_buffer(self):
+        """Stores do not allocate, so the load after the run misses the DL1
+        and is the run's tail; the store buffer still holds the store to its
+        line and forwards it: no load reaches the bus."""
+        body = (Store(0x100), Nop(), Load(0x104), Nop(), Nop())
+        program = Program(name="forward", body=body, iterations=5)
+        config = small_config()
+        outcomes = _run_with_segments(config, [program], 2_000_000, preload_il1=True)
+        kinds = {record.kind for record in outcomes["event"].trace.records}
+        assert kinds == {"store"}
+        system = System(config, [program], preload_il1=True)
+        system.run()
+        assert system.cores[0].dl1.stats.read_misses == 5

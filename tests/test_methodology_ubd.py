@@ -131,6 +131,67 @@ class TestAutoExtension:
         failed = {check.name for check in result.confidence.failed_checks()}
         assert "sweep_coverage" in failed
 
+    @staticmethod
+    def _stub_sweep(monkeypatch, dbus_of):
+        """Replace every sweep point with ``dbus_of(k)``; returns the list of
+        measured ``k``."""
+        measured = []
+
+        def measure_point(estimator, k):
+            measured.append(k)
+            dbus = dbus_of(k)
+            return SweepPoint(
+                k=k,
+                isolation_time=1000,
+                contended_time=1000 + dbus,
+                dbus=dbus,
+                bus_utilisation=1.0,
+                requests=100,
+            )
+
+        monkeypatch.setattr(UbdEstimator, "measure_point", measure_point)
+        return measured
+
+    def test_sweep_settled_at_zero_is_refused_before_extending(self, monkeypatch):
+        """The store-buffer shape of Figure 7(b): a falling flank, then zero
+        for good.  Extending only adds zeros, so the sweep refuses with the
+        first zero k instead of running to the search limit."""
+        measured = self._stub_sweep(monkeypatch, lambda k: max(0, 400 * (9 - k)))
+        estimator = UbdEstimator(small_config(), k_max=12, iterations=5)
+        with pytest.raises(AnalysisError, match=r"0 from k = 9 on: .*Figure 7\(b\)"):
+            estimator.run()
+        assert max(measured) == 12
+
+    def test_single_zero_at_the_sweep_end_still_extends(self, monkeypatch):
+        """One zero is not a settled tail: a saw-tooth touches zero once per
+        period and rises right after."""
+        measured = self._stub_sweep(monkeypatch, lambda k: max(0, 400 * (12 - k)))
+        estimator = UbdEstimator(small_config(), k_max=12, iterations=5)
+        with pytest.raises(AnalysisError, match="0 from k = 12 on"):
+            estimator.run()
+        assert max(measured) == 24
+
+    def test_only_a_flank_ending_in_two_zeros_has_settled(self):
+        from repro.methodology.ubd import settled_at_zero
+
+        def points(values):
+            return [
+                SweepPoint(
+                    k=k,
+                    isolation_time=1,
+                    contended_time=1 + dbus,
+                    dbus=dbus,
+                    bus_utilisation=1.0,
+                    requests=1,
+                )
+                for k, dbus in enumerate(values, 1)
+            ]
+
+        assert settled_at_zero(points([49, 0, 1274, 0, 0])) is None
+        assert settled_at_zero(points([5, 3, 0])) is None
+        assert settled_at_zero(points([5, 5, 0, 0])) == 3
+        assert settled_at_zero(points([0, 0])) == 1
+
     def test_tdma_bus_is_refused_before_any_simulation(self, monkeypatch):
         """No sweep can find a fair round on a TDMA bus, so the estimator
         refuses up front instead of sweeping to the search limit."""
@@ -162,6 +223,11 @@ class TestAutoExtension:
 
 
 class TestStoreVariant:
+    def test_store_sweep_is_refused_once_settled_at_zero(self, tiny_config):
+        estimator = UbdEstimator(tiny_config, instruction_type="store", k_max=12, iterations=5)
+        with pytest.raises(AnalysisError, match="never rises over k = 1..12"):
+            estimator.run()
+
     def test_store_sweep_shows_decreasing_then_zero_slowdown(self, tiny_config):
         """The Figure 7(b) shape on the small platform."""
         estimator = UbdEstimator(

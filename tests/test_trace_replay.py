@@ -433,6 +433,31 @@ class TestCaptureIdentity:
         assert (stats.read_hits, stats.read_misses) == (40 * 12, 40 * 3)
 
 
+    @pytest.mark.parametrize("k", [2, 9])
+    def test_capture_of_tailed_segments(self, k, monkeypatch, tmp_path):
+        """Each nop run of an rsk-nop kernel ends in the next load, which
+        misses the DL1 and joins the run as its tail.  With a 4-cycle DL1
+        the tail retires well after the run before it, and the probe still
+        logs every retirement at its own cycle."""
+        tails = []
+        segment_extent = Core._segment_extent
+
+        def spy(core, position, pc):
+            stop, tail = segment_extent(core, position, pc)
+            tails.append(tail)
+            return stop, tail
+
+        monkeypatch.setattr(Core, "_segment_extent", spy)
+        config = small_config(dl1=CacheConfig(size_bytes=1024, ways=2, hit_latency=4))
+        programs: List[Optional[Program]] = [build_rsk_nop(config, 0, k=k, iterations=20)]
+        for core in (1, 2):
+            contender = build_rsk_nop(config, core, k=k + core, iterations=1)
+            programs.append(contender.with_iterations(None))
+        flags = {"preload_l2": True, "preload_il1": True, "preload_dl1": False}
+        self._assert_capture_equals_a_stepped_probe(config, programs, flags, tmp_path)
+        assert any(tails)
+
+
 # --------------------------------------------------------------------------- #
 # Bench and compare surfaces.
 # --------------------------------------------------------------------------- #
