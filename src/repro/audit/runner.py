@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
-from ..config import PRESETS, ArchConfig, config_from_dict, get_preset
+from ..config import PRESETS, config_from_dict, get_preset
 from ..errors import AuditError, ReproError
 from .campaign import audit_campaign_artifacts
 from .core import (

@@ -22,11 +22,9 @@ rsk programs are memoised per (config, kind) across the shard's runs.
 A :class:`~repro.campaign.store.ResultStore` can be attached so repeated
 campaigns only simulate misses: one ``get_many`` resolves the whole grid
 (hits dedupe across *all* historical campaigns) and each absorbed shard is
-one ``put_many``.  When a pending run uses the replay engine, the store
-also backs the replay trace cache while :meth:`ParallelRunner.run` runs,
-in this process and in every pool worker, so core captures persist in its
-``traces/`` section.  :class:`CampaignOutcome.stats` reports how many runs
-were simulated versus served from the store.
+one ``put_many``.  The store holds run records only; whatever an engine
+memoises stays in the process that runs it.  :class:`CampaignOutcome.stats`
+reports how many runs were simulated versus served from the store.
 
 Store probing and absorb never touch the simulator: the execution
 functions import the kernels, methodology, analysis and simulator layers
@@ -45,7 +43,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import (
@@ -69,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from concurrent.futures import ProcessPoolExecutor
 
     from ..sim.isa import Program
-    from ..sim.trace import TraceCache
     from .artifacts import CampaignStreamWriter
 
 
@@ -255,22 +251,6 @@ class ShardTask:
     runs: Tuple[Tuple[str, RunDescriptor], ...]
 
 
-def _attach_worker_trace_store(directory: str) -> None:
-    """Pool-worker initializer: back this process's trace cache with the
-    campaign store's ``traces/`` section.
-
-    Runs once per worker process.  Only the trace section is touched
-    through the worker's handle (run records still travel back over IPC).
-    """
-    from ..sim.trace import global_trace_cache
-
-    try:
-        store = ResultStore(directory)
-    except Exception:  # pragma: no cover - a worker without traces still works
-        return
-    global_trace_cache().attach_store(store)
-
-
 #: ``(digest, record)`` pairs of one executed shard, in run order.
 ShardResults = List[Tuple[str, Dict[str, object]]]
 
@@ -301,23 +281,12 @@ def execute_inline(shards: Sequence[ShardTask]) -> Generator[ShardResults, None,
         yield execute_shard(shard)
 
 
-def worker_pool(jobs: int, store: Optional[ResultStore]) -> "ProcessPoolExecutor":
-    """A process pool of ``jobs`` workers whose trace caches are backed by
-    ``store``'s ``traces/`` section.
-
-    A replay-engine campaign therefore captures each kernel once
-    *globally*: the first worker to capture persists the trace and every
-    other process replays it from disk.
-    """
+def worker_pool(jobs: int) -> "ProcessPoolExecutor":
+    """A process pool of ``jobs`` workers (imported on first use, so a
+    campaign that never dispatches to a pool does not load it)."""
     from concurrent.futures import ProcessPoolExecutor
 
-    if store is None:
-        return ProcessPoolExecutor(max_workers=jobs)
-    return ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_attach_worker_trace_store,
-        initargs=(str(store.directory),),
-    )
+    return ProcessPoolExecutor(max_workers=jobs)
 
 
 def pool_executor(pool: "ProcessPoolExecutor") -> ShardExecutor:
@@ -399,11 +368,6 @@ class ParallelRunner:
         from ``jobs``.
         """
         started = time.perf_counter()
-        # The replay trace cache counts per process, across campaigns: the
-        # stats report what this run adds to its counters (all zero while
-        # the replay engine's module is not loaded).
-        replay_cache = _loaded_trace_cache()
-        trace_before = dict(replay_cache.counters) if replay_cache is not None else {}
         store = self.cache
         digests = [descriptor.digest() for descriptor in descriptors]
         # First occurrence of each digest, in descriptor order: duplicate
@@ -427,10 +391,6 @@ class ParallelRunner:
             ShardTask(index, tuple(pending[start : start + shard_size]))
             for index, start in enumerate(range(0, len(pending), shard_size))
         ]
-        engines = {descriptor.config.engine for _, descriptor in pending}
-        # Replay-engine runs dedup core captures across campaigns and
-        # processes through the store's ``traces/`` section.
-        trace_store = store if "replay" in engines else None
 
         records: List[Dict[str, object]] = []
 
@@ -455,19 +415,11 @@ class ParallelRunner:
             # streams before any shard is dispatched.
             emit()
             with contextlib.ExitStack() as stack:
-                if trace_store is not None:
-                    from ..sim.trace import global_trace_cache
-
-                    # Attached for this campaign only: the previous
-                    # attachment comes back when the campaign ends.
-                    trace_cache = global_trace_cache()
-                    stack.callback(trace_cache.attach_store, trace_cache.store)
-                    trace_cache.attach_store(trace_store)
                 if executor is None:
                     executor = execute_inline
                     if self.jobs > 1 and len(shards) > 1:
-                        load_execution_layers(engines)
-                        pool = worker_pool(min(self.jobs, len(shards)), trace_store)
+                        load_execution_layers({d.config.engine for _, d in pending})
+                        pool = worker_pool(min(self.jobs, len(shards)))
                         executor = pool_executor(stack.enter_context(pool))
                 results = stack.enter_context(contextlib.closing(executor(shards)))
                 for fresh in results:
@@ -492,25 +444,7 @@ class ParallelRunner:
         }
         if store is not None:
             stats["store"] = store.counters.as_dict()
-        # Only meaningful when the replay engine ran in this process (worker
-        # processes keep their own per-process trace caches); ``entries`` is
-        # the cache's size, not a delta.
-        replay_cache = _loaded_trace_cache()
-        if replay_cache is not None:
-            counted = {
-                name: value - trace_before.get(name, 0)
-                for name, value in replay_cache.counters.items()
-            }
-            if any(counted.values()):
-                stats["trace_cache"] = dict(counted, entries=len(replay_cache))
         return CampaignOutcome(records=tuple(records), stats=stats)
-
-
-def _loaded_trace_cache() -> Optional["TraceCache"]:
-    """The process-wide replay trace cache, or ``None`` while
-    :mod:`repro.sim.trace` is not loaded (nothing has counted yet)."""
-    trace = sys.modules.get("repro.sim.trace")
-    return trace.global_trace_cache() if trace is not None else None
 
 
 def summarize_records(records: Sequence[Dict[str, object]]) -> Dict[str, object]:

@@ -12,10 +12,13 @@ Rules the store keeps:
 * An *entry* is a file named by 64 lowercase hex digits plus ``.json``.
   Lookups, ``len``, :meth:`ResultStore.stats` and :meth:`ResultStore.gc`
   touch nothing else, so campaign files sharing the directory
-  (``results.jsonl``, ``summary.json``, ``campaign.json``) and the
-  ``index.sqlite`` an older version of this tool kept beside the
-  artifacts are ignored and left untouched.  A digest that is not 64
-  lowercase hex digits is refused before any I/O.
+  (``results.jsonl``, ``summary.json``, ``campaign.json``) are ignored
+  and left untouched.  A digest that is not 64 lowercase hex digits is
+  refused before any I/O.
+* The store holds run records only.  What older versions of this tool
+  kept beside the artifacts, an ``index.sqlite`` run index and a
+  ``traces`` directory of captured core traces, is ignored and left
+  untouched too.
 * A hit needs an artifact that parses to a JSON object whose ``digest``
   matches its file name.  Anything else is a miss, and the run is simply
   simulated again.  Lookups never filter by campaign: any earlier
@@ -27,8 +30,7 @@ Rules the store keeps:
   digest (threads sharing a handle, or processes sharing the directory)
   each replace it whole with the same bytes, because the digest fixes the
   content.
-* :meth:`ResultStore.gc` ages entries by file mtime, like the trace
-  section.
+* :meth:`ResultStore.gc` ages entries by file mtime.
 
 A handle holds nothing open, so threads may share one and it needs no
 closing.
@@ -43,13 +45,9 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
-
-#: Subdirectory holding the replay engine's captured core traces
-#: (``traces/<trace_key>.json``); see the "Trace section" methods.
-TRACES_DIR_NAME = "traces"
 
 #: A run digest: the name of an entry, less its ``.json`` suffix.
 _DIGEST = re.compile(r"[0-9a-f]{64}")
@@ -73,10 +71,9 @@ class GcOutcome:
     """What one :meth:`ResultStore.gc` pass did."""
 
     removed: int
-    traces_removed: int = 0
 
     def as_dict(self) -> Dict[str, object]:
-        return {"removed": self.removed, "traces_removed": self.traces_removed}
+        return {"removed": self.removed}
 
 
 @dataclass
@@ -90,52 +87,14 @@ class StoreCounters:
 
     artifact_reads: int = 0
     artifact_writes: int = 0
-    trace_hits: int = 0
-    trace_misses: int = 0
-    trace_writes: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "artifact_reads": self.artifact_reads,
-            "artifact_writes": self.artifact_writes,
-            "trace_hits": self.trace_hits,
-            "trace_misses": self.trace_misses,
-            "trace_writes": self.trace_writes,
-        }
+        return {"artifact_reads": self.artifact_reads, "artifact_writes": self.artifact_writes}
 
     def reset(self) -> None:
         """Zero every counter (phase boundaries in benches and tests)."""
         self.artifact_reads = 0
         self.artifact_writes = 0
-        self.trace_hits = 0
-        self.trace_misses = 0
-        self.trace_writes = 0
-
-
-def _usage(paths: Iterable[Path]) -> Tuple[int, int]:
-    """Count and total size of ``paths`` (files gone since listing skip)."""
-    entries = 0
-    total = 0
-    for path in paths:
-        try:
-            total += path.stat().st_size
-        except OSError:
-            continue
-        entries += 1
-    return entries, total
-
-
-def _unlink_older(paths: Iterable[Path], cutoff: float) -> int:
-    """Unlink the files of ``paths`` last modified before ``cutoff``."""
-    removed = 0
-    for path in list(paths):
-        try:
-            if path.stat().st_mtime < cutoff:
-                path.unlink()
-                removed += 1
-        except OSError:
-            pass
-    return removed
 
 
 class ResultStore:
@@ -226,83 +185,41 @@ class ResultStore:
         self.put_many([(digest, record)])
 
     # ------------------------------------------------------------------ #
-    # Trace section: the replay engine's durable core-trace memos.
-    # ------------------------------------------------------------------ #
-    #
-    # Captured core traces (repro.sim.trace.CoreTrace payloads) live under
-    # ``traces/<key>.json``, content-addressed by the core-side trace key.
-    # The subdirectory keeps them out of the run entries, and a missing or
-    # corrupt file is always just a cache miss — the capture run
-    # regenerates it.  Writes are atomic and idempotent by construction of
-    # the key.
-
-    @property
-    def traces_dir(self) -> Path:
-        return self.directory / TRACES_DIR_NAME
-
-    def _trace_path(self, key: str) -> Path:
-        if not key or not all(c in "0123456789abcdef" for c in key):
-            raise ConfigurationError(f"malformed trace key: {key!r}")
-        return self.traces_dir / f"{key}.json"
-
-    def get_trace(self, key: str) -> Optional[Dict[str, object]]:
-        """The stored trace payload for ``key``, or ``None``.
-
-        Schema validation is the caller's job
-        (:meth:`repro.sim.trace.CoreTrace.from_payload` treats stale
-        schemas as misses); this layer only promises a well-formed dict.
-        """
-        path = self._trace_path(key)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            self.counters.trace_misses += 1
-            return None
-        if not isinstance(payload, dict):
-            self.counters.trace_misses += 1
-            return None
-        self.counters.trace_hits += 1
-        return payload
-
-    def put_trace(self, key: str, payload: Dict[str, object]) -> None:
-        """Persist a trace payload under ``traces/<key>.json`` atomically."""
-        path = self._trace_path(key)
-        self.traces_dir.mkdir(parents=True, exist_ok=True)
-        self.counters.trace_writes += 1
-        atomic_write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")))
-
-    def trace_stats(self) -> Dict[str, int]:
-        """Entry count and on-disk bytes of the trace section."""
-        entries, total = _usage(self.traces_dir.glob("*.json"))
-        return {"entries": entries, "bytes": total}
-
-    # ------------------------------------------------------------------ #
     # Maintenance: stats, gc.
     # ------------------------------------------------------------------ #
 
     def stats(self) -> Dict[str, object]:
-        """Entry count and on-disk sizes of the entries and the traces."""
-        entries, artifact_bytes = _usage(self._entries())
+        """Entry count and on-disk size of the entries (an entry removed
+        since the listing is skipped)."""
+        entries = artifact_bytes = 0
+        for path in self._entries():
+            try:
+                artifact_bytes += path.stat().st_size
+            except OSError:
+                continue
+            entries += 1
         return {
             "directory": str(self.directory),
             "entries": entries,
             "artifact_bytes": artifact_bytes,
-            "traces": self.trace_stats(),
         }
 
     def gc(self, keep_days: float) -> GcOutcome:
-        """Delete entries and traces last modified more than ``keep_days``
-        days ago.
+        """Delete entries last modified more than ``keep_days`` days ago.
 
         ``keep_days`` must be a number >= 0 (NaN is refused; ``inf`` keeps
-        everything).  An expired entry or trace is only a future
-        re-simulation or capture run, never data loss.
+        everything).  An expired entry is only a future re-simulation,
+        never data loss.
         """
         if not keep_days >= 0:
             raise ConfigurationError(f"keep_days must be >= 0, got {keep_days}")
         cutoff = time.time() - keep_days * 86400.0
-        return GcOutcome(
-            removed=_unlink_older(self._entries(), cutoff),
-            traces_removed=_unlink_older(self.traces_dir.glob("*.json"), cutoff),
-        )
+        removed = 0
+        for path in list(self._entries()):
+            try:
+                if path.stat().st_mtime < cutoff:
+                    path.unlink()
+                    removed += 1
+            except OSError:
+                pass
+        return GcOutcome(removed=removed)

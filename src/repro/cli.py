@@ -490,12 +490,6 @@ def _run_cache(args: argparse.Namespace) -> int:
             return 0
         print(f"Store: {stats['directory']}")
         print(f"Entries: {stats['entries']} ({stats['artifact_bytes']} artifact bytes)")
-        traces = stats.get("traces")
-        if isinstance(traces, dict):
-            print(
-                f"Traces: {traces['entries']} "
-                f"({traces['bytes']} bytes, replay-engine core captures)"
-            )
         return 0
     if args.cache_command == "gc":
         outcome = store.gc(keep_days=args.keep_days)
@@ -507,8 +501,6 @@ def _run_cache(args: argparse.Namespace) -> int:
             f"Removed {removed} entr{'y' if removed == 1 else 'ies'} older "
             f"than {args.keep_days:g} day(s); {len(store)} remain"
         )
-        if outcome.traces_removed:
-            print(f"Removed {outcome.traces_removed} expired core trace(s)")
         return 0
     raise ConfigurationError(
         f"unknown cache command {args.cache_command!r}"

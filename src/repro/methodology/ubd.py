@@ -95,6 +95,21 @@ TDMA_HAS_NO_FAIR_ROUND = (
     "period does not measure ubd"
 )
 
+#: Why :meth:`UbdEstimator.run` refuses a fixed-priority bus before its
+#: first sweep point: the sweep does find a period there, but it prints a
+#: value below ubd with every confidence check passing.
+FIXED_PRIORITY_HAS_NO_FAIR_ROUND = (
+    "a fixed-priority bus has no fair round for the rsk-nop saw-tooth to "
+    "find: each core is served by its port priority, not once per round of "
+    "the others, so the saw-tooth period does not measure ubd"
+)
+
+#: The bus arbitration policies :meth:`UbdEstimator.run` refuses, and why.
+NO_FAIR_ROUND: Dict[str, str] = {
+    "tdma": TDMA_HAS_NO_FAIR_ROUND,
+    "fixed_priority": FIXED_PRIORITY_HAS_NO_FAIR_ROUND,
+}
+
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -228,15 +243,16 @@ class UbdEstimator:
     def run(self) -> UbdMethodologyResult:
         """Execute the full methodology and return its result.
 
-        Raises :class:`~repro.errors.MethodologyError` on a TDMA bus
-        (:data:`TDMA_HAS_NO_FAIR_ROUND`) before simulating anything, and
-        :class:`~repro.errors.AnalysisError` when auto-extension reaches
-        :data:`MAX_K_LIMIT` without covering the detected period twice, or
-        would extend a sweep that has settled at zero
-        (:func:`settled_at_zero`).
+        Raises :class:`~repro.errors.MethodologyError` on a TDMA or
+        fixed-priority bus (:data:`NO_FAIR_ROUND`) before simulating
+        anything, and :class:`~repro.errors.AnalysisError` when
+        auto-extension reaches :data:`MAX_K_LIMIT` without covering the
+        detected period twice, or would extend a sweep that has settled at
+        zero (:func:`settled_at_zero`).
         """
-        if self.config.bus.arbitration == "tdma":
-            raise MethodologyError(f"{self.config.name}: {TDMA_HAS_NO_FAIR_ROUND}")
+        refusal = NO_FAIR_ROUND.get(self.config.bus.arbitration)
+        if refusal is not None:
+            raise MethodologyError(f"{self.config.name}: {refusal}")
         delta_nop = derive_delta_nop(self.config, core_id=self.scua_core)
 
         if self.explicit_k_values is not None:

@@ -22,7 +22,7 @@ on a single clock domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..config import DramConfig
 from ..errors import SimulationError

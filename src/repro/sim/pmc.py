@@ -11,7 +11,7 @@ which utilisation figures are derived.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .steady import AdditiveCounters, Counts, Key
 

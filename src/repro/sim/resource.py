@@ -51,7 +51,7 @@ Event-port surface (the base class implements all but
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .steady import Counts, Key, SteadyStateUnsupported
 

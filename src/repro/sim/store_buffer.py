@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional
 
 from ..config import StoreBufferConfig
 from ..errors import SimulationError

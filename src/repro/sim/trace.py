@@ -13,8 +13,7 @@ buffer.  Traces are content-addressed by :func:`trace_key` (the *core-side
 digest*: kernel + cache + core parameters, with every
 interconnect/arbiter/engine field stripped — the core-side analogue of
 :func:`repro.sim.codegen.loop_cache_key`) and memoised in a
-:class:`TraceCache` (in-process LRU, optionally backed by the on-disk
-``traces/`` section of :class:`repro.campaign.store.ResultStore`).
+:class:`TraceCache`, an LRU that lives and dies with its process.
 
 :class:`ReplayEngine` is the fourth simulation engine (``"replay"``,
 registered by import path in :mod:`repro.sim.scheduler`).  Any core whose
@@ -66,10 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: private caches, the store buffer, the execute-stage latencies, the core
 #: count — determines the core-side request sequence and stays in the key.
 SYSTEM_SIDE_FIELDS: Tuple[str, ...] = ("name", "freq_mhz", "bus", "dram", "topology", "engine")
-
-#: Schema version of the serialised :class:`CoreTrace` payload; bump on any
-#: incompatible change so stale on-disk traces are ignored, not misread.
-TRACE_SCHEMA_VERSION = 1
 
 
 def core_side_payload(config: ArchConfig) -> Dict[str, object]:
@@ -128,7 +123,6 @@ def trace_key(
     """
     return canonical_digest(
         {
-            "schema": TRACE_SCHEMA_VERSION,
             "core_side": core_side_payload(config),
             "program": program_payload(program),
             "preload_il1": bool(preload_il1),
@@ -244,58 +238,6 @@ class CoreTrace:
             return None
         base = count - self.period
         return steps[base + (index - base) % self.period]
-
-    def to_payload(self) -> Dict[str, object]:
-        """JSON-serialisable form (inverse of :meth:`from_payload`)."""
-        return {
-            "schema": TRACE_SCHEMA_VERSION,
-            "key": self.key,
-            "steps": [
-                [s.gap, s.kind, s.addr, [[off, mn] for off, mn in s.retirements]]
-                for s in self.steps
-            ],
-            "tail_retirements": [[off, mn] for off, mn in self.tail_retirements],
-            "done_offset": self.done_offset,
-            "period": self.period,
-        }
-
-    @staticmethod
-    def from_payload(payload: Dict[str, object]) -> "CoreTrace":
-        """Rebuild a trace from :meth:`to_payload` output.
-
-        Raises :class:`~repro.errors.SimulationError` on a schema mismatch
-        (stale on-disk traces must be ignored, never misread).
-        """
-        if payload.get("schema") != TRACE_SCHEMA_VERSION:
-            raise SimulationError(
-                f"trace payload schema {payload.get('schema')!r} != {TRACE_SCHEMA_VERSION}"
-            )
-        raw_steps = cast(List[List[object]], payload["steps"])
-        steps = tuple(
-            TraceStep(
-                gap=cast(int, gap),
-                kind=cast(str, kind),
-                addr=cast(int, addr),
-                retirements=tuple(
-                    (cast(int, off), cast(str, mn))
-                    for off, mn in cast(List[List[object]], retirements)
-                ),
-            )
-            for gap, kind, addr, retirements in raw_steps
-        )
-        done_offset = cast(Optional[int], payload.get("done_offset"))
-        period = cast(Optional[int], payload.get("period"))
-        tail = tuple(
-            (cast(int, off), cast(str, mn))
-            for off, mn in cast(List[List[object]], payload.get("tail_retirements", []))
-        )
-        return CoreTrace(
-            key=cast(str, payload["key"]),
-            steps=steps,
-            tail_retirements=tail,
-            done_offset=done_offset,
-            period=period,
-        )
 
 
 @dataclass(frozen=True)
@@ -717,7 +659,7 @@ class ReplayCore:
 
 
 # --------------------------------------------------------------------------- #
-# The trace cache: in-process LRU, optionally backed by a ResultStore.
+# The trace cache: an in-process LRU.
 # --------------------------------------------------------------------------- #
 
 #: Either a captured trace or the negative record of a failed capture.
@@ -728,17 +670,14 @@ class TraceCache:
     """Content-addressed memo of captured core traces.
 
     An :class:`collections.OrderedDict` LRU keyed by :func:`trace_key`
-    digests.  Positive entries (:class:`CoreTrace`) may additionally be
-    persisted through an attached :class:`repro.campaign.store.ResultStore`
-    (its ``traces/`` section), which extends cross-campaign dedup and the
-    ``cache stats|gc`` maintenance surface to traces; negative entries
-    (:class:`TraceUnsafe`) stay in-process only — a failed capture is cheap
-    to re-prove and its reasons can be run-specific.
+    digests, holding captured traces (:class:`CoreTrace`) and failed
+    captures (:class:`TraceUnsafe`).  Nothing is written outside the
+    process: each process captures a kernel once and replays it on every
+    later run.
 
     Counters (``stats()``):
 
-    * ``hits`` / ``misses`` — lookup outcomes, in-process LRU first;
-    * ``store_hits`` — subset of hits answered by the attached store;
+    * ``hits`` / ``misses`` — lookup outcomes;
     * ``captures`` — positive traces inserted (one full execution-driven
       run each: the bench harness asserts this stays at one per kernel
       across a sweep);
@@ -748,24 +687,7 @@ class TraceCache:
     def __init__(self, max_entries: int = 128) -> None:
         self.max_entries = max_entries
         self._entries: "OrderedDict[str, TraceEntry]" = OrderedDict()
-        self._store: Optional[object] = None
-        self.counters: Dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "store_hits": 0,
-            "captures": 0,
-            "unsafe": 0,
-        }
-
-    # -- store backing --------------------------------------------------- #
-    def attach_store(self, store: Optional[object]) -> None:
-        """Back this cache with ``store`` (a ``ResultStore`` or ``None``)."""
-        self._store = store
-
-    @property
-    def store(self) -> Optional[object]:
-        """The attached backing store, if any."""
-        return self._store
+        self.counters: Dict[str, int] = {"hits": 0, "misses": 0, "captures": 0, "unsafe": 0}
 
     # -- lookups --------------------------------------------------------- #
     def get(self, key: str) -> Optional[TraceEntry]:
@@ -775,32 +697,16 @@ class TraceCache:
             self._entries.move_to_end(key)
             self.counters["hits"] += 1
             return entry
-        store = self._store
-        if store is not None:
-            payload = store.get_trace(key)  # type: ignore[attr-defined]
-            if payload is not None:
-                try:
-                    trace = CoreTrace.from_payload(payload)
-                except SimulationError:
-                    trace = None  # stale schema: treat as a miss
-                if trace is not None:
-                    self._insert(key, trace)
-                    self.counters["hits"] += 1
-                    self.counters["store_hits"] += 1
-                    return trace
         self.counters["misses"] += 1
         return None
 
     def put(self, trace: CoreTrace) -> None:
-        """Insert a captured trace (and persist it if a store is attached)."""
+        """Insert a captured trace."""
         self._insert(trace.key, trace)
         self.counters["captures"] += 1
-        store = self._store
-        if store is not None:
-            store.put_trace(trace.key, trace.to_payload())  # type: ignore[attr-defined]
 
     def put_unsafe(self, key: str, reason: str) -> None:
-        """Insert a negative entry (in-process only)."""
+        """Insert a negative entry."""
         self._insert(key, TraceUnsafe(reason))
         self.counters["unsafe"] += 1
 
@@ -845,7 +751,6 @@ def global_trace_cache() -> TraceCache:
 
 def clear_trace_cache() -> None:
     """Empty the process-wide trace cache (test isolation hook)."""
-    _GLOBAL_TRACE_CACHE.attach_store(None)
     _GLOBAL_TRACE_CACHE.clear()
 
 
@@ -857,10 +762,10 @@ def clear_trace_cache() -> None:
 class ReplayEngine:
     """The ``replay`` engine: capture the core side once, then stream it.
 
-    Per core with a program: a cached :class:`CoreTrace` (in-process LRU or
-    attached store) swaps the execution-driven core for a
-    :class:`ReplayCore`; a cached :class:`TraceUnsafe` keeps the real core;
-    anything else instruments the real core with a :class:`CaptureProbe`,
+    Per core with a program: a cached :class:`CoreTrace` swaps the
+    execution-driven core for a :class:`ReplayCore`; a cached
+    :class:`TraceUnsafe` keeps the real core; anything else instruments
+    the real core with a :class:`CaptureProbe`,
     so the first run both produces the full-fidelity result *and* the trace
     every later run replays.  The loop is bound through
     :class:`~repro.sim.codegen.CodegenEngine` with the replay cores'

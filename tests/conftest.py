@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import pytest
 
 from repro.config import (
     ArchConfig,
-    BusConfig,
-    CacheConfig,
-    L2Config,
     reference_config,
     small_config,
     variant_config,

@@ -8,7 +8,7 @@ from repro.analysis.injection import DeltaNopEstimate, derive_delta_nop
 from repro.config import small_config
 from repro.errors import AnalysisError
 from repro.kernels.rsk import build_nop_kernel
-from repro.sim.isa import Load, Nop, Program
+from repro.sim.isa import Nop, Program
 
 
 class TestDeriveDeltaNop:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.model import ContentionModel, gamma_of_delta
-from repro.analysis.sawtooth import PeriodEstimate, SawtoothAnalyzer
+from repro.analysis.sawtooth import SawtoothAnalyzer
 from repro.errors import AnalysisError
 
 

@@ -356,6 +356,17 @@ class TestConfigAudit:
         # The engines must still agree even without analytical bounds.
         assert report.dimension("engine_equivalence").verdict == "pass"
 
+    def test_fixed_priority_confidence_warns_with_the_refusal(self):
+        """The saw-tooth estimator refuses a fixed-priority bus, so the
+        confidence dimension warns with that reason instead of passing a
+        period that does not measure ubd."""
+        config = get_preset("small")
+        config = replace(config, bus=replace(config.bus, arbitration="fixed_priority"))
+        result = CONFIG_DIMENSIONS.require("confidence").run(ConfigAuditContext(config, FAST))
+        assert result.verdict == "warn"
+        (finding,) = result.findings
+        assert "fixed-priority bus has no fair round" in finding.evidence["fallback_reason"]
+
 
 # --------------------------------------------------------------------------- #
 # End-to-end campaign audits.

@@ -685,7 +685,7 @@ class TestShardExecutors:
     def test_pool_executor_yields_in_submission_order(self):
         descriptors = TINY_SPEC.expand()
         shards = [ShardTask(i, ((d.digest(), d),)) for i, d in enumerate(descriptors)]
-        with worker_pool(2, None) as pool:
+        with worker_pool(2) as pool:
             results = list(pool_executor(pool)(shards))
         assert [fresh[0][0] for fresh in results] == [d.digest() for d in descriptors]
         assert results == list(execute_inline(shards))
@@ -902,7 +902,7 @@ class TestCampaignIdentity:
 # --------------------------------------------------------------------------- #
 
 #: The replay engine on an arbiter sweep: both arbiters share each run's
-#: core side, so a store's ``traces/`` section fills on the first pass.
+#: core side, so the second arbiter's runs replay the first one's captures.
 REPLAY_SPEC = replace(TINY_SPEC, arbiters=("round_robin", "fifo"), engine="replay")
 
 
@@ -986,75 +986,6 @@ class TestOnePipeline:
         assert warm.stats["store"]["artifact_writes"] == 0
         assert warm.stats["store"]["artifact_reads"] == len(descriptors)
 
-    def test_replay_campaign_traces_do_not_depend_on_jobs(self, tmp_path):
-        """Pool workers back their trace caches with the store, like the
-        in-process runner: a replay campaign persists the same
-        ``traces/`` entries at any job count."""
-
-        def traces(directory):
-            return sorted(path.name for path in (directory / "traces").glob("*.json"))
-
-        descriptors = REPLAY_SPEC.expand()
-        clear_trace_cache()
-        try:
-            serial = ParallelRunner(jobs=1, cache=ResultStore(tmp_path / "serial")).run(descriptors)
-            clear_trace_cache()
-            pooled = ParallelRunner(jobs=2, cache=ResultStore(tmp_path / "pooled")).run(descriptors)
-        finally:
-            clear_trace_cache()
-        assert traces(tmp_path / "serial")
-        assert traces(tmp_path / "pooled") == traces(tmp_path / "serial")
-        assert pooled.records == serial.records
-
-    def test_store_backs_replay_captures_only_during_its_campaign(self, tmp_path):
-        """A campaign attaches its store to the process-wide trace cache
-        for its own duration: a later campaign without a store must not
-        write its captures into the earlier campaign's ``traces/``."""
-
-        def traces(directory):
-            return sorted(path.name for path in (directory / "traces").glob("*.json"))
-
-        clear_trace_cache()
-        cache = global_trace_cache()
-        try:
-            stored = ParallelRunner(jobs=1, cache=ResultStore(tmp_path / "store"))
-            stored.run(REPLAY_SPEC.expand())
-            written = traces(tmp_path / "store")
-            assert cache.store is None
-            captured = cache.counters["captures"]
-            ParallelRunner(jobs=1).run(replace(REPLAY_SPEC, rsk_iterations=25).expand())
-            assert cache.counters["captures"] > captured
-        finally:
-            clear_trace_cache()
-        assert written
-        assert traces(tmp_path / "store") == written
-
-    def test_trace_cache_stats_count_only_their_own_campaign(self):
-        """The process-wide trace cache outlives a campaign: a campaign's
-        ``trace_cache`` stats count its own lookups and captures, the
-        ``entries`` level aside, and a campaign that never replays reports
-        none."""
-        spec = CampaignSpec(presets=("small",), num_workloads=1, iterations=5, engine="replay")
-        clear_trace_cache()
-        cache = global_trace_cache()
-        try:
-            first = ParallelRunner(jobs=1).run(replace(spec, seeds=(1,)).expand())
-            after_first = cache.stats()
-            second = ParallelRunner(jobs=1).run(replace(spec, seeds=(2,)).expand())
-            after_second = cache.stats()
-            event = ParallelRunner(jobs=1).run(replace(spec, engine="event").expand())
-        finally:
-            clear_trace_cache()
-        assert first.stats["trace_cache"] == after_first
-        assert after_first["captures"] > 0
-        assert second.stats["trace_cache"] == {
-            name: (value if name == "entries" else value - after_first[name])
-            for name, value in after_second.items()
-        }
-        assert second.stats["trace_cache"]["captures"] == 0
-        assert second.stats["trace_cache"]["misses"] == 0
-        assert "trace_cache" not in event.stats
-
     def test_replay_campaign_records_match_the_event_engine(self):
         clear_trace_cache()
         try:
@@ -1063,3 +994,68 @@ class TestOnePipeline:
             clear_trace_cache()
         event = ParallelRunner(jobs=1).run(replace(REPLAY_SPEC, engine="event").expand())
         assert replayed.records == event.records
+
+    def test_pool_workers_capture_in_their_own_processes(self):
+        """Each pool worker keeps the captures of the runs it executes in its
+        own process: a pooled replay campaign yields the serial one's
+        records while the parent process captures and looks up nothing."""
+        descriptors = REPLAY_SPEC.expand()
+        cache = global_trace_cache()
+        clear_trace_cache()
+        try:
+            serial = ParallelRunner(jobs=1).run(descriptors)
+            assert cache.counters["captures"] > 0
+            clear_trace_cache()
+            pooled = ParallelRunner(jobs=2).run(descriptors)
+            assert pooled.stats["shards"] > 1
+            assert cache.stats() == {
+                "hits": 0,
+                "misses": 0,
+                "captures": 0,
+                "unsafe": 0,
+                "entries": 0,
+            }
+        finally:
+            clear_trace_cache()
+        assert pooled.records == serial.records
+
+    def test_captures_serve_later_campaigns_in_their_process(self):
+        """The in-process trace cache outlives a campaign: a later campaign
+        in the same process that sweeps other arbiters over the same
+        kernels replays every core side the first one captured."""
+        later = replace(REPLAY_SPEC, arbiters=("fixed_priority", "tdma"))
+        cache = global_trace_cache()
+        clear_trace_cache()
+        try:
+            ParallelRunner(jobs=1).run(REPLAY_SPEC.expand())
+            cache.reset_counters()
+            replayed = ParallelRunner(jobs=1).run(later.expand())
+            assert cache.counters["hits"] > 0
+            assert (cache.counters["misses"], cache.counters["captures"]) == (0, 0)
+        finally:
+            clear_trace_cache()
+        event = ParallelRunner(jobs=1).run(replace(later, engine="event").expand())
+        assert replayed.records == event.records
+
+    def test_replay_campaign_stats_count_runs_and_artifacts_only(self, tmp_path):
+        """A store-backed replay campaign reports its runs, its shards and
+        its artifact I/O; what the engine memoises stays out of its stats."""
+        descriptors = REPLAY_SPEC.expand()
+        clear_trace_cache()
+        try:
+            outcome = ParallelRunner(jobs=1, cache=ResultStore(tmp_path / "store")).run(descriptors)
+        finally:
+            clear_trace_cache()
+        assert sorted(outcome.stats) == [
+            "cached",
+            "elapsed_seconds",
+            "jobs",
+            "runs",
+            "shard_size",
+            "shards",
+            "simulated",
+            "store",
+            "unique_runs",
+        ]
+        unique = len({descriptor.digest() for descriptor in descriptors})
+        assert outcome.stats["store"] == {"artifact_reads": 0, "artifact_writes": unique}

@@ -752,6 +752,60 @@ class TestStoreCli:
         assert "Removed" not in captured.out
         assert "Traceback" not in captured.err
 
+    def _store_with_leftover_traces(self, store_dir, capsys):
+        """A three-entry store beside the week-old ``traces/`` directory an
+        older version kept its replay captures in."""
+        assert main(self._campaign_argv(store_dir)) == 0
+        capsys.readouterr()
+        leftover = store_dir / "traces" / f"{'ab' * 32}.json"
+        leftover.parent.mkdir()
+        leftover.write_text('{"schema": 1}', encoding="utf-8")
+        then = leftover.stat().st_mtime - 7 * 86400.0
+        os.utime(leftover, (then, then))
+        return leftover
+
+    def test_cache_stats_prints_run_entries_only(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        self._store_with_leftover_traces(store_dir, capsys)
+        assert main(["cache", "stats", "--store", str(store_dir)]) == 0
+        artifact_bytes = sum(path.stat().st_size for path in store_dir.glob("*.json"))
+        assert capsys.readouterr().out.splitlines() == [
+            f"Store: {store_dir}",
+            f"Entries: 3 ({artifact_bytes} artifact bytes)",
+        ]
+
+    def test_cache_gc_leaves_a_leftover_traces_directory(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        leftover = self._store_with_leftover_traces(store_dir, capsys)
+        assert main(["cache", "gc", "--store", str(store_dir), "--keep-days", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "Removed 0 entries older than 1 day(s); 3 remain"
+        ]
+        assert leftover.exists()
+
+    def test_replay_campaign_summary_times_runs_only(self, tmp_path, capsys):
+        """A store-backed ``--engine replay`` campaign writes run artifacts
+        only, and its summary's ``timing`` counts runs and artifact I/O,
+        not the engine's in-process captures."""
+        from repro.campaign import load_campaign
+        from repro.sim.trace import clear_trace_cache
+
+        store_dir = tmp_path / "store"
+        argv = ["--engine", "replay", *self._campaign_argv(store_dir, out_dir=tmp_path / "out")]
+        clear_trace_cache()
+        try:
+            assert main(argv) == 0
+        finally:
+            clear_trace_cache()
+        capsys.readouterr()
+        records, summary = load_campaign(tmp_path / "out")
+        timing = summary["timing"]
+        assert "trace_cache" not in timing
+        assert timing["store"] == {"artifact_reads": 0, "artifact_writes": len(records)}
+        assert sorted(path.name for path in store_dir.iterdir()) == sorted(
+            f"{record['digest']}.json" for record in records
+        )
+
 
 class TestCacheJson:
     def _seed_store(self, tmp_path):
@@ -770,12 +824,7 @@ class TestCacheJson:
         assert main(["cache", "stats", "--store", str(store_dir), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["entries"] == 3
-        assert sorted(payload) == [
-            "artifact_bytes",
-            "directory",
-            "entries",
-            "traces",
-        ]
+        assert sorted(payload) == ["artifact_bytes", "directory", "entries"]
 
     def test_cache_gc_json(self, tmp_path, capsys):
         import json
@@ -785,4 +834,4 @@ class TestCacheJson:
             ["cache", "gc", "--store", str(store_dir), "--keep-days", "365", "--json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {"removed": 0, "traces_removed": 0}
+        assert payload == {"removed": 0}

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import pytest
-
 from repro.config import ArchConfig, BusConfig, CacheConfig, L2Config, StoreBufferConfig
 from repro.sim.core import CoreState
 from repro.sim.isa import Alu, Load, Nop, Program, Store

@@ -10,7 +10,6 @@ from repro.errors import ProgramError
 from repro.sim.isa import (
     INSTRUCTION_BYTES,
     Alu,
-    Instruction,
     Load,
     Nop,
     Program,

@@ -8,7 +8,6 @@ from repro.config import CacheConfig, reference_config
 from repro.errors import ProgramError
 from repro.kernels.layout import (
     CORE_REGION_BYTES,
-    CoreAddressSpace,
     core_address_space,
     footprint_fits_l2_partition,
     same_set_addresses,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.config import L2Config, CacheConfig, reference_config
+from repro.config import L2Config, reference_config
 from repro.errors import SimulationError
 from repro.kernels.layout import core_address_space
 from repro.kernels.rsk import build_rsk

@@ -6,7 +6,7 @@ import pytest
 
 from repro.config import DramConfig
 from repro.errors import SimulationError
-from repro.sim.memctrl import MemoryController, PendingRead
+from repro.sim.memctrl import MemoryController
 from repro.sim.resource import NO_EVENT
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import MethodologyError
 from repro.kernels.rsk import build_rsk
-from repro.methodology.etb import EtbReport, build_etb_report, compute_etb, mbta_padding
+from repro.methodology.etb import build_etb_report, compute_etb, mbta_padding
 from repro.methodology.experiment import ExperimentRunner
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import MethodologyError
 from repro.kernels.rsk import (
     build_rsk,
-    build_rsk_nop,
     build_stress_contender_set,
     rsk_request_count,
 )

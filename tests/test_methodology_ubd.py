@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.sawtooth import PeriodEstimate
-from repro.config import BusConfig, small_config
+from repro.config import BusConfig, get_preset, small_config
 from repro.errors import AnalysisError, MethodologyError
-from repro.methodology.ubd import SweepPoint, UbdEstimator, UbdMethodologyResult
+import repro.methodology.ubd as ubd_module
+from repro.methodology.ubd import FIXED_PRIORITY_HAS_NO_FAIR_ROUND, SweepPoint, UbdEstimator
 from repro.sim.system import System
 
 
@@ -201,6 +204,52 @@ class TestAutoExtension:
         with pytest.raises(MethodologyError, match="no fair round"):
             UbdEstimator(config, k_max=4, iterations=10).run()
         assert runs == []
+
+    def test_fixed_priority_bus_is_refused_before_any_simulation(self, monkeypatch):
+        """A fixed-priority bus serves each core by its priority, not in fair
+        rounds: a sweep there finds a period below ubd with every confidence
+        check passing, so the estimator refuses up front instead."""
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("the estimator simulated a fixed-priority platform")
+
+        monkeypatch.setattr(System, "run", simulate)
+        config = small_config(bus=BusConfig(arbitration="fixed_priority", transfer_latency=1))
+        with pytest.raises(MethodologyError, match="fixed-priority bus has no fair round"):
+            UbdEstimator(config, k_max=4, iterations=10).run()
+
+    @pytest.mark.parametrize("preset", ["ref", "var", "small", "split_bus"])
+    def test_fixed_priority_refusal_names_the_platform(self, preset, monkeypatch):
+        """The refusal reads the bus policy alone: each preset's platform on
+        a fixed-priority bus is refused under its own name, with the
+        estimator's default sweep, before any simulation."""
+
+        def simulate(*args, **kwargs):
+            raise AssertionError(f"the estimator simulated {preset} on a fixed-priority bus")
+
+        monkeypatch.setattr(System, "run", simulate)
+        config = get_preset(preset)
+        config = replace(config, bus=replace(config.bus, arbitration="fixed_priority"))
+        with pytest.raises(MethodologyError) as refusal:
+            UbdEstimator(config).run()
+        assert str(refusal.value) == f"{config.name}: {FIXED_PRIORITY_HAS_NO_FAIR_ROUND}"
+
+    @pytest.mark.parametrize("arbitration", ["round_robin", "fifo"])
+    def test_fair_round_arbiters_reach_the_sweep(self, arbitration, monkeypatch):
+        """Only TDMA and fixed-priority buses are refused up front: on a
+        round-robin or FIFO bus the estimator goes on to measure delta_nop,
+        its first simulation."""
+
+        class Measured(Exception):
+            pass
+
+        def derive_delta_nop(config, **kwargs):
+            raise Measured(config.bus.arbitration)
+
+        monkeypatch.setattr(ubd_module, "derive_delta_nop", derive_delta_nop)
+        config = small_config(bus=BusConfig(arbitration=arbitration, transfer_latency=1))
+        with pytest.raises(Measured, match=arbitration):
+            UbdEstimator(config, k_max=4, iterations=10).run()
 
     def test_methodology_works_with_more_cores(self):
         """ubd scales with the number of contenders (Equation 1)."""

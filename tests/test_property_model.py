@@ -5,7 +5,6 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.model import (
-    ContentionModel,
     gamma_of_delta,
     predicted_store_slowdown_per_request,
     synchrony_timeline,

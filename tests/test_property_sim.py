@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import List
-
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig

@@ -6,7 +6,8 @@ tests pin the contracts the runner and CLI rely on: concurrent writers
 never lose or tear an entry, dedup works across campaigns, unreadable
 artifacts are misses, a directory of bare artifacts is a store as it is,
 and the store touches no file that is not an entry (including the
-``index.sqlite`` an older layout kept beside the artifacts).
+``index.sqlite`` and the ``traces/`` directory older layouts kept beside
+the artifacts).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.campaign import (
     StoreCounters,
 )
 from repro.errors import ConfigurationError
+from repro.sim.trace import clear_trace_cache
 
 # Two overlapping grids: B's first workload and rsk reference are A's
 # runs verbatim, so a store warmed by A leaves B a one-run frontier.
@@ -287,7 +289,7 @@ class TestStatsAndGc:
             path.stat().st_size for path in (tmp_path / "store").glob("*.json")
         )
         assert stats["directory"] == str(tmp_path / "store")
-        assert set(stats) == {"directory", "entries", "artifact_bytes", "traces"}
+        assert set(stats) == {"directory", "entries", "artifact_bytes"}
 
     def test_gc_removes_old_rows_and_their_artifacts(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -327,7 +329,7 @@ class TestStatsAndGc:
 
     def test_gc_outcome_as_dict(self, tmp_path):
         outcome = ResultStore(tmp_path / "store").gc(keep_days=365.0)
-        assert outcome.as_dict() == {"removed": 0, "traces_removed": 0}
+        assert outcome.as_dict() == {"removed": 0}
 
     def test_only_entries_are_counted_and_collected(self, tmp_path):
         """Files that are not ``<64 hex digits>.json`` are not entries:
@@ -349,64 +351,73 @@ class TestStatsAndGc:
 
 
 # --------------------------------------------------------------------------- #
-# The trace section: the replay engine's unindexed core-trace memos.
+# Run records only: captured core traces stay in the process that made them.
 # --------------------------------------------------------------------------- #
 
-TRACE_KEY = "ab" * 32
 
-
-class TestTraceSection:
-    def test_round_trip_counts_the_write_and_the_hit(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.put_trace(TRACE_KEY, {"schema": 1, "ops": [1, 2]})
-        assert store.get_trace(TRACE_KEY) == {"schema": 1, "ops": [1, 2]}
-        counters = store.counters
-        assert (counters.trace_writes, counters.trace_hits, counters.trace_misses) == (1, 1, 0)
-        # Atomic write: no temporary file is left next to the trace.
-        assert [path.name for path in store.traces_dir.iterdir()] == [f"{TRACE_KEY}.json"]
-
-    def test_absent_trace_is_a_counted_miss(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        assert store.get_trace(TRACE_KEY) is None
-        assert store.counters.trace_misses == 1
-        assert store.counters.trace_hits == 0
-
-    @pytest.mark.parametrize("content", ["{ torn", "[1, 2]"], ids=["torn", "not-an-object"])
-    def test_unreadable_trace_is_a_miss(self, tmp_path, content):
-        store = ResultStore(tmp_path / "store")
-        store.traces_dir.mkdir()
-        (store.traces_dir / f"{TRACE_KEY}.json").write_text(content, encoding="utf-8")
-        assert store.get_trace(TRACE_KEY) is None
-        assert store.counters.trace_misses == 1
-
-    @pytest.mark.parametrize(
-        "key",
-        ["", "ABCDEF", "../escape", "ab/cd"],
-        ids=["empty", "upper-case", "parent-dir", "sub-dir"],
-    )
-    def test_malformed_trace_key_is_refused(self, tmp_path, key):
-        """Keys are hex digests; anything else could name a path outside
-        ``traces/`` and is refused before touching the filesystem."""
-        store = ResultStore(tmp_path / "store")
-        with pytest.raises(ConfigurationError, match="malformed trace key"):
-            store.put_trace(key, {})
-        with pytest.raises(ConfigurationError, match="malformed trace key"):
-            store.get_trace(key)
-        assert not store.traces_dir.exists()
-        assert not (tmp_path / "escape.json").exists()
+class TestRunRecordsOnly:
+    def test_leftover_traces_directory_is_ignored_and_kept(self, tmp_path):
+        """Older versions kept replay-engine core traces in a ``traces/``
+        directory beside the artifacts.  A store holding one answers
+        lookups, ``len``, ``stats`` and ``gc`` exactly like a store
+        without it, and leaves it as it found it."""
+        plain, legacy = tmp_path / "plain", tmp_path / "legacy"
+        for directory in (plain, legacy):
+            _put_range(ResultStore(directory), 0, 3)
+        traces = legacy / "traces"
+        traces.mkdir()
+        leftover = traces / f"{'ab' * 32}.json"
+        leftover.write_text(json.dumps({"schema": 1, "key": "ab" * 32}), encoding="utf-8")
+        _age(leftover, days=7)
+        _age(traces, days=7)
+        store, reference = ResultStore(legacy), ResultStore(plain)
+        digests = [_digest(i) for i in range(4)]
+        assert store.get_many(digests) == reference.get_many(digests)
+        assert len(store) == len(reference) == 3
+        assert dict(store.stats(), directory=None) == dict(reference.stats(), directory=None)
+        assert store.gc(keep_days=0.0) == reference.gc(keep_days=0.0)
+        assert [path.name for path in legacy.iterdir()] == ["traces"]
+        assert [path.name for path in traces.iterdir()] == [leftover.name]
 
     def test_traces_are_never_indexed_as_runs(self, tmp_path):
+        """Entries are the top-level artifacts only: a valid run record under
+        ``traces/``, named by its digest, is neither found nor counted nor
+        collected."""
         directory = tmp_path / "store"
+        _put_range(ResultStore(directory), 0, 2)
+        traces = directory / "traces"
+        traces.mkdir()
+        moved = traces / f"{_digest(1)}.json"
+        (directory / f"{_digest(1)}.json").rename(moved)
+        _age(moved, days=7)
         store = ResultStore(directory)
-        store.put_trace(TRACE_KEY, {"digest": TRACE_KEY})
-        _put_range(store, 0, 2)
-        store = ResultStore(directory)
-        assert len(store) == 2
-        assert TRACE_KEY not in store
-        stats = store.stats()
-        assert stats["entries"] == 2
-        trace_file = directory / "traces" / f"{TRACE_KEY}.json"
-        assert stats["traces"] == {"entries": 1, "bytes": trace_file.stat().st_size}
+        assert _digest(1) not in store
+        assert store.get_many([_digest(0), _digest(1)]) == {_digest(0): _record(_digest(0), 0)}
+        assert len(store) == 1
+        kept = directory / f"{_digest(0)}.json"
+        assert store.stats()["artifact_bytes"] == kept.stat().st_size
+        assert store.gc(keep_days=1.0).removed == 0
+        assert moved.exists() and kept.exists()
+
+    def test_replay_campaign_writes_run_records_only(self, tmp_path):
+        """A replay-engine campaign keeps its core captures in its own
+        processes: the store it writes holds one artifact per run and no
+        ``traces/`` directory, serial or pooled."""
+        spec = CampaignSpec(presets=("small",), num_workloads=2, iterations=4, engine="replay")
+        descriptors = spec.expand()
+        try:
+            for jobs in (1, 2):
+                # Every kernel is captured afresh, here or in the pool's
+                # workers: a capture is what used to write ``traces/``.
+                clear_trace_cache()
+                directory = tmp_path / f"jobs{jobs}"
+                ParallelRunner(jobs=jobs, cache=ResultStore(directory)).run(descriptors)
+                assert not (directory / "traces").exists()
+                assert sorted(path.name for path in directory.iterdir()) == sorted(
+                    f"{descriptor.digest()}.json" for descriptor in descriptors
+                )
+        finally:
+            clear_trace_cache()
 
 
 # --------------------------------------------------------------------------- #

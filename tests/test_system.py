@@ -3,11 +3,9 @@ agreement with the stepped oracle."""
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import pytest
 
-from repro.config import reference_config, small_config
+from repro.config import reference_config
 from repro.errors import ConfigurationError, SimulationError
 from repro.kernels.rsk import build_rsk
 from repro.sim.arbiter import FixedPriorityArbiter, RoundRobinArbiter

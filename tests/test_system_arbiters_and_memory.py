@@ -8,10 +8,7 @@ streams, priority starvation pressure) actually happen.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.contention import contention_histogram
-from repro.config import BusConfig, small_config
 from repro.kernels.rsk import build_rsk, build_stress_contender_set
 from repro.methodology.experiment import ExperimentRunner
 from repro.sim.arbiter import FifoArbiter, FixedPriorityArbiter, TdmaArbiter

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.request_trace import RequestRecord, TraceRecorder, merge_traces
 
 

@@ -1,4 +1,4 @@
-"""Trace-capture/replay machinery tests: keys, cache, store backing, fallback.
+"""Trace-capture/replay machinery tests: keys, cache, fallback.
 
 The cycle-exactness of the ``replay`` engine is covered by the four-way
 differential in ``test_engine_equivalence.py``; this module tests the
@@ -9,12 +9,9 @@ machinery around it:
   kernel/cache/core-parameter change (the property the arbiter-sweep
   speedup rests on), exercised both directed and as a hypothesis property
   mirroring the codegen compile-cache test;
-* the serialised :class:`CoreTrace` payload — round-trips exactly, stale
-  schema stamps raise (and the cache treats them as misses, not data);
 * the static safety screen — :func:`replay_blocker` rejects stores;
-* the :class:`TraceCache` — LRU eviction, counters, negative entries, and
-  the :class:`ResultStore` trace section backing it (persist, cross-cache
-  hit, ``trace_stats``, gc by age);
+* the in-process :class:`TraceCache` — LRU eviction, counters, negative
+  entries;
 * the :class:`ReplayEngine` — per-core fallback reasons while the run
   still completes with the oracle's observable state;
 * the bench/compare surface — ``replay_spec`` is a trace-safe pure-rsk
@@ -24,15 +21,12 @@ machinery around it:
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.campaign.store import ResultStore
 from repro.config import BusConfig, CacheConfig, L2Config, TopologyConfig, small_config
-from repro.errors import SimulationError
 from repro.kernels.rsk import build_rsk, build_rsk_nop
 from repro.bench.campaign_bench import CAMPAIGN_WORKLOADS
 from repro.bench.compare import compare_payloads
@@ -54,7 +48,6 @@ from repro.sim.trace import (
     global_trace_cache,
     replay_blocker,
     trace_key,
-    TRACE_SCHEMA_VERSION,
 )
 
 
@@ -71,18 +64,6 @@ def _programs_for(config, kind="load", iterations=30):
     programs: List[Optional[Program]] = [None] * config.num_cores
     programs[0] = scua
     return programs
-
-
-def _capture_one_trace(config=None) -> CoreTrace:
-    """Run the replay engine cold once and return the captured trace."""
-    config = (config or small_config()).with_overrides(engine="replay")
-    system = System(config, _programs_for(config))
-    system.run(observed_cores=[0])
-    cache = global_trace_cache()
-    assert cache.counters["captures"] == 1
-    (entry,) = list(cache._entries.values())
-    assert isinstance(entry, CoreTrace)
-    return entry
 
 
 # --------------------------------------------------------------------------- #
@@ -167,7 +148,7 @@ class TestCoreSideKey:
 
 
 # --------------------------------------------------------------------------- #
-# Static safety screen and the captured payload.
+# Static safety screen and the captured steps.
 # --------------------------------------------------------------------------- #
 
 
@@ -188,34 +169,9 @@ class TestSafetyAndPayload:
         )
         assert step.retire_counts == (5, 1, 1, 2)
 
-    def test_payload_round_trips_exactly(self):
-        trace = _capture_one_trace()
-        rebuilt = CoreTrace.from_payload(trace.to_payload())
-        assert rebuilt == trace
-
-    def test_stale_schema_raises(self):
-        trace = _capture_one_trace()
-        payload = trace.to_payload()
-        payload["schema"] = TRACE_SCHEMA_VERSION + 1
-        with pytest.raises(SimulationError):
-            CoreTrace.from_payload(payload)
-
-    def test_stale_store_payload_is_a_miss(self, tmp_path):
-        """A schema-bumped on-disk trace must be ignored, never misread."""
-        trace = _capture_one_trace()
-        stale = trace.to_payload()
-        stale["schema"] = TRACE_SCHEMA_VERSION + 1
-        store = ResultStore(tmp_path / "store")
-        store.put_trace(trace.key, stale)
-        cache = TraceCache()
-        cache.attach_store(store)
-        assert cache.get(trace.key) is None
-        assert cache.counters["misses"] == 1
-        assert cache.counters["store_hits"] == 0
-
 
 # --------------------------------------------------------------------------- #
-# The trace cache and its store backing.
+# The in-process trace cache.
 # --------------------------------------------------------------------------- #
 
 
@@ -235,49 +191,32 @@ class TestTraceCache:
         cache.put_unsafe("u", "because")
         assert cache.get("t") is not None
         stats = cache.stats()
-        assert stats == {
-            "hits": 1,
-            "misses": 1,
-            "store_hits": 0,
-            "captures": 1,
-            "unsafe": 1,
-            "entries": 2,
-        }
+        assert stats == {"hits": 1, "misses": 1, "captures": 1, "unsafe": 1, "entries": 2}
         cache.reset_counters()
         assert cache.stats()["entries"] == 2
         assert cache.stats()["hits"] == 0
 
-    def test_store_round_trip_feeds_a_fresh_cache(self, tmp_path):
-        trace = _capture_one_trace()
-        store = ResultStore(tmp_path / "store")
-        writer = TraceCache()
-        writer.attach_store(store)
-        writer.put(trace)
-        assert store.trace_stats()["entries"] == 1
-        reader = TraceCache()
-        reader.attach_store(store)
-        got = reader.get(trace.key)
-        assert got == trace
-        assert reader.counters["store_hits"] == 1
+    def test_lookup_refreshes_recency(self):
+        """A hit makes its entry the hottest: the next eviction takes the
+        coldest entry that was not looked up."""
+        cache = TraceCache(max_entries=2)
+        cache.put_unsafe("k0", "r0")
+        cache.put_unsafe("k1", "r1")
+        assert isinstance(cache.get("k0"), TraceUnsafe)
+        cache.put_unsafe("k2", "r2")
+        assert cache.get("k1") is None  # evicted
+        assert cache.get("k0") == TraceUnsafe("r0")
+        assert cache.get("k2") == TraceUnsafe("r2")
 
-    def test_negative_entries_stay_in_process(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+    def test_clear_drops_entries_and_counters(self):
         cache = TraceCache()
-        cache.attach_store(store)
-        cache.put_unsafe("deadbeef" * 8, "not safe")
-        assert store.trace_stats()["entries"] == 0
-
-    def test_store_gc_ages_traces_by_mtime(self, tmp_path):
-        trace = _capture_one_trace()
-        store = ResultStore(tmp_path / "store")
-        store.put_trace(trace.key, trace.to_payload())
-        # Backdate the artifact so a 1-day horizon expires it.
-        path = store.traces_dir / f"{trace.key}.json"
-        old = path.stat().st_mtime - 3 * 86400
-        os.utime(path, (old, old))
-        outcome = store.gc(keep_days=1.0)
-        assert outcome.traces_removed == 1
-        assert store.trace_stats()["entries"] == 0
+        cache.put(CoreTrace(key="t", steps=(TraceStep(1, "load", 0),), done_offset=1))
+        cache.put_unsafe("u", "because")
+        assert cache.get("t") is not None
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.get("t") is None
+        assert cache.stats() == {"hits": 0, "misses": 1, "captures": 0, "unsafe": 0, "entries": 0}
 
 
 # --------------------------------------------------------------------------- #
@@ -299,13 +238,7 @@ class TestReplayEngine:
         assert engine.replayed_cores == [0]
         assert engine.captured_cores == []
         assert engine.fallback_reasons == {}
-        assert cache.counters == {
-            "hits": 1,
-            "misses": 0,
-            "store_hits": 0,
-            "captures": 0,
-            "unsafe": 0,
-        }
+        assert cache.counters == {"hits": 1, "misses": 0, "captures": 0, "unsafe": 0}
         assert isinstance(system.cores[0], ReplayCore)
         assert system.cores[0].done_cycle == cold.done_cycles[0]
         assert system.pmc.as_dict() == cold.pmc.as_dict()
@@ -382,7 +315,7 @@ class TestCaptureIdentity:
     The reference is a probe on the stepped oracle, which never batches."""
 
     @staticmethod
-    def _assert_capture_equals_a_stepped_probe(config, programs, flags, tmp_path):
+    def _assert_capture_equals_a_stepped_probe(config, programs, flags):
         replay = System(config.with_overrides(engine="replay"), programs, **flags)
         replay.run(observed_cores=[0])
         assert ReplayEngine.fast_forward
@@ -395,38 +328,33 @@ class TestCaptureIdentity:
             probes.append(CaptureProbe(stepped.cores[core], key, program))
         result = stepped.run(observed_cores=[0])
 
-        # The traces/ store section keeps reading what replay writes.
-        store = ResultStore(tmp_path / "store")
         cache = global_trace_cache()
         for probe in probes:
             reference, reason, _ = probe.harvest(result.cycles - 1, result.timed_out)
             assert reference is not None, reason
             captured = cache.get(probe.key)
             assert isinstance(captured, CoreTrace)
-            assert captured.to_payload() == reference.to_payload()
-            store.put_trace(probe.key, captured.to_payload())
-            assert CoreTrace.from_payload(store.get_trace(probe.key)) == reference
-        assert TRACE_SCHEMA_VERSION == 1
+            assert captured == reference
         return replay
 
     @pytest.mark.parametrize("k", [0, 3, 17, 40])
     @pytest.mark.parametrize("preload_il1", [True, False])
-    def test_replay_capture_equals_a_stepped_probe(self, k, preload_il1, tmp_path):
+    def test_replay_capture_equals_a_stepped_probe(self, k, preload_il1):
         config = small_config()
         programs: List[Optional[Program]] = [build_rsk_nop(config, 0, k=k, iterations=40)]
         for core in (1, 2):
             contender = build_rsk_nop(config, core, k=k + 2 * core, iterations=1)
             programs.append(contender.with_iterations(None))
         flags = {"preload_l2": True, "preload_il1": preload_il1, "preload_dl1": False}
-        self._assert_capture_equals_a_stepped_probe(config, programs, flags, tmp_path)
+        self._assert_capture_equals_a_stepped_probe(config, programs, flags)
 
     @pytest.mark.parametrize("preload_il1", [True, False])
-    def test_capture_with_loads_inside_segments(self, preload_il1, tmp_path):
+    def test_capture_with_loads_inside_segments(self, preload_il1):
         config = small_config()
         programs: List[Optional[Program]] = [_load_only_kernel(0, 40)]
         programs.extend(_load_only_kernel(core, None) for core in (1, 2))
         flags = {"preload_l2": True, "preload_il1": preload_il1, "preload_dl1": True}
-        replay = self._assert_capture_equals_a_stepped_probe(config, programs, flags, tmp_path)
+        replay = self._assert_capture_equals_a_stepped_probe(config, programs, flags)
         # Both kinds of load ran: resident ones inside segments, and the
         # ones that miss on their own.
         stats = replay.cores[0].dl1.stats
@@ -434,7 +362,7 @@ class TestCaptureIdentity:
 
 
     @pytest.mark.parametrize("k", [2, 9])
-    def test_capture_of_tailed_segments(self, k, monkeypatch, tmp_path):
+    def test_capture_of_tailed_segments(self, k, monkeypatch):
         """Each nop run of an rsk-nop kernel ends in the next load, which
         misses the DL1 and joins the run as its tail.  With a 4-cycle DL1
         the tail retires well after the run before it, and the probe still
@@ -454,7 +382,7 @@ class TestCaptureIdentity:
             contender = build_rsk_nop(config, core, k=k + core, iterations=1)
             programs.append(contender.with_iterations(None))
         flags = {"preload_l2": True, "preload_il1": True, "preload_dl1": False}
-        self._assert_capture_equals_a_stepped_probe(config, programs, flags, tmp_path)
+        self._assert_capture_equals_a_stepped_probe(config, programs, flags)
         assert any(tails)
 
 
