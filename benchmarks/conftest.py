@@ -2,8 +2,9 @@
 
 Every benchmark module regenerates one table or figure of the paper.  The
 regenerated series/rows are printed to stdout and also written as plain-text
-artefacts under ``benchmarks/out/`` so they can be inspected and compared
-against the numbers recorded in ``EXPERIMENTS.md``.
+artefacts under ``benchmarks/out/``.  The full-mode artefacts are committed,
+so a regeneration is compared against them with ``git diff``; DESIGN.md
+records where a regenerated figure deviates from the paper's (Section 3).
 
 All simulation-based benchmarks run the workload exactly once through
 ``benchmark.pedantic(..., rounds=1, iterations=1)``: the interesting output is

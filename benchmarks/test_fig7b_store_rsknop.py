@@ -11,8 +11,9 @@ The paper reports the decreasing stretch spanning k in [1..28] (one cycle
 more than ubd, attributed to the buffer's size and processing time).  In this
 reproduction the stretch extends to ``ubd + lbus - delta_rsk`` because the
 modelled buffer frees a slot only when the store's full bus occupancy ends;
-the qualitative shape — one saw-tooth flank, then zero — is preserved, and
-EXPERIMENTS.md records the deviation.
+the qualitative shape — one saw-tooth flank, then zero — is preserved.
+DESIGN.md (Section 3, "Figure 7(b) deviation") records the deviation, and
+``benchmarks/out/fig7b_store_rsknop.txt`` the committed full-mode series.
 """
 
 from __future__ import annotations

@@ -12,6 +12,19 @@ the resource it is attached to — the bus (:class:`repro.sim.bus.Bus`) or a
 per-bank memory-controller queue
 (:class:`repro.sim.memctrl.BankQueuedMemoryController`).
 
+Selection contract.  A policy implements :meth:`Arbiter.select` (the winner
+among the ports holding a ready request), or ``select_with_ready`` with
+``uses_ready_order`` set when it needs each request's readiness cycle, and
+:meth:`Arbiter.next_event_cycle` when it cannot grant a ready request at
+once.  The resources ask two fused questions of their queues instead —
+:meth:`Arbiter.pick` (the winning port) and :meth:`Arbiter.earliest_grant`
+(the first cycle a queued head could win) — which the base class answers
+from those methods.  The built-in policies also implement both directly,
+in one pass over the queue heads, because the event loop asks them at every
+grant; a subclass that overrides a selection method but not the matching
+fused one gets the base implementation back, so it is arbitrated by its own
+code.
+
 Policies are *registered*, not hardwired: the :func:`register_arbiter`
 decorator adds a factory to :data:`ARBITER_REGISTRY`, and every consumer —
 :func:`make_arbiter`, the bank-queue controller, the CLI's ``list``
@@ -26,12 +39,23 @@ new policy plugs in without touching the simulator core::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 from ..config import BusConfig
 from ..errors import ConfigurationError, SimulationError
 from ..registry import Registry
+from .resource import NO_EVENT
 from .steady import Key, SteadyStateUnsupported
+
+#: Per-port request queues as the resources hold them: each head exposes
+#: ``ready_cycle`` (a bus request, a queued bank access).
+Queues = Sequence[Deque[Any]]
+
+#: What the fused methods stand in for: a subclass that overrides one of
+#: the first group gets the base :meth:`Arbiter.pick` back, one of the
+#: second the base :meth:`Arbiter.earliest_grant`.
+_PICK_INPUTS = ("select", "select_with_ready", "choose", "uses_ready_order")
+_GRANT_INPUTS = ("next_event_cycle",)
 
 
 class Arbiter:
@@ -55,6 +79,16 @@ class Arbiter:
         if num_ports < 1:
             raise ConfigurationError("an arbiter needs at least one port")
         self.num_ports = num_ports
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        """Give a subclass that overrides selection, but not the matching
+        fused method, the base fused method (see the module docstring)."""
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "pick" not in own and any(name in own for name in _PICK_INPUTS):
+            cls.pick = Arbiter.pick  # type: ignore[method-assign]
+        if "earliest_grant" not in own and any(name in own for name in _GRANT_INPUTS):
+            cls.earliest_grant = Arbiter.earliest_grant  # type: ignore[method-assign]
 
     def select(self, cycle: int, pending_ports: Sequence[int]) -> int:
         """Return the port that wins arbitration at ``cycle``.
@@ -88,6 +122,40 @@ class Arbiter:
             return self.select_with_ready(cycle, pending_ports, ready_cycles)
         return self.select(cycle, pending_ports)
 
+    def pick(self, queues: Queues, cycle: int) -> int:
+        """The port that wins arbitration at ``cycle``, or -1 for none.
+
+        ``queues`` holds one request queue per port; a port is pending when
+        its head is ready by ``cycle``.  This base implementation collects
+        the pending ports and asks :meth:`choose`.
+        """
+        pending_ports = [
+            port for port, queue in enumerate(queues) if queue and queue[0].ready_cycle <= cycle
+        ]
+        if not pending_ports:
+            return -1
+        ready_cycles = None
+        if self.uses_ready_order:
+            ready_cycles = [queues[port][0].ready_cycle for port in pending_ports]
+        return self.choose(cycle, pending_ports, ready_cycles)
+
+    def earliest_grant(self, queues: Queues, earliest: int) -> int:
+        """The first cycle, not before ``earliest``, at which a queued head
+        of ``queues`` could win, or :data:`~repro.sim.resource.NO_EVENT`
+        when every queue is empty.
+
+        This base implementation folds :meth:`next_event_cycle` over the
+        heads, each from its readiness cycle clamped to ``earliest``.
+        """
+        horizon = NO_EVENT
+        for port, queue in enumerate(queues):
+            if queue:
+                ready = queue[0].ready_cycle
+                grant = self.next_event_cycle(ready if ready > earliest else earliest, port)
+                if grant < horizon:
+                    horizon = grant
+        return horizon
+
     def notify_grant(self, cycle: int, port: int) -> None:
         """Inform the arbiter that ``port`` was granted at ``cycle``."""
 
@@ -117,6 +185,18 @@ class Arbiter:
         raise SteadyStateUnsupported(
             f"arbitration policy {self.policy_name!r} declares no steady-state key"
         )
+
+
+def _earliest_head(self: Arbiter, queues: Queues, earliest: int) -> int:
+    """``earliest_grant`` of a work-conserving policy, which can grant a
+    ready head at once: the earliest head's readiness, clamped to
+    ``earliest``."""
+    del self
+    horizon = NO_EVENT
+    for queue in queues:
+        if queue and queue[0].ready_cycle < horizon:
+            horizon = queue[0].ready_cycle
+    return earliest if horizon < earliest else horizon
 
 
 class RoundRobinArbiter(Arbiter):
@@ -165,6 +245,21 @@ class RoundRobinArbiter(Arbiter):
                 return port
         raise SimulationError("round-robin arbiter called with no pending ports")
 
+    def pick(self, queues: Queues, cycle: int) -> int:
+        """The scan of :meth:`select`, fused with the pending check."""
+        port = self._last_granted
+        num_ports = self.num_ports
+        for _ in range(num_ports):
+            port += 1
+            if port >= num_ports:
+                port = 0
+            queue = queues[port]
+            if queue and queue[0].ready_cycle <= cycle:
+                return port
+        return -1
+
+    earliest_grant = _earliest_head
+
     def notify_grant(self, cycle: int, port: int) -> None:
         del cycle
         self._last_granted = port
@@ -204,6 +299,19 @@ class FifoArbiter(Arbiter):
         pairs = sorted(zip(ready_cycles, pending_ports))
         return pairs[0][1]
 
+    def pick(self, queues: Queues, cycle: int) -> int:
+        """The earliest ready head; the strict ``<`` keeps the lower port
+        on ties, as :meth:`select_with_ready`'s sort does."""
+        winner = -1
+        best = cycle + 1
+        for port, queue in enumerate(queues):
+            if queue and queue[0].ready_cycle < best:
+                winner = port
+                best = queue[0].ready_cycle
+        return winner
+
+    earliest_grant = _earliest_head
+
     def steady_key(self, cycle: int) -> Key:
         del cycle
         return None, ()
@@ -228,14 +336,26 @@ class FixedPriorityArbiter(Arbiter):
                 "priority must be a permutation of port indices "
                 f"0..{num_ports - 1}, got {list(priority)}"
             )
-        #: priority[i] gives the rank of port i (0 = highest).
+        #: _rank[port] gives the rank of ``port`` (0 = highest); _order
+        #: lists the ports from the highest rank down.
         self._rank = {port: rank for rank, port in enumerate(priority)}
+        self._order = tuple(priority)
 
     def select(self, cycle: int, pending_ports: Sequence[int]) -> int:
         del cycle
         if not pending_ports:
             raise SimulationError("fixed-priority arbiter called with no pending ports")
         return min(pending_ports, key=lambda port: self._rank[port])
+
+    def pick(self, queues: Queues, cycle: int) -> int:
+        """The highest-ranked port whose head is ready."""
+        for port in self._order:
+            queue = queues[port]
+            if queue and queue[0].ready_cycle <= cycle:
+                return port
+        return -1
+
+    earliest_grant = _earliest_head
 
     def steady_key(self, cycle: int) -> Key:
         del cycle
@@ -289,6 +409,37 @@ class TdmaArbiter(Arbiter):
     def next_event_cycle(self, cycle: int, port: int) -> int:
         """TDMA horizon: the start of ``port``'s next slot (see base class)."""
         return self.next_grant_opportunity(cycle, port)
+
+    def pick(self, queues: Queues, cycle: int) -> int:
+        """The slot owner, on a slot boundary, if its head is ready."""
+        slot = self.slot_cycles
+        if cycle % slot:
+            return -1
+        owner = (cycle // slot) % self.num_ports
+        queue = queues[owner]
+        if queue and queue[0].ready_cycle <= cycle:
+            return owner
+        return -1
+
+    def earliest_grant(self, queues: Queues, earliest: int) -> int:
+        """The earliest head's next slot start, in closed form: the first
+        slot boundary at or after the head's readiness (clamped to
+        ``earliest``) whose slot index is its port modulo the port count."""
+        slot = self.slot_cycles
+        ports = self.num_ports
+        horizon = NO_EVENT
+        for port, queue in enumerate(queues):
+            if queue:
+                ready = queue[0].ready_cycle
+                if ready < earliest:
+                    ready = earliest
+                index = ready // slot
+                grant = (index + (port - index) % ports) * slot
+                if grant < ready:
+                    grant += slot * ports
+                if grant < horizon:
+                    horizon = grant
+        return horizon
 
     def steady_key(self, cycle: int) -> Key:
         """Where ``cycle`` falls in the slot frame: the schedule is the state."""

@@ -311,19 +311,9 @@ class Bus(SharedResource):
         """
         if self._current is not None or self._queued_total == 0:
             return None
-        pending_ports = [
-            port
-            for port, queue in enumerate(self._queues)
-            if queue and queue[0].ready_cycle <= cycle
-        ]
-        if not pending_ports:
-            return None
-        ready_cycles = None
-        if self.arbiter.uses_ready_order:
-            ready_cycles = [self._queues[port][0].ready_cycle for port in pending_ports]
-        winner = self.arbiter.choose(cycle, pending_ports, ready_cycles)
+        winner = self.arbiter.pick(self._queues, cycle)
         if winner < 0:
-            return None  # TDMA: no eligible slot owner this cycle
+            return None  # no ready head, or TDMA: no eligible slot owner
         return self._grant_port(winner, cycle)
 
     def _grant_port(self, port: int, cycle: int) -> BusRequest:
@@ -398,9 +388,9 @@ class Bus(SharedResource):
 
         While a transaction is in flight the next event is its delivery at
         ``busy_until``.  On a free bus, the next event is the earliest cycle
-        at which a queued request both is ready and could win arbitration —
-        the arbiter contributes the latter through
-        :meth:`repro.sim.arbiter.Arbiter.next_event_cycle`, which lets
+        at which a queued request both is ready and could win arbitration,
+        which the arbiter folds over the queue heads
+        (:meth:`repro.sim.arbiter.Arbiter.earliest_grant`), so
         schedule-driven policies (TDMA) push the horizon to their next slot.
         :data:`~repro.sim.resource.NO_EVENT` means the bus is idle with empty
         queues and will only move again when someone posts a request.
@@ -409,18 +399,7 @@ class Bus(SharedResource):
             return self._busy_until
         if self._queued_total == 0:
             return NO_EVENT
-        arbiter = self.arbiter
-        horizon = NO_EVENT
-        for port, queue in enumerate(self._queues):
-            if not queue:
-                continue
-            ready = queue[0].ready_cycle
-            if ready < cycle:
-                ready = cycle
-            grant = arbiter.next_event_cycle(ready, port)
-            if grant < horizon:
-                horizon = grant
-        return horizon
+        return self.arbiter.earliest_grant(self._queues, cycle)
 
     def reset(self) -> None:
         """Drop all queued requests and clear the in-flight transaction."""

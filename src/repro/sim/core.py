@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..config import ArchConfig
 from ..errors import SimulationError
@@ -335,13 +335,21 @@ class Core:
     # Per-cycle execution.
     # ------------------------------------------------------------------ #
     def tick(self, cycle: int) -> None:
-        """Advance the core by one cycle (phase 2 of the system loop)."""
-        if self.state is CoreState.DONE or self.is_waiting_on_bus:
-            # Buffered stores keep draining while the core waits or is done.
-            self._drain_store_buffer(cycle)
-            return
+        """Advance the core by one cycle (phase 2 of the system loop).
 
-        if self.state is CoreState.STALL_STORE_BUFFER:
+        Then post the store buffer's head on the bus if it is not out
+        there already: buffered stores keep draining whatever the core
+        does, waiting on the bus and done included.
+        """
+        state = self.state
+        if state is CoreState.EXECUTING:
+            if cycle >= self._busy_until:
+                self._finish_execute_phase(cycle)
+                if self.state is CoreState.READY:
+                    self._start_next_instruction(cycle)
+        elif state is CoreState.READY:
+            self._start_next_instruction(cycle)
+        elif state is CoreState.STALL_STORE_BUFFER:
             if self.store_buffer.try_push(self._stall_store_addr, cycle):
                 self.stall_cycles += cycle - self._stall_entry_cycle
                 if self.pmc is not None:
@@ -349,20 +357,13 @@ class Core:
                         cycle - self._stall_entry_cycle
                     )
                 self._retire(cycle)
-            else:
-                self._drain_store_buffer(cycle)
-                return
-
-        if self.state is CoreState.EXECUTING:
-            if cycle < self._busy_until:
-                self._drain_store_buffer(cycle)
-                return
-            self._finish_execute_phase(cycle)
-
-        if self.state is CoreState.READY:
-            self._start_next_instruction(cycle)
-
-        self._drain_store_buffer(cycle)
+                self._start_next_instruction(cycle)
+        # StoreBuffer.head_ready_to_issue and mark_head_issued, open-coded:
+        # every tick of every core ends here.
+        store_buffer = self.store_buffer
+        if store_buffer._entries and not store_buffer._head_in_flight:
+            store_buffer._head_in_flight = True
+            self.issue_request(self.core_id, "store", store_buffer._entries[0].addr, cycle)
 
     def finalize(self, end_cycle: int) -> None:
         """Settle the segment a run ended inside.
@@ -388,13 +389,29 @@ class Core:
     # ------------------------------------------------------------------ #
     # Steady-state key/advance pair (see repro.sim.steady).
     # ------------------------------------------------------------------ #
-    def steady_key(self, cycle: int) -> Key:
-        """The core's state normalised to ``cycle``: the body position
-        instead of the cursor, offsets instead of absolute cycles."""
+    def _body_position(self) -> int:
+        """The cursor as a body position (negative in the prologue)."""
         code = self._code
         position = self._next - len(code.prologue)
         if position > 0:
             position %= len(code.body)
+        return position
+
+    def steady_probe(self, cycle: int) -> Hashable:
+        """The part of :meth:`steady_key` that walks no cache: the state,
+        the body position, the busy offset and the store-buffer
+        occupancy."""
+        return (
+            self.state,
+            self._body_position(),
+            until(self._busy_until, cycle),
+            self.store_buffer.occupancy(),
+        )
+
+    def steady_key(self, cycle: int) -> Key:
+        """The core's state normalised to ``cycle``: the body position
+        instead of the cursor, offsets instead of absolute cycles."""
+        position = self._body_position()
         state = self.state
         il1_state, il1_counts = self.il1.steady_key(cycle)
         dl1_state, dl1_counts = self.dl1.steady_key(cycle)
@@ -679,11 +696,3 @@ class Core:
             (origin + code.latency[position + 1], code.body[position].mnemonic)
             for position in range(self._seg_retired, stop)
         ]
-
-    def _drain_store_buffer(self, cycle: int) -> None:
-        """Post the store buffer's head entry on the bus if it is eligible."""
-        entry = self.store_buffer.head_ready_to_issue()
-        if entry is None:
-            return
-        self.store_buffer.mark_head_issued()
-        self.issue_request(self.core_id, "store", entry.addr, cycle)

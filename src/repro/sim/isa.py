@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Set, Tuple
+from typing import Any, ClassVar, Iterator, Optional, Sequence, Set, Tuple
 
 from ..errors import ProgramError
 
@@ -39,15 +39,18 @@ class Instruction:
     reused across millions of iterations without copying.
     """
 
+    #: Short human-readable name used in traces and reports: the lowercase
+    #: class name, set once per class (every retirement reads it).
+    mnemonic: ClassVar[str] = "instruction"
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.mnemonic = cls.__name__.lower()
+
     @property
     def is_memory(self) -> bool:
         """True if the instruction reads or writes data memory."""
         return False
-
-    @property
-    def mnemonic(self) -> str:
-        """Short human-readable name used in traces and reports."""
-        return type(self).__name__.lower()
 
 
 @dataclass(frozen=True)

@@ -423,20 +423,10 @@ class BankQueuedMemoryController(MemoryController):
         for bank_index, queues in enumerate(self._bank_queues):
             if self.dram.bank_busy_until(bank_index) > cycle:
                 continue
-            pending_ports = [
-                port
-                for port, queue in enumerate(queues)
-                if queue and queue[0].ready_cycle <= cycle
-            ]
-            if not pending_ports:
-                continue
             arbiter = self.bank_arbiters[bank_index]
-            ready_cycles = None
-            if arbiter.uses_ready_order:
-                ready_cycles = [queues[port][0].ready_cycle for port in pending_ports]
-            winner = arbiter.choose(cycle, pending_ports, ready_cycles)
+            winner = arbiter.pick(queues, cycle)
             if winner < 0:
-                continue  # TDMA: no eligible slot owner for this bank
+                continue  # no ready head, or TDMA: no eligible slot owner
             access = queues[winner].popleft()
             self._queued_total -= 1
             self._horizon_dirty = True
@@ -474,27 +464,21 @@ class BankQueuedMemoryController(MemoryController):
 
         Mirrors :meth:`repro.sim.bus.Bus.next_event_cycle` on a free bus: per
         bank, the grant cannot happen before the bank is free, the head
-        request is ready, and the bank's arbiter admits the port
-        (:meth:`~repro.sim.arbiter.Arbiter.next_event_cycle` contributes slot
-        constraints for TDMA).
+        request is ready, and the bank's arbiter admits the port.  The bank's
+        arbiter folds the heads from the later of ``cycle`` and the bank's
+        release (:meth:`~repro.sim.arbiter.Arbiter.earliest_grant`, which
+        adds slot constraints for TDMA).
         """
         if self._queued_total == 0:
             return NO_EVENT
         horizon = NO_EVENT
         for bank_index, queues in enumerate(self._bank_queues):
             bank_free = self.dram.bank_busy_until(bank_index)
-            arbiter = self.bank_arbiters[bank_index]
-            for port, queue in enumerate(queues):
-                if not queue:
-                    continue
-                ready = queue[0].ready_cycle
-                if ready < cycle:
-                    ready = cycle
-                if bank_free > ready:
-                    ready = bank_free
-                grant = arbiter.next_event_cycle(ready, port)
-                if grant < horizon:
-                    horizon = grant
+            grant = self.bank_arbiters[bank_index].earliest_grant(
+                queues, bank_free if bank_free > cycle else cycle
+            )
+            if grant < horizon:
+                horizon = grant
         return horizon
 
     def next_event_cycle(self, cycle: int) -> int:

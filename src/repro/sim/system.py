@@ -408,9 +408,19 @@ class System:
         )
 
     def steady_probe(self, cycle: int) -> Hashable:
-        """The shared resources' part of :meth:`steady_key`: no cache is
-        walked, and two loop-backs whose keys are equal share it."""
-        return tuple(resource.steady_key(cycle)[0] for resource in self.resources)
+        """The part of :meth:`steady_key` that walks no cache: each core's
+        cheap state (:meth:`repro.sim.core.Core.steady_probe`) and the
+        shared resources.  Two loop-backs whose keys are equal share it.
+
+        Both halves earn their place: the cores' tell apart the loop-backs
+        of a synthetic workload whose resources happen to be idle, the
+        resources' those of a run that never repeats because a request
+        waits ever longer (a fixed-priority bus starving a contender).
+        """
+        return (
+            tuple(core.steady_probe(cycle) for core in self.cores),
+            tuple(resource.steady_key(cycle)[0] for resource in self.resources),
+        )
 
     def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
         """Move every component ``periods`` periods (``shift`` cycles) on;

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, fields
 
 import pytest
 
@@ -48,6 +49,15 @@ class TestInstructions:
         assert Alu().mnemonic == "alu"
         assert Load(0).mnemonic == "load"
         assert Store(0).mnemonic == "store"
+
+    def test_mnemonic_is_the_lowercase_class_name_of_each_subclass(self):
+        @dataclass(frozen=True)
+        class FusedLoad(Load):
+            pass
+
+        assert Load.mnemonic == "load"
+        assert FusedLoad.mnemonic == FusedLoad(0).mnemonic == "fusedload"
+        assert [field.name for field in fields(Load)] == ["addr"]
 
     def test_instructions_are_hashable_and_reusable(self):
         body = (Load(0x40),) * 3

@@ -23,6 +23,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.config import TopologyConfig, get_preset, small_config
 from repro.kernels.rsk import build_rsk_nop, build_stress_contender_set
+from repro.methodology.workloads import build_workload_programs
 from repro.sim import steady
 from repro.sim.bus import BusRequest
 from repro.sim.core import CoreState, _Phase
@@ -174,6 +175,34 @@ class TestDeclines:
         )
         assert system.run(observed_cores=[0]).skip.reason == steady.NO_REPEAT
         assert len(calls) == steady.EAGER_LOOP_BACKS
+
+    @pytest.mark.parametrize(
+        "tasks, seed, keys, extrapolated",
+        [
+            # Never repeats in 39 loop-backs: 33 full keys with a probe of
+            # the shared resources alone, which sit idle at loop-back.
+            (("puwmod", "aifirf", "puwmod", "a2time"), 5, steady.EAGER_LOOP_BACKS, 0),
+            # Repeats: the cores' probe costs it no skipped iteration.
+            (("basefp", "bitmnp", "rspeed", "basefp"), 9, 3, 18),
+        ],
+    )
+    def test_the_probe_tells_synthetic_loop_backs_apart_by_their_cores(
+        self, monkeypatch, tasks, seed, keys, extrapolated
+    ):
+        """Each core's state, body position, busy offset and store-buffer
+        occupancy are in the probe, so contenders that are elsewhere in
+        their loop spare the full key (every cache walked)."""
+        config = get_preset("ref")
+        programs = build_workload_programs(config, tasks, 0, 40, seed=seed)
+        system = System(config, programs, preload_l2=True, preload_il1=True, preload_dl1=True)
+        calls = []
+        full_key = system.steady_key
+        monkeypatch.setattr(
+            system, "steady_key", lambda cycle: calls.append(cycle) or full_key(cycle)
+        )
+        skip = system.run(observed_cores=[0]).skip
+        assert len(calls) == keys
+        assert skip.extrapolated_iterations == extrapolated
 
     @pytest.mark.parametrize(
         "engine, fragment", [("stepped", "oracle"), ("replay", "capture probes")]

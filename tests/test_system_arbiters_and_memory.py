@@ -8,10 +8,13 @@ streams, priority starvation pressure) actually happen.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis.contention import contention_histogram
+from repro.config import BusConfig, small_config
 from repro.kernels.rsk import build_rsk, build_stress_contender_set
 from repro.methodology.experiment import ExperimentRunner
-from repro.sim.arbiter import FifoArbiter, FixedPriorityArbiter, TdmaArbiter
+from repro.sim.arbiter import FifoArbiter, FixedPriorityArbiter, RoundRobinArbiter, TdmaArbiter
 from repro.sim.isa import Load, Program
 from repro.sim.system import System
 
@@ -109,6 +112,57 @@ class TestArbiterPoliciesAtSystemLevel:
         # Under TDMA the co-runners barely change the observed execution time:
         # the schedule is fixed regardless of their presence.
         assert contended_time <= alone_time * 1.05
+
+
+class TestArbiterSubclassesAtSystemLevel:
+    """An injected subclass of a built-in policy that overrides one
+    selection method is arbitrated by that method on every engine, even
+    though the built-in answers the resources' fused questions itself.
+
+    The counts and cycles are pinned, not only compared between engines:
+    ``stepped`` and ``event`` share the bus, so a subclass bypassed on both
+    would still agree with the oracle.
+    """
+
+    @staticmethod
+    def _run(config, arbiter):
+        programs = [None] * config.num_cores
+        programs[0] = build_rsk(config, 0, iterations=20)
+        for core, program in build_stress_contender_set(config, "bus", 0).items():
+            programs[core] = program
+        system = System(config, programs, preload_l2=True, arbiter=arbiter)
+        return system.run(observed_cores=[0]).cycles
+
+    @pytest.mark.parametrize("engine", ["event", "stepped"])
+    def test_a_select_override_arbitrates(self, engine):
+        calls = []
+
+        class LowestPortArbiter(RoundRobinArbiter):
+            def select(self, cycle, pending_ports):
+                calls.append(cycle)
+                return min(pending_ports)
+
+        config = small_config(engine=engine)
+        assert self._run(config, None) == 434
+        assert self._run(config, LowestPortArbiter(config.num_cores + 1)) == 343
+        assert len(calls) == 105
+
+    @pytest.mark.parametrize("engine, expected_calls", [("event", 162), ("stepped", 0)])
+    def test_a_next_event_cycle_override_sets_the_horizon(self, engine, expected_calls):
+        """Only horizon-driven engines ask for the next grant; the oracle
+        visits every cycle."""
+        calls = []
+
+        class CountingTdma(TdmaArbiter):
+            def next_event_cycle(self, cycle, port):
+                calls.append(cycle)
+                return super().next_event_cycle(cycle, port)
+
+        config = small_config(engine=engine, bus=BusConfig(arbitration="tdma"))
+        assert self._run(config, None) == 2202
+        arbiter = CountingTdma(config.num_cores + 1, config.bus.tdma_slot)
+        assert self._run(config, arbiter) == 2202
+        assert len(calls) == expected_calls
 
 
 class TestL2MissAndDramPathUnderContention:
