@@ -137,10 +137,12 @@ def build_rsk_nop(
             "rsk-nop footprint does not fit the core's L2 partition; the kernel "
             "would not hit in L2 as the methodology requires"
         )
+    # One Nop object fills every slot: instructions are immutable.
+    nops = [Nop()] * k
     body: List[Instruction] = []
     for addr in addresses:
         body.append(_memory_instruction(kind, addr))
-        body.extend(Nop() for _ in range(k))
+        body.extend(nops)
     return Program(
         name=f"rsk-nop-{kind}(k={k})[core{core_id}]",
         body=tuple(body),

@@ -90,6 +90,11 @@ class ExperimentRunner:
             steady state the paper measures).
         preload_il1: warm the instruction caches likewise.
         max_cycles: safety bound passed to every simulation.
+
+    :meth:`run_against_rsk` builds its stress contender set once per (scua
+    core, kind) and reuses it for every later scua: a sweep runs each of its
+    points against the same contenders.  Programs are frozen, so sharing
+    them is safe.
     """
 
     def __init__(
@@ -103,6 +108,7 @@ class ExperimentRunner:
         self.preload_l2 = preload_l2
         self.preload_il1 = preload_il1
         self.max_cycles = max_cycles
+        self._contenders: Dict[Tuple[int, str], Dict[int, Program]] = {}
 
     # ------------------------------------------------------------------ #
     # Individual runs.
@@ -170,7 +176,10 @@ class ExperimentRunner:
         trace: bool = False,
     ) -> ContendedMeasurement:
         """Run ``scua`` against ``Nc - 1`` infinite rsk contenders of type ``kind``."""
-        contenders = build_stress_contender_set(self.config, "bus", scua_core, kind=kind)
+        contenders = self._contenders.get((scua_core, kind))
+        if contenders is None:
+            contenders = build_stress_contender_set(self.config, "bus", scua_core, kind=kind)
+            self._contenders[(scua_core, kind)] = contenders
         return self.run_contended(scua, contenders, scua_core=scua_core, trace=trace)
 
     def run_pair(

@@ -175,12 +175,6 @@ class SetAssociativeCache:
             self.stats.read_misses += 1
         return False
 
-    def _next_line(self, start: int, index: int, step: int) -> int:
-        """First ``k > index`` whose address ``start + k * step`` lies past
-        the line holding ``start + index * step``."""
-        line_end = (((start + index * step) >> self._line_shift) + 1) << self._line_shift
-        return (line_end - start + step - 1) // step
-
     def count_resident(self, start: int, count: int, step: int) -> int:
         """How many of the ``count`` addresses ``start, start + step, ...``
         are resident before the first that is not (no side effects).
@@ -188,11 +182,17 @@ class SetAssociativeCache:
         Checks once per line, not once per address: the core sizes a
         straight-line segment with this.
         """
+        shift = self._line_shift
+        mask = self._index_mask
+        bits = self._index_bits
+        sets = self._sets
         index = 0
         while index < count:
-            if not self.contains(start + index * step):
+            block = (start + index * step) >> shift
+            if (block >> bits) not in sets[block & mask]:
                 return index
-            index = self._next_line(start, index, step)
+            # On to the first address past this line.
+            index = (((block + 1) << shift) - start + step - 1) // step
         return count
 
     def record_hits(self, start: int, count: int, step: int) -> None:
@@ -206,14 +206,18 @@ class SetAssociativeCache:
         self.stats.read_hits += count
         if not self._lru:
             return
-        base = self._stamp
+        shift = self._line_shift
+        mask = self._index_mask
+        bits = self._index_bits
+        sets = self._sets
         touched = self._touched
+        base = self._stamp
         index = 0
         while index < count:
-            block = (start + index * step) >> self._line_shift
-            index = self._next_line(start, index, step)
-            line_index = block & self._index_mask
-            self._sets[line_index][block >> self._index_bits][_STAMP] = base + min(index, count)
+            block = (start + index * step) >> shift
+            index = (((block + 1) << shift) - start + step - 1) // step
+            line_index = block & mask
+            sets[line_index][block >> bits][_STAMP] = base + min(index, count)
             touched.add(line_index)
         self._stamp = base + count
 
@@ -247,13 +251,16 @@ class SetAssociativeCache:
         :meth:`apply_plan` to replay while the generation holds."""
         writes = []
         if self._lru:
+            shift = self._line_shift
+            mask = self._index_mask
+            bits = self._index_bits
+            sets = self._sets
             index = 0
             while index < count:
-                block = (start + index * step) >> self._line_shift
-                index = self._next_line(start, index, step)
-                line_index = block & self._index_mask
-                line = self._sets[line_index][block >> self._index_bits]
-                writes.append((line, line_index, min(index, count)))
+                block = (start + index * step) >> shift
+                index = (((block + 1) << shift) - start + step - 1) // step
+                line_index = block & mask
+                writes.append((sets[line_index][block >> bits], line_index, min(index, count)))
         return count, tuple(writes)
 
     def plan_reads(self, addresses: Sequence[int]) -> LookupPlan:

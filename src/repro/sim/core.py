@@ -57,7 +57,9 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from typing import Callable, Dict, Hashable, List, Optional, Tuple
+from itertools import accumulate, compress
+from operator import attrgetter
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..config import ArchConfig
 from ..errors import SimulationError
@@ -97,8 +99,26 @@ class _Phase(enum.Enum):
     SEGMENT = "segment"
 
 
+def _class_cost(cls: type, dl1_latency: int, nop_latency: int) -> Optional[int]:
+    """Execute occupancy of each instruction of class ``cls``, or ``None``
+    for an :class:`~repro.sim.isa.Alu` class, whose instructions carry
+    their own."""
+    if issubclass(cls, Alu):
+        return None
+    if issubclass(cls, (Load, Store)):
+        return dl1_latency
+    return nop_latency
+
+
 class CompiledProgram:
-    """A program as one core walks it, compiled once per core.
+    """A program as a core walks it: tables built once per program object.
+
+    :meth:`of` builds them the first time a core runs the program on a given
+    (DL1 hit latency, nop latency) pair and keeps them on the program
+    (:meth:`repro.sim.isa.Program.derived`), so every core and every run of
+    that program object reads the same tables.  Nothing here depends on a
+    cache's contents: the segment plans, which hold one cache's own lines,
+    live on the core instead (``Core._plans``).
 
     The core's cursor counts the instructions it started: the prologue,
     then the body ``iterations`` times, ``total`` in all (``None`` if the
@@ -123,11 +143,12 @@ class CompiledProgram:
       ``alu``, which only count as instructions in the PMCs);
     * ``load_at`` and ``load_addr`` — body position and address of each
       body load, in order, so the loads of ``[j, e)`` are entries
-      ``loads[j]`` to ``loads[e]`` of both;
-    * ``plans[i]`` — the :class:`_SegmentPlan` of the segment that opens at
-      body position ``i``, from the first time one opens there.
+      ``loads[j]`` to ``loads[e]`` of both.
 
-    Only exact :class:`~repro.sim.isa.Nop`, :class:`~repro.sim.isa.Alu` and
+    An instruction's cost, and whether it counts as a nop or a load, follow
+    from its class alone (subclasses included; only an ``Alu`` brings its
+    own latency), so each table is one pass over per-class values.  Only
+    exact :class:`~repro.sim.isa.Nop`, :class:`~repro.sim.isa.Alu` and
     :class:`~repro.sim.isa.Load` instances form runs, and only an exact
     :class:`~repro.sim.isa.Store` or ``Load`` is a tail; subclasses execute
     one at a time.
@@ -144,10 +165,9 @@ class CompiledProgram:
         "loads",
         "load_at",
         "load_addr",
-        "plans",
     )
 
-    def __init__(self, program: Optional[Program], config: ArchConfig) -> None:
+    def __init__(self, program: Optional[Program], dl1_latency: int, nop_latency: int) -> None:
         self.prologue: Tuple[Instruction, ...] = ()
         self.body: Tuple[Instruction, ...] = ()
         self.body_pc = 0
@@ -157,33 +177,51 @@ class CompiledProgram:
             self.body = program.body
             self.body_pc = program.base_pc + len(program.prologue) * INSTRUCTION_BYTES
             self.total = program.total_instructions
-        size = len(self.body)
-        self.run_stop: List[int] = list(range(size))
-        self.latency: List[int] = [0] * (size + 1)
-        self.nops: List[int] = [0] * (size + 1)
-        self.loads: List[int] = [0] * (size + 1)
-        self.load_at: List[int] = []
-        self.load_addr: List[int] = []
-        self.plans: Dict[int, _SegmentPlan] = {}
-        stop = size
-        for index in range(size - 1, -1, -1):
-            if type(self.body[index]) in (Nop, Alu, Load):
-                self.run_stop[index] = stop
-            else:
-                stop = index
-        for index, instr in enumerate(self.body):
-            if isinstance(instr, Alu):
-                cost = instr.latency
-            elif isinstance(instr, (Load, Store)):
-                cost = config.dl1.hit_latency
-            else:
-                cost = config.nop_latency
-            self.latency[index + 1] = self.latency[index] + cost
-            self.nops[index + 1] = self.nops[index] + isinstance(instr, Nop)
-            if isinstance(instr, Load):
-                self.load_at.append(index)
-                self.load_addr.append(instr.addr)
-            self.loads[index + 1] = len(self.load_at)
+        body = self.body
+        size = len(body)
+        kinds = list(map(type, body))
+        classes = set(kinds)
+        # Per class: its cost, whether it counts as a nop or as a load, and
+        # whether it ends a run.
+        cost = {cls: _class_cost(cls, dl1_latency, nop_latency) for cls in classes}
+        is_nop = {cls: int(issubclass(cls, Nop)) for cls in classes}
+        is_load = {cls: int(issubclass(cls, Load)) for cls in classes}
+        ends_run = {cls: cls not in (Nop, Alu, Load) for cls in classes}
+        costs: List[Any] = list(map(cost.__getitem__, kinds))
+        if None in cost.values():
+            costs = [
+                instr.latency if latency is None else latency for latency, instr in zip(costs, body)
+            ]
+        load_flags = list(map(is_load.__getitem__, kinds))
+        self.latency: List[int] = [0, *accumulate(costs)]
+        self.nops: List[int] = [0, *accumulate(map(is_nop.__getitem__, kinds))]
+        self.loads: List[int] = [0, *accumulate(load_flags)]
+        self.load_at: List[int] = list(compress(range(size), load_flags))
+        self.load_addr: List[int] = list(map(attrgetter("addr"), compress(body, load_flags)))
+        # A run's members stop at the instruction that ends it, which stops
+        # at itself.
+        self.run_stop: List[int] = []
+        start = 0
+        for stop in compress(range(size), map(ends_run.__getitem__, kinds)):
+            self.run_stop += [stop] * (stop + 1 - start)
+            start = stop + 1
+        self.run_stop += [size] * (size - start)
+
+    @classmethod
+    def of(cls, program: Optional[Program], config: ArchConfig) -> "CompiledProgram":
+        """The tables of ``program`` on ``config`` (an idle core's for ``None``)."""
+        if program is None:
+            return _IDLE
+        dl1_latency = config.dl1.hit_latency
+        nop_latency = config.nop_latency
+        return program.derived(
+            (cls, dl1_latency, nop_latency),
+            lambda program: cls(program, dl1_latency, nop_latency),
+        )
+
+
+#: The tables of an idle core: an empty body that is done before it starts.
+_IDLE = CompiledProgram(None, 0, 0)
 
 
 class _SegmentPlan:
@@ -251,10 +289,14 @@ class Core:
         self.store_buffer = StoreBuffer(config.store_buffer, core_id=core_id)
         self.fast_forward = False
         self.loop_back: Optional[LoopBackCallback] = None
-        # Few instance attributes on purpose: from 30 on, CPython stops
-        # sharing the instance dict's keys and every attribute read in the
-        # engine loops gets slower.
-        self._code = CompiledProgram(program, config)
+        # Few instance attributes on purpose (27 now; keep them under 30):
+        # from 30 on, CPython stops sharing the instance dict's keys and
+        # every attribute read in the engine loops gets slower.
+        self._code = CompiledProgram.of(program, config)
+        #: The segment plan opened at each body position (see _SegmentPlan).
+        #: A plan holds this core's own cache lines, so unlike the program's
+        #: tables it is never shared.
+        self._plans: Dict[int, _SegmentPlan] = {}
         #: Program cursor: instructions started so far (see CompiledProgram).
         self._next = 0
 
@@ -528,9 +570,9 @@ class Core:
         code = self._code
         il1 = self.il1
         dl1 = self.dl1
-        plan = code.plans.get(position)
+        plan = self._plans.get(position)
         if plan is None:
-            plan = code.plans[position] = _SegmentPlan()
+            plan = self._plans[position] = _SegmentPlan()
         if plan.il1_generation != il1.generation or plan.dl1_generation != dl1.generation:
             # First open at these generations: only note them.
             plan.il1_generation = il1.generation

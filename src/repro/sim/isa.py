@@ -23,12 +23,26 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Iterator, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    Hashable,
+    Iterator,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
 
 from ..errors import ProgramError
 
 #: Size of one encoded instruction in bytes (SPARC V8 instructions are 4 bytes).
 INSTRUCTION_BYTES = 4
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -114,6 +128,12 @@ class Program:
             behaviour stays realistic.
         prologue: instructions executed once before the loop starts (for
             example cache-warming accesses).
+
+    A program also holds the tables derived from it (:meth:`derived`), each
+    built the first time a run asks for it: the cores' compiled tables and
+    the line footprints the system preloads.  The program is frozen, so they
+    never go stale; they are not fields, so equality, hash and repr stay
+    field-based.
     """
 
     name: str
@@ -123,6 +143,7 @@ class Program:
     prologue: Tuple[Instruction, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_derived", {})
         if not self.body:
             raise ProgramError(f"program {self.name!r} has an empty loop body")
         if self.iterations is not None and self.iterations < 0:
@@ -168,22 +189,42 @@ class Program:
         in_prologue = sum(1 for instr in self.prologue if instr.is_memory)
         return in_prologue + self.iterations * per_body
 
+    def derived(self, key: Hashable, build: Callable[["Program"], _T]) -> _T:
+        """``build(self)``, built once per ``key`` for this program object."""
+        memo: Dict[Hashable, Any] = self._derived  # type: ignore[attr-defined]
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = build(self)
+            return value
+
+    def footprint(self, line_size: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The data-line and the code-line addresses of :meth:`data_lines`
+        and :meth:`code_lines`, each sorted, derived once per line size
+        (``line_size`` is a power of two, as every cache's is)."""
+        return self.derived(
+            ("footprint", line_size), lambda program: program._footprint(line_size)
+        )
+
+    def _footprint(self, line_size: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        data = {
+            instr.addr - instr.addr % line_size
+            for instr in self.prologue + self.body
+            if isinstance(instr, (Load, Store))
+        }
+        # The instructions fill [base_pc, end) without a gap, so every line
+        # from the first one's to the last one's holds at least one of them.
+        end = self.base_pc + (len(self.prologue) + len(self.body)) * INSTRUCTION_BYTES
+        first = self.base_pc - self.base_pc % line_size
+        return tuple(sorted(data)), tuple(range(first, end, max(line_size, INSTRUCTION_BYTES)))
+
     def data_lines(self, line_size: int) -> Set[int]:
         """Return the set of data line addresses the static program touches."""
-        lines: Set[int] = set()
-        for instr in tuple(self.prologue) + tuple(self.body):
-            if isinstance(instr, (Load, Store)):
-                lines.add(instr.addr - (instr.addr % line_size))
-        return lines
+        return set(self.footprint(line_size)[0])
 
     def code_lines(self, line_size: int) -> Set[int]:
         """Return the set of instruction line addresses occupied by the program."""
-        lines: Set[int] = set()
-        pc = self.base_pc
-        for _ in range(len(self.prologue) + len(self.body)):
-            lines.add(pc - (pc % line_size))
-            pc += INSTRUCTION_BYTES
-        return lines
+        return set(self.footprint(line_size)[1])
 
     # ------------------------------------------------------------------ #
     # Execution stream.

@@ -313,7 +313,14 @@ class EventScheduler:
             # one retrying a full store buffer (the retry is a no-op until a
             # delivery frees a slot, but the oracle performs it, so the
             # no-op cost is all we skip), or one a delivery may have woken
-            # (which therefore gets the full activity check).
+            # (which therefore gets the full activity check).  Each core's
+            # horizon is folded right after: phase 3 changes no core (see
+            # below).  The fold spares a method call per core per visited
+            # cycle; its semantics are those of Core.next_event_cycle:
+            # executing cores wake at the end of their occupancy, ready
+            # cores on the next cycle, everyone else on a delivery already
+            # in a resource horizon.
+            horizon = NO_EVENT
             for core in cores:
                 state = core.state
                 if state is executing:
@@ -323,10 +330,18 @@ class EventScheduler:
                         and core.needs_tick(cycle)
                     ):
                         core.tick(cycle)
+                        state = core.state
                 elif state is ready or state is stalled:
                     core.tick(cycle)
+                    state = core.state
                 elif woken is not None and core in woken and core.needs_tick(cycle):
                     core.tick(cycle)
+                    state = core.state
+                if state is executing:
+                    if core._busy_until < horizon:
+                        horizon = core._busy_until
+                elif state is ready and cycle + 1 < horizon:
+                    horizon = cycle + 1
             # Phase 3 — arbitration, fused with the horizon fold.  A clean
             # cache with a future horizon proves no grant is possible now
             # (the horizon covers grant opportunities), so only mutated
@@ -336,7 +351,6 @@ class EventScheduler:
             # resource (deliveries, which ran in phase 1, are what posts
             # work downstream), so each resource's horizon can be refreshed
             # immediately after its own arbitration.
-            horizon = NO_EVENT
             for resource in resources:
                 if resource._horizon_dirty or resource._horizon_cache <= cycle:
                     resource.arbitrate(cycle)
@@ -356,21 +370,6 @@ class EventScheduler:
                 timed_out = True
                 break
 
-            # Core horizons, folded directly from the execution state to
-            # spare a method call per core per visited cycle; the semantics
-            # are those of Core.next_event_cycle: executing cores wake at
-            # the end of their occupancy, ready cores on the next cycle,
-            # everyone else on a delivery already in a resource horizon.
-            for core in cores:
-                state = core.state
-                if state is executing:
-                    core_horizon = core._busy_until
-                elif state is ready:
-                    core_horizon = cycle + 1
-                else:
-                    continue
-                if core_horizon < horizon:
-                    horizon = core_horizon
             if horizon <= cycle:
                 cycle += 1
             else:

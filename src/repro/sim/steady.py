@@ -112,6 +112,8 @@ def shifted(stamp: int, shift: int) -> int:
 
 #: Counter-block class -> getter of all its fields at once (keys run often).
 _COUNTER_GETTERS: Dict[type, Callable[[object], Tuple[int, ...]]] = {}
+#: Counter-block class -> (position, name) of each additive field (jumps).
+_ADDITIVE_FIELDS: Dict[type, Tuple[Tuple[int, str], ...]] = {}
 
 
 class AdditiveCounters:
@@ -133,9 +135,17 @@ class AdditiveCounters:
 
     def steady_advance(self, shift: int, periods: int, before: Counts, after: Counts) -> None:
         del shift
-        for field, old, new in zip(fields(self), before, after):  # type: ignore[arg-type]
-            if not field.name.startswith("max_"):
-                setattr(self, field.name, getattr(self, field.name) + periods * (new - old))
+        additive = _ADDITIVE_FIELDS.get(type(self))
+        if additive is None:
+            additive = _ADDITIVE_FIELDS[type(self)] = tuple(
+                (index, field.name)
+                for index, field in enumerate(fields(self))  # type: ignore[arg-type]
+                if not field.name.startswith("max_")
+            )
+        for index, name in additive:
+            delta = after[index] - before[index]
+            if delta:
+                setattr(self, name, getattr(self, name) + periods * delta)
 
 
 @dataclass(frozen=True)

@@ -216,13 +216,14 @@ class System:
         for core_id, program in enumerate(self.programs):
             if program is None:
                 continue
+            data_lines, code_lines = program.footprint(line)
             if preload_l2:
-                self.l2.preload(core_id, sorted(program.data_lines(line)))
+                self.l2.preload(core_id, data_lines)
             if preload_il1:
-                for addr in sorted(program.code_lines(line)):
+                for addr in code_lines:
                     self.cores[core_id].il1.fill(addr)
             if preload_dl1:
-                for addr in sorted(program.data_lines(line)):
+                for addr in data_lines:
                     self.cores[core_id].dl1.fill(addr)
 
     # ------------------------------------------------------------------ #

@@ -735,7 +735,7 @@ def _count_plan_lookups(monkeypatch):
     open_segment = Core._open_segment
 
     def spy(core, cycle, position, pc):
-        plan = core._code.plans.get(position)
+        plan = core._plans.get(position)
         if plan is None:
             seen["none"] += 1
         else:

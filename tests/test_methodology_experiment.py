@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import get_preset
 from repro.errors import MethodologyError
+from repro.kernels import rsk
 from repro.kernels.rsk import (
     build_rsk,
     build_stress_contender_set,
     rsk_request_count,
 )
+from repro.methodology import experiment
 from repro.methodology.experiment import ExperimentRunner
+from repro.methodology.ubd import UbdEstimator
 from repro.sim.isa import Nop, Program
 
 
@@ -125,3 +129,39 @@ class TestContendedRuns:
         isolation = runner.run_isolation(scua)
         contended = runner.run_against_rsk(scua)
         assert contended.slowdown_versus(isolation) <= 2 * tiny_config.ubd
+
+
+class TestContenderSetPerRunner:
+    """A sweep runs every point against the same contenders, so a runner
+    builds each stress contender set once."""
+
+    def test_a_sweep_builds_one_contender_per_other_core(self, monkeypatch):
+        config = get_preset("small")
+        built = []
+        build = rsk.build_rsk
+
+        def counting_build_rsk(*args, **kwargs):
+            built.append(args[1])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(rsk, "build_rsk", counting_build_rsk)
+        result = UbdEstimator(config, iterations=3).run()
+        assert len(result.points) >= 60
+        assert sorted(built) == list(range(1, config.num_cores))
+
+    def test_each_scua_core_and_kind_gets_its_own_set(self, tiny_config, monkeypatch):
+        runner = ExperimentRunner(tiny_config)
+        built = []
+        build = rsk.build_stress_contender_set
+
+        def counting_build(config, resource, scua_core, kind="load"):
+            built.append((scua_core, kind))
+            return build(config, resource, scua_core, kind=kind)
+
+        monkeypatch.setattr(experiment, "build_stress_contender_set", counting_build)
+        for scua_core, kind in [(0, "load"), (0, "load"), (1, "load"), (0, "store"), (1, "load")]:
+            scua = build_rsk(tiny_config, scua_core, iterations=2)
+            contended = runner.run_against_rsk(scua, scua_core, kind=kind)
+            for core in range(tiny_config.num_cores):
+                assert contended.result.instructions[core] > 0
+        assert built == [(0, "load"), (1, "load"), (0, "store")]

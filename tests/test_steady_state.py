@@ -15,7 +15,7 @@ normalised system state repeats.  These tests prove three things:
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import pytest
@@ -744,3 +744,59 @@ class TestCoreAttributeCliff:
         system.run(observed_cores=[0])
         counts += [len(vars(core)) for core in system.cores]
         assert max(counts) < 30
+
+
+@dataclass
+class _QueueCounters(steady.AdditiveCounters):
+    reads: int = 0
+    max_wait: int = 0
+    writes: int = 0
+
+
+@dataclass
+class _PortCounters(steady.AdditiveCounters):
+    max_depth: int = 0
+    grants: int = 0
+
+
+class TestCounterTables:
+    """A jump raises each additive field by ``periods`` times its delta,
+    from a table of additive fields made once per counter class."""
+
+    def test_a_jump_raises_the_additive_fields_and_keeps_the_max(self):
+        counters = _QueueCounters(reads=4, max_wait=7, writes=1)
+        before = counters.steady_key()[1]
+        counters.reads, counters.max_wait, counters.writes = 10, 9, 3
+        counters.steady_advance(100, 5, before, counters.steady_key()[1])
+        assert counters == _QueueCounters(reads=10 + 5 * 6, max_wait=9, writes=3 + 5 * 2)
+
+    def test_a_counter_that_did_not_move_is_left_alone(self, monkeypatch):
+        counters = _QueueCounters(reads=4, writes=1)
+        before = counters.steady_key()[1]
+        counters.writes = 2
+        written = []
+
+        def spy(self, name, value):
+            written.append(name)
+            object.__setattr__(self, name, value)
+
+        monkeypatch.setattr(_QueueCounters, "__setattr__", spy)
+        counters.steady_advance(0, 3, before, counters.steady_key()[1])
+        assert written == ["writes"]
+        assert (counters.reads, counters.writes) == (4, 5)
+
+    def test_two_classes_never_share_a_table(self):
+        queue = _QueueCounters()
+        port = _PortCounters()
+        for _ in range(2):
+            queue_before, port_before = queue.steady_key()[1], port.steady_key()[1]
+            queue.reads += 1
+            queue.max_wait += 1
+            port.max_depth += 2
+            port.grants += 3
+            queue.steady_advance(0, 10, queue_before, queue.steady_key()[1])
+            port.steady_advance(0, 10, port_before, port.steady_key()[1])
+        assert queue == _QueueCounters(reads=22, max_wait=2)
+        assert port == _PortCounters(max_depth=4, grants=66)
+        assert steady._ADDITIVE_FIELDS[_QueueCounters] == ((0, "reads"), (2, "writes"))
+        assert steady._ADDITIVE_FIELDS[_PortCounters] == ((1, "grants"),)
