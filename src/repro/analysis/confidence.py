@@ -11,8 +11,9 @@ The paper names two elements as "central to confidence on the obtained
    period from nop counts into cycles.
 
 :func:`assess_confidence` bundles both checks, plus sanity checks on the
-saw-tooth itself (estimator agreement and sweep coverage), into a single
-report the methodology attaches to every estimate.
+saw-tooth itself (estimator agreement, sweep coverage, and an observed floor:
+no bus wait the sweep saw may exceed the bound), into a single report the
+methodology attaches to every estimate.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ def assess_confidence(
     delta_nop: Optional[DeltaNopEstimate] = None,
     period: Optional[PeriodEstimate] = None,
     sweep_span_k: Optional[int] = None,
+    observed_wait: Optional[int] = None,
     utilisation_threshold: float = DEFAULT_UTILISATION_THRESHOLD,
     delta_nop_tolerance: float = DEFAULT_DELTA_NOP_TOLERANCE,
 ) -> ConfidenceReport:
@@ -85,6 +87,9 @@ def assess_confidence(
         period: the saw-tooth period estimate, if available.
         sweep_span_k: width of the swept ``k`` range; it must cover at least
             two periods for Equation 3 to be applicable.
+        observed_wait: the largest bus grant wait the sweep's contended runs
+            recorded (PMC ``max_wait``); a bound below a wait the bus really
+            imposed is unsound, whatever the saw-tooth says.
         utilisation_threshold: minimum acceptable bus utilisation.
         delta_nop_tolerance: maximum acceptable relative rounding error of
             ``delta_nop``.
@@ -135,6 +140,18 @@ def assess_confidence(
                     detail=(
                         f"sweep spans {sweep_span_k} k-steps versus a detected period of "
                         f"{period.period_k} (two periods required)"
+                    ),
+                )
+            )
+        if observed_wait is not None:
+            checks.append(
+                ConfidenceCheck(
+                    name="observed_floor",
+                    passed=observed_wait <= period.period_cycles,
+                    detail=(
+                        "largest bus wait in the sweep's contended runs is "
+                        f"{observed_wait} cycles versus ubdm {period.period_cycles} "
+                        "(ubdm must cover it)"
                     ),
                 )
             )

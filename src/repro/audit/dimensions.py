@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from ..analysis.confidence import assess_write_burst
 from ..analysis.contention import ContentionHistogram, contention_histogram
-from ..config import FAIR_ARBITRATION_POLICIES, ArchConfig
+from ..config import EQUATION_1, ArchConfig, admissibility
 from ..errors import ConfigurationError, ReproError
 from ..kernels.rsk import build_rsk
 from ..methodology.experiment import ContendedMeasurement, ExperimentRunner
@@ -124,11 +124,11 @@ class ConfigAuditContext:
 
     def bus_methodology(self) -> Tuple[Optional[UbdMethodologyResult], Optional[str]]:
         """The saw-tooth methodology result (shared with the pipeline when
-        the pipeline ran; derived standalone when it refused — the Section 4
-        procedure needs no analytical decomposition)."""
+        the pipeline ran it; derived standalone otherwise — the estimator
+        refuses up front where the saw-tooth is not admitted)."""
         if self._methodology is None:
             report, _ = self.measured_report()
-            if report is not None:
+            if report is not None and report.bus_methodology is not None:
                 self._methodology = (report.bus_methodology, None)
             else:
                 options = self.options
@@ -256,7 +256,7 @@ def _measured_bounds(context: ConfigAuditContext) -> DimensionResult:
         findings.append(
             Finding(
                 check=f"term_{term.resource}",
-                verdict=VERDICT_PASS,
+                verdict=VERDICT_PASS if term.sandwich.passed else VERDICT_FAIL,
                 detail=term.summary(),
                 evidence={
                     "resource": term.resource,
@@ -370,7 +370,8 @@ def _sandwich(context: ConfigAuditContext) -> DimensionResult:
     "confidence",
     "Saw-tooth confidence criteria",
     "Evaluates the Section 4.3 criteria attached to the ubdm estimate: bus "
-    "saturation, delta_nop reliability, estimator agreement, sweep coverage.",
+    "saturation, delta_nop reliability, estimator agreement, sweep coverage "
+    "and the observed floor (no bus wait the sweep saw exceeds ubdm).",
 )
 def _confidence(context: ConfigAuditContext) -> DimensionResult:
     methodology, reason = context.bus_methodology()
@@ -631,7 +632,8 @@ def _synchrony(context: ConfigAuditContext) -> DimensionResult:
     assert contended.trace is not None
     histogram: ContentionHistogram = contention_histogram(contended.trace, 0)
     findings: List[Finding] = []
-    if context.config.bus.arbitration in FAIR_ARBITRATION_POLICIES:
+    refusal = admissibility(context.config)[EQUATION_1]
+    if refusal is None:
         ubd = context.config.ubd
         respected = histogram.max_observed <= ubd
         findings.append(
@@ -654,15 +656,8 @@ def _synchrony(context: ConfigAuditContext) -> DimensionResult:
             Finding(
                 check="bound_respected",
                 verdict=VERDICT_WARN,
-                detail=(
-                    f"no analytical ubd under {context.config.bus.arbitration!r} "
-                    f"arbitration (Equation 1 covers "
-                    f"{list(FAIR_ARBITRATION_POLICIES)})"
-                ),
-                evidence={
-                    "fallback_reason": (f"unfair arbitration {context.config.bus.arbitration!r}"),
-                    "max_observed": histogram.max_observed,
-                },
+                detail=refusal,
+                evidence={"fallback_reason": refusal, "max_observed": histogram.max_observed},
             )
         )
     plateau = histogram.fraction_at_mode()

@@ -57,7 +57,7 @@ from typing import (
     Tuple,
 )
 
-from ..config import FAIR_ARBITRATION_POLICIES, config_from_dict
+from ..config import EQUATION_1, PER_RESOURCE, admissibility, config_from_dict
 from ..errors import AnalysisError, MethodologyError
 from .spec import KIND_RSK, KIND_SYNTHETIC, SCHEMA_VERSION, RunDescriptor, campaign_digest
 from .store import ResultStore
@@ -454,9 +454,10 @@ def summarize_records(records: Sequence[Dict[str, object]]) -> Dict[str, object]
     arbiter sweep never merges delays measured under different arbitration
     policies.  Each bucket carries what the report layer renders: aggregated
     contender histograms (split by workload kind), bus utilisation, and the
-    worst observed contention delay next to the analytical ``ubd`` — which
-    Equation 1 only defines for round-robin and FIFO arbitration, so other
-    arbiters report ``analytical_ubd: null``.
+    worst observed contention delay next to the analytical ``ubd`` and
+    per-resource terms, each ``null`` where
+    :func:`~repro.config.admissibility` refuses it (Equation 1 covers
+    round-robin and FIFO buses only).
     """
     if not records:
         raise MethodologyError("cannot summarise an empty campaign")
@@ -486,6 +487,8 @@ def summarize_records(records: Sequence[Dict[str, object]]) -> Dict[str, object]
         bucket = per_platform.get(key)
         if bucket is None:
             config = config_from_dict(record["config"])
+            table = admissibility(config)
+            composable = table[PER_RESOURCE] is None
             bucket = per_platform[key] = {
                 "preset": preset,
                 "arbiter": arbiter,
@@ -493,21 +496,15 @@ def summarize_records(records: Sequence[Dict[str, object]]) -> Dict[str, object]
                 "mem_arbitration": mem_arbitration,
                 "response_arbitration": response_arbitration,
                 "runs": 0,
-                "analytical_ubd": (config.ubd if arbiter in FAIR_ARBITRATION_POLICIES else None),
-                # Like analytical_ubd, only reported where the fair-round
-                # reasoning holds — has_composable_bounds checks *both*
-                # stages: the bus arbiter and the bank-queue arbiter.
+                "analytical_ubd": config.ubd if table[EQUATION_1] is None else None,
                 "end_to_end_ubd": (
                     config.end_to_end_ubd
-                    if config.topology.has_memory_queues
-                    and config.has_composable_bounds
+                    if composable and config.topology.has_memory_queues
                     else None
                 ),
                 # The per-resource decomposition of end_to_end_ubd: what the
                 # aggregated stage_worst_case fields are checked against.
-                "analytical_terms": (
-                    dict(config.ubd_terms) if config.has_composable_bounds else None
-                ),
+                "analytical_terms": dict(config.ubd_terms) if composable else None,
                 "_utilisations": [],
             }
         bucket["runs"] += 1

@@ -47,6 +47,7 @@ import sys
 from typing import List, Optional
 
 from .config import ARBITRATION_POLICIES, ENGINES, PRESETS, TOPOLOGIES, get_preset
+from .config import PER_RESOURCE, SAWTOOTH, admissibility
 from .errors import ConfigurationError, ReproError
 
 
@@ -314,10 +315,14 @@ def _run_per_resource_derive(args: argparse.Namespace, config) -> int:
         render_table(["resource", "observed", "ubdm", "analytical", "method", "check"], rows)
     )
     print()
+    sawtooth = report.bus_methodology
+    if sawtooth is None:
+        bus_note = f"no bus saw-tooth: {admissibility(config)[SAWTOOTH]}"
+    else:
+        bus_note = f"the bus saw-tooth alone gives {sawtooth.ubdm}"
     print(
         f"End-to-end measured bound: {report.end_to_end_ubdm} cycles "
-        f"(analytical envelope {report.end_to_end_analytical}; the bus "
-        f"saw-tooth alone gives {report.bus_methodology.ubdm})"
+        f"(analytical envelope {report.end_to_end_analytical}; {bus_note})"
     )
     if report.memory_split is not None:
         print(f"Memory term split: {report.memory_split.summary()}")
@@ -325,17 +330,11 @@ def _run_per_resource_derive(args: argparse.Namespace, config) -> int:
     if report.write_burst is not None:
         status = "PASS" if report.write_burst.passed else "FAIL"
         print(f"[{status}] {report.write_burst.name}: {report.write_burst.detail}")
-    print(report.bus_methodology.confidence.summary())
-    if args.show_sweep:
-        print()
-        print(
-            render_series(
-                report.bus_methodology.ks,
-                report.bus_methodology.dbus_values,
-                "k",
-                "dbus",
-            )
-        )
+    if sawtooth is not None:
+        print(sawtooth.confidence.summary())
+        if args.show_sweep:
+            print()
+            print(render_series(sawtooth.ks, sawtooth.dbus_values, "k", "dbus"))
     return 0 if report.passed else 1
 
 
@@ -357,17 +356,15 @@ def _run_derive_ubd(args: argparse.Namespace) -> int:
     result = estimator.run()
     print(f"Platform: {args.preset} (analytical ubd = {config.ubd} cycles)")
     if config.topology.has_memory_queues:
-        if config.has_composable_bounds:
+        refusal = admissibility(config)[PER_RESOURCE]
+        if refusal is None:
             terms = " + ".join(f"{resource}:{term}" for resource, term in config.ubd_terms.items())
             print(
                 f"Topology {config.topology.name}: per-resource bounds {terms} "
                 f"= end-to-end {config.end_to_end_ubd} cycles per memory request"
             )
         else:
-            print(
-                f"Topology {config.topology.name}: no analytical per-resource "
-                f"bound for {config.topology.mem_arbitration!r} bank arbitration"
-            )
+            print(f"Topology {config.topology.name}: {refusal}")
     print(f"delta_nop = {result.delta_nop.cycles_per_nop:.3f} cycles/nop "
           f"(rounded {result.delta_nop.rounded})")
     print(result.period.summary())

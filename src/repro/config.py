@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ConfigurationError
 from .registry import registry_backed_names
@@ -37,13 +37,6 @@ def _require(condition: bool, message: str) -> None:
 def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
-
-#: Arbitration policies whose worst case fair-round reasoning bounds: every
-#: competitor is served at most once before the victim.  Fixed priority can
-#: starve a port unboundedly and TDMA waits on the slot schedule rather than
-#: the competitor count, so Equation 1 (and the per-resource terms built on
-#: the same argument) cover only these two.
-FAIR_ARBITRATION_POLICIES = ("round_robin", "fifo")
 
 #: Arbitration policies shipped with the simulator.  The authoritative set
 #: is the registry in :mod:`repro.sim.arbiter` (policies self-register with
@@ -409,35 +402,6 @@ class ArchConfig:
         return (self.num_cores - 1) * self.bus_service_l2_hit
 
     @property
-    def has_composable_bounds(self) -> bool:
-        """True when :attr:`ubd_terms` constitutes a valid end-to-end bound.
-
-        Every term relies on fair-round reasoning — each competitor is
-        served at most once before the victim — so *every* arbitrated stage
-        of the topology must run a policy in
-        :data:`FAIR_ARBITRATION_POLICIES`: the bus (exactly Equation 1's
-        applicability condition), the bank queues on chained topologies, and
-        the response channel on ``split_bus``.  A fixed-priority stage can
-        starve a port unboundedly and a TDMA stage waits on its slot
-        schedule, so for those the decomposition is undefined and consumers
-        must report "no bound" instead (mirroring ``analytical_ubd: null``
-        in campaign summaries).
-        """
-        if self.bus.arbitration not in FAIR_ARBITRATION_POLICIES:
-            return False
-        if (
-            self.topology.has_memory_queues
-            and self.topology.mem_arbitration not in FAIR_ARBITRATION_POLICIES
-        ):
-            return False
-        if (
-            self.topology.has_response_channel
-            and self.topology.response_arbitration not in FAIR_ARBITRATION_POLICIES
-        ):
-            return False
-        return True
-
-    @property
     def ubd_terms(self) -> Dict[str, int]:
         """Per-resource worst-case delay terms of one end-to-end request.
 
@@ -447,11 +411,11 @@ class ArchConfig:
         paper's Equation 1 bus term.  With arbitrated per-bank memory queues
         three more effects appear, each bounded separately (assuming at most
         one outstanding demand request per core, which holds for the
-        load/ifetch traffic the methodology measures).  Only defined when
-        :attr:`has_composable_bounds` holds; raises
-        :class:`~repro.errors.ConfigurationError` otherwise, because
-        returning a number that contention can exceed would defeat the
-        whole bounding exercise:
+        load/ifetch traffic the methodology measures).  Only defined where
+        :func:`admissibility` admits :data:`PER_RESOURCE`; raises
+        :class:`~repro.errors.ConfigurationError` with its reason otherwise,
+        because returning a number that contention can exceed would defeat
+        the whole bounding exercise:
 
         * ``bus`` — the request-phase bus wait: one transaction per other
           port per round-robin round, i.e. ``(Nc - 1) * lbus`` for the other
@@ -471,14 +435,9 @@ class ArchConfig:
           much tighter, and directly measurable from the channel's own
           grant-wait trace.
         """
-        _require(
-            self.has_composable_bounds,
-            f"per-resource bounds are undefined for a {self.bus.arbitration!r} "
-            f"bus over {self.topology.mem_arbitration!r} bank queues "
-            f"(response channel {self.topology.response_arbitration!r}); "
-            f"fair-round reasoning covers {list(FAIR_ARBITRATION_POLICIES)} "
-            f"on every stage",
-        )
+        refusal = admissibility(self)[PER_RESOURCE]
+        if refusal is not None:
+            raise ConfigurationError(refusal)
         terms = {"bus": (self.num_cores - 1) * self.bus_service_l2_hit}
         if self.topology.has_memory_queues:
             others = self.num_cores - 1
@@ -547,6 +506,7 @@ class ArchConfig:
 
     def describe(self) -> Dict[str, object]:
         """Return a flat dictionary summarising the platform (for reports)."""
+        composable = admissibility(self)[PER_RESOURCE] is None
         return {
             "name": self.name,
             "cores": self.num_cores,
@@ -572,13 +532,87 @@ class ArchConfig:
             "bus_transfer": self.bus.transfer_latency,
             "lbus": self.bus_service_l2_hit,
             "ubd": self.ubd,
-            # Per-resource analytical decomposition, None where the
-            # fair-round reasoning does not apply (mirrors the campaign
-            # summaries' analytical_ubd: null convention).
-            "ubd_terms": dict(self.ubd_terms) if self.has_composable_bounds else None,
-            "end_to_end_ubd": (self.end_to_end_ubd if self.has_composable_bounds else None),
+            # None where admissibility refuses the per-resource terms.
+            "ubd_terms": dict(self.ubd_terms) if composable else None,
+            "end_to_end_ubd": self.end_to_end_ubd if composable else None,
             "store_buffer_entries": self.store_buffer.entries,
         }
+
+
+# ---------------------------------------------------------------------------- #
+# Which bound method each platform admits.
+# ---------------------------------------------------------------------------- #
+#: The bound methods :func:`admissibility` rules on: the rsk-nop saw-tooth
+#: (``UbdEstimator``), Equation 1's :attr:`ArchConfig.ubd`, and the composed
+#: per-resource terms (:attr:`ArchConfig.ubd_terms`, analytical or measured).
+SAWTOOTH = "sawtooth"
+EQUATION_1 = "equation_1"
+PER_RESOURCE = "per_resource"
+BOUND_METHODS = (SAWTOOTH, EQUATION_1, PER_RESOURCE)
+
+#: Policies that serve every competitor at most once before the victim.
+_FAIR_ROUND = ("round_robin", "fifo")
+
+#: Why the saw-tooth period does not measure ubd on the other built-in buses.
+_SAWTOOTH_REFUSALS = {
+    "fifo": (
+        "a FIFO bus is not round-robin: it serves in ready order, so dbus(k) "
+        "repeats with one bus occupancy, not with the round of the others, and "
+        "the saw-tooth period does not measure ubd; derive-ubd --per-resource "
+        "measures this bus term from the channel PMC instead"
+    ),
+    "tdma": (
+        "a TDMA bus has no fair round for the rsk-nop saw-tooth to find: each "
+        "core waits for its own slot whatever the others do, so the saw-tooth "
+        "period does not measure ubd"
+    ),
+    "fixed_priority": (
+        "a fixed-priority bus has no fair round for the rsk-nop saw-tooth to "
+        "find: each core is served by its port priority, not once per round of "
+        "the others, so the saw-tooth period does not measure ubd"
+    ),
+}
+
+
+def admissibility(config: ArchConfig) -> Dict[str, Optional[str]]:
+    """Map each of :data:`BOUND_METHODS` to ``None`` where it bounds
+    ``config``, or to the reason it does not.
+
+    The one place that decides which platform gets which bound.  The
+    saw-tooth period equals ubd only where each rival is served once per
+    round of the others: a round-robin bus.  Equation 1 needs fair rounds
+    (every competitor served at most once before the victim, which FIFO
+    gives too) on the bus, the per-resource terms on every arbitrated stage.
+    A policy registered at runtime is refused by every method: the table
+    cannot know how it serves.
+    """
+    bus = config.bus.arbitration
+    topology = config.topology
+    stages = [bus]
+    if topology.has_memory_queues:
+        stages.append(topology.mem_arbitration)
+    if topology.has_response_channel:
+        stages.append(topology.response_arbitration)
+    table: Dict[str, Optional[str]] = dict.fromkeys(BOUND_METHODS)
+    if bus != "round_robin":
+        table[SAWTOOTH] = _SAWTOOTH_REFUSALS.get(
+            bus,
+            f"a {bus!r} bus is not round-robin, the only policy under which the "
+            "rsk-nop saw-tooth period measures ubd",
+        )
+    if bus not in _FAIR_ROUND:
+        table[EQUATION_1] = (
+            f"no analytical ubd under {bus!r} arbitration "
+            f"(Equation 1 covers {list(_FAIR_ROUND)})"
+        )
+    if any(stage not in _FAIR_ROUND for stage in stages):
+        table[PER_RESOURCE] = (
+            f"per-resource bounds are undefined for a {bus!r} bus over "
+            f"{topology.mem_arbitration!r} bank queues (response channel "
+            f"{topology.response_arbitration!r}); fair-round reasoning covers "
+            f"{list(_FAIR_ROUND)} on every stage"
+        )
+    return table
 
 
 def reference_config(**overrides) -> ArchConfig:

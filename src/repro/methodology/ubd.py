@@ -18,7 +18,8 @@ paper's instance and the resource-generic pipeline built on top of it:
      robust estimators of :mod:`repro.analysis.sawtooth`); the period,
      converted to cycles through ``delta_nop``, is ``ubdm``;
   4. evaluate the confidence checks of Section 4.3 (bus saturation via the
-     PMCs, ``delta_nop`` reliability, estimator agreement, sweep coverage).
+     PMCs, ``delta_nop`` reliability, estimator agreement, sweep coverage)
+     and the observed floor (no bus wait the sweep saw exceeds ``ubdm``).
 
 * :class:`MeasuredBoundPipeline` — the resource-generic pipeline.  For each
   resource contributing a term to the platform's analytical decomposition
@@ -40,9 +41,9 @@ plain rsk, and its ``ubdm`` is the saw-tooth period — the differential
 oracle in ``tests/test_measured_bounds.py`` pins this reproduction.
 
 Nothing in either procedure uses the bus latency, the L2 latency or the
-arbitration timing — only the knowledge that arbitration is fair (round
-robin / FIFO) on every stage and which instruction types exercise which
-resource, exactly as the paper requires.
+arbitration timing — only which bound methods the arbitration admits
+(:func:`repro.config.admissibility`) and which instruction types exercise
+which resource, exactly as the paper requires.
 
 The saw-tooth sweep can optionally auto-extend: if no period is detected
 within the initial ``k`` range (because the range does not cover two
@@ -72,8 +73,8 @@ from ..analysis.contention import (
 )
 from ..analysis.injection import DeltaNopEstimate, derive_delta_nop
 from ..analysis.sawtooth import PeriodEstimate, SawtoothAnalyzer
-from ..config import ArchConfig
-from ..errors import AnalysisError, ConfigurationError, MethodologyError
+from ..config import PER_RESOURCE, SAWTOOTH, ArchConfig, admissibility
+from ..errors import AnalysisError, MethodologyError
 from ..kernels.rsk import (
     build_rsk_nop,
     build_stress_contender_set,
@@ -86,34 +87,11 @@ from .experiment import ContendedMeasurement, ExperimentRunner
 #: Largest ``k`` the saw-tooth sweep's auto-extension reaches.
 MAX_K_LIMIT = 400
 
-#: Why :meth:`UbdEstimator.run` refuses a TDMA bus before its first sweep
-#: point: ``dbus(k)`` there follows the slot frame, so sweeping would only
-#: run up to :data:`MAX_K_LIMIT` and blame the search limit.
-TDMA_HAS_NO_FAIR_ROUND = (
-    "a TDMA bus has no fair round for the rsk-nop saw-tooth to find: each "
-    "core waits for its own slot whatever the others do, so the saw-tooth "
-    "period does not measure ubd"
-)
-
-#: Why :meth:`UbdEstimator.run` refuses a fixed-priority bus before its
-#: first sweep point: the sweep does find a period there, but it prints a
-#: value below ubd with every confidence check passing.
-FIXED_PRIORITY_HAS_NO_FAIR_ROUND = (
-    "a fixed-priority bus has no fair round for the rsk-nop saw-tooth to "
-    "find: each core is served by its port priority, not once per round of "
-    "the others, so the saw-tooth period does not measure ubd"
-)
-
-#: The bus arbitration policies :meth:`UbdEstimator.run` refuses, and why.
-NO_FAIR_ROUND: Dict[str, str] = {
-    "tdma": TDMA_HAS_NO_FAIR_ROUND,
-    "fixed_priority": FIXED_PRIORITY_HAS_NO_FAIR_ROUND,
-}
-
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Measurements taken for one value of ``k``."""
+    """Measurements taken for one value of ``k``; ``bus_max_wait`` is the bus
+    PMC's ``max_wait`` over the contended run, a real wait ``ubdm`` must cover."""
 
     k: int
     isolation_time: int
@@ -121,6 +99,7 @@ class SweepPoint:
     dbus: int
     bus_utilisation: float
     requests: int
+    bus_max_wait: int
 
 
 @dataclass(frozen=True)
@@ -231,6 +210,7 @@ class UbdEstimator:
             dbus=contended.slowdown_versus(isolation),
             bus_utilisation=contended.bus_utilisation,
             requests=rsk_request_count(scua),
+            bus_max_wait=contended.result.pmc.resources["bus"].max_wait,
         )
 
     def sweep(self, k_values: Sequence[int]) -> List[SweepPoint]:
@@ -243,14 +223,15 @@ class UbdEstimator:
     def run(self) -> UbdMethodologyResult:
         """Execute the full methodology and return its result.
 
-        Raises :class:`~repro.errors.MethodologyError` on a TDMA or
-        fixed-priority bus (:data:`NO_FAIR_ROUND`) before simulating
-        anything, and :class:`~repro.errors.AnalysisError` when
+        Raises :class:`~repro.errors.MethodologyError` before simulating
+        anything on a bus whose :func:`~repro.config.admissibility` refuses
+        the saw-tooth (any bus but round robin), and
+        :class:`~repro.errors.AnalysisError` when
         auto-extension reaches :data:`MAX_K_LIMIT` without covering the
         detected period twice, or would extend a sweep that has settled at
         zero (:func:`settled_at_zero`).
         """
-        refusal = NO_FAIR_ROUND.get(self.config.bus.arbitration)
+        refusal = admissibility(self.config)[SAWTOOTH]
         if refusal is not None:
             raise MethodologyError(f"{self.config.name}: {refusal}")
         delta_nop = derive_delta_nop(self.config, core_id=self.scua_core)
@@ -312,6 +293,7 @@ class UbdEstimator:
             delta_nop=delta_nop,
             period=period,
             sweep_span_k=span,
+            observed_wait=max(point.bus_max_wait for point in points),
         )
         return UbdMethodologyResult(
             arch_name=self.config.name,
@@ -455,7 +437,9 @@ class MeasuredBoundReport:
         analytical_terms: the platform's analytical per-resource terms.
         terms: measured :class:`ResourceUbdm` per resource, in term order.
         bus_methodology: the saw-tooth methodology result anchoring the
-            ``bus`` term (the paper's Section 4 output, unchanged).
+            ``bus`` term (the paper's Section 4 output, unchanged), or
+            ``None`` where :func:`~repro.config.admissibility` refuses the
+            saw-tooth and the bus term is read from the channel PMC.
         cross_check: per-stage sandwich checks (observed <= ubdm <=
             analytical).
         memory_split: queue-wait vs DRAM-service split of the measured
@@ -469,7 +453,7 @@ class MeasuredBoundReport:
     instruction_type: str
     analytical_terms: Dict[str, int]
     terms: Dict[str, ResourceUbdm]
-    bus_methodology: UbdMethodologyResult
+    bus_methodology: Optional[UbdMethodologyResult]
     cross_check: BoundCrossCheck
     memory_split: Optional[MemoryTermSplit] = None
     write_burst: Optional[ConfidenceCheck] = None
@@ -491,9 +475,12 @@ class MeasuredBoundReport:
 
     @property
     def passed(self) -> bool:
-        """True when every check holds: the saw-tooth confidence report, the
-        per-stage sandwiches, and the write-burst gate."""
-        checks = [self.bus_methodology.confidence.passed, self.cross_check.passed]
+        """True when every check holds: the saw-tooth confidence report
+        (where the saw-tooth ran), the per-stage sandwiches, and the
+        write-burst gate."""
+        checks = [self.cross_check.passed]
+        if self.bus_methodology is not None:
+            checks.append(self.bus_methodology.confidence.passed)
         if self.write_burst is not None:
             checks.append(self.write_burst.passed)
         return all(checks)
@@ -561,10 +548,11 @@ class MeasuredBoundPipeline:
 
     Stages:
 
-    1. **Saw-tooth anchor.**  The legacy :class:`UbdEstimator` derives the
-       ``bus`` term exactly as the paper does (rsk-nop sweep, period
-       detection, confidence checks).  On ``bus_only`` this is the whole
-       pipeline — the output reproduces the legacy estimator bit for bit.
+    1. **Saw-tooth anchor.**  Where the saw-tooth is admitted (a round-robin
+       bus), the legacy :class:`UbdEstimator` derives the ``bus`` term as the
+       paper does (rsk-nop sweep, period detection, confidence checks);
+       elsewhere stage 2's channel PMC gives it.  On ``bus_only`` this is the
+       whole pipeline — the output reproduces the legacy estimator bit for bit.
     2. **Traced anchor run.**  The plain bus stressor runs traced against
        its contender set on the warmed platform, providing the per-request
        observation the ``bus`` term is sandwich-checked against.
@@ -698,15 +686,16 @@ class MeasuredBoundPipeline:
     def run(self) -> MeasuredBoundReport:
         """Execute the pipeline and return the measured decomposition."""
         config = self.config
-        try:
-            analytical = dict(config.ubd_terms)
-        except ConfigurationError as exc:
-            raise MethodologyError(
-                f"no measured per-resource bound for this platform: {exc}"
-            ) from exc
+        table = admissibility(config)
+        refusal = table[PER_RESOURCE]
+        if refusal is not None:
+            raise MethodologyError(f"no measured per-resource bound for this platform: {refusal}")
+        analytical = dict(config.ubd_terms)
 
-        # Stage 1: the paper's saw-tooth methodology anchors the bus term.
-        bus_methodology = self.bus_estimator.run()
+        # Stage 1: the paper's saw-tooth methodology anchors the bus term
+        # where it is admitted; elsewhere the bus term is read from the
+        # channel's own PMC section, like the downstream resources.
+        bus_methodology = self.bus_estimator.run() if table[SAWTOOTH] is None else None
 
         # Stage 2 + 3: traced runs.  Every run's decomposition feeds the
         # per-stage observations; each non-bus resource additionally gets
@@ -725,13 +714,7 @@ class MeasuredBoundPipeline:
         bus_section = self._pmc_measurement("bus", anchor)
         if bus_section is not None:
             pmc_sections["bus"] = bus_section
-            if config.bus.arbitration != "round_robin":
-                # The saw-tooth period equals ubd only under round-robin
-                # arbitration — the paper's stated assumption (a FIFO bus
-                # serves in ready order, so dbus(k) repeats with the bus
-                # occupancy, not the fair round).  Other fair policies read
-                # the bus term from the channel's own PMC section, exactly
-                # like the downstream resources.
+            if bus_methodology is None:
                 pmc_worst["bus"] = self._pmc_worst_case("bus", bus_section)
 
         for resource in analytical:
@@ -767,7 +750,7 @@ class MeasuredBoundPipeline:
         terms: Dict[str, ResourceUbdm] = {}
         for resource, bound in analytical.items():
             seen = observed.get(resource, 0)
-            if resource == "bus" and resource not in pmc_worst:
+            if resource == "bus" and bus_methodology is not None:
                 ubdm = bus_methodology.ubdm
                 method = "rsk-nop saw-tooth"
             elif resource in pmc_worst:

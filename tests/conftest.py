@@ -66,6 +66,7 @@ def sweep_capped_before_two_periods(monkeypatch: pytest.MonkeyPatch) -> None:
             dbus=dbus,
             bus_utilisation=1.0,
             requests=100,
+            bus_max_wait=0,
         )
 
     monkeypatch.setattr(UbdEstimator, "measure_point", sawtooth_of_period_16)

@@ -86,6 +86,25 @@ class TestPeriodChecks:
         assert "sweep_coverage" not in names
 
 
+class TestObservedFloor:
+    def test_bound_covering_every_observed_wait_passes(self):
+        report = assess_confidence(bus_utilisation=1.0, period=period(27), observed_wait=27)
+        (check,) = [check for check in report.checks if check.name == "observed_floor"]
+        assert check.passed
+        assert "27 cycles versus ubdm 27" in check.detail
+
+    def test_bound_below_an_observed_wait_fails(self):
+        """The 8-core ref sweep prints ubdm 1 while its own contended runs
+        saw the bus make a request wait 63 cycles."""
+        report = assess_confidence(bus_utilisation=1.0, period=period(1), observed_wait=63)
+        assert [check.name for check in report.failed_checks()] == ["observed_floor"]
+        assert not report.passed
+
+    def test_floor_not_checked_without_an_observation(self):
+        report = assess_confidence(bus_utilisation=1.0, period=period(27))
+        assert "observed_floor" not in [check.name for check in report.checks]
+
+
 class TestReportRendering:
     def test_summary_contains_pass_and_fail_lines(self):
         report = ConfidenceReport(

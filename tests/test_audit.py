@@ -367,6 +367,59 @@ class TestConfigAudit:
         (finding,) = result.findings
         assert "fixed-priority bus has no fair round" in finding.evidence["fallback_reason"]
 
+    def test_fifo_bus_warns_on_the_sawtooth_and_measures_the_bus_from_its_pmc(self):
+        """On a FIFO bus the saw-tooth would print one bus occupancy as
+        ubdm with every check passing; the confidence dimension warns with
+        the refusal instead, while the pipeline's PMC-read bus term still
+        passes its sandwich at the analytical ubd."""
+        config = get_preset("small")
+        config = replace(config, bus=replace(config.bus, arbitration="fifo"))
+        report = AuditReport(
+            target={"kind": "config", "name": "small-fifo"},
+            dimensions=audit_config(config, FAST),
+        )
+        assert report.exit_code == 1
+        (finding,) = report.dimension("confidence").findings
+        assert finding.verdict == "warn"
+        assert "not round-robin" in finding.evidence["fallback_reason"]
+        for name in ("measured_bounds", "sandwich", "synchrony"):
+            assert report.dimension(name).verdict == "pass", name
+        term = next(
+            f for f in report.dimension("measured_bounds").findings if f.check == "term_bus"
+        )
+        assert term.evidence["method"] == "stress-run PMC"
+        assert term.evidence["ubdm"] == term.evidence["analytical"] == config.ubd
+
+    def test_each_measured_term_takes_its_sandwich_verdict(self, monkeypatch):
+        """A term below its own observation (the 8-core ref saw-tooth prints
+        1 where the bus made a request wait 62) fails its finding too."""
+        from repro.analysis.contention import BoundCrossCheck
+        from repro.methodology.ubd import MeasuredBoundReport, ResourceUbdm
+
+        term = ResourceUbdm(
+            resource="bus",
+            ubdm=1,
+            observed_worst_case=62,
+            analytical=63,
+            method="rsk-nop saw-tooth",
+            requests=10,
+        )
+        report = MeasuredBoundReport(
+            arch_name="ref",
+            topology="bus_only",
+            instruction_type="load",
+            analytical_terms={"bus": 63},
+            terms={"bus": term},
+            bus_methodology=None,
+            cross_check=BoundCrossCheck(checks=[term.sandwich]),
+        )
+        context = ConfigAuditContext(get_preset("ref"), FAST)
+        monkeypatch.setattr(context, "measured_report", lambda: (report, None))
+        result = CONFIG_DIMENSIONS.require("measured_bounds").run(context)
+        verdicts = {finding.check: finding.verdict for finding in result.findings}
+        assert verdicts == {"term_bus": "fail", "end_to_end": "pass"}
+        assert result.verdict == "fail"
+
 
 # --------------------------------------------------------------------------- #
 # End-to-end campaign audits.

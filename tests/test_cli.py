@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -540,6 +541,27 @@ class TestAuditCli:
         assert exit_code == 1
         assert "Verdict: warn (exit code 1)" in output
         assert "[WARN] write_burst/store_probe" in output
+
+    def test_audit_fifo_config_file_warns_on_the_sawtooth(self, tmp_path, capsys):
+        """An ArchConfig JSON with a FIFO bus: the saw-tooth is refused (warn,
+        exit 1) while the measured bus term stays at the analytical ubd."""
+        from dataclasses import replace
+
+        from repro.config import get_preset
+
+        config = get_preset("small")
+        config = replace(config, bus=replace(config.bus, arbitration="fifo"))
+        target = tmp_path / "fifo.json"
+        target.write_text(json.dumps(config.to_dict()))
+        out = tmp_path / "audit"
+        exit_code = main(["audit", str(target), "--out", str(out)] + AUDIT_FAST)
+        output = capsys.readouterr().out
+        assert exit_code == 1
+        assert "[WARN] confidence/methodology: not established: small: a FIFO bus" in output
+        flags = json.loads((out / "flags.json").read_text())
+        verdicts = {dimension["name"]: dimension["verdict"] for dimension in flags["dimensions"]}
+        assert verdicts["confidence"] == "warn"
+        assert verdicts["measured_bounds"] == verdicts["sandwich"] == "pass"
 
     def test_audit_campaign_directory(self, tmp_path, capsys):
         campaign_dir = tmp_path / "campaign"

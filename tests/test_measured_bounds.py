@@ -116,15 +116,14 @@ class TestPerResourceSandwich:
 
     def test_fifo_bus_term_read_from_channel_pmc(self):
         """A FIFO bus serves in ready order, so dbus(k) repeats with the bus
-        occupancy, not the fair round — the saw-tooth under-measures and the
-        pipeline must fall back to the channel's PMC worst case instead."""
+        occupancy, not the fair round — the saw-tooth is not admitted there,
+        and the pipeline reads the channel's PMC worst case instead."""
         config, report = report_for("bus_only", "fifo")
         term = report.terms["bus"]
         assert term.method == "stress-run PMC"
         assert term.ubdm == term.pmc["max_wait"]
-        # The saw-tooth genuinely under-measures here; the sandwich would
-        # have caught a pipeline that still used it.
-        assert report.bus_methodology.ubdm < term.observed_worst_case
+        # The saw-tooth would under-measure here, so it does not run at all.
+        assert report.bus_methodology is None
         assert term.covers_observation
         assert term.ubdm == config.ubd
 

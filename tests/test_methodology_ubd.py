@@ -7,10 +7,10 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.sawtooth import PeriodEstimate
-from repro.config import BusConfig, get_preset, small_config
+from repro.config import SAWTOOTH, BusConfig, admissibility, get_preset, small_config
 from repro.errors import AnalysisError, MethodologyError
 import repro.methodology.ubd as ubd_module
-from repro.methodology.ubd import FIXED_PRIORITY_HAS_NO_FAIR_ROUND, SweepPoint, UbdEstimator
+from repro.methodology.ubd import SweepPoint, UbdEstimator
 from repro.sim.system import System
 
 
@@ -92,6 +92,14 @@ class TestFullMethodology:
         assert isinstance(result.period, PeriodEstimate)
         assert result.period.agreement >= 0.5
 
+    def test_observed_floor_reads_the_sweeps_own_bus_waits(self, small_result):
+        """Every contended run records the bus's worst grant wait; over the
+        sweep that reaches the analytical ubd, which ubdm must cover."""
+        config, result = small_result
+        assert max(point.bus_max_wait for point in result.points) == config.ubd
+        (floor,) = [c for c in result.confidence.checks if c.name == "observed_floor"]
+        assert floor.passed
+
 
 class TestAutoExtension:
     def test_sweep_extends_until_two_periods_covered(self):
@@ -135,7 +143,7 @@ class TestAutoExtension:
         assert "sweep_coverage" in failed
 
     @staticmethod
-    def _stub_sweep(monkeypatch, dbus_of):
+    def _stub_sweep(monkeypatch, dbus_of, bus_max_wait=0):
         """Replace every sweep point with ``dbus_of(k)``; returns the list of
         measured ``k``."""
         measured = []
@@ -150,10 +158,19 @@ class TestAutoExtension:
                 dbus=dbus,
                 bus_utilisation=1.0,
                 requests=100,
+                bus_max_wait=bus_max_wait,
             )
 
         monkeypatch.setattr(UbdEstimator, "measure_point", measure_point)
         return measured
+
+    def test_bound_below_an_observed_bus_wait_fails_the_observed_floor(self, monkeypatch):
+        """A saw-tooth of period 16 whose contended runs saw a 20-cycle bus
+        wait prints ubdm 16 with the observed floor failing."""
+        self._stub_sweep(monkeypatch, lambda k: 100 * (16 - (k - 1) % 16), bus_max_wait=20)
+        result = UbdEstimator(small_config(), k_max=40, iterations=5).run()
+        assert result.ubdm == 16
+        assert [check.name for check in result.confidence.failed_checks()] == ["observed_floor"]
 
     def test_sweep_settled_at_zero_is_refused_before_extending(self, monkeypatch):
         """The store-buffer shape of Figure 7(b): a falling flank, then zero
@@ -186,6 +203,7 @@ class TestAutoExtension:
                     dbus=dbus,
                     bus_utilisation=1.0,
                     requests=1,
+                    bus_max_wait=0,
                 )
                 for k, dbus in enumerate(values, 1)
             ]
@@ -232,13 +250,30 @@ class TestAutoExtension:
         config = replace(config, bus=replace(config.bus, arbitration="fixed_priority"))
         with pytest.raises(MethodologyError) as refusal:
             UbdEstimator(config).run()
-        assert str(refusal.value) == f"{config.name}: {FIXED_PRIORITY_HAS_NO_FAIR_ROUND}"
+        assert str(refusal.value) == f"{config.name}: {admissibility(config)[SAWTOOTH]}"
+        assert "fixed-priority bus has no fair round" in str(refusal.value)
 
-    @pytest.mark.parametrize("arbitration", ["round_robin", "fifo"])
-    def test_fair_round_arbiters_reach_the_sweep(self, arbitration, monkeypatch):
-        """Only TDMA and fixed-priority buses are refused up front: on a
-        round-robin or FIFO bus the estimator goes on to measure delta_nop,
-        its first simulation."""
+    @pytest.mark.parametrize("preset", ["ref", "var", "small", "split_bus"])
+    def test_fifo_bus_is_refused_before_any_simulation(self, preset, monkeypatch):
+        """A FIFO bus serves in ready order, so dbus(k) repeats with one bus
+        occupancy (ubdm 9 against ubd 27 on ref): the estimator refuses each
+        preset up front and names the command that measures that bus."""
+
+        def simulate(*args, **kwargs):
+            raise AssertionError(f"the estimator simulated {preset} on a FIFO bus")
+
+        monkeypatch.setattr(System, "run", simulate)
+        config = get_preset(preset)
+        config = replace(config, bus=replace(config.bus, arbitration="fifo"))
+        with pytest.raises(MethodologyError) as refusal:
+            UbdEstimator(config).run()
+        assert str(refusal.value) == f"{config.name}: {admissibility(config)[SAWTOOTH]}"
+        assert "not round-robin" in str(refusal.value)
+        assert "derive-ubd --per-resource" in str(refusal.value)
+
+    def test_round_robin_bus_reaches_the_sweep(self, monkeypatch):
+        """Only a round-robin bus is admitted: there the estimator goes on
+        to measure delta_nop, its first simulation."""
 
         class Measured(Exception):
             pass
@@ -247,8 +282,8 @@ class TestAutoExtension:
             raise Measured(config.bus.arbitration)
 
         monkeypatch.setattr(ubd_module, "derive_delta_nop", derive_delta_nop)
-        config = small_config(bus=BusConfig(arbitration=arbitration, transfer_latency=1))
-        with pytest.raises(Measured, match=arbitration):
+        config = small_config(bus=BusConfig(arbitration="round_robin", transfer_latency=1))
+        with pytest.raises(Measured, match="round_robin"):
             UbdEstimator(config, k_max=4, iterations=10).run()
 
     def test_methodology_works_with_more_cores(self):

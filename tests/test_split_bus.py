@@ -24,8 +24,10 @@ import pytest
 
 from repro.analysis.contention import latency_decomposition
 from repro.config import (
+    PER_RESOURCE,
     BusConfig,
     TopologyConfig,
+    admissibility,
     small_config,
 )
 from repro.errors import ConfigurationError
@@ -153,10 +155,10 @@ class TestSplitBusBounds:
         config = small_config(
             topology=TopologyConfig(name="split_bus", response_arbitration=policy)
         )
-        assert not config.has_composable_bounds
+        assert admissibility(config)[PER_RESOURCE] is not None
         with pytest.raises(ConfigurationError):
             config.ubd_terms
-        assert _split_config().has_composable_bounds
+        assert admissibility(_split_config())[PER_RESOURCE] is None
 
     def test_response_arbitration_validated(self):
         with pytest.raises(ConfigurationError):

@@ -25,10 +25,12 @@ import pytest
 from repro.config import (
     ARBITRATION_POLICIES,
     ENGINES,
+    PER_RESOURCE,
     PRESETS,
     TOPOLOGIES,
     BusConfig,
     TopologyConfig,
+    admissibility,
     config_from_dict,
     get_preset,
     small_config,
@@ -251,14 +253,14 @@ class TestTopologyConfig:
         config = small_config(
             topology=TopologyConfig(name="bus_bank_queues", mem_arbitration=policy)
         )
-        assert not config.has_composable_bounds
+        assert admissibility(config)[PER_RESOURCE] is not None
         with pytest.raises(ConfigurationError):
             config.ubd_terms
         with pytest.raises(ConfigurationError):
             config.end_to_end_ubd
         # Fair policies on both stages do have the decomposition.
-        assert _queued_config().has_composable_bounds
-        assert small_config().has_composable_bounds
+        assert admissibility(_queued_config())[PER_RESOURCE] is None
+        assert admissibility(small_config())[PER_RESOURCE] is None
 
     @pytest.mark.parametrize("policy", ["tdma", "fixed_priority"])
     def test_unbounded_bus_policies_have_no_composable_bounds(self, policy):
@@ -269,11 +271,11 @@ class TestTopologyConfig:
             bus=BusConfig(arbitration=policy),
             topology=TopologyConfig(name="bus_bank_queues"),
         )
-        assert not chained.has_composable_bounds
+        assert admissibility(chained)[PER_RESOURCE] is not None
         with pytest.raises(ConfigurationError):
             chained.end_to_end_ubd
         bus_only = small_config(bus=BusConfig(arbitration=policy))
-        assert not bus_only.has_composable_bounds
+        assert admissibility(bus_only)[PER_RESOURCE] is not None
         with pytest.raises(ConfigurationError):
             bus_only.ubd_terms
 
