@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..campaign.runner import summarize_records
+from ..campaign import runner as campaign_runner
 from ..campaign.spec import KIND_RSK, SCHEMA_VERSION, campaign_digest
 from ..errors import ReproError
 from ..registry import Registry
@@ -72,7 +72,10 @@ class CampaignAuditContext:
         """``summarize_records`` over the loaded records, or the reason not."""
         if self._recomputed is None:
             try:
-                self._recomputed = (summarize_records(self.records), None)
+                # Read at call time: this module may load after a caller
+                # swapped the function (a tracer wrapping it, say).
+                summary = campaign_runner.summarize_records(self.records)
+                self._recomputed = (summary, None)
             except ReproError as exc:
                 self._recomputed = (None, str(exc))
         return self._recomputed

@@ -25,14 +25,12 @@ from typing import Dict, Optional
 
 from ..config import PRESETS, config_from_dict, get_preset
 from ..errors import AuditError, ReproError
-from .campaign import audit_campaign_artifacts
 from .core import (
     FLAGS_NAME,
     REPORT_NAME,
     AuditReport,
     write_flags,
 )
-from ..campaign.artifacts import RESULTS_NAME, load_campaign, load_manifest
 from .dimensions import AuditOptions, audit_config
 from .html import render_html
 
@@ -100,6 +98,10 @@ def audit_campaign_dir(directory: os.PathLike) -> AuditReport:
     completion state there, and the dimensions use it to tell an in-flight
     (or crashed) directory from a corrupt one.
     """
+    # Only a campaign directory needs the campaign engine's modules.
+    from ..campaign.artifacts import load_campaign, load_manifest
+    from .campaign import audit_campaign_artifacts
+
     campaign_dir = Path(directory)
     try:
         records, summary = load_campaign(campaign_dir)
@@ -130,6 +132,8 @@ def resolve_and_audit(
     """Resolve ``target`` (preset | config.json | campaign dir) and audit it."""
     path = Path(target)
     if path.is_dir():
+        from ..campaign.artifacts import RESULTS_NAME
+
         if not (path / RESULTS_NAME).exists():
             raise AuditError(
                 f"{path} is a directory but holds no {RESULTS_NAME}; "

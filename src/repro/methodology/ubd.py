@@ -54,6 +54,7 @@ beforehand.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -234,12 +235,12 @@ class UbdEstimator:
         refusal = admissibility(self.config)[SAWTOOTH]
         if refusal is not None:
             raise MethodologyError(f"{self.config.name}: {refusal}")
-        delta_nop = derive_delta_nop(self.config, core_id=self.scua_core)
-
         if self.explicit_k_values is not None:
             k_values = list(self.explicit_k_values)
         else:
             k_values = list(range(1, self.k_max + 1))
+        self._require_il1_fit(max(k_values), "the sweep", "lower --k-max")
+        delta_nop = derive_delta_nop(self.config, core_id=self.scua_core)
         points = self.sweep(k_values)
 
         period = self._detect_period(points, delta_nop)
@@ -270,6 +271,7 @@ class UbdEstimator:
                     f"the platform's ubd exceeds the search limit of {MAX_K_LIMIT}"
                 )
             extension = list(range(next_start, next_end + 1))
+            self._require_il1_fit(next_end, "the sweep's auto-extension", "no bound is reported")
             points.extend(self.sweep(extension))
             k_values.extend(extension)
             period = self._detect_period(points, delta_nop)
@@ -304,6 +306,24 @@ class UbdEstimator:
             ubdm=ubdm,
             confidence=confidence,
         )
+
+    def _require_il1_fit(self, k: int, what: str, remedy: str) -> None:
+        """Refuse ``what`` before simulating it when the rsk-nop code at
+        ``k`` does not fit the scua core's IL1 (more than ``ways`` of its
+        lines in one set): from there on every iteration fetches its code
+        over the bus, and ``dbus(k)`` would measure those fetches."""
+        il1 = self.config.il1
+        scua = build_rsk_nop(self.config, self.scua_core, kind=self.instruction_type, k=k)
+        lines = scua.footprint(il1.line_size)[1]
+        per_set = Counter(line // il1.line_size % il1.num_sets for line in lines)
+        if max(per_set.values()) > il1.ways:
+            raise MethodologyError(
+                f"{self.config.name}: {what} reaches k = {k}, where the rsk-nop's "
+                f"{len(lines)} code lines do not fit the scua core's IL1 of "
+                f"{il1.num_sets * il1.ways} lines ({il1.ways} per set): every iteration "
+                "would fetch its code over the bus, and dbus(k) would measure those "
+                f"fetches; {remedy}"
+            )
 
     def _needs_extension(
         self, period: Optional[PeriodEstimate], k_values: Sequence[int]

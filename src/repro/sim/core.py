@@ -74,9 +74,11 @@ from .store_buffer import StoreBuffer
 #: ``issue_request(core_id, kind, addr, ready_cycle)``.
 IssueCallback = Callable[[int, str, int, int], None]
 
-#: Callback fired when the core starts body position 0 of its second or a
-#: later iteration: ``loop_back(cycle)``.
-LoopBackCallback = Callable[[int], None]
+#: Callback fired when the core is about to start body position 0 of its
+#: second or a later iteration, before the cursor moves: ``loop_back(cycle)``.
+#: True ends the program there instead: the core goes ``DONE`` at ``cycle``
+#: and the caller accounts for the iterations it did not run.
+LoopBackCallback = Callable[[int], bool]
 
 
 class CoreState(enum.Enum):
@@ -545,9 +547,12 @@ class Core:
         else:
             if position:
                 position %= len(code.body)
-                if not position and self.loop_back is not None:
-                    # Loop-back: the state is keyed before the cursor moves.
-                    self.loop_back(cycle)
+                # Loop-back: the hook runs before the cursor moves, and may
+                # end the program here (see repro.sim.steady).
+                if not position and self.loop_back is not None and self.loop_back(cycle):
+                    self.state = CoreState.DONE
+                    self.done_cycle = cycle
+                    return
             instr = code.body[position]
         self._next = index + 1
         pc = code.body_pc + position * INSTRUCTION_BYTES

@@ -56,15 +56,13 @@ class Instruction:
     #: Short human-readable name used in traces and reports: the lowercase
     #: class name, set once per class (every retirement reads it).
     mnemonic: ClassVar[str] = "instruction"
+    #: True if the instruction reads or writes data memory; a class
+    #: attribute, so counting a program's memory instructions calls nothing.
+    is_memory: ClassVar[bool] = False
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls.mnemonic = cls.__name__.lower()
-
-    @property
-    def is_memory(self) -> bool:
-        """True if the instruction reads or writes data memory."""
-        return False
 
 
 @dataclass(frozen=True)
@@ -87,30 +85,24 @@ class Alu(Instruction):
 class Load(Instruction):
     """A load from ``addr``; the unit of access is one word inside a line."""
 
+    is_memory: ClassVar[bool] = True
     addr: int
 
     def __post_init__(self) -> None:
         if self.addr < 0:
             raise ProgramError(f"load address must be non-negative, got {self.addr}")
 
-    @property
-    def is_memory(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Store(Instruction):
     """A store to ``addr``; write-through, completes into the store buffer."""
 
+    is_memory: ClassVar[bool] = True
     addr: int
 
     def __post_init__(self) -> None:
         if self.addr < 0:
             raise ProgramError(f"store address must be non-negative, got {self.addr}")
-
-    @property
-    def is_memory(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -155,11 +147,15 @@ class Program:
                 f"program {self.name!r} base_pc must be a non-negative multiple of "
                 f"{INSTRUCTION_BYTES}"
             )
-        for instr in tuple(self.prologue) + tuple(self.body):
-            if not isinstance(instr, Instruction):
-                raise ProgramError(
-                    f"program {self.name!r} contains a non-instruction object: {instr!r}"
-                )
+        # One pass per instruction class, not per instruction; the walk
+        # that names the culprit runs only when some class is not one.
+        kinds = set(map(type, self.prologue)) | set(map(type, self.body))
+        if not all(issubclass(kind, Instruction) for kind in kinds):
+            for instr in (*self.prologue, *self.body):
+                if not isinstance(instr, Instruction):
+                    raise ProgramError(
+                        f"program {self.name!r} contains a non-instruction object: {instr!r}"
+                    )
 
     # ------------------------------------------------------------------ #
     # Introspection helpers.
@@ -185,8 +181,10 @@ class Program:
         """Dynamic number of loads and stores, or ``None`` for infinite programs."""
         if self.iterations is None:
             return None
-        per_body = sum(1 for instr in self.body if instr.is_memory)
-        in_prologue = sum(1 for instr in self.prologue if instr.is_memory)
+        in_prologue, per_body = self.derived(
+            "memory_instructions",
+            lambda program: (_count_memory(program.prologue), _count_memory(program.body)),
+        )
         return in_prologue + self.iterations * per_body
 
     def derived(self, key: Hashable, build: Callable[["Program"], _T]) -> _T:
@@ -269,6 +267,12 @@ class Program:
         mix = ", ".join(f"{count}x {name}" for name, count in sorted(kinds.items()))
         reps = "inf" if self.iterations is None else str(self.iterations)
         return f"{self.name}: body[{mix}] x {reps}"
+
+
+def _count_memory(instructions: Sequence[Instruction]) -> int:
+    """How many of ``instructions`` are loads or stores (a class attribute
+    read per instruction: faster here than a pass over their classes)."""
+    return sum(1 for instr in instructions if instr.is_memory)
 
 
 def concatenate_bodies(*parts: Sequence[Instruction]) -> Tuple[Instruction, ...]:

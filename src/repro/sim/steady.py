@@ -12,10 +12,23 @@ iteration 2 and later, reported through the core's ``loop_back`` hook) the
 When the key equals an earlier loop-back's key — a period of ``p``
 iterations and ``D`` cycles — the state at loop-back ``j`` is the state at
 loop-back ``i`` shifted by ``D`` cycles, so from then on the run is
-periodic.  :func:`run_skipping` then advances every component by ``m``
-whole periods (shifting absolute cycles and LRU stamps, and raising every
-additive counter by ``m`` times its per-period delta) and simulates the
-tail normally.
+periodic.  A jump advances every component by ``m`` whole periods
+(shifting absolute cycles and LRU stamps, and raising every additive
+counter by ``m`` times its per-period delta).  It has two exits:
+
+* *end at the repeat*: at the first loop-back from ``j`` on where the
+  observed core has a whole number ``m`` of periods left, the hook ends
+  its program instead of starting the next iteration.  The engine
+  finishes that cycle and stops on its own observed-done check, and
+  :func:`run_skipping` jumps ``m`` periods and moves the observed core's
+  done cycle, ``pmc.cycles`` and the final cycle by ``m·D``.  The state
+  at that loop-back is the state the full run reaches ``m·D`` cycles
+  later, where its program ends, so the rest of the cycle is the rest of
+  the full run's last cycle, shifted;
+* *jump and simulate the tail*: where a finite non-observed program would
+  reach its end inside that jump, or ``max_cycles`` would fall inside it
+  (:func:`periods_allowed` decides both), the jump stops short at a
+  chunk's end and the rest of the run is simulated.
 
 The key/advance protocol: every stateful sim class declares, next to its
 state,
@@ -39,8 +52,9 @@ case over one period is already recorded.
 
 The engines are driven in chunks through their existing ``max_cycles``
 stop, each chunk ending at the observed core's predicted next loop-back,
-and resumed at ``cycle + 1``, so no engine loop (and no generated loop)
-knows about skipping.  Which engine classes skip is declared on the class
+and resumed at ``cycle + 1``; a run that ends at the repeat stops through
+the observed core's ``DONE`` state, so no engine loop (and no generated
+loop) knows about skipping.  Which engine classes skip is declared on the class
 (``steady_state_decline``: ``None`` to skip, else the reason not to).
 """
 
@@ -64,6 +78,7 @@ from typing import (
 from ..errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .core import Core
     from .system import System
 
 #: A component's counts: a (nested) tuple of the quantities that grow
@@ -169,14 +184,21 @@ class SteadySkip:
 
 
 class LoopDetector:
-    """The key -> loop-back map of one run.
+    """The key -> loop-back map of one run, and the end-at-repeat exit.
 
     Installed as the observed core's ``loop_back`` hook: each call keys
     the whole system and looks the key up among the earlier loop-backs'.
     The first repeat fixes :attr:`match`; after :data:`MAX_LOOP_BACKS`
     loop-backs without one, or at a component that declares no key, the
-    detector gives up and names the reason.  Either way it uninstalls
-    itself.
+    detector gives up and names the reason.
+
+    Once loop-back ``j`` repeats loop-back ``i``, the hook takes the
+    end-at-repeat exit (see the module docstring) at the first loop-back
+    from which the observed core has a whole number :attr:`periods` of
+    periods left: it returns True there and sets :attr:`ended`.  Where
+    :func:`periods_allowed` refuses that jump, or no whole period is left,
+    it returns False and the jump waits for the chunk's end.  Either way
+    the detector then uninstalls itself.
 
     A full key walks every cache, so after the first
     :data:`EAGER_LOOP_BACKS` loop-backs it is taken only when the cheap
@@ -186,9 +208,10 @@ class LoopDetector:
     repeat is found at most one period late.
     """
 
-    def __init__(self, system: "System", core_id: int) -> None:
+    def __init__(self, system: "System", core_id: int, max_cycles: int) -> None:
         self.system = system
         self.core = system.cores[core_id]
+        self.max_cycles = max_cycles
         #: Per loop-back: its cycle and, if it was keyed in full, the
         #: system's counts there.
         self.history: List[Tuple[int, Optional[Counts]]] = []
@@ -198,11 +221,22 @@ class LoopDetector:
         self._seen: Dict[Hashable, int] = {}
         #: ``(i, j)``: loop-back ``j`` repeats loop-back ``i``.
         self.match: Optional[Tuple[int, int]] = None
+        #: Whole periods the observed core has left at the exit loop-back.
+        self.periods = 0
+        #: Loop-backs still to come before the exit loop-back.
+        self._countdown = 0
+        #: Whether the hook ended the run, :attr:`periods` short of its end.
+        self.ended = False
         #: Why the detector gave up, if it did.
         self.reason: Optional[str] = None
         self.core.loop_back = self.on_loop_back
 
-    def on_loop_back(self, cycle: int) -> None:
+    def on_loop_back(self, cycle: int) -> bool:
+        if self.match is not None:
+            # Counting down to the first loop-back with whole periods left.
+            self.history.append((cycle, None))
+            self._countdown -= 1
+            return not self._countdown and self._end_here(cycle)
         index = len(self.history)
         try:
             probe = self.system.steady_probe(cycle)
@@ -211,20 +245,57 @@ class LoopDetector:
         except SteadyStateUnsupported as exc:
             self.reason = str(exc)
             self.uninstall()
-            return
+            return False
         self._probes.add(probe)
         self.history.append((cycle, counts))
         earlier = self._seen.get(state) if keyed else None
-        if earlier is not None:
-            self.match = (earlier, index)
-        elif index + 1 >= MAX_LOOP_BACKS:
-            self.reason = NO_REPEAT
-        else:
+        if earlier is None and index + 1 < MAX_LOOP_BACKS:
             if keyed:
                 self._seen[state] = index
-            return
+            return False
         self._seen.clear()
+        if earlier is None:
+            self.reason = NO_REPEAT
+            self.uninstall()
+            return False
+        self.match = (earlier, index)
+        # A loop-back's cursor sits at the start of an iteration.
+        code = self.core._code
+        assert code.total is not None  # the observed program is finite
+        left = (code.total - self.core._next) // len(code.body)
+        self.periods, self._countdown = divmod(left, index - earlier)
+        if not self.periods:
+            self.uninstall()
+            return False
+        return not self._countdown and self._end_here(cycle)
+
+    def _end_here(self, cycle: int) -> bool:
+        """End the run at this loop-back if jumping :attr:`periods` from
+        here is exact."""
         self.uninstall()
+        before, after, period_cycles = self.period()
+        allowed = periods_allowed(
+            self.system, before, after, self.max_cycles - cycle, period_cycles, self.core
+        )
+        self.ended = allowed >= self.periods
+        return self.ended
+
+    def period(self) -> Tuple[Counts, Counts, int]:
+        """The matching loop-backs' counts, and the cycles between them."""
+        assert self.match is not None
+        (start, before), (end, after) = (self.history[index] for index in self.match)
+        assert before is not None and after is not None  # matches are keyed in full
+        return before, after, end - start
+
+    def jump(self, periods: int) -> Jump:
+        """Advance the system ``periods`` periods from the matching
+        loop-backs' counts."""
+        before, after, period_cycles = self.period()
+        self.system.steady_advance(periods * period_cycles, periods, before, after)
+        self.system.current_cycle += periods * period_cycles
+        assert self.match is not None
+        first, last = self.match
+        return periods * (last - first), last - first, period_cycles
 
     def uninstall(self) -> None:
         self.core.loop_back = None
@@ -241,6 +312,39 @@ class LoopDetector:
             # The prediction passed: creep up on the loop-back in small steps.
             step = max(1, (last - before) // 16)
         return cycle + step
+
+
+def periods_allowed(
+    system: "System",
+    before: Counts,
+    after: Counts,
+    cycles_left: int,
+    period_cycles: int,
+    ending: Optional["Core"] = None,
+) -> int:
+    """The most whole periods a jump may add from here: as many as fit in
+    ``cycles_left`` cycles, and no more than keep every finite program's
+    cursor within its end.
+
+    Until its cursor reaches its end, a finite program runs exactly like
+    the same loop run forever, whose state repeats every period.  The
+    chunk's-end jump lands at the end of a cycle, and the programs' ends
+    are reached by simulation after it, so a cursor may land on its end.
+    The end-at-repeat exit lands inside a cycle, at the loop-back where
+    core ``ending`` stops: a program that reached its end there could
+    still stop in the rest of that cycle, so every other program must
+    stay strictly short of it, and ``ending``'s own end is the target.
+    """
+    periods = cycles_left // period_cycles
+    strict = ending is not None
+    for core, (cursor_before, cursor_after) in zip(
+        system.cores, system.steady_cursors(before, after)
+    ):
+        advance = cursor_after - cursor_before
+        total = core._code.total
+        if advance and total is not None and core is not ending:
+            periods = min(periods, (total - core._next - strict) // advance)
+    return periods
 
 
 def skip_record(system: "System", observed: Sequence[int], skipped: Verdict) -> SteadySkip:
@@ -296,7 +400,7 @@ def run_skipping(
     if reason is None:
         finished, reason, jump = _approach(system, observed[0], max_cycles)
         if finished is not None:
-            return finished[0], finished[1], (reason, None)
+            return finished[0], finished[1], (reason, jump)
     cycle, timed_out = system.engine.run(list(observed), max_cycles)
     return cycle, timed_out, (reason, jump)
 
@@ -306,14 +410,15 @@ def _approach(
 ) -> Tuple[Optional[Tuple[int, bool]], Optional[str], Optional[Jump]]:
     """Simulate in chunks until the state repeats, then jump.
 
-    Returns ``(finished, reason, jump)``: ``finished`` is the engine's
-    ``(cycle, timed_out)`` when the run ended before any jump; ``reason``
-    says why nothing was skipped; ``jump`` describes the jump made, after
-    which the rest of the run is left to the caller.
+    Returns ``(finished, reason, jump)``: ``finished`` is the run's final
+    ``(cycle, timed_out)`` when it ended here, at the end-at-repeat exit or
+    before any jump; ``reason`` says why nothing was skipped; ``jump``
+    describes the jump made.  After the chunk's-end jump the rest of the
+    run is left to the caller.
     """
     engine = system.engine
     observed = [core_id]
-    detector = LoopDetector(system, core_id)
+    detector = LoopDetector(system, core_id, max_cycles)
     # Until the first loop-back gives a distance, chunks double from the
     # body's summed execute latency (a lower bound on one iteration).
     step = max(1, system.cores[core_id]._code.latency[-1])
@@ -322,35 +427,35 @@ def _approach(
         while True:
             cycle, timed_out = engine.run(observed, min(stop, max_cycles))
             if not timed_out or cycle >= max_cycles:
-                return (cycle, timed_out), detector.reason or TOO_FEW_ITERATIONS, None
+                break
             system.current_cycle = cycle + 1
-            if detector.match is not None or detector.reason is not None:
+            if detector.core.loop_back is None:  # the detector is done
                 break
             if not detector.history:
                 step *= 2
             stop = detector.next_stop(cycle, step)
     finally:
         detector.uninstall()
+    if detector.ended:
+        # The observed core stopped at a loop-back with whole periods left:
+        # the rest of that cycle is the rest of the full run's last cycle,
+        # shifted back by the periods.
+        jump = detector.jump(detector.periods)
+        _, _, period_cycles = jump
+        shift = detector.periods * period_cycles
+        detector.core.done_cycle = cycle + shift
+        system.pmc.cycles += shift
+        return (cycle + shift, False), None, jump
+    if not timed_out or cycle >= max_cycles:
+        return (cycle, timed_out), detector.reason or TOO_FEW_ITERATIONS, None
     if detector.match is None:
         return None, detector.reason, None
-    first, last = detector.match
-    (start, before), (end, after) = detector.history[first], detector.history[last]
-    assert before is not None and after is not None  # matches are keyed in full
-    period_cycles = end - start
-    # The jump stays at least one period short of max_cycles, and no
-    # finite program's cursor passes its end (until it does, a finite
-    # program runs exactly like the same loop run forever, whose state
-    # repeats every period), so the timeout and every program end are
-    # reached by simulation.
-    periods = (max_cycles - cycle) // period_cycles - 1
-    for core, (cursor_before, cursor_after) in zip(
-        system.cores, system.steady_cursors(before, after)
-    ):
-        advance = cursor_after - cursor_before
-        if advance and core._code.total is not None:
-            periods = min(periods, (core._code.total - core._next) // advance)
+    # The chunk's-end jump stays at least one period short of max_cycles,
+    # so the timeout and every program end are reached by simulation.
+    before, after, period_cycles = detector.period()
+    periods = periods_allowed(
+        system, before, after, max_cycles - cycle - period_cycles, period_cycles
+    )
     if periods < 1:
         return None, TOO_FEW_ITERATIONS, None
-    system.steady_advance(periods * period_cycles, periods, before, after)
-    system.current_cycle += periods * period_cycles
-    return None, None, (periods * (last - first), last - first, period_cycles)
+    return None, None, detector.jump(periods)

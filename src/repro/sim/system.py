@@ -33,10 +33,12 @@ Steady-state skipping (:mod:`repro.sim.steady`): on ``event`` and
 ``codegen``, an untraced run with one observed core is driven in chunks
 through the engine's ``max_cycles`` stop.  At each loop-back of the
 observed core the system takes a cycle-normalised key of every component
-(:meth:`System.steady_key`); once a key repeats, :meth:`System.steady_advance`
-adds whole periods — shifted cycles and LRU stamps, counters raised by the
-period's deltas — and the tail is simulated normally.  ``SystemResult.skip``
-records what was skipped, or why nothing was.
+(:meth:`System.steady_key`); once a key repeats, the run ends at the first
+loop-back with whole periods left, and :meth:`System.steady_advance` adds
+them — shifted cycles and LRU stamps, counters raised by the period's
+deltas.  Where a finite contender's end or ``max_cycles`` falls inside
+that jump, fewer periods are added and the rest is simulated.
+``SystemResult.skip`` records what was skipped, or why nothing was.
 """
 
 from __future__ import annotations

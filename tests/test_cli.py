@@ -238,6 +238,18 @@ class TestCommands:
         assert "Figure 7(b)" in captured.err
         assert "ubdm" not in captured.out
 
+    def test_derive_ubd_refuses_a_sweep_past_the_il1_at_once(self, capsys):
+        """``--k-max 100`` on small used to auto-extend to k = 400 and exit 2
+        after about 20 s; the sweep's own largest k already outgrows the
+        IL1, so it is refused before any simulation."""
+        argv = ["--preset", "small", "derive-ubd", "--iterations", "3", "--k-max", "100"]
+        exit_code = main(argv)
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err.startswith("error: small: the sweep reaches k = 100, where")
+        assert "38 code lines" in captured.err and "IL1 of 32 lines" in captured.err
+        assert captured.out == ""
+
     def test_runs_without_numpy(self):
         """The library needs only the standard library."""
         script = (
@@ -296,13 +308,22 @@ class TestCommands:
         assert "import []" in result.stdout
         assert "command []" in result.stdout
 
+        # Only a campaign directory's audit reads campaign artifacts.
+        audit = ["audit", "split_bus", "--out", str(tmp_path / "audit")]
+        result = _python(script, "repro.campaign,repro.audit.campaign", *audit)
+        assert result.returncode == 1, result.stderr
+        assert "Verdict: warn" in result.stdout
+        assert "import []" in result.stdout
+        assert "command []" in result.stdout
+
     def test_lazy_exports_resolve_every_public_name(self):
         """Lazy exports hide nothing: in a fresh interpreter every ``__all__``
         name, ``import *``, ``dir()`` and a submodule attribute resolve."""
         script = (
             "import importlib\n"
             "for name in ('repro', 'repro.sim', 'repro.analysis', 'repro.kernels',\n"
-            "             'repro.methodology', 'repro.campaign', 'repro.report'):\n"
+            "             'repro.methodology', 'repro.campaign', 'repro.report',\n"
+            "             'repro.audit'):\n"
             "    package = importlib.import_module(name)\n"
             "    for export in package.__all__:\n"
             "        getattr(package, export)\n"

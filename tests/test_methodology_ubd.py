@@ -306,6 +306,52 @@ class TestAutoExtension:
         assert wide_result.ubdm == 2 * narrow_result.ubdm
 
 
+class TestIl1Wall:
+    """From k = 85 the rsk-nop body (3 (k + 1) instructions of 4 B) outgrows
+    small's 1 KB IL1 of 32 lines: its fetches would reach the bus every
+    iteration, so no sweep or extension reaching such a k is simulated."""
+
+    def test_a_sweep_past_the_il1_is_refused_before_any_simulation(self, monkeypatch):
+        def simulate(*args, **kwargs):
+            raise AssertionError("the estimator simulated a sweep past the IL1")
+
+        monkeypatch.setattr(System, "run", simulate)
+        with pytest.raises(MethodologyError) as refusal:
+            UbdEstimator(small_config(), k_max=100, iterations=3).run()
+        assert str(refusal.value) == (
+            "small: the sweep reaches k = 100, where the rsk-nop's 38 code lines do "
+            "not fit the scua core's IL1 of 32 lines (2 per set): every iteration "
+            "would fetch its code over the bus, and dbus(k) would measure those "
+            "fetches; lower --k-max"
+        )
+
+    @pytest.mark.parametrize("k_max, refused", [(84, False), (85, True)])
+    def test_the_wall_is_where_the_code_outgrows_the_il1(self, monkeypatch, k_max, refused):
+        measured = TestAutoExtension._stub_sweep(monkeypatch, lambda k: 100 * (6 - (k - 1) % 6))
+        estimator = UbdEstimator(small_config(), k_max=k_max, iterations=3)
+        if refused:
+            with pytest.raises(MethodologyError, match="k = 85, where the rsk-nop's 33 code"):
+                estimator.run()
+        else:
+            assert estimator.run().ubdm == 6
+        assert measured == ([] if refused else list(range(1, 85)))
+
+    def test_an_extension_past_the_il1_is_refused_before_simulating_it(self, monkeypatch):
+        """A period of 40 k-steps, not covered twice by k = 1..60, asks for
+        k = 61..120, past the wall."""
+        measured = TestAutoExtension._stub_sweep(monkeypatch, lambda k: 100 * (40 - (k - 1) % 40))
+        with pytest.raises(MethodologyError, match="auto-extension reaches k = 120, where"):
+            UbdEstimator(small_config(), k_max=60, iterations=3).run()
+        assert measured == list(range(1, 61))
+
+    @pytest.mark.parametrize("preset", ["ref", "var", "split_bus", "multi_resource"])
+    def test_a_16_kb_il1_holds_every_k_up_to_the_search_limit(self, preset):
+        config = get_preset(preset)
+        for kind in ("load", "store"):
+            estimator = UbdEstimator(config, instruction_type=kind)
+            estimator._require_il1_fit(ubd_module.MAX_K_LIMIT, "the sweep", "")
+
+
 class TestStoreVariant:
     def test_store_sweep_is_refused_once_settled_at_zero(self, tiny_config):
         estimator = UbdEstimator(tiny_config, instruction_type="store", k_max=12, iterations=5)

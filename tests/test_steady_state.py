@@ -41,6 +41,7 @@ from test_engine_equivalence import (
     _build_linked_bus,
     _configs,
     _observable_state,
+    _private_cache_state,
     _run_with_segments,
 )
 
@@ -285,6 +286,130 @@ class TestBounds:
         assert results["codegen"].skip.extrapolated_iterations > 0
         assert _observable_state(results["codegen"]) == _observable_state(results["stepped"])
         assert results["codegen"].memctrl_stats == results["stepped"].memctrl_stats
+
+
+# --------------------------------------------------------------------------- #
+# The two exits of the jump, against the oracle.
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def detectors(monkeypatch):
+    """Every :class:`~repro.sim.steady.LoopDetector` made while the test runs,
+    so a test can tell which exit a run took (``ended``: at the repeat)."""
+    made = []
+    init = steady.LoopDetector.__init__
+
+    def record(self, *args):
+        init(self, *args)
+        made.append(self)
+
+    monkeypatch.setattr(steady.LoopDetector, "__init__", record)
+    return made
+
+
+def _full_state(system, result):
+    """Everything a run leaves observable: cycles, done cycles, instructions,
+    the PMCs (resource sections and ``max_*`` included), every private
+    cache's contents, LRU stamps and counters, the store buffers and the
+    memory controller's counters."""
+    buffers = [
+        (
+            tuple((entry.addr, entry.enqueue_cycle) for entry in buffer._entries),
+            buffer._head_in_flight,
+            buffer.total_enqueued,
+            buffer.total_drained,
+        )
+        for buffer in (core.store_buffer for core in system.cores)
+    ]
+    return {
+        **_observable_state(result),
+        "caches": _private_cache_state(system),
+        "store_buffers": buffers,
+        "memctrl": result.memctrl_stats,
+    }
+
+
+def _exits(config, programs, detectors, max_cycles=2_000_000):
+    """Run ``programs`` untraced on the oracle, ``event`` and ``codegen``
+    (L2 and IL1 warmed); the full states must agree.  Returns the skip
+    record and whether each skipping engine ended the run at the repeat."""
+    states, skips = {}, {}
+    for engine in ("stepped", "event", "codegen"):
+        system = System(
+            config.with_overrides(engine=engine), list(programs), preload_l2=True, preload_il1=True
+        )
+        result = system.run(observed_cores=[0], max_cycles=max_cycles)
+        states[engine], skips[engine] = _full_state(system, result), result.skip
+    assert states["event"] == states["stepped"]
+    assert states["codegen"] == states["stepped"]
+    assert skips["event"] == skips["codegen"]
+    return skips["event"], [detector.ended for detector in detectors]
+
+
+class TestExits:
+    @pytest.mark.parametrize(
+        "preset, kind, k, skip",
+        [
+            # Loads repeat from the second loop-back on: two of ten
+            # iterations find the repeat, and the run ends there.
+            ("ref", "load", 13, steady.SteadySkip(2, 8, 1, 180)),
+            ("var", "load", 13, steady.SteadySkip(2, 8, 1, 180)),
+            ("small", "load", 13, steady.SteadySkip(2, 8, 1, 63)),
+            ("split_bus", "load", 13, steady.SteadySkip(2, 8, 1, 180)),
+            # The store buffer takes longer to settle.
+            ("ref", "store", 8, steady.SteadySkip(5, 5, 1, 180)),
+            ("var", "store", 8, steady.SteadySkip(5, 5, 1, 180)),
+            ("small", "store", 8, steady.SteadySkip(4, 6, 1, 27)),
+            ("split_bus", "store", 8, steady.SteadySkip(5, 5, 1, 180)),
+        ],
+    )
+    def test_the_run_ends_at_the_repeat(self, detectors, preset, kind, k, skip):
+        config = get_preset(preset)
+        programs = _rsk_programs(config, kind, k, 10)
+        assert _exits(config, programs, detectors) == (skip, [True, True])
+
+    @pytest.mark.parametrize("iterations, simulated", [(13, 4), (14, 5), (15, 6)])
+    def test_a_remainder_ends_at_a_later_loop_back(self, detectors, iterations, simulated):
+        """FIFO loads repeat every three iterations from loop-back 3 on; the
+        run ends at the first loop-back with whole periods left, for each
+        remainder mod 3 of the iterations left there."""
+        config = _with_arbiter(get_preset("ref"), "fifo")
+        skip, ended = _exits(config, _rsk_programs(config, "load", 13, iterations), detectors)
+        assert skip == steady.SteadySkip(simulated, iterations - simulated, 3, 675)
+        assert ended == [True, True]
+
+    @pytest.mark.parametrize(
+        "k, iterations, contender_k, contender_iterations, skip",
+        [
+            # The contender ends well inside the jump to the observed end.
+            (5, 40, 5, 25, steady.SteadySkip(17, 23, 1, 27)),
+            # The contender ends in the observed core's last cycle, after it
+            # in that cycle: a jump that let the contender's cursor reach
+            # its end there would miss that end.
+            (3, 20, 0, 20, steady.SteadySkip(3, 17, 1, 27)),
+        ],
+    )
+    def test_a_finite_contender_ending_inside_the_jump_takes_the_tail(
+        self, detectors, k, iterations, contender_k, contender_iterations, skip
+    ):
+        config = small_config()
+        programs = _rsk_programs(config, "load", k, iterations)
+        programs[1] = build_rsk_nop(config, 1, k=contender_k, iterations=contender_iterations)
+        assert _exits(config, programs, detectors) == (skip, [False, False])
+
+    @pytest.mark.parametrize("offset, ended", [(-1, False), (0, True), (1, True)])
+    def test_max_cycles_around_the_predicted_end(self, detectors, offset, ended):
+        """The run ends at the repeat only when its predicted end fits in
+        ``max_cycles``; one cycle short, the tail exit times out on the
+        oracle's cycle."""
+        config = get_preset("ref")
+        programs = _rsk_programs(config, "load", 13, 10)
+        oracle = config.with_overrides(engine="stepped")
+        end = System(oracle, list(programs), preload_l2=True, preload_il1=True).run().cycles - 1
+        skip, exits = _exits(config, programs, detectors, max_cycles=end + offset)
+        assert exits == [ended, ended]
+        assert skip.extrapolated_iterations == (8 if ended else 6)
 
 
 # --------------------------------------------------------------------------- #

@@ -147,7 +147,7 @@ class TestArbiterSubclassesAtSystemLevel:
         assert self._run(config, LowestPortArbiter(config.num_cores + 1)) == 343
         assert len(calls) == 105
 
-    @pytest.mark.parametrize("engine, expected_calls", [("event", 162), ("stepped", 0)])
+    @pytest.mark.parametrize("engine, expected_calls", [("event", 115), ("stepped", 0)])
     def test_a_next_event_cycle_override_sets_the_horizon(self, engine, expected_calls):
         """Only horizon-driven engines ask for the next grant; the oracle
         visits every cycle."""
