@@ -226,7 +226,9 @@ class UbdEstimator:
 
         Raises :class:`~repro.errors.MethodologyError` before simulating
         anything on a bus whose :func:`~repro.config.admissibility` refuses
-        the saw-tooth (any bus but round robin), and
+        the saw-tooth (any bus but round robin), and before simulating a
+        sweep or an auto-extension whose largest ``k`` gives an rsk-nop
+        whose code does not fit the scua core's IL1;
         :class:`~repro.errors.AnalysisError` when
         auto-extension reaches :data:`MAX_K_LIMIT` without covering the
         detected period twice, or would extend a sweep that has settled at
@@ -237,9 +239,14 @@ class UbdEstimator:
             raise MethodologyError(f"{self.config.name}: {refusal}")
         if self.explicit_k_values is not None:
             k_values = list(self.explicit_k_values)
+            remedy = (
+                f"drop k = {max(k_values)} and every other k value the IL1 cannot hold "
+                "from k_values"
+            )
         else:
             k_values = list(range(1, self.k_max + 1))
-        self._require_il1_fit(max(k_values), "the sweep", "lower --k-max")
+            remedy = "lower --k-max"
+        self._require_il1_fit(max(k_values), "the sweep", remedy)
         delta_nop = derive_delta_nop(self.config, core_id=self.scua_core)
         points = self.sweep(k_values)
 

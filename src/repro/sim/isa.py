@@ -147,15 +147,11 @@ class Program:
                 f"program {self.name!r} base_pc must be a non-negative multiple of "
                 f"{INSTRUCTION_BYTES}"
             )
-        # One pass per instruction class, not per instruction; the walk
-        # that names the culprit runs only when some class is not one.
-        kinds = set(map(type, self.prologue)) | set(map(type, self.body))
-        if not all(issubclass(kind, Instruction) for kind in kinds):
-            for instr in (*self.prologue, *self.body):
-                if not isinstance(instr, Instruction):
-                    raise ProgramError(
-                        f"program {self.name!r} contains a non-instruction object: {instr!r}"
-                    )
+        for instr in tuple(self.prologue) + tuple(self.body):
+            if not isinstance(instr, Instruction):
+                raise ProgramError(
+                    f"program {self.name!r} contains a non-instruction object: {instr!r}"
+                )
 
     # ------------------------------------------------------------------ #
     # Introspection helpers.
@@ -181,10 +177,8 @@ class Program:
         """Dynamic number of loads and stores, or ``None`` for infinite programs."""
         if self.iterations is None:
             return None
-        in_prologue, per_body = self.derived(
-            "memory_instructions",
-            lambda program: (_count_memory(program.prologue), _count_memory(program.body)),
-        )
+        per_body = sum(1 for instr in self.body if instr.is_memory)
+        in_prologue = sum(1 for instr in self.prologue if instr.is_memory)
         return in_prologue + self.iterations * per_body
 
     def derived(self, key: Hashable, build: Callable[["Program"], _T]) -> _T:
@@ -267,12 +261,6 @@ class Program:
         mix = ", ".join(f"{count}x {name}" for name, count in sorted(kinds.items()))
         reps = "inf" if self.iterations is None else str(self.iterations)
         return f"{self.name}: body[{mix}] x {reps}"
-
-
-def _count_memory(instructions: Sequence[Instruction]) -> int:
-    """How many of ``instructions`` are loads or stores (a class attribute
-    read per instruction: faster here than a pass over their classes)."""
-    return sum(1 for instr in instructions if instr.is_memory)
 
 
 def concatenate_bodies(*parts: Sequence[Instruction]) -> Tuple[Instruction, ...]:

@@ -16,19 +16,20 @@ periodic.  A jump advances every component by ``m`` whole periods
 (shifting absolute cycles and LRU stamps, and raising every additive
 counter by ``m`` times its per-period delta).  It has two exits:
 
-* *end at the repeat*: at the first loop-back from ``j`` on where the
-  observed core has a whole number ``m`` of periods left, the hook ends
-  its program instead of starting the next iteration.  The engine
-  finishes that cycle and stops on its own observed-done check, and
-  :func:`run_skipping` jumps ``m`` periods and moves the observed core's
-  done cycle, ``pmc.cycles`` and the final cycle by ``m·D``.  The state
-  at that loop-back is the state the full run reaches ``m·D`` cycles
-  later, where its program ends, so the rest of the cycle is the rest of
-  the full run's last cycle, shifted;
-* *jump and simulate the tail*: where a finite non-observed program would
-  reach its end inside that jump, or ``max_cycles`` would fall inside it
-  (:func:`periods_allowed` decides both), the jump stops short at a
-  chunk's end and the rest of the run is simulated.
+* *end at the repeat*: when the observed core has a whole number ``m``
+  of periods left at loop-back ``j``, the hook ends its program there
+  instead of starting the next iteration.  The engine finishes that cycle
+  and stops on its own observed-done check, and :func:`run_skipping`
+  jumps ``m`` periods and moves the observed core's done cycle,
+  ``pmc.cycles`` and the final cycle by ``m·D``.  The state at that
+  loop-back is the state the full run reaches ``m·D`` cycles later,
+  where its program ends, so the rest of the cycle is the rest of the
+  full run's last cycle, shifted;
+* *jump and simulate the tail*: where the iterations left are not whole
+  periods, or a finite non-observed program would reach its end inside
+  that jump, or ``max_cycles`` would fall inside it (:func:`periods_allowed`
+  decides the last two), the jump stops short at a chunk's end and the
+  rest of the run is simulated.
 
 The key/advance protocol: every stateful sim class declares, next to its
 state,
@@ -192,13 +193,13 @@ class LoopDetector:
     loop-backs without one, or at a component that declares no key, the
     detector gives up and names the reason.
 
-    Once loop-back ``j`` repeats loop-back ``i``, the hook takes the
-    end-at-repeat exit (see the module docstring) at the first loop-back
-    from which the observed core has a whole number :attr:`periods` of
-    periods left: it returns True there and sets :attr:`ended`.  Where
-    :func:`periods_allowed` refuses that jump, or no whole period is left,
-    it returns False and the jump waits for the chunk's end.  Either way
-    the detector then uninstalls itself.
+    Once loop-back ``j`` repeats loop-back ``i``, the detector uninstalls
+    itself, and the hook takes the end-at-repeat exit (see the module
+    docstring) when the observed core has a whole number :attr:`periods`
+    of periods left there: it returns True and sets :attr:`ended`.  Where
+    the iterations left are not whole periods, or :func:`periods_allowed`
+    refuses that jump, it returns False and the jump waits for the chunk's
+    end.
 
     A full key walks every cache, so after the first
     :data:`EAGER_LOOP_BACKS` loop-backs it is taken only when the cheap
@@ -221,10 +222,8 @@ class LoopDetector:
         self._seen: Dict[Hashable, int] = {}
         #: ``(i, j)``: loop-back ``j`` repeats loop-back ``i``.
         self.match: Optional[Tuple[int, int]] = None
-        #: Whole periods the observed core has left at the exit loop-back.
+        #: Whole periods the observed core has left at the repeat.
         self.periods = 0
-        #: Loop-backs still to come before the exit loop-back.
-        self._countdown = 0
         #: Whether the hook ended the run, :attr:`periods` short of its end.
         self.ended = False
         #: Why the detector gave up, if it did.
@@ -232,11 +231,6 @@ class LoopDetector:
         self.core.loop_back = self.on_loop_back
 
     def on_loop_back(self, cycle: int) -> bool:
-        if self.match is not None:
-            # Counting down to the first loop-back with whole periods left.
-            self.history.append((cycle, None))
-            self._countdown -= 1
-            return not self._countdown and self._end_here(cycle)
         index = len(self.history)
         try:
             probe = self.system.steady_probe(cycle)
@@ -254,25 +248,19 @@ class LoopDetector:
                 self._seen[state] = index
             return False
         self._seen.clear()
+        self.uninstall()
         if earlier is None:
             self.reason = NO_REPEAT
-            self.uninstall()
             return False
         self.match = (earlier, index)
-        # A loop-back's cursor sits at the start of an iteration.
+        # A loop-back's cursor sits at the start of an iteration, so at
+        # least one iteration is left.
         code = self.core._code
         assert code.total is not None  # the observed program is finite
         left = (code.total - self.core._next) // len(code.body)
-        self.periods, self._countdown = divmod(left, index - earlier)
-        if not self.periods:
-            self.uninstall()
+        self.periods, rest = divmod(left, index - earlier)
+        if rest:
             return False
-        return not self._countdown and self._end_here(cycle)
-
-    def _end_here(self, cycle: int) -> bool:
-        """End the run at this loop-back if jumping :attr:`periods` from
-        here is exact."""
-        self.uninstall()
         before, after, period_cycles = self.period()
         allowed = periods_allowed(
             self.system, before, after, self.max_cycles - cycle, period_cycles, self.core
@@ -437,7 +425,7 @@ def _approach(
     finally:
         detector.uninstall()
     if detector.ended:
-        # The observed core stopped at a loop-back with whole periods left:
+        # The observed core stopped at the repeat with whole periods left:
         # the rest of that cycle is the rest of the full run's last cycle,
         # shifted back by the periods.
         jump = detector.jump(detector.periods)

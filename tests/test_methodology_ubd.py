@@ -325,6 +325,15 @@ class TestIl1Wall:
             "fetches; lower --k-max"
         )
 
+    def test_an_explicit_sweep_past_the_il1_names_its_largest_k(self, monkeypatch):
+        measured = TestAutoExtension._stub_sweep(monkeypatch, lambda k: 0)
+        with pytest.raises(MethodologyError) as refusal:
+            UbdEstimator(small_config(), k_values=[1, 2, 3, 90], iterations=3).run()
+        assert str(refusal.value).endswith(
+            "; drop k = 90 and every other k value the IL1 cannot hold from k_values"
+        )
+        assert measured == []
+
     @pytest.mark.parametrize("k_max, refused", [(84, False), (85, True)])
     def test_the_wall_is_where_the_code_outgrows_the_il1(self, monkeypatch, k_max, refused):
         measured = TestAutoExtension._stub_sweep(monkeypatch, lambda k: 100 * (6 - (k - 1) % 6))

@@ -369,15 +369,19 @@ class TestExits:
         programs = _rsk_programs(config, kind, k, 10)
         assert _exits(config, programs, detectors) == (skip, [True, True])
 
-    @pytest.mark.parametrize("iterations, simulated", [(13, 4), (14, 5), (15, 6)])
-    def test_a_remainder_ends_at_a_later_loop_back(self, detectors, iterations, simulated):
-        """FIFO loads repeat every three iterations from loop-back 3 on; the
-        run ends at the first loop-back with whole periods left, for each
-        remainder mod 3 of the iterations left there."""
+    @pytest.mark.parametrize(
+        "iterations, simulated, ended", [(13, 4, True), (14, 5, False), (15, 6, False)]
+    )
+    def test_only_whole_periods_left_end_at_the_repeat(
+        self, detectors, iterations, simulated, ended
+    ):
+        """FIFO loads repeat every three iterations at loop-back 3, with 9,
+        10 or 11 iterations left there: only whole periods end the run at
+        the repeat, and the other remainders mod 3 take the tail exit."""
         config = _with_arbiter(get_preset("ref"), "fifo")
-        skip, ended = _exits(config, _rsk_programs(config, "load", 13, iterations), detectors)
+        skip, exits = _exits(config, _rsk_programs(config, "load", 13, iterations), detectors)
         assert skip == steady.SteadySkip(simulated, iterations - simulated, 3, 675)
-        assert ended == [True, True]
+        assert exits == [ended, ended]
 
     @pytest.mark.parametrize(
         "k, iterations, contender_k, contender_iterations, skip",
