@@ -20,16 +20,14 @@ module implements several estimators and a consensus wrapper:
   frequency of the detrended series.
 
 A sweep holds at most a few hundred points, so the estimators work on plain
-Python numbers with :mod:`math`, :mod:`cmath` and :mod:`statistics`: the
-autocorrelation is a direct sum per lag and the spectrum a direct DFT over
-the non-DC bins.
+Python numbers with :mod:`math` and :mod:`cmath`: the autocorrelation is a
+direct sum per lag and the spectrum a direct DFT over the non-DC bins.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import statistics
 from dataclasses import dataclass
 from operator import mul
 from typing import Dict, List, Optional, Sequence, TypeVar
@@ -79,8 +77,8 @@ class SawtoothAnalyzer:
     """Analyses one ``dbus(k)`` series.
 
     Args:
-        ks: the swept nop counts (must be strictly increasing and uniformly
-            spaced; spacing larger than 1 is allowed and accounted for).
+        ks: the swept nop counts (must be strictly increasing with every
+            step equal; a step larger than 1 is allowed and accounted for).
         values: measured ``dbus`` for each ``k`` (same length as ``ks``).
         relative_tolerance: tolerance used when comparing two ``dbus`` values
             for "equality" in the Equation 3 estimator.
@@ -102,7 +100,7 @@ class SawtoothAnalyzer:
         spacing = _diff(self.ks)
         if min(spacing) <= 0:
             raise AnalysisError("ks must be strictly increasing")
-        if max(spacing) != spacing[0]:
+        if min(spacing) != max(spacing):
             raise AnalysisError("ks must be uniformly spaced")
         self.spacing = spacing[0]
         self.values = [float(value) for value in values]
@@ -133,7 +131,7 @@ class SawtoothAnalyzer:
         edges = [index for index, step in enumerate(_diff(self.values)) if step > threshold]
         if len(edges) < 2:
             return None
-        return int(round(statistics.median(_diff(edges)))) * self.spacing
+        return int(round(_median(_diff(edges)))) * self.spacing
 
     def period_autocorrelation(self) -> Optional[int]:
         """Lag of the first dominant autocorrelation peak of the detrended series."""
@@ -184,7 +182,7 @@ class SawtoothAnalyzer:
 
     def _detrended(self) -> Optional[List[float]]:
         """The series minus its mean; ``None`` when it is (nearly) constant."""
-        mean = statistics.fmean(self.values)
+        mean = math.fsum(self.values) / len(self.values)
         series = [value - mean for value in self.values]
         if all(abs(value) <= 1e-8 for value in series):
             return None
@@ -217,7 +215,7 @@ class SawtoothAnalyzer:
                 "does not cover a full period — extend the sweep range"
             )
         exact = per_method["exact"]
-        consensus = exact if exact is not None else int(statistics.median(successful))
+        consensus = exact if exact is not None else int(_median(successful))
         agreeing = sum(1 for value in successful if abs(value - consensus) <= self.spacing)
         agreement = agreeing / len(per_method)
         return PeriodEstimate(
@@ -232,3 +230,13 @@ class SawtoothAnalyzer:
 def _diff(values: Sequence[_Number]) -> List[_Number]:
     """Differences of consecutive elements."""
     return [right - left for left, right in zip(values, values[1:])]
+
+
+def _median(values: Sequence[_Number]) -> float:
+    """The median of a non-empty sequence, as :func:`statistics.median`
+    computes it: the middle element, or the mean of the two middle ones."""
+    ordered = sorted(values)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2

@@ -41,7 +41,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional
@@ -345,7 +344,6 @@ def _run_derive_ubd(args: argparse.Namespace) -> int:
     if args.per_resource:
         return _run_per_resource_derive(args, config)
     from .methodology.ubd import UbdEstimator
-    from .report.tables import render_series
 
     estimator = UbdEstimator(
         config,
@@ -372,6 +370,8 @@ def _run_derive_ubd(args: argparse.Namespace) -> int:
     print()
     print(result.confidence.summary())
     if args.show_sweep:
+        from .report.tables import render_series
+
         print()
         print(render_series(result.ks, result.dbus_values, "k", "dbus"))
     return 0 if result.confidence.passed else 1
@@ -483,6 +483,8 @@ def _run_cache(args: argparse.Namespace) -> int:
     if args.cache_command == "stats":
         stats = store.stats()
         if args.json:
+            import json
+
             print(json.dumps(stats, sort_keys=True, indent=2))
             return 0
         print(f"Store: {stats['directory']}")
@@ -491,6 +493,8 @@ def _run_cache(args: argparse.Namespace) -> int:
     if args.cache_command == "gc":
         outcome = store.gc(keep_days=args.keep_days)
         if args.json:
+            import json
+
             print(json.dumps(outcome.as_dict(), sort_keys=True, indent=2))
             return 0
         removed = outcome.removed

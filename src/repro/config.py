@@ -19,8 +19,6 @@ timing numbers.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -723,6 +721,9 @@ def canonical_digest(payload: object) -> str:
     logically equal payloads always hash identically regardless of dict
     construction order or the process that produced them.
     """
+    import hashlib
+    import json
+
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 

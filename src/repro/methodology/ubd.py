@@ -56,21 +56,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from ..analysis.confidence import (
     ConfidenceCheck,
     ConfidenceReport,
     assess_confidence,
     assess_write_burst,
-)
-from ..analysis.contention import (
-    BoundCrossCheck,
-    LatencyDecomposition,
-    MemoryTermSplit,
-    StageBoundCheck,
-    latency_decomposition,
-    memory_term_split,
 )
 from ..analysis.injection import DeltaNopEstimate, derive_delta_nop
 from ..analysis.sawtooth import PeriodEstimate, SawtoothAnalyzer
@@ -82,8 +74,18 @@ from ..kernels.rsk import (
     rsk_for_resource,
     rsk_request_count,
 )
-from .composition import ComposedEtbReport, compose_etb
 from .experiment import ContendedMeasurement, ExperimentRunner
+
+if TYPE_CHECKING:
+    # The saw-tooth alone runs none of these; the per-resource pipeline
+    # imports them where it calls them (DESIGN.md Section 2).
+    from ..analysis.contention import (
+        BoundCrossCheck,
+        LatencyDecomposition,
+        MemoryTermSplit,
+        StageBoundCheck,
+    )
+    from .composition import ComposedEtbReport
 
 #: Largest ``k`` the saw-tooth sweep's auto-extension reaches.
 MAX_K_LIMIT = 400
@@ -152,7 +154,9 @@ class UbdEstimator:
         instruction_type: bus access type of both the scua and the
             contenders (``"load"`` is the paper's default; ``"store"``
             exercises the store-buffer behaviour of Figure 7(b)).
-        k_values: explicit sweep of nop counts; by default ``1..k_max``.
+        k_values: explicit sweep of consecutive nop counts (every step 1);
+            by default ``1..k_max``.  A larger step measures the period only
+            when it divides ``ubd``, the unknown, so :meth:`run` refuses it.
         k_max: upper end of the default sweep.
         iterations: loop iterations of every rsk-nop kernel (more iterations
             sharpen the saw-tooth at the cost of simulation time).
@@ -226,9 +230,10 @@ class UbdEstimator:
 
         Raises :class:`~repro.errors.MethodologyError` before simulating
         anything on a bus whose :func:`~repro.config.admissibility` refuses
-        the saw-tooth (any bus but round robin), and before simulating a
-        sweep or an auto-extension whose largest ``k`` gives an rsk-nop
-        whose code does not fit the scua core's IL1;
+        the saw-tooth (any bus but round robin), before simulating a sweep
+        or an auto-extension whose largest ``k`` gives an rsk-nop whose code
+        does not fit the scua core's IL1, and before simulating explicit
+        ``k_values`` that are not consecutive (it names the first gap);
         :class:`~repro.errors.AnalysisError` when
         auto-extension reaches :data:`MAX_K_LIMIT` without covering the
         detected period twice, or would extend a sweep that has settled at
@@ -247,6 +252,14 @@ class UbdEstimator:
             k_values = list(range(1, self.k_max + 1))
             remedy = "lower --k-max"
         self._require_il1_fit(max(k_values), "the sweep", remedy)
+        for previous, k in zip(k_values, k_values[1:]):
+            if k != previous + 1:
+                raise MethodologyError(
+                    f"{self.config.name}: k_values jumps from k = {previous} to k = {k}: "
+                    "the saw-tooth's period is counted in steps of k, and a step other "
+                    "than 1 measures it only when the step divides ubd, which the sweep "
+                    "is there to find; sweep consecutive k values"
+                )
         delta_nop = derive_delta_nop(self.config, core_id=self.scua_core)
         points = self.sweep(k_values)
 
@@ -415,6 +428,8 @@ class ResourceUbdm:
         """This term's sandwich check (the single predicate implementation;
         the report's :class:`~repro.analysis.contention.BoundCrossCheck` is
         assembled from exactly these)."""
+        from ..analysis.contention import StageBoundCheck
+
         return StageBoundCheck(
             resource=self.resource,
             observed_worst_case=self.observed_worst_case,
@@ -527,6 +542,8 @@ class MeasuredBoundReport:
         same MBTA padding rules, applied to the *measured* per-resource
         bounds instead of the analytical ones.
         """
+        from .composition import compose_etb
+
         return compose_etb(
             task_name=task_name,
             isolation_time=isolation_time,
@@ -601,7 +618,8 @@ class MeasuredBoundPipeline:
             its per-request stage waits are not observable the same way; the
             write-burst gate covers the store-side soundness question).
         k_values / k_max / iterations / auto_extend: forwarded to the
-            saw-tooth :class:`UbdEstimator`.
+            saw-tooth :class:`UbdEstimator` (which refuses explicit
+            ``k_values`` that are not consecutive).
         scua_core: core hosting the unit-of-analysis kernels.
         stress_iterations: loop iterations of each finite stressing scua.
     """
@@ -678,6 +696,8 @@ class MeasuredBoundPipeline:
     def _decompose(
         contended: ContendedMeasurement, scua_core: int
     ) -> LatencyDecomposition:
+        from ..analysis.contention import latency_decomposition
+
         if contended.trace is None:  # pragma: no cover - trace=True everywhere
             raise MethodologyError("stress runs must be traced")
         return latency_decomposition(contended.trace, scua_core, skip_first=1)
@@ -712,6 +732,8 @@ class MeasuredBoundPipeline:
     # ------------------------------------------------------------------ #
     def run(self) -> MeasuredBoundReport:
         """Execute the pipeline and return the measured decomposition."""
+        from ..analysis.contention import BoundCrossCheck, memory_term_split
+
         config = self.config
         table = admissibility(config)
         refusal = table[PER_RESOURCE]

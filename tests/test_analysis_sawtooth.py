@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.model import ContentionModel, gamma_of_delta
-from repro.analysis.sawtooth import SawtoothAnalyzer
+from repro.analysis.sawtooth import SawtoothAnalyzer, _median
 from repro.errors import AnalysisError
 
 
@@ -43,6 +44,9 @@ class TestConstruction:
     def test_non_uniform_spacing_rejected(self):
         with pytest.raises(AnalysisError):
             SawtoothAnalyzer([1, 2, 4, 5], [1.0, 2.0, 3.0, 4.0])
+        # The first step is the largest: every step must equal it.
+        with pytest.raises(AnalysisError, match="uniformly spaced"):
+            SawtoothAnalyzer([2, 4, 5, 6], [1.0, 2.0, 3.0, 4.0])
 
     def test_every_estimator_scales_by_the_k_spacing(self):
         """Periods are reported in k units: a sweep every third k triples them."""
@@ -418,6 +422,25 @@ class TestNumpyReference:
     def test_float_series(self, values):
         assert_matches_reference(values)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        start=st.integers(-50, 50),
+        steps=st.lists(st.integers(1, 6), min_size=3, max_size=60).filter(
+            lambda steps: len(set(steps)) > 1
+        ),
+        largest_first=st.booleans(),
+    )
+    def test_non_uniform_spacing_refused_like_the_reference(self, start, steps, largest_first):
+        """Both analyzers refuse a k series with two different steps, also
+        when its first step is the largest."""
+        if largest_first:
+            steps.insert(0, steps.pop(steps.index(max(steps))))
+        ks = list(itertools.accumulate(steps, initial=start))
+        values = [float(k % 7) for k in ks]
+        for analyzer in (SawtoothAnalyzer, NumpySawtoothAnalyzer):
+            with pytest.raises(AnalysisError, match="uniformly spaced"):
+                analyzer(ks, values)
+
     def test_flat_spectrum_resolves_to_the_full_span(self):
         ks = list(range(1, 15))
         analyzer = SawtoothAnalyzer(ks, [1] + [0] * 13)
@@ -431,3 +454,38 @@ class TestNumpyReference:
             impulse = [0] * length
             impulse[position] = 1
             assert SawtoothAnalyzer(ks, impulse).period_fft() == length
+
+
+class TestStatisticsEquivalents:
+    """The analyzer's median and mean are those of :mod:`statistics`, which
+    it does not import."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=60))
+    @example(values=[3])
+    @example(values=[1, 2])
+    def test_median_of_integers(self, values):
+        assert _median(values) == statistics.median(values)
+        assert type(_median(values)) is type(statistics.median(values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=1, max_size=60))
+    @example(values=[0.5])
+    @example(values=[0.1, 0.2])
+    def test_median_of_floats(self, values):
+        assert _median(values) == statistics.median(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.one_of(
+            st.lists(st.integers(-(10**6), 10**6), min_size=4, max_size=60),
+            st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=4, max_size=60),
+        )
+    )
+    @example(values=[0.1, 0.2, 0.3, 0.4, 0.5])
+    def test_detrending_subtracts_the_fmean(self, values):
+        mean = statistics.fmean(values)
+        series = [float(value) - mean for value in values]
+        expected = None if all(abs(value) <= 1e-8 for value in series) else series
+        ks = list(range(1, len(values) + 1))
+        assert SawtoothAnalyzer(ks, values)._detrended() == expected

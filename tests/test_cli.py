@@ -265,11 +265,14 @@ class TestCommands:
 
     def test_commands_import_only_the_layers_they_run(self, tmp_path, capsys):
         """``derive-ubd`` on ``event`` loads neither path-registered engine,
-        the campaign runner, the audit nor a process pool.  ``import
-        repro.cli``, ``cache stats`` and a warm campaign re-run, which never
-        simulate, load no ``repro.sim`` module at all, and the re-run not
-        the rsk-nop methodology either.  An absent name covers its
-        submodules."""
+        the campaign runner, the audit nor a process pool; nor the
+        per-resource pipeline's analysis and composition layers, the report
+        tables, or the stdlib's ``statistics``, ``hashlib`` and ``json``.
+        ``--show-sweep`` loads the tables it prints and ``--per-resource``
+        the contention analysis.  ``import repro.cli``, ``cache stats`` and
+        a warm campaign re-run, which never simulate, load no ``repro.sim``
+        module at all, and the re-run not the rsk-nop methodology either.
+        An absent name covers its submodules."""
         script = (
             "import sys\n"
             "absent = tuple(sys.argv[1].split(','))\n"
@@ -284,12 +287,31 @@ class TestCommands:
         )
         engines = ["repro.sim.codegen", "repro.sim.trace"]
         absent = engines + ["repro.campaign.runner", "repro.audit", "concurrent.futures.process"]
+        absent += ["repro.analysis.contention", "repro.methodology.composition"]
+        absent += ["repro.methodology.etb", "repro.report"]
+        absent += ["statistics", "fractions", "decimal", "hashlib", "json"]
         derive = ["--preset", "small", "--engine", "event", "derive-ubd"]
         derive += ["--iterations", "2", "--k-max", "12"]
         result = _python(script, ",".join(absent), *derive)
         assert result.returncode == 0, result.stderr
         assert "import []" in result.stdout
         assert "command []" in result.stdout
+
+        result = _python(script, "repro.report", *derive, "--show-sweep")
+        assert result.returncode == 0, result.stderr
+        assert "import []" in result.stdout
+        assert "command ['repro.report', 'repro.report.tables']" in result.stdout
+        assert "k  | dbus\n---+-----\n 1 |   20\n" in result.stdout
+
+        per_resource = ["--preset", "split_bus", "--engine", "event", "derive-ubd"]
+        per_resource += ["--per-resource", "--iterations", "5", "--k-max", "30"]
+        result = _python(script, "repro.analysis.contention", *per_resource)
+        assert result.returncode == 0, result.stderr
+        assert "import []" in result.stdout
+        assert "command ['repro.analysis.contention']" in result.stdout
+        assert "Memory term split: memory stage split over " in result.stdout
+        for term in ("bus ", "memory ", "bus_response "):
+            assert f"\n{term}" in result.stdout, term
 
         store = str(tmp_path / "store")
         campaign = ["--preset", "small", "campaign", "--workloads", "2", "--iterations", "5"]

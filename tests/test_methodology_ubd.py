@@ -10,7 +10,7 @@ from repro.analysis.sawtooth import PeriodEstimate
 from repro.config import SAWTOOTH, BusConfig, admissibility, get_preset, small_config
 from repro.errors import AnalysisError, MethodologyError
 import repro.methodology.ubd as ubd_module
-from repro.methodology.ubd import SweepPoint, UbdEstimator
+from repro.methodology.ubd import MeasuredBoundPipeline, SweepPoint, UbdEstimator
 from repro.sim.system import System
 
 
@@ -359,6 +359,47 @@ class TestIl1Wall:
         for kind in ("load", "store"):
             estimator = UbdEstimator(config, instruction_type=kind)
             estimator._require_il1_fit(ubd_module.MAX_K_LIMIT, "the sweep", "")
+
+
+class TestExplicitSweep:
+    """An explicit sweep steps k by 1.  A larger step measures the period
+    only when it divides ubd, the unknown the sweep is there to find, so any
+    other sweep is refused before anything is simulated."""
+
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        def simulate(*args, **kwargs):
+            raise AssertionError("the estimator simulated a non-consecutive sweep")
+
+        monkeypatch.setattr(System, "run", simulate)
+
+    @pytest.mark.parametrize(
+        "preset, k_values, gap",
+        [
+            # Extended in unit steps, the mixed series reads as step 2: ubdm 12, ubd 6.
+            ("small", range(2, 14, 2), "k = 2 to k = 4"),
+            # Uniform, but step 2 does not divide ubd 27: ubdm 26.
+            ("ref", range(2, 62, 2), "k = 2 to k = 4"),
+            # No period before the search limit, after 386 simulated points.
+            ("ref", [1, 2, 3, 5, 8, 13, 21], "k = 3 to k = 5"),
+            ("small", [4, 3, 2, 1], "k = 4 to k = 3"),
+        ],
+    )
+    def test_a_gap_is_refused_before_any_simulation(self, no_simulation, preset, k_values, gap):
+        estimator = UbdEstimator(get_preset(preset), k_values=k_values, iterations=3)
+        with pytest.raises(MethodologyError, match=f"^{preset}: k_values jumps from {gap}: "):
+            estimator.run()
+
+    def test_the_pipeline_refuses_the_same_sweep(self, no_simulation):
+        pipeline = MeasuredBoundPipeline(small_config(), k_values=range(2, 14, 2), iterations=3)
+        with pytest.raises(MethodologyError, match="k_values jumps from k = 2 to k = 4"):
+            pipeline.run()
+
+    def test_a_consecutive_sweep_is_measured_as_given(self, monkeypatch):
+        measured = TestAutoExtension._stub_sweep(monkeypatch, lambda k: 100 * (6 - (k - 1) % 6))
+        result = UbdEstimator(small_config(), k_values=range(3, 20), iterations=3).run()
+        assert result.ubdm == 6
+        assert measured == list(range(3, 20))
 
 
 class TestStoreVariant:
