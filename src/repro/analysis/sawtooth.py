@@ -8,36 +8,32 @@ injection time ``delta_rsk``.
 
 Equation 3 defines the period through exact equality of ``dbus`` values.  On
 a simulator that works verbatim; on noisy measurements it does not, so this
-module implements several estimators and a consensus wrapper:
+module implements three estimators and one rule that combines them:
 
 * :meth:`SawtoothAnalyzer.period_exact` — Equation 3 with a tolerance;
 * :meth:`SawtoothAnalyzer.period_rising_edges` — the saw-tooth re-arms with a
   large upward jump once per period; the median spacing of those jumps is the
   period;
 * :meth:`SawtoothAnalyzer.period_autocorrelation` — lag of the first dominant
-  peak of the autocorrelation of the detrended series;
-* :meth:`SawtoothAnalyzer.period_fft` — inverse of the dominant non-DC
-  frequency of the detrended series.
+  peak of the autocorrelation of the detrended series.
+
+:meth:`SawtoothAnalyzer.estimate` reports the largest value of at least two
+sweep steps on which two of the three agree within one step, and refuses
+otherwise.  No estimator has a casting vote: each can answer alone with a
+wrong period (``exact`` answers one step on a monotone ramp).
 
 A sweep holds at most a few hundred points, so the estimators work on plain
-Python numbers with :mod:`math` and :mod:`cmath`: the autocorrelation is a
-direct sum per lag and the spectrum a direct DFT over the non-DC bins.
+Python numbers with :mod:`math`: the autocorrelation is a direct sum per lag.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from operator import mul
 from typing import Dict, List, Optional, Sequence, TypeVar
 
 from ..errors import AnalysisError
-
-#: Spectrum magnitudes within this relative distance of the largest one tie
-#: and the lowest tied frequency is dominant, so a flat spectrum (a single
-#: impulse in the sweep) resolves to the full span, not to rounding noise.
-_FFT_TIE_TOLERANCE = 1e-9
 
 _Number = TypeVar("_Number", int, float)
 
@@ -52,9 +48,9 @@ class PeriodEstimate:
             delta_nop``) — this is ``ubdm``.
         per_method: period (in ``k`` steps) reported by each estimator;
             ``None`` when an estimator could not produce a value.
-        agreement: fraction of *all* estimators that agree with the
-            consensus (1.0 means unanimous); an estimator that found no
-            period counts against it.
+        agreement: share of the three estimators within one sweep step of
+            the period (at least two of three by the rule that chose it);
+            an estimator that found no period counts against it.
         delta_nop: cycles per nop used for the conversion.
     """
 
@@ -66,10 +62,9 @@ class PeriodEstimate:
 
     def summary(self) -> str:
         """One-line human readable summary."""
-        methods = ", ".join(f"{name}={value}" for name, value in sorted(self.per_method.items()))
         return (
             f"period={self.period_k} k-steps ({self.period_cycles} cycles), "
-            f"agreement={self.agreement:.0%} [{methods}]"
+            f"agreement={self.agreement:.0%} [{_answers(self.per_method)}]"
         )
 
 
@@ -156,30 +151,6 @@ class SawtoothAnalyzer:
             previous, value = value, following
         return None
 
-    def period_fft(self) -> Optional[int]:
-        """Period derived from the dominant non-DC Fourier component."""
-        series = self._detrended()
-        if series is None:
-            return None
-        n = len(series)
-        # Bin f sums series[t] * w**(f * t) with w = exp(-2 pi i / n), so
-        # multiplying the previous bin's terms by w**t steps to the next bin.
-        twiddles = [cmath.exp(-2j * math.pi * t / n) for t in range(n)]
-        terms: Sequence[complex] = series
-        magnitudes = []
-        for _ in range(n // 2):
-            terms = list(map(mul, terms, twiddles))
-            magnitudes.append(abs(sum(terms)))
-        # Rounding (summation order, the twiddle walk) moves a magnitude by
-        # far less than the tie band, which resolves to the lowest frequency.
-        floor = max(magnitudes) * (1.0 - _FFT_TIE_TOLERANCE)
-        dominant = next(
-            frequency
-            for frequency, magnitude in enumerate(magnitudes, start=1)
-            if magnitude >= floor
-        )
-        return int(round(n / dominant)) * self.spacing
-
     def _detrended(self) -> Optional[List[float]]:
         """The series minus its mean; ``None`` when it is (nearly) constant."""
         mean = math.fsum(self.values) / len(self.values)
@@ -192,13 +163,14 @@ class SawtoothAnalyzer:
     # Consensus.
     # ------------------------------------------------------------------ #
     def estimate(self, delta_nop: int = 1) -> PeriodEstimate:
-        """Combine the estimators into one consensus period.
+        """The saw-tooth period: the largest value of at least two sweep
+        steps on which at least two of the three estimators agree within one
+        step.
 
-        The Equation 3 estimator is used as the consensus when it succeeds
-        (it is the paper's definition); otherwise the median of the
-        successful robust estimators is used.  ``agreement`` reports the
-        share of the four estimators that land within one sweep step of the
-        consensus; one that returned ``None`` counts as disagreeing.
+        Of two agreeing values one step apart the larger is taken, which
+        keeps ``ubdm`` on the covering side.  Raises
+        :class:`~repro.errors.AnalysisError`, naming each estimator's answer,
+        when no value has two backers.
         """
         if delta_nop < 1:
             raise AnalysisError(f"delta_nop must be >= 1, got {delta_nop}")
@@ -206,25 +178,31 @@ class SawtoothAnalyzer:
             "exact": self.period_exact(),
             "rising_edges": self.period_rising_edges(),
             "autocorrelation": self.period_autocorrelation(),
-            "fft": self.period_fft(),
         }
-        successful = [value for value in per_method.values() if value is not None]
-        if not successful:
+        answers = [value for value in per_method.values() if value is not None]
+
+        def backers(value: int) -> int:
+            return sum(1 for other in answers if abs(other - value) <= self.spacing)
+
+        agreed = [value for value in answers if value >= 2 * self.spacing and backers(value) >= 2]
+        if not agreed:
             raise AnalysisError(
-                "no estimator could find a saw-tooth period; the k sweep probably "
-                "does not cover a full period — extend the sweep range"
+                "no two saw-tooth estimators agree within one step on a period of at "
+                f"least two steps ({_answers(per_method)})"
             )
-        exact = per_method["exact"]
-        consensus = exact if exact is not None else int(_median(successful))
-        agreeing = sum(1 for value in successful if abs(value - consensus) <= self.spacing)
-        agreement = agreeing / len(per_method)
+        period = max(agreed)
         return PeriodEstimate(
-            period_k=consensus,
-            period_cycles=consensus * delta_nop,
+            period_k=period,
+            period_cycles=period * delta_nop,
             per_method=per_method,
-            agreement=agreement,
+            agreement=backers(period) / len(per_method),
             delta_nop=delta_nop,
         )
+
+
+def _answers(per_method: Dict[str, Optional[int]]) -> str:
+    """Each estimator's answer, as ``name=value`` in name order."""
+    return ", ".join(f"{name}={value}" for name, value in sorted(per_method.items()))
 
 
 def _diff(values: Sequence[_Number]) -> List[_Number]:

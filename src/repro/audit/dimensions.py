@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Generic, List, Optional, Tuple, TypeVar
 
 from ..analysis.confidence import assess_write_burst
 from ..analysis.contention import ContentionHistogram, contention_histogram
-from ..config import EQUATION_1, ArchConfig, admissibility
+from ..config import EQUATION_1, PER_RESOURCE, SAWTOOTH, ArchConfig, admissibility
 from ..errors import ConfigurationError, ReproError
 from ..kernels.rsk import build_rsk
 from ..methodology.experiment import ContendedMeasurement, ExperimentRunner
@@ -123,17 +123,23 @@ class ConfigAuditContext:
         return self._measured
 
     def bus_methodology(self) -> Tuple[Optional[UbdMethodologyResult], Optional[str]]:
-        """The saw-tooth methodology result (shared with the pipeline when
-        the pipeline ran it; derived standalone otherwise — the estimator
-        refuses up front where the saw-tooth is not admitted)."""
+        """The saw-tooth methodology result, or the reason there is none.
+
+        Where the pipeline runs the saw-tooth (it admits both the saw-tooth
+        and the per-resource terms), its result or its refusal is taken as
+        it stands: the sweep is never run twice.  Elsewhere the estimator
+        runs standalone, and refuses up front where the saw-tooth is not
+        admitted."""
         if self._methodology is None:
-            report, _ = self.measured_report()
-            if report is not None and report.bus_methodology is not None:
-                self._methodology = (report.bus_methodology, None)
+            table = admissibility(self.config)
+            if table[SAWTOOTH] is None and table[PER_RESOURCE] is None:
+                report, reason = self.measured_report()
+                methodology = report.bus_methodology if report is not None else None
+                self._methodology = (methodology, reason)
             else:
                 options = self.options
                 try:
-                    # No auto-extension: an audit's fallback sweep stays
+                    # No auto-extension: an audit's standalone sweep stays
                     # within the configured budget — if no period shows up
                     # in options.k_max steps the dimension warns with the
                     # reason instead of hunting for one.
@@ -278,15 +284,17 @@ def _measured_bounds(context: ConfigAuditContext) -> DimensionResult:
                 term.sandwich.status,
             )
         )
+    refusal = report.end_to_end_refusal
     within = report.end_to_end_ubdm <= report.end_to_end_analytical
+    detail = (
+        f"end-to-end measured bound {report.end_to_end_ubdm} cycles "
+        f"(analytical envelope {report.end_to_end_analytical})"
+    )
     findings.append(
         Finding(
             check="end_to_end",
-            verdict=VERDICT_PASS if within else VERDICT_FAIL,
-            detail=(
-                f"end-to-end measured bound {report.end_to_end_ubdm} cycles "
-                f"(analytical envelope {report.end_to_end_analytical})"
-            ),
+            verdict=VERDICT_PASS if within and refusal is None else VERDICT_FAIL,
+            detail=refusal or detail,
             evidence={
                 "end_to_end_ubdm": report.end_to_end_ubdm,
                 "end_to_end_analytical": report.end_to_end_analytical,

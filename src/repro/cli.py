@@ -47,7 +47,7 @@ from typing import List, Optional
 
 from .config import ARBITRATION_POLICIES, ENGINES, PRESETS, TOPOLOGIES, get_preset
 from .config import PER_RESOURCE, SAWTOOTH, admissibility
-from .errors import ConfigurationError, ReproError
+from .errors import ConfigurationError, MethodologyError, ReproError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,6 +313,9 @@ def _run_per_resource_derive(args: argparse.Namespace, config) -> int:
     print(
         render_table(["resource", "observed", "ubdm", "analytical", "method", "check"], rows)
     )
+    refusal = report.end_to_end_refusal
+    if refusal is not None:
+        raise MethodologyError(refusal)
     print()
     sawtooth = report.bus_methodology
     if sawtooth is None:
@@ -352,6 +355,12 @@ def _run_derive_ubd(args: argparse.Namespace) -> int:
         iterations=args.iterations,
     )
     result = estimator.run()
+    for check in result.confidence.failed_checks():
+        if check.name == "observed_floor":
+            # The one check that disproves the value: the sweep saw a longer wait.
+            raise MethodologyError(
+                f"{config.name}: observed_floor fails, so no bound is reported: {check.detail}"
+            )
     print(f"Platform: {args.preset} (analytical ubd = {config.ubd} cycles)")
     if config.topology.has_memory_queues:
         refusal = admissibility(config)[PER_RESOURCE]

@@ -14,9 +14,9 @@ paper's instance and the resource-generic pipeline built on top of it:
   2. for every ``k`` in a sweep, build ``rsk-nop(t, k)`` as the software
      under analysis, measure its execution time in isolation and against
      ``Nc - 1`` rsk contenders, and form ``dbus(t, k)`` — the slowdown;
-  3. detect the saw-tooth period of ``dbus(t, k)`` (Equation 3 plus the
-     robust estimators of :mod:`repro.analysis.sawtooth`); the period,
-     converted to cycles through ``delta_nop``, is ``ubdm``;
+  3. detect the saw-tooth period of ``dbus(t, k)``: two of Equation 3 and
+     the robust estimators of :mod:`repro.analysis.sawtooth` must agree on
+     it; the period, converted to cycles through ``delta_nop``, is ``ubdm``;
   4. evaluate the confidence checks of Section 4.3 (bus saturation via the
      PMCs, ``delta_nop`` reliability, estimator agreement, sweep coverage)
      and the observed floor (no bus wait the sweep saw exceeds ``ubdm``).
@@ -45,11 +45,11 @@ arbitration timing — only which bound methods the arbitration admits
 (:func:`repro.config.admissibility`) and which instruction types exercise
 which resource, exactly as the paper requires.
 
-The saw-tooth sweep can optionally auto-extend: if no period is detected
-within the initial ``k`` range (because the range does not cover two
-periods), the range is doubled up to a limit.  This is the "applicability to
-a COTS multicore" mode of Section 5.3, where ``ubd`` is genuinely unknown
-beforehand.
+The saw-tooth sweep auto-extends by default: while the estimators reach no
+consensus, or the range does not cover the consensus period twice, the range
+is doubled up to a limit, where the sweep is refused.  This is the
+"applicability to a COTS multicore" mode of Section 5.3, where ``ubd`` is
+genuinely unknown beforehand.
 """
 
 from __future__ import annotations
@@ -161,8 +161,9 @@ class UbdEstimator:
         iterations: loop iterations of every rsk-nop kernel (more iterations
             sharpen the saw-tooth at the cost of simulation time).
         scua_core: core hosting the kernel under analysis.
-        auto_extend: extend the sweep (doubling ``k_max``) when no period is
-            found, up to :data:`MAX_K_LIMIT`.
+        auto_extend: extend the sweep (doubling ``k_max``) until the
+            estimators agree on a period it covers twice, up to
+            :data:`MAX_K_LIMIT`; otherwise the sweep is a fixed budget.
     """
 
     def __init__(
@@ -233,11 +234,17 @@ class UbdEstimator:
         the saw-tooth (any bus but round robin), before simulating a sweep
         or an auto-extension whose largest ``k`` gives an rsk-nop whose code
         does not fit the scua core's IL1, and before simulating explicit
-        ``k_values`` that are not consecutive (it names the first gap);
-        :class:`~repro.errors.AnalysisError` when
-        auto-extension reaches :data:`MAX_K_LIMIT` without covering the
-        detected period twice, or would extend a sweep that has settled at
-        zero (:func:`settled_at_zero`).
+        ``k_values`` that are not consecutive (it names the first gap).
+
+        The sweep doubles its largest ``k`` on one condition: the saw-tooth
+        estimators reach no consensus
+        (:meth:`~repro.analysis.sawtooth.SawtoothAnalyzer.estimate`), or the
+        span does not cover it twice.  Where that still holds at
+        :data:`MAX_K_LIMIT` (or, without ``auto_extend``, at once) it raises
+        :class:`~repro.errors.AnalysisError` in one place, naming which part
+        held; a budgeted sweep reports a consensus it does not cover twice
+        through the ``sweep_coverage`` check instead.  A sweep settled at
+        zero (:func:`settled_at_zero`) is refused before extending.
         """
         refusal = admissibility(self.config)[SAWTOOTH]
         if refusal is not None:
@@ -262,16 +269,20 @@ class UbdEstimator:
                 )
         delta_nop = derive_delta_nop(self.config, core_id=self.scua_core)
         points = self.sweep(k_values)
-
-        period = self._detect_period(points, delta_nop)
-        while self._needs_extension(period, k_values):
-            if not self.auto_extend:
-                if period is not None:
+        while True:
+            span = k_values[-1] - k_values[0] + 1
+            try:
+                analyzer = SawtoothAnalyzer(k_values, [point.dbus for point in points])
+                period = analyzer.estimate(delta_nop=delta_nop.rounded)
+            except AnalysisError as exc:
+                shortfall = str(exc)
+            else:
+                # Equation 3 needs pairs of equal values one period apart.
+                # Without auto-extension the sweep is a fixed budget, and the
+                # sweep_coverage check fails a period it does not cover twice.
+                if span >= 2 * period.period_k or not self.auto_extend:
                     break
-                raise AnalysisError(
-                    "no saw-tooth period detected and auto_extend is disabled; "
-                    "widen the k sweep"
-                )
+                shortfall = f"the period of {period.period_k} k-steps is not covered twice"
             first_zero = settled_at_zero(points)
             if first_zero is not None:
                 raise AnalysisError(
@@ -281,32 +292,17 @@ class UbdEstimator:
                     "the paper's Figure 7(b)), so no saw-tooth period measures ubd and no "
                     "bound is reported"
                 )
-            next_start = k_values[-1] + 1
-            next_end = min(MAX_K_LIMIT, k_values[-1] * 2)
-            if next_start > next_end:
-                if period is not None:
-                    break
+            if not self.auto_extend or k_values[-1] >= MAX_K_LIMIT:
+                limit = f"the search limit of {MAX_K_LIMIT}" if self.auto_extend else "its budget"
                 raise AnalysisError(
-                    f"no saw-tooth period detected for k up to {k_values[-1]}; "
-                    f"the platform's ubd exceeds the search limit of {MAX_K_LIMIT}"
+                    f"the sweep reached {limit} at k = {k_values[0]}..{k_values[-1]}, where "
+                    f"{shortfall}; no bound is reported"
                 )
-            extension = list(range(next_start, next_end + 1))
+            next_end = min(MAX_K_LIMIT, k_values[-1] * 2)
             self._require_il1_fit(next_end, "the sweep's auto-extension", "no bound is reported")
+            extension = list(range(k_values[-1] + 1, next_end + 1))
             points.extend(self.sweep(extension))
             k_values.extend(extension)
-            period = self._detect_period(points, delta_nop)
-        if period is None:
-            raise AnalysisError("no saw-tooth period detected; widen the k sweep")
-        span = k_values[-1] - k_values[0] + 1
-        if self.auto_extend and span < 2 * period.period_k:
-            # The extension stopped at the search limit, not because the
-            # period is covered twice: the period is inconclusive by the
-            # sweep's own rule, so it is not reported as a bound.
-            raise AnalysisError(
-                f"the sweep reached the search limit MAX_K_LIMIT = {MAX_K_LIMIT} with a "
-                f"saw-tooth period of {period.period_k} k-steps that k = "
-                f"{k_values[0]}..{k_values[-1]} does not cover twice; no bound is reported"
-            )
 
         ubdm = period.period_cycles
         mean_utilisation = sum(point.bus_utilisation for point in points) / len(points)
@@ -344,32 +340,6 @@ class UbdEstimator:
                 "would fetch its code over the bus, and dbus(k) would measure those "
                 f"fetches; {remedy}"
             )
-
-    def _needs_extension(
-        self, period: Optional[PeriodEstimate], k_values: Sequence[int]
-    ) -> bool:
-        """Decide whether the sweep must grow before the estimate is trusted.
-
-        The sweep is extended while no period is found, or while the detected
-        period is not covered at least twice (Equation 3 needs pairs of equal
-        values one period apart, so a single period is never conclusive).
-        """
-        if period is None:
-            return True
-        span = k_values[-1] - k_values[0] + 1
-        return span < 2 * period.period_k and k_values[-1] < MAX_K_LIMIT
-
-    @staticmethod
-    def _detect_period(
-        points: Sequence[SweepPoint], delta_nop: DeltaNopEstimate
-    ) -> Optional[PeriodEstimate]:
-        ks = [point.k for point in points]
-        values = [point.dbus for point in points]
-        try:
-            analyzer = SawtoothAnalyzer(ks, values)
-            return analyzer.estimate(delta_nop=delta_nop.rounded)
-        except AnalysisError:
-            return None
 
 
 def settled_at_zero(points: Sequence[SweepPoint]) -> Optional[int]:
@@ -516,6 +486,21 @@ class MeasuredBoundReport:
         return sum(self.analytical_terms.values())
 
     @property
+    def end_to_end_refusal(self) -> Optional[str]:
+        """Why no end-to-end bound is composed from the terms, or ``None``:
+        a term below the worst case its own resource was observed to impose
+        is disproved by the pipeline's own measurement."""
+        uncovered = [
+            f"the {term.resource} term of {term.ubdm} cycles is NOT COVERING its "
+            f"observed worst case of {term.observed_worst_case}"
+            for term in self.terms.values()
+            if not term.covers_observation
+        ]
+        if not uncovered:
+            return None
+        return f"{self.arch_name}: {'; '.join(uncovered)}; no end-to-end bound is composed"
+
+    @property
     def passed(self) -> bool:
         """True when every check holds: the saw-tooth confidence report
         (where the saw-tooth ran), the per-stage sandwiches, and the
@@ -540,10 +525,16 @@ class MeasuredBoundReport:
         The measured analogue of
         :func:`repro.methodology.composition.compose_etb_for_config`: the
         same MBTA padding rules, applied to the *measured* per-resource
-        bounds instead of the analytical ones.
+        bounds instead of the analytical ones.  Raises
+        :class:`~repro.errors.MethodologyError` with
+        :attr:`end_to_end_refusal` where a term does not cover its
+        observation.
         """
         from .composition import compose_etb
 
+        refusal = self.end_to_end_refusal
+        if refusal is not None:
+            raise MethodologyError(refusal)
         return compose_etb(
             task_name=task_name,
             isolation_time=isolation_time,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import pytest
 
@@ -51,25 +51,42 @@ def tiny_config() -> ArchConfig:
 
 
 @pytest.fixture
-def sweep_capped_before_two_periods(monkeypatch: pytest.MonkeyPatch) -> None:
+def stub_sweep(monkeypatch: pytest.MonkeyPatch) -> Callable[..., List[int]]:
+    """``stub_sweep(dbus_of, bus_max_wait=0)`` replaces every
+    ``UbdEstimator`` sweep point with ``dbus_of(k)`` and returns the list
+    the measured ``k`` are appended to."""
+    from repro.methodology.ubd import SweepPoint, UbdEstimator
+
+    def stub(dbus_of: Callable[[int], int], bus_max_wait: int = 0) -> List[int]:
+        measured: List[int] = []
+
+        def measure_point(estimator: UbdEstimator, k: int) -> SweepPoint:
+            measured.append(k)
+            dbus = dbus_of(k)
+            return SweepPoint(
+                k=k,
+                isolation_time=1000,
+                contended_time=1000 + dbus,
+                dbus=dbus,
+                bus_utilisation=1.0,
+                requests=100,
+                bus_max_wait=bus_max_wait,
+            )
+
+        monkeypatch.setattr(UbdEstimator, "measure_point", measure_point)
+        return measured
+
+    return stub
+
+
+@pytest.fixture
+def sweep_capped_before_two_periods(
+    monkeypatch: pytest.MonkeyPatch, stub_sweep: Callable[..., List[int]]
+) -> None:
     """Stub every ``UbdEstimator`` sweep point with a saw-tooth of period 16
     k-steps and lower ``MAX_K_LIMIT`` to 24, so auto-extension reaches the
     search limit before the sweep covers the period twice."""
-    from repro.methodology.ubd import SweepPoint, UbdEstimator
-
-    def sawtooth_of_period_16(estimator: UbdEstimator, k: int) -> SweepPoint:
-        dbus = 100 * (16 - (k - 1) % 16)
-        return SweepPoint(
-            k=k,
-            isolation_time=1000,
-            contended_time=1000 + dbus,
-            dbus=dbus,
-            bus_utilisation=1.0,
-            requests=100,
-            bus_max_wait=0,
-        )
-
-    monkeypatch.setattr(UbdEstimator, "measure_point", sawtooth_of_period_16)
+    stub_sweep(lambda k: 100 * (16 - (k - 1) % 16))
     monkeypatch.setattr("repro.methodology.ubd.MAX_K_LIMIT", 24)
 
 

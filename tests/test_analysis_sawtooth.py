@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import statistics
-from typing import Dict, List, Optional, Sequence
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.model import ContentionModel, gamma_of_delta
 from repro.analysis.sawtooth import SawtoothAnalyzer, _median
+from repro.config import CacheConfig, L2Config, reference_config
 from repro.errors import AnalysisError
+from repro.methodology.ubd import UbdEstimator
 
 
 def synthetic_dbus(ks, ubd, delta_rsk=1, requests=200, noise=0.0, seed=0):
@@ -107,17 +111,11 @@ class TestRobustDetectors:
         analyzer = SawtoothAnalyzer(ks, synthetic_dbus(ks, ubd=27))
         assert analyzer.period_autocorrelation() == 27
 
-    def test_fft_close_to_period(self):
-        ks = list(range(1, 109))
-        analyzer = SawtoothAnalyzer(ks, synthetic_dbus(ks, ubd=27))
-        assert abs(analyzer.period_fft() - 27) <= 2
-
     def test_constant_series_yields_no_period(self):
         ks = list(range(1, 20))
         analyzer = SawtoothAnalyzer(ks, [100.0] * len(ks))
         assert analyzer.period_rising_edges() is None
         assert analyzer.period_autocorrelation() is None
-        assert analyzer.period_fft() is None
 
     def test_robust_detectors_survive_moderate_noise(self):
         ks = list(range(1, 110))
@@ -130,7 +128,6 @@ class TestRobustDetectors:
         tone = [math.cos(2 * math.pi * t / 10) for t in range(60)]
         analyzer = SawtoothAnalyzer(ks, tone)
         assert analyzer.period_autocorrelation() == 10
-        assert analyzer.period_fft() == 10
 
     def test_single_step_has_no_repetition(self):
         """One upward jump is not a saw-tooth: no re-arming edge to pair it with."""
@@ -146,17 +143,15 @@ class TestRobustDetectors:
         assert analyzer.period_exact() is None
         assert analyzer.period_rising_edges() is None
         assert analyzer.period_autocorrelation() is None
-        # The spectrum always has a dominant bin; for a ramp it is the lowest.
-        assert analyzer.period_fft() == 30
 
 
 class TestConsensus:
-    def test_estimate_prefers_exact_detector(self):
+    def test_unanimous_estimators_give_the_period(self):
         ks = list(range(1, 60))
         estimate = SawtoothAnalyzer(ks, synthetic_dbus(ks, ubd=27)).estimate()
         assert estimate.period_k == 27
-        assert estimate.per_method["exact"] == 27
-        assert estimate.agreement >= 0.75
+        assert estimate.per_method == {"exact": 27, "rising_edges": 27, "autocorrelation": 27}
+        assert estimate.agreement == 1.0
 
     def test_estimate_converts_to_cycles_with_delta_nop(self):
         ks = list(range(1, 30))
@@ -179,39 +174,43 @@ class TestConsensus:
     def test_summary_mentions_period_and_agreement(self):
         ks = list(range(1, 60))
         estimate = SawtoothAnalyzer(ks, synthetic_dbus(ks, ubd=27)).estimate()
-        summary = estimate.summary()
-        assert "27" in summary
-        assert "%" in summary
+        assert estimate.summary() == (
+            "period=27 k-steps (27 cycles), agreement=100% "
+            "[autocorrelation=27, exact=27, rising_edges=27]"
+        )
 
     def test_estimate_on_small_platform_period(self):
         ks = list(range(1, 13))
         estimate = SawtoothAnalyzer(ks, synthetic_dbus(ks, ubd=3)).estimate()
         assert estimate.period_k == 3
 
-    def test_estimate_falls_back_to_robust_median_without_exact(self):
+    def test_two_robust_estimators_carry_the_period_without_exact(self):
         ks = list(range(1, 110))
         values = synthetic_dbus(ks, ubd=27)
         values[4] += 0.05 * max(values)  # one outlier breaks every Equation 3 shift
         estimate = SawtoothAnalyzer(ks, values).estimate()
         assert estimate.per_method["exact"] is None
         assert estimate.period_k == 27
-        # The three robust estimators agree; the failed exact one counts
-        # against agreement.
-        assert estimate.agreement == 0.75
+        # The failed exact estimator counts against agreement.
+        assert estimate.agreement == pytest.approx(2 / 3)
 
-    def test_a_single_answering_estimator_is_a_quarter_agreement(self, monkeypatch):
-        """One estimator answering alone is 25 % agreement, never 100 %."""
+    def test_a_single_answering_estimator_is_refused(self, monkeypatch):
+        """One estimator alone never gives a period; the refusal names all
+        three answers."""
         ks = list(range(1, 110))
         analyzer = SawtoothAnalyzer(ks, synthetic_dbus(ks, ubd=27))
-        for method in ("period_exact", "period_rising_edges", "period_autocorrelation"):
+        for method in ("period_exact", "period_rising_edges"):
             monkeypatch.setattr(analyzer, method, lambda: None)
-        estimate = analyzer.estimate()
-        assert estimate.per_method["fft"] == 27
-        assert estimate.period_k == 27
-        assert estimate.agreement == 0.25
+        with pytest.raises(AnalysisError) as refusal:
+            analyzer.estimate()
+        assert str(refusal.value) == (
+            "no two saw-tooth estimators agree within one step on a period of at least "
+            "two steps (autocorrelation=27, exact=None, rising_edges=None)"
+        )
 
-    def test_exact_detector_wins_against_dissent(self):
-        """Equation 3 is the paper's definition; dissent only lowers agreement."""
+    def test_two_estimators_outvote_exact(self):
+        """Equation 3 gets no casting vote: where the other two agree on a
+        period, its dissent only lowers agreement."""
         ks = list(range(1, 110))
         values = synthetic_dbus(ks, ubd=27)
         # A step beyond the tolerance that alternates every 27 k: the series
@@ -219,14 +218,141 @@ class TestConsensus:
         bump = 0.05 * max(values)
         values = [value + (bump if (k - 1) % 54 < 27 else 0.0) for k, value in zip(ks, values)]
         estimate = SawtoothAnalyzer(ks, values).estimate()
-        assert estimate.per_method == {
-            "exact": 54,
-            "rising_edges": 27,
-            "autocorrelation": 27,
-            "fft": 27,
-        }
-        assert estimate.period_k == 54
-        assert estimate.agreement == 0.25
+        assert estimate.per_method == {"exact": 54, "rising_edges": 27, "autocorrelation": 27}
+        assert estimate.period_k == 27
+        assert estimate.agreement == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize(
+        "answers, period, agreement",
+        [
+            # Of two values one step apart the larger, which covers the other.
+            ((27, 28, None), 28, 2 / 3),
+            ((26, 27, 28), 28, 2 / 3),
+            ((27, 27, 28), 28, 1.0),
+            # Two agreeing pairs: the larger period.
+            ((9, 10, 30), 10, 2 / 3),
+            # Two steps apart is no agreement.
+            ((25, 27, None), None, None),
+            ((25, 27, 29), None, None),
+            # A period of one step is never reported: Equation 3 returns it
+            # on a monotone ramp.
+            ((1, 1, None), None, None),
+            ((1, 2, 2), 2, 1.0),
+            ((None, None, None), None, None),
+        ],
+    )
+    def test_the_largest_value_two_estimators_back(self, monkeypatch, answers, period, agreement):
+        ks = list(range(1, 110))
+        analyzer = SawtoothAnalyzer(ks, synthetic_dbus(ks, ubd=27))
+        methods = ("period_exact", "period_rising_edges", "period_autocorrelation")
+        for method, answer in zip(methods, answers):
+            monkeypatch.setattr(analyzer, method, lambda answer=answer: answer)
+        if period is None:
+            with pytest.raises(AnalysisError, match="no two saw-tooth estimators agree"):
+                analyzer.estimate()
+        else:
+            estimate = analyzer.estimate()
+            assert estimate.period_k == period
+            assert estimate.agreement == pytest.approx(agreement)
+
+    def test_one_step_means_one_sweep_step(self, monkeypatch):
+        """On a sweep every third k the estimators answer in k: 3 is one
+        step, so never a period, and agrees within one step with 6."""
+        analyzer = SawtoothAnalyzer(list(range(3, 300, 3)), [0.0, 1.0] * 49 + [0.0])
+        for method, answer in (("period_exact", 3), ("period_rising_edges", 3)):
+            monkeypatch.setattr(analyzer, method, lambda answer=answer: answer)
+        monkeypatch.setattr(analyzer, "period_autocorrelation", lambda: 6)
+        estimate = analyzer.estimate()
+        assert estimate.period_k == 6
+        assert estimate.agreement == pytest.approx(1.0)
+
+    def test_a_monotone_ramp_is_refused(self):
+        """k = 1..60 on eight cores is one falling flank: Equation 3 alone
+        answers, with one step."""
+        ks = list(range(1, 61))
+        analyzer = SawtoothAnalyzer(ks, [4000 - 63 * k for k in ks])
+        with pytest.raises(AnalysisError, match=r"\(autocorrelation=None, exact=1, "):
+            analyzer.estimate()
+
+
+# --------------------------------------------------------------------------- #
+# The rule under measurement noise, on real sweeps.
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def real_sweeps() -> Dict[str, Tuple[int, List[int]]]:
+    """Clean dbus(k) of ``ref`` (k = 1..80, ubd 27) and of ``ref`` with six
+    cores (k = 1..120, ubd 45), at 10 iterations, with each platform's ubd."""
+    six_cores = reference_config(
+        num_cores=6,
+        l2=L2Config(cache=CacheConfig(size_bytes=256 * 1024, ways=8, line_size=32, hit_latency=6)),
+    )
+    sweeps = {}
+    for name, config, k_max in (("ref", reference_config(), 80), ("six_cores", six_cores, 120)):
+        points = UbdEstimator(config, iterations=10).sweep(range(1, k_max + 1))
+        sweeps[name] = (config.ubd, [point.dbus for point in points])
+    return sweeps
+
+
+def outcomes(ubd: int, series: Sequence[Sequence[float]]) -> Counter:
+    """How many of ``series`` give ubd within one step, refuse, or give any
+    other period (keyed ``"other <period>"``)."""
+    counts: Counter = Counter()
+    for values in series:
+        try:
+            period = SawtoothAnalyzer(range(1, len(values) + 1), values).estimate().period_k
+        except AnalysisError:
+            counts["refused"] += 1
+            continue
+        counts["ubd" if abs(period - ubd) <= 1 else f"other {period}"] += 1
+    return counts
+
+
+@pytest.mark.parametrize("name", ["ref", "six_cores"])
+class TestNoise:
+    """Perturbed copies of a real sweep give the platform's ubd within one
+    step or a refusal, never another period.  Sigma and amplitudes are
+    shares of the clean series' range.
+
+    A spike every few k as tall as the whole saw-tooth is a saw-tooth of
+    its own: there ``rising_edges`` and ``autocorrelation`` both follow the
+    spike, so the spikes here stay at half the range."""
+
+    @pytest.mark.parametrize("sigma", [0.02, 0.05, 0.1, 0.2, 0.3])
+    def test_gaussian_noise(self, real_sweeps, name, sigma):
+        ubd, clean = real_sweeps[name]
+        spread = sigma * (max(clean) - min(clean))
+        noisy = []
+        for seed in range(60):
+            rng = random.Random(seed)
+            noisy.append([value + rng.gauss(0.0, spread) for value in clean])
+        counts = outcomes(ubd, noisy)
+        assert set(counts) <= {"ubd", "refused"}, counts
+        if sigma <= 0.05:
+            assert counts == {"ubd": 60}
+
+    def test_one_outlier(self, real_sweeps, name):
+        ubd, clean = real_sweeps[name]
+        height = 1.5 * (max(clean) - min(clean))
+        noisy = []
+        for seed in range(60):
+            rng = random.Random(seed)
+            values = list(clean)
+            values[rng.randrange(len(values))] += rng.choice((-height, height))
+            noisy.append(values)
+        assert set(outcomes(ubd, noisy)) <= {"ubd", "refused"}
+
+    @pytest.mark.parametrize("every", [7, 10, 16, 30])
+    def test_periodic_spike(self, real_sweeps, name, every):
+        ubd, clean = real_sweeps[name]
+        height = 0.5 * (max(clean) - min(clean))
+        noisy = [
+            [value + height * (index % every == offset) for index, value in enumerate(clean)]
+            for offset in range(every)
+        ]
+        counts = outcomes(ubd, noisy)
+        assert set(counts) <= {"ubd", "refused"}, counts
 
 
 # --------------------------------------------------------------------------- #
@@ -235,7 +361,7 @@ class TestConsensus:
 
 
 class NumpySawtoothAnalyzer:
-    """The numpy implementation of the four estimators (reference oracle)."""
+    """The numpy implementation of the three estimators (reference oracle)."""
 
     def __init__(
         self,
@@ -318,49 +444,28 @@ class NumpySawtoothAnalyzer:
             return None
         return best_lag * self.spacing
 
-    def period_fft(self) -> Optional[int]:
-        """Period derived from the dominant non-DC Fourier component."""
-        series = self.values - np.mean(self.values)
-        if np.allclose(series, 0.0):
-            return None
-        spectrum = np.abs(np.fft.rfft(series))
-        if len(spectrum) < 3:
-            return None
-        dominant = int(np.argmax(spectrum[1:])) + 1
-        period_samples = len(series) / dominant
-        return int(round(period_samples)) * self.spacing
-
 
 def per_method(analyzer) -> Dict[str, Optional[int]]:
     return {
         "exact": analyzer.period_exact(),
         "rising_edges": analyzer.period_rising_edges(),
         "autocorrelation": analyzer.period_autocorrelation(),
-        "fft": analyzer.period_fft(),
     }
 
 
 def reference_periods(values: Sequence[float]) -> Dict[str, Optional[int]]:
     """The numpy reference's periods, where numpy's answer is not rounding noise.
 
-    Two of numpy's decisions can rest on values that are equal before
-    rounding, and then follow the rounding of pocketfft/BLAS rather than the
-    data.  On a flat spectrum (several bins tied for the maximum, e.g. a
-    single impulse) the stdlib estimator documents the lowest tied frequency,
-    so that is the expected answer.  When a peak test the autocorrelation
-    estimator evaluates compares equal quantities (neighbouring lags, or a
-    lag and the 0.35 threshold) either answer is a valid reading, so that
-    method is left out.
+    When a peak test the autocorrelation estimator evaluates compares equal
+    quantities (neighbouring lags, or a lag and the 0.35 threshold), numpy's
+    decision follows the rounding of BLAS rather than the data.  Either
+    answer is then a valid reading, so that method is left out.
     """
     reference = NumpySawtoothAnalyzer(list(range(1, len(values) + 1)), values)
     periods = per_method(reference)
     series = reference.values - np.mean(reference.values)
     if np.allclose(series, 0.0):
         return periods
-    spectrum = np.abs(np.fft.rfft(series))[1:]
-    tied = np.nonzero(spectrum >= spectrum.max() * (1.0 - 1e-9))[0]
-    if len(tied) > 1:
-        periods["fft"] = int(round(len(series) / (tied[0] + 1)))
     correlation = np.correlate(series, series, mode="full")[len(series) - 1 :]
     correlation = correlation / correlation[0]
     lags = np.arange(2, (periods["autocorrelation"] or len(series) // 2) + 1)
@@ -389,7 +494,7 @@ def model_sweeps() -> List[List[int]]:
 
     The platforms take turns at the sweep lengths the CLI analyses (the
     CI audit's 14 points, then 60 doubling up to the 400-point cap).  Store
-    sweeps of the smallest platforms are a single impulse: a flat spectrum.
+    sweeps of the smallest platforms are a single impulse.
     """
     lengths = itertools.cycle((14, 60, 120, 240, 400))
     sweeps = []
@@ -440,20 +545,6 @@ class TestNumpyReference:
         for analyzer in (SawtoothAnalyzer, NumpySawtoothAnalyzer):
             with pytest.raises(AnalysisError, match="uniformly spaced"):
                 analyzer(ks, values)
-
-    def test_flat_spectrum_resolves_to_the_full_span(self):
-        ks = list(range(1, 15))
-        analyzer = SawtoothAnalyzer(ks, [1] + [0] * 13)
-        assert analyzer.period_fft() == 14
-
-    @pytest.mark.parametrize("length", [14, 60, 120, 240, 400])
-    def test_flat_spectrum_tie_holds_at_cli_sweep_lengths(self, length):
-        """The DFT's rounding grows with the length but stays inside the tie band."""
-        ks = list(range(1, length + 1))
-        for position in (0, length // 3, length - 1):
-            impulse = [0] * length
-            impulse[position] = 1
-            assert SawtoothAnalyzer(ks, impulse).period_fft() == length
 
 
 class TestStatisticsEquivalents:

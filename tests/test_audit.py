@@ -37,7 +37,7 @@ from repro.audit import (
 from repro.campaign import CampaignSpec, ParallelRunner, write_campaign_artifacts
 from repro.campaign.runner import summarize_records
 from repro.audit.dimensions import ConfigAuditContext
-from repro.config import get_preset
+from repro.config import CacheConfig, L2Config, get_preset, reference_config
 from repro.errors import AuditError
 from repro.sim.trace import clear_trace_cache
 
@@ -367,6 +367,42 @@ class TestConfigAudit:
         (finding,) = result.findings
         assert "fixed-priority bus has no fair round" in finding.evidence["fallback_reason"]
 
+    def test_a_refused_pipeline_sweep_is_not_swept_again(self, stub_sweep):
+        """ref with eight cores and a 2 KB IL1: the pipeline's saw-tooth
+        finds no consensus over k = 1..60, and its extension to k = 120
+        meets the IL1 wall.  The confidence dimension reports that refusal
+        and measures no sweep point of its own."""
+        measured = stub_sweep(lambda k: 100 * (63 - (k - 1) % 63))
+        config = reference_config(
+            num_cores=8,
+            il1=CacheConfig(size_bytes=2 * 1024, ways=2, hit_latency=1),
+            l2=L2Config(cache=CacheConfig(size_bytes=256 * 1024, ways=8, hit_latency=6)),
+        )
+        context = ConfigAuditContext(config, AuditOptions(k_max=60, iterations=5))
+        result = CONFIG_DIMENSIONS.require("confidence").run(context)
+        (finding,) = result.findings
+        assert finding.verdict == "warn"
+        reason = finding.evidence["fallback_reason"]
+        assert reason.startswith("ref: the sweep's auto-extension reaches k = 120, where ")
+        assert reason == context.measured_report()[1]
+        assert measured == list(range(1, 61))
+
+    def test_a_platform_without_per_resource_terms_gets_the_budgeted_sweep(self, stub_sweep):
+        """TDMA bank queues refuse the per-resource pipeline but not the bus
+        saw-tooth, which the confidence dimension then sweeps within its
+        budget, without extending."""
+        measured = stub_sweep(lambda k: 100 * (6 - (k - 1) % 6), bus_max_wait=6)
+        config = get_preset("small")
+        config = replace(config, topology=replace(config.topology, name="bus_bank_queues"))
+        config = replace(config, topology=replace(config.topology, mem_arbitration="tdma"))
+        context = ConfigAuditContext(config, FAST)
+        assert context.measured_report()[0] is None
+        result = CONFIG_DIMENSIONS.require("confidence").run(context)
+        assert result.verdict == "pass"
+        ubdm = next(f for f in result.findings if f.check == "ubdm")
+        assert ubdm.evidence["ubdm"] == 6
+        assert measured == list(range(1, FAST.k_max + 1))
+
     def test_fifo_bus_warns_on_the_sawtooth_and_measures_the_bus_from_its_pmc(self):
         """On a FIFO bus the saw-tooth would print one bus occupancy as
         ubdm with every check passing; the confidence dimension warns with
@@ -391,8 +427,9 @@ class TestConfigAudit:
         assert term.evidence["ubdm"] == term.evidence["analytical"] == config.ubd
 
     def test_each_measured_term_takes_its_sandwich_verdict(self, monkeypatch):
-        """A term below its own observation (the 8-core ref saw-tooth prints
-        1 where the bus made a request wait 62) fails its finding too."""
+        """A term below its own observation (a saw-tooth of 1 where the bus
+        made a request wait 62) fails its finding, and the end-to-end bound
+        composed from it fails with the term named."""
         from repro.analysis.contention import BoundCrossCheck
         from repro.methodology.ubd import MeasuredBoundReport, ResourceUbdm
 
@@ -417,8 +454,13 @@ class TestConfigAudit:
         monkeypatch.setattr(context, "measured_report", lambda: (report, None))
         result = CONFIG_DIMENSIONS.require("measured_bounds").run(context)
         verdicts = {finding.check: finding.verdict for finding in result.findings}
-        assert verdicts == {"term_bus": "fail", "end_to_end": "pass"}
+        assert verdicts == {"term_bus": "fail", "end_to_end": "fail"}
         assert result.verdict == "fail"
+        (end_to_end,) = [f for f in result.findings if f.check == "end_to_end"]
+        assert end_to_end.detail == (
+            "ref: the bus term of 1 cycles is NOT COVERING its observed worst case of 62; "
+            "no end-to-end bound is composed"
+        )
 
 
 # --------------------------------------------------------------------------- #

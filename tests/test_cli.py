@@ -220,14 +220,48 @@ class TestCommands:
         assert "Traceback" not in captured.err
 
     @pytest.mark.usefixtures("sweep_capped_before_two_periods")
-    def test_derive_ubd_refuses_a_period_not_covered_at_the_search_limit(self, capsys):
+    def test_derive_ubd_refuses_at_the_search_limit_without_consensus(self, capsys):
         exit_code = main(["--preset", "small", "derive-ubd", "--k-max", "12", "--iterations", "5"])
         captured = capsys.readouterr()
         assert exit_code == 2
-        assert captured.err.startswith("error: ")
-        assert "MAX_K_LIMIT = 24" in captured.err
+        assert captured.err.startswith(
+            "error: the sweep reached the search limit of 24 at k = 1..24, where no two "
+            "saw-tooth estimators agree"
+        )
         assert "ubdm" not in captured.out
         assert "Traceback" not in captured.err
+
+    #: A saw-tooth of period 16 whose contended runs saw a 20-cycle bus wait.
+    PERIOD_16_WAIT_20 = dict(dbus_of=lambda k: 100 * (16 - (k - 1) % 16), bus_max_wait=20)
+
+    def test_derive_ubd_prints_no_bound_its_own_sweep_disproves(self, stub_sweep, capsys):
+        stub_sweep(**self.PERIOD_16_WAIT_20)
+        exit_code = main(["--preset", "ref", "derive-ubd", "--k-max", "40", "--iterations", "5"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.err == (
+            "error: ref: observed_floor fails, so no bound is reported: largest bus wait "
+            "in the sweep's contended runs is 20 cycles versus ubdm 16 (ubdm must cover it)\n"
+        )
+        assert captured.out == ""
+
+    def test_per_resource_composes_no_bound_from_a_term_not_covering(self, stub_sweep, capsys):
+        """ref's traced anchor run sees the bus make a request wait 26
+        cycles, which the saw-tooth's 16 does not cover: the table shows
+        it, and no end-to-end bound is printed."""
+        stub_sweep(**self.PERIOD_16_WAIT_20)
+        argv = ["--preset", "ref", "derive-ubd", "--per-resource"]
+        exit_code = main(argv + ["--k-max", "40", "--iterations", "5"])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert captured.out.endswith(
+            "\nbus      |       26 |   16 |         27 | rsk-nop saw-tooth | NOT COVERING\n"
+        )
+        assert "End-to-end measured bound" not in captured.out
+        assert captured.err == (
+            "error: ref: the bus term of 16 cycles is NOT COVERING its observed worst case "
+            "of 26; no end-to-end bound is composed\n"
+        )
 
     def test_store_sweep_settled_at_zero_exits_2_without_extending(self, capsys):
         argv = ["--preset", "small", "derive-ubd", "--instruction-type", "store"]

@@ -23,6 +23,7 @@ decomposition.  These tests pin the contract:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Tuple
 
 import pytest
@@ -221,6 +222,22 @@ class TestMeasuredComposition:
         )
         assert composed.covers_observation, composed.summary()
         assert set(composed.pads) == set(report.measured_terms)
+
+    def test_a_term_not_covering_its_observation_composes_no_bound(self):
+        """The split_bus report (on small) with its memory term lowered below
+        the memory stage's observed worst case: compose refuses, naming it."""
+        _, report = report_for("split_bus")
+        memory = report.terms["memory"]
+        lowered = replace(memory, ubdm=memory.observed_worst_case - 1)
+        report = replace(report, terms={**report.terms, "memory": lowered})
+        assert report.end_to_end_refusal == (
+            f"small: the memory term of {lowered.ubdm} cycles is NOT COVERING its "
+            f"observed worst case of {memory.observed_worst_case}; no end-to-end bound "
+            "is composed"
+        )
+        with pytest.raises(MethodologyError) as refusal:
+            report.compose(task_name="t", isolation_time=100, bus_requests=10, memory_requests=4)
+        assert str(refusal.value) == report.end_to_end_refusal
 
     def test_memory_requests_exposed_on_isolation_measurement(self):
         config, _ = report_for("split_bus")

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.sawtooth import PeriodEstimate
+from repro.analysis.sawtooth import PeriodEstimate, SawtoothAnalyzer
 from repro.config import SAWTOOTH, BusConfig, admissibility, get_preset, small_config
 from repro.errors import AnalysisError, MethodologyError
 import repro.methodology.ubd as ubd_module
@@ -123,69 +123,88 @@ class TestAutoExtension:
             estimator.run()
 
     @pytest.mark.usefixtures("sweep_capped_before_two_periods")
-    def test_period_not_covered_twice_at_the_search_limit_is_refused(self):
-        """At the cap the detected period (24 = the whole sweep, found by
-        one estimator) is inconclusive by the sweep's own rule: refuse it
-        rather than print the cap as a bound."""
+    def test_no_consensus_at_the_search_limit_is_refused(self):
+        """k = 1..24 holds one and a half periods of 16: no estimator
+        answers, and the sweep refuses at the limit with all three
+        answers."""
         estimator = UbdEstimator(small_config(), k_max=12, iterations=5)
-        with pytest.raises(AnalysisError, match="MAX_K_LIMIT = 24 .* not cover twice"):
+        with pytest.raises(AnalysisError) as refusal:
             estimator.run()
+        assert str(refusal.value) == (
+            "the sweep reached the search limit of 24 at k = 1..24, where no two "
+            "saw-tooth estimators agree within one step on a period of at least two "
+            "steps (autocorrelation=None, exact=None, rising_edges=None); no bound "
+            "is reported"
+        )
 
-    @pytest.mark.usefixtures("sweep_capped_before_two_periods")
-    def test_budgeted_sweep_reports_an_uncovered_period_as_failed_coverage(self):
-        """With ``auto_extend=False`` the sweep is a fixed budget (the audit's
-        fallback, Figures 7(a)/7(b)): the same inconclusive period is
-        reported, and the confidence checks flag it instead of a refusal."""
-        result = UbdEstimator(small_config(), k_max=24, iterations=5, auto_extend=False).run()
-        assert result.ubdm == 24
-        assert not result.confidence.passed
-        failed = {check.name for check in result.confidence.failed_checks()}
-        assert "sweep_coverage" in failed
-
-    @staticmethod
-    def _stub_sweep(monkeypatch, dbus_of, bus_max_wait=0):
-        """Replace every sweep point with ``dbus_of(k)``; returns the list of
-        measured ``k``."""
-        measured = []
-
-        def measure_point(estimator, k):
-            measured.append(k)
-            dbus = dbus_of(k)
-            return SweepPoint(
-                k=k,
-                isolation_time=1000,
-                contended_time=1000 + dbus,
-                dbus=dbus,
-                bus_utilisation=1.0,
-                requests=100,
-                bus_max_wait=bus_max_wait,
-            )
-
-        monkeypatch.setattr(UbdEstimator, "measure_point", measure_point)
+    @pytest.fixture
+    def rising_edges_one_step_long(self, monkeypatch, stub_sweep):
+        """Over a stubbed saw-tooth of period 16 with the limit at 32,
+        ``rising_edges`` answers 17: it agrees with the other two within one
+        step, so the consensus is 17, which k = 1..32 does not cover twice."""
+        measured = stub_sweep(lambda k: 100 * (16 - (k - 1) % 16))
+        monkeypatch.setattr(SawtoothAnalyzer, "period_rising_edges", lambda analyzer: 17)
+        monkeypatch.setattr("repro.methodology.ubd.MAX_K_LIMIT", 32)
         return measured
 
-    def test_bound_below_an_observed_bus_wait_fails_the_observed_floor(self, monkeypatch):
+    def test_period_not_covered_twice_at_the_search_limit_is_refused(
+        self, rising_edges_one_step_long
+    ):
+        estimator = UbdEstimator(small_config(), k_max=8, iterations=5)
+        with pytest.raises(AnalysisError) as refusal:
+            estimator.run()
+        assert str(refusal.value) == (
+            "the sweep reached the search limit of 32 at k = 1..32, where the period of "
+            "17 k-steps is not covered twice; no bound is reported"
+        )
+        assert rising_edges_one_step_long == list(range(1, 33))
+
+    @pytest.mark.usefixtures("sweep_capped_before_two_periods")
+    def test_budgeted_sweep_without_consensus_is_refused(self):
+        """With ``auto_extend=False`` the sweep is a fixed budget (the audit's
+        standalone sweep, Figures 7(a)/7(b)); one with no consensus is
+        refused with the estimators' answers."""
+        estimator = UbdEstimator(small_config(), k_max=24, iterations=5, auto_extend=False)
+        with pytest.raises(AnalysisError) as refusal:
+            estimator.run()
+        assert str(refusal.value) == (
+            "the sweep reached its budget at k = 1..24, where no two saw-tooth estimators "
+            "agree within one step on a period of at least two steps (autocorrelation=None, "
+            "exact=None, rising_edges=None); no bound is reported"
+        )
+
+    def test_budgeted_sweep_reports_an_uncovered_period_as_failed_coverage(
+        self, rising_edges_one_step_long
+    ):
+        """A consensus the budget does not cover twice is reported, and the
+        confidence checks flag it instead of a refusal."""
+        result = UbdEstimator(small_config(), k_max=32, iterations=5, auto_extend=False).run()
+        assert result.ubdm == 17
+        assert result.period.agreement == 1.0
+        assert [check.name for check in result.confidence.failed_checks()] == ["sweep_coverage"]
+
+    def test_bound_below_an_observed_bus_wait_fails_the_observed_floor(self, stub_sweep):
         """A saw-tooth of period 16 whose contended runs saw a 20-cycle bus
         wait prints ubdm 16 with the observed floor failing."""
-        self._stub_sweep(monkeypatch, lambda k: 100 * (16 - (k - 1) % 16), bus_max_wait=20)
+        stub_sweep(lambda k: 100 * (16 - (k - 1) % 16), bus_max_wait=20)
         result = UbdEstimator(small_config(), k_max=40, iterations=5).run()
         assert result.ubdm == 16
         assert [check.name for check in result.confidence.failed_checks()] == ["observed_floor"]
 
-    def test_sweep_settled_at_zero_is_refused_before_extending(self, monkeypatch):
+    def test_sweep_settled_at_zero_is_refused_before_extending(self, stub_sweep):
         """The store-buffer shape of Figure 7(b): a falling flank, then zero
         for good.  Extending only adds zeros, so the sweep refuses with the
         first zero k instead of running to the search limit."""
-        measured = self._stub_sweep(monkeypatch, lambda k: max(0, 400 * (9 - k)))
+        measured = stub_sweep(lambda k: max(0, 400 * (9 - k)))
         estimator = UbdEstimator(small_config(), k_max=12, iterations=5)
         with pytest.raises(AnalysisError, match=r"0 from k = 9 on: .*Figure 7\(b\)"):
             estimator.run()
         assert max(measured) == 12
 
-    def test_single_zero_at_the_sweep_end_still_extends(self, monkeypatch):
+    def test_single_zero_at_the_sweep_end_still_extends(self, stub_sweep):
         """One zero is not a settled tail: a saw-tooth touches zero once per
         period and rises right after."""
-        measured = self._stub_sweep(monkeypatch, lambda k: max(0, 400 * (12 - k)))
+        measured = stub_sweep(lambda k: max(0, 400 * (12 - k)))
         estimator = UbdEstimator(small_config(), k_max=12, iterations=5)
         with pytest.raises(AnalysisError, match="0 from k = 12 on"):
             estimator.run()
@@ -325,8 +344,8 @@ class TestIl1Wall:
             "fetches; lower --k-max"
         )
 
-    def test_an_explicit_sweep_past_the_il1_names_its_largest_k(self, monkeypatch):
-        measured = TestAutoExtension._stub_sweep(monkeypatch, lambda k: 0)
+    def test_an_explicit_sweep_past_the_il1_names_its_largest_k(self, stub_sweep):
+        measured = stub_sweep(lambda k: 0)
         with pytest.raises(MethodologyError) as refusal:
             UbdEstimator(small_config(), k_values=[1, 2, 3, 90], iterations=3).run()
         assert str(refusal.value).endswith(
@@ -335,8 +354,8 @@ class TestIl1Wall:
         assert measured == []
 
     @pytest.mark.parametrize("k_max, refused", [(84, False), (85, True)])
-    def test_the_wall_is_where_the_code_outgrows_the_il1(self, monkeypatch, k_max, refused):
-        measured = TestAutoExtension._stub_sweep(monkeypatch, lambda k: 100 * (6 - (k - 1) % 6))
+    def test_the_wall_is_where_the_code_outgrows_the_il1(self, stub_sweep, k_max, refused):
+        measured = stub_sweep(lambda k: 100 * (6 - (k - 1) % 6))
         estimator = UbdEstimator(small_config(), k_max=k_max, iterations=3)
         if refused:
             with pytest.raises(MethodologyError, match="k = 85, where the rsk-nop's 33 code"):
@@ -345,10 +364,10 @@ class TestIl1Wall:
             assert estimator.run().ubdm == 6
         assert measured == ([] if refused else list(range(1, 85)))
 
-    def test_an_extension_past_the_il1_is_refused_before_simulating_it(self, monkeypatch):
+    def test_an_extension_past_the_il1_is_refused_before_simulating_it(self, stub_sweep):
         """A period of 40 k-steps, not covered twice by k = 1..60, asks for
         k = 61..120, past the wall."""
-        measured = TestAutoExtension._stub_sweep(monkeypatch, lambda k: 100 * (40 - (k - 1) % 40))
+        measured = stub_sweep(lambda k: 100 * (40 - (k - 1) % 40))
         with pytest.raises(MethodologyError, match="auto-extension reaches k = 120, where"):
             UbdEstimator(small_config(), k_max=60, iterations=3).run()
         assert measured == list(range(1, 61))
@@ -395,8 +414,8 @@ class TestExplicitSweep:
         with pytest.raises(MethodologyError, match="k_values jumps from k = 2 to k = 4"):
             pipeline.run()
 
-    def test_a_consecutive_sweep_is_measured_as_given(self, monkeypatch):
-        measured = TestAutoExtension._stub_sweep(monkeypatch, lambda k: 100 * (6 - (k - 1) % 6))
+    def test_a_consecutive_sweep_is_measured_as_given(self, stub_sweep):
+        measured = stub_sweep(lambda k: 100 * (6 - (k - 1) % 6))
         result = UbdEstimator(small_config(), k_values=range(3, 20), iterations=3).run()
         assert result.ubdm == 6
         assert measured == list(range(3, 20))
